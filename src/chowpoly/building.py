@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import (
+    BadParameters,
     ImproperCut,
     JoinClosureViolation,
     MissingIrreducible,
@@ -17,6 +18,7 @@ from .errors import (
     NotContained,
     NotFlag,
     NotGCompatible,
+    NotSimple,
     CutContainsAtom,
     Stuck,
     TooLarge,
@@ -85,6 +87,12 @@ def factors_in(lat, s, f):
     return sorted(out, key=lambda g: (lat.rank_of(g), g))
 
 
+def _check_order(order, n):
+    """Raise BadParameters unless order is a permutation of 0..n-1."""
+    if not all(type(e) is int for e in order) or sorted(order) != list(range(n)):
+        raise BadParameters(f"order must permute 0..{n - 1}, got {list(order)}")
+
+
 class BuiltMatroid:
     """A simple geometric lattice with a building set and a ground order."""
 
@@ -94,8 +102,13 @@ class BuiltMatroid:
         self.bset = frozenset(bset)
         self.order = tuple(order) if order is not None else tuple(range(lat.n))
         if validate:
-            assert lat.simple(), "built matroids are kept simple internally"
-            assert sorted(self.order) == list(range(lat.n)), "order must permute 0..n-1"
+            parallel = [lat.flats[i] for i in lat.atoms if popcount(lat.flats[i]) > 1]
+            if parallel:
+                raise NotSimple(
+                    f"built matroids need a simple lattice; elements "
+                    f"{list(bits(parallel[0]))} are parallel"
+                )
+            _check_order(self.order, lat.n)
             validate_building_set(lat, self.bset)
         self.pos = {e: i for i, e in enumerate(self.order)}
         self.maxg = tuple(
@@ -161,6 +174,7 @@ def simplify_built(lat, bset, order):
     its new label.  If lat is already simple this is just a relabeling by
     identity (the same lattice object is reused).
     """
+    _check_order(order, lat.n)
     if lat.simple():
         return BuiltMatroid(lat, bset, order, validate=False), {
             e: e for e in range(lat.n)
@@ -481,15 +495,44 @@ def _removal_chain(bm, small, pick):
     return Filtration(bsets=chain, added=added, binary=binary)
 
 
-def is_removable(bm, g):
-    """Whether bset minus g is still a building set."""
-    if g not in bm.bset:
+def _removable(lat, bset, g):
+    """Whether bset minus g is still a building set, given a building set
+    bset that contains g: g must be reducible and the maximal elements of
+    bset strictly below g pairwise disjoint (proof in `is_removable`)."""
+    if lat.is_irreducible(g):
         return False
-    try:
-        validate_building_set(bm.lat, bm.bset - {g})
-    except (MissingIrreducible, JoinClosureViolation):
-        return False
+    # Descending size: an element is maximal below g iff no earlier maximal
+    # element contains it.  Disjoint maximal elements make `union` an exact
+    # test for meeting one of them.
+    below = sorted(
+        (h for h in bset if h != g and h & ~g == 0), key=popcount, reverse=True
+    )
+    tops = []
+    union = 0
+    for h in below:
+        if h & union:
+            if any(h & ~t == 0 for t in tops):
+                continue
+            return False
+        tops.append(h)
+        union |= h
     return True
+
+
+def is_removable(bm, g):
+    """Whether bset minus g is still a building set.
+
+    Requires bm.bset to be a building set.  Then g is removable iff g is
+    reducible and the maximal elements of bm.bset strictly below g are
+    pairwise disjoint (the local criterion of Feichtner–Kozlov).  Proof:
+    - a pair a, b of bset − {g} that breaks join-closure has a ∨ b = g,
+      because bset is join-closed;
+    - if the maximal elements below g are disjoint, two meeting elements
+      below g lie under one of them, m, and join inside [0, m]: no such pair;
+    - if two of them, m1 and m2, meet, then m1 ∨ m2 is in bset, ≤ g and
+      strictly above both, so it is g by maximality: removing g breaks them.
+    """
+    return g in bm.bset and _removable(bm.lat, bm.bset, g)
 
 
 def filtration(bm, small):
@@ -501,14 +544,7 @@ def filtration(bm, small):
         if not extra:
             return None
         mins = [f for f in extra if not any(g != f and g & ~f == 0 for g in extra)]
-        for f in sorted(mins):
-            trial = frozenset(cur - {f})
-            try:
-                validate_building_set(lat, trial)
-            except (MissingIrreducible, JoinClosureViolation):
-                continue
-            return f
-        return None
+        return next((f for f in sorted(mins) if _removable(lat, cur, f)), None)
 
     return _removal_chain(bm, small, pick)
 
@@ -518,16 +554,21 @@ def binary_filtration(bm, small):
 
     Greedily removes a lattice-maximal removable element (smallest mask on
     ties); raises NotFlag if bm is not flag and Stuck if the greedy jams.
+
+    A candidate g is removable iff it is reducible and the maximal elements
+    of the current set strictly below g are pairwise disjoint; the removal
+    chain keeps the current set a validated building set, which is the
+    criterion's precondition.  Proof:
+    - a pair that breaks join-closure once g is gone joins to g, because
+      the current set is join-closed;
+    - disjoint maximal elements below g leave no meeting pair joining to g;
+    - two meeting maximal elements m1, m2 have m1 ∨ m2 = g by maximality.
     """
     if not is_flag(bm):
         raise NotFlag(flag_nonface_witness(bm))
 
     def pick(lat, cur, small):
-        cand = [
-            f
-            for f in cur - small
-            if is_removable(BuiltMatroid(lat, frozenset(cur), validate=False), f)
-        ]
+        cand = [f for f in cur - small if _removable(lat, cur, f)]
         if not cand:
             return None
         maxima = [f for f in cand if not any(g != f and f & ~g == 0 for g in cand)]

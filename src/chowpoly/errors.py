@@ -21,6 +21,10 @@ class NotAFlat(ChowpolyError):
     pass
 
 
+class NotSimple(ChowpolyError):
+    pass
+
+
 class NotUpwardClosed(ChowpolyError):
     pass
 

@@ -87,7 +87,8 @@ def built_from_matroid(m, bset="min", order=None):
         chosen = g_max(lat)
     else:
         chosen = frozenset(bset)
-    bm, _ = simplify_built(lat, chosen, tuple(order) if order else tuple(range(lat.n)))
+    order = tuple(order) if order is not None else tuple(range(lat.n))
+    bm, _ = simplify_built(lat, chosen, order)
     return bm
 
 

@@ -105,6 +105,44 @@ def is_building_set(n, rank, flats, g):
     return True
 
 
+def greedy_binary_chain(lat, big, small):
+    """The greedy of binary filtrations with a full validation per candidate.
+
+    Works on bitmask flats of a package lattice.  From big down to small, it
+    drops the lattice-maximal removable flat with the smallest mask, where f
+    is removable when `validate_building_set` accepts the current set minus
+    f.  Returns (bsets, added, binary) from small up to big, with binary[i]
+    telling whether added[i] has exactly two maximal elements of bsets[i]
+    below it; returns None when no flat can be removed.
+    """
+    from chowpoly.building import validate_building_set
+    from chowpoly.errors import JoinClosureViolation, MissingIrreducible
+
+    def passes(s):
+        try:
+            validate_building_set(lat, s)
+        except (MissingIrreducible, JoinClosureViolation):
+            return False
+        return True
+
+    chain = [frozenset(big)]
+    while chain[-1] != small:
+        cur = chain[-1]
+        cand = [f for f in cur - small if passes(cur - {f})]
+        if not cand:
+            return None
+        maxima = [f for f in cand if not any(g != f and f & ~g == 0 for g in cand)]
+        chain.append(cur - {min(maxima)})
+    chain.reverse()
+    added = [next(iter(b - a)) for a, b in zip(chain, chain[1:])]
+    binary = []
+    for prev, f in zip(chain, added):
+        below = [g for g in prev if g & ~f == 0]
+        tops = [g for g in below if not any(g != h and g & ~h == 0 for h in below)]
+        binary.append(len(tops) == 2)
+    return chain, added, binary
+
+
 # ---------------------------------------------------------------------------
 # nested sets
 

@@ -4,7 +4,7 @@ flagness, cross-checked against the brute-force oracles."""
 import pytest
 
 import oracles
-from helpers import b4_flag_built, boolean_built, mask_of, sets_of
+from helpers import b4_flag_built, boolean_built, mask_of, set_of, sets_of
 
 from chowpoly.building import (
     BuiltMatroid,
@@ -20,6 +20,7 @@ from chowpoly.building import (
     g_min,
     is_complete,
     is_flag,
+    is_removable,
     restrict,
     simplify_built,
     tl_chain,
@@ -31,6 +32,7 @@ from chowpoly.errors import (
     ImproperCut,
     JoinClosureViolation,
     MissingIrreducible,
+    NotFlag,
     NotGCompatible,
 )
 from chowpoly.families import (
@@ -251,6 +253,48 @@ def test_filtration_min_to_max_b3():
         from chowpoly.building import factors_in
 
         assert len(factors_in(bm.lat, prev, added)) == 2
+
+
+def test_is_removable_matches_full_validation_on_corpus():
+    from chowpoly.corpus import corpus
+
+    pairs = removable = 0
+    for inst in corpus():
+        bm = inst.built
+        lat = bm.lat
+        small_host = bm.n <= 4
+        if small_host:
+            orank = lambda s, lat=lat: lat.rank_of(lat.closure(mask_of(s)))
+            oflats = {set_of(f) for f in lat.flats}
+        for g in sorted(bm.bset):
+            try:
+                validate_building_set(lat, bm.bset - {g})
+                want = True
+            except (MissingIrreducible, JoinClosureViolation):
+                want = False
+            assert is_removable(bm, g) == want, (inst.name, g)
+            if small_host:
+                og = sets_of(bm.bset - {g})
+                assert oracles.is_building_set(bm.n, orank, oflats, og) == want
+            pairs += 1
+            removable += want
+    assert (pairs, removable) == (2483, 685)
+
+
+def test_binary_filtration_matches_reference_greedy_on_corpus():
+    from chowpoly.corpus import corpus
+
+    flag = 0
+    for inst in corpus():
+        bm = inst.built
+        try:
+            filt = binary_filtration(bm, g_min(bm.lat))
+        except NotFlag:
+            continue
+        flag += 1
+        ref = oracles.greedy_binary_chain(bm.lat, bm.bset, g_min(bm.lat))
+        assert (filt.bsets, filt.added, filt.binary) == ref, inst.name
+    assert flag == 206
 
 
 def test_structural_check_on_corpus():

@@ -145,6 +145,13 @@ def test_filtration_agrees_on_samples():
     assert supported >= 10
 
 
+def test_filtration_b7_max_is_eulerian():
+    bm = built_from_matroid(make_boolean(7), "max")
+    eulerian = [1, 120, 1191, 2416, 1191, 120, 1]
+    assert chow_by_filtration(bm) == eulerian
+    assert chow_polynomial(bm) == eulerian
+
+
 def test_toric_agrees_and_guards():
     for name, bm in [
         ("B3max", built_from_matroid(make_boolean(3), "max")),

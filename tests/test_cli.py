@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -299,3 +302,42 @@ def test_gamma_corpus_matrix(capsys, monkeypatch):
     assert len(doc["rows"]) >= 200
     for row in doc["rows"]:
         assert row["ok"], row["name"]
+
+
+BAD_ORDER = {"matroid": {"type": "boolean", "n": 3}, "order": [0, 0, 1]}
+NON_SIMPLE_LIST = {
+    "matroid": {"type": "graphic", "edges": [[0, 1], [0, 1], [1, 2]]},
+    "building_set": [[0, 1], [2], [0, 1, 2]],
+}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        BAD_ORDER,
+        dict(BAD_ORDER, order=[0, 1]),
+        dict(BAD_ORDER, order=["a", "b", "c"]),
+        NON_SIMPLE_LIST,
+    ],
+    ids=["repeat", "short", "strings", "non-simple"],
+)
+def test_bad_order_and_non_simple_are_invalid_input(capsys, tmp_path, doc):
+    for cmd in ("chow", "gamma"):
+        assert cli.main([cmd, "--spec", spec_arg(tmp_path, doc)]) == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_bad_order_is_invalid_input_under_optimize():
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "chowpoly.cli", "chow", "--spec", "-"],
+        input=json.dumps(BAD_ORDER),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: BadParameters")
