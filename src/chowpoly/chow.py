@@ -4,6 +4,19 @@ Routes: the FY monomial count (chow_polynomial), the deletion recursion
 (chow_by_deletion), filtration pullbacks (chow_by_filtration), and exact
 linear algebra on the toric presentation (toric_hilbert_oracle).  They share
 no code beyond the lattice kernel, which is the point.
+
+chow_polynomial counts the FY basis without listing it.  The maximal
+elements of a nested set are exactly the G-factors of their join
+(Feichtner–Kozlov), so supports can be grouped by that join F:
+
+    P(0) = 1,   P(F) = prod over h in factors_G(F) of Q(h),
+    Q(g) = sum over F < g with rk g - rk F >= 2 of
+           P(F) * (t + ... + t^(rk g - rk F - 1))   for g in G,
+    H = sum over F of P(F),
+
+one bottom-up pass over the lattice of flats.  For G_max this is the
+recursion of Ferroni–Matherne–Schulte–Vecchi.  The enumeration of supports
+survives only in fy_monomials, which the Ψ-fibers need.
 """
 
 from fractions import Fraction
@@ -20,11 +33,14 @@ from .building import (
     restrict,
 )
 from .errors import (
+    BadParameters,
     FiberMismatch,
     MixedFactorStep,
     NoBinaryFiltration,
+    NotComplete,
     NotFlag,
     NotIrreducible,
+    NotMaximal,
     Stuck,
     TooLarge,
 )
@@ -84,16 +100,50 @@ def fy_monomials(bm):
 
 
 def chow_polynomial(bm):
-    """Hilbert series of the Chow ring: degree-indexed FY monomial counts."""
+    """Hilbert series of the Chow ring: the FY monomial count by degree.
+
+    A nested set's maximal elements are exactly the G-factors of their join
+    (Feichtner–Kozlov), so flats F and nested antichains correspond one to
+    one, and H = sum over F of P(F) with
+
+        P(0) = 1,   P(F) = prod over h in factors_G(F) of Q(h),
+        Q(g) = sum over F < g with rk g - rk F >= 2 of
+               P(F) * (t + ... + t^(rk g - rk F - 1)).
+
+    P(F) counts the monomials whose support has maximal elements
+    factors_G(F); Q(g) those whose support has g as its one maximal
+    element, so P(g) = Q(g) for g in G.  Flats are visited in (rank, mask)
+    order, so every P a flat needs is already known.  G-factors are
+    disjoint and cover F, so taking building-set elements below F by
+    falling rank and skipping those that meet an earlier pick finds them.
+    """
     key = bm.key()
     if key in _CHOW_MEMO:
         return list(_CHOW_MEMO[key])
-    out = []
-    for supp, gaps in _supports(bm):
-        term = [1]
-        for g in gaps:
-            term = pmul(term, trange(1, g - 1))
-        out = padd(out, term)
+    lat, bset = bm.lat, bm.bset
+    by_rank_desc = sorted(bset, key=lambda g: -lat.rank_of(g))
+    p = {0: [1]}
+    out = [1]
+    for f, r in zip(lat.flats[1:], lat.ranks[1:]):
+        if f in bset:
+            by_gap = [[] for _ in range(r + 1)]
+            for e, re in zip(lat.flats, lat.ranks):
+                if re > r - 2:
+                    break
+                if e & ~f == 0:
+                    by_gap[r - re] = padd(by_gap[r - re], p[e])
+            poly = []
+            for gap in range(2, r + 1):
+                if by_gap[gap]:
+                    poly = padd(poly, pmul(by_gap[gap], trange(1, gap - 1)))
+        else:
+            poly, covered = [1], 0
+            for g in by_rank_desc:
+                if g & ~f == 0 and not g & covered:
+                    poly = pmul(poly, p[g])
+                    covered |= g
+        p[f] = poly
+        out = padd(out, poly)
     _CHOW_MEMO[key] = tuple(out)
     return out
 
@@ -322,10 +372,17 @@ def _expected_fiber(des, rank):
     return pmul([0] * des + [1], binom_poly(rank - 1 - 2 * des))
 
 
+def _require_irreducible_complete(bm):
+    if not bm.irreducible:
+        raise NotIrreducible("ψ-fibers need an irreducible built matroid")
+    if not is_complete(bm):
+        raise NotComplete("ψ-fibers need a complete built matroid")
+
+
 def psi_fibers(bm):
     """Group FY monomials by the completion of their support; the fiber of
     each stable facet must generate exactly t^des (1+t)^(rank-1-2 des)."""
-    assert bm.irreducible and is_complete(bm)
+    _require_irreducible_complete(bm)
     maxset = set(bm.maxg)
     fibers = {}
     for m in fy_monomials(bm):
@@ -355,11 +412,19 @@ def psi_fiber_of(bm, s):
     """The fiber of a single stable facet without enumerating all of FY:
     fiber supports live inside s plus the top flat, because s is the
     completion of its own descent set."""
-    assert bm.irreducible and is_complete(bm)
+    _require_irreducible_complete(bm)
     lat = bm.lat
-    dd = descent_set(bm, s)
-    assert dd.stable
-    assert completion(bm, dd.descents) == s
+    s = frozenset(s) - set(bm.maxg)
+    if not s <= bm.bset:
+        raise BadParameters(f"{sorted(s - bm.bset)} not in the building set")
+    try:
+        dd = descent_set(bm, s)
+    except NotMaximal as exc:
+        raise BadParameters(f"{sorted(s)} is not a facet") from exc
+    if not dd.stable:
+        raise BadParameters(f"{sorted(s)} is not a stable facet")
+    if completion(bm, dd.descents) != s:
+        raise BadParameters(f"{sorted(s)} is not the completion of its descents")
     pool = sorted(set(s) | {lat.full}, key=lambda f: (lat.rank_of(f), f))
     monomials = []
     for k in range(len(pool) + 1):

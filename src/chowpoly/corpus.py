@@ -46,19 +46,6 @@ class CorpusInstance:
         self.bset_kind = bset_kind
         self.built = built
 
-    def describe(self):
-        bm = self.built
-        return {
-            "name": self.name,
-            "family": self.family,
-            "bset_kind": self.bset_kind,
-            "n_elements": bm.lat.n,
-            "n_flats": len(bm.lat.flats),
-            "rank": bm.lat.rk,
-            "bset_size": len(bm.bset),
-            "irreducible": bm.irreducible,
-        }
-
     def __repr__(self):
         return f"CorpusInstance({self.name})"
 

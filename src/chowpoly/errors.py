@@ -85,6 +85,10 @@ class NotIrreducible(ChowpolyError):
     pass
 
 
+class NotComplete(ChowpolyError):
+    pass
+
+
 class MixedFactorStep(ChowpolyError):
     pass
 

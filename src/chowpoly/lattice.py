@@ -183,9 +183,6 @@ class GeomLattice:
     def covers(self, f):
         return [self.flats[j] for j in self.covers_up[self.idx[f]]]
 
-    def atoms_below(self, f):
-        return [self.flats[i] for i in self.atoms if self.flats[i] & ~f == 0]
-
     def flats_below(self, f):
         return [g for g in self.flats if g & ~f == 0]
 

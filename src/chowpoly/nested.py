@@ -119,14 +119,6 @@ def _subtree_facets(bm, g):
     return out
 
 
-def _antichain_join_rank_ok(bm, chosen):
-    lat = bm.lat
-    j = 0
-    for c in chosen:
-        j = lat.join(j, c)
-    return lat.rank_of(j)
-
-
 def maximal_nested_sets(bm):
     """Facets of the reduced nested set complex N (maximal building-set
     elements stripped); for irreducible bm each facet has rank(M)-1 elements.

@@ -215,6 +215,24 @@ def chow_poly(n, rank, g, flats):
     return out
 
 
+def fy_support_count(bm):
+    """H(M,G) by walking every FY support of a package BuiltMatroid.
+
+    Sums prod (t + ... + t^(gap-1)) over the supports that
+    `chow._supports` streams, one support at a time; this was the package's
+    own FY route before the lattice-of-flats recurrence replaced it.
+    """
+    from chowpoly.chow import _supports
+
+    coeffs = [0]
+    for _, gaps in _supports(bm):
+        for alphas in product(*(range(1, g) for g in gaps)):
+            d = sum(alphas)
+            coeffs.extend([0] * (d + 1 - len(coeffs)))
+            coeffs[d] += 1
+    return coeffs
+
+
 # ---------------------------------------------------------------------------
 # gamma, by solving the triangular binomial system
 

@@ -1,14 +1,19 @@
 """Chow polynomials by four independent routes, the FY monomial basis, the
 descent formula, and the ψ-fiber decomposition."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import oracles
 from helpers import b4_flag_built, mask_of, set_of
 
 from chowpoly.building import BuiltMatroid, extend, is_complete
-from chowpoly.nested import stable_maximal_nested_sets
+from chowpoly.nested import maximal_nested_sets, stable_maximal_nested_sets
 from chowpoly.chow import (
+    _CHOW_MEMO,
     chow_by_deletion,
     chow_by_filtration,
     chow_polynomial,
@@ -19,7 +24,7 @@ from chowpoly.chow import (
     psi_fibers,
     toric_hilbert_oracle,
 )
-from chowpoly.errors import TooLarge
+from chowpoly.errors import BadParameters, NotComplete, NotIrreducible, TooLarge
 from chowpoly.families import (
     augmented_built_matroid,
     built_from_matroid,
@@ -150,6 +155,23 @@ def test_filtration_b7_max_is_eulerian():
     eulerian = [1, 120, 1191, 2416, 1191, 120, 1]
     assert chow_by_filtration(bm) == eulerian
     assert chow_polynomial(bm) == eulerian
+    b8 = built_from_matroid(make_boolean(8), "max")
+    _CHOW_MEMO.clear()
+    assert chow_polynomial(b8) == [1, 247, 4293, 15619, 15619, 4293, 247, 1]
+
+
+def test_chow_dp_matches_support_enumeration():
+    from chowpoly.corpus import corpus
+
+    cases = [(inst.name, inst.built) for inst in corpus()]
+    cases += [
+        ("Pi6min", built_from_matroid(make_partition(6), "min")),
+        ("B6max", built_from_matroid(make_boolean(6), "max")),
+        ("U47max", built_from_matroid(make_uniform(4, 7), "max")),
+    ]
+    for name, bm in cases:
+        _CHOW_MEMO.clear()
+        assert chow_polynomial(bm) == oracles.fy_support_count(bm), name
 
 
 def test_toric_agrees_and_guards():
@@ -230,6 +252,60 @@ def test_psi_fiber_of_matches_global():
         for d in degs:
             dense[d] += 1
         assert dense == poly
+
+
+def test_psi_fibers_reject_reducible_and_incomplete():
+    reducible = built_from_matroid(make_boolean(3), "min")
+    incomplete = built_from_matroid(make_uniform(3, 4), "min")
+    assert incomplete.irreducible and not is_complete(incomplete)
+    for fn in (psi_fibers, lambda bm: psi_fiber_of(bm, frozenset())):
+        with pytest.raises(NotIrreducible):
+            fn(reducible)
+        with pytest.raises(NotComplete):
+            fn(incomplete)
+
+
+def test_psi_fiber_of_rejects_bad_facets(monkeypatch):
+    bm = built_from_matroid(make_boolean(3), "max")
+    stable = [frozenset(s) for s in stable_maximal_nested_sets(bm)]
+    unstable = [
+        frozenset(s) for s in maximal_nested_sets(bm) if frozenset(s) not in stable
+    ]
+    assert stable and unstable
+    for bad in (frozenset({0b001}), unstable[0], stable[0] | {0b1000}):
+        with pytest.raises(BadParameters):
+            psi_fiber_of(bm, bad)
+    monkeypatch.setattr("chowpoly.chow.completion", lambda bm, s: frozenset())
+    with pytest.raises(BadParameters, match="completion"):
+        psi_fiber_of(bm, stable[0])
+
+
+def test_psi_errors_are_typed_under_optimize():
+    code = (
+        "from chowpoly import built_from_matroid, make_boolean, make_uniform, "
+        "psi_fiber_of, psi_fibers, stable_maximal_nested_sets, maximal_nested_sets\n"
+        "def kind(fn, *a):\n"
+        "    try:\n"
+        "        fn(*a)\n"
+        "    except Exception as e:\n"
+        "        return type(e).__name__\n"
+        "bm = built_from_matroid(make_boolean(3), 'max')\n"
+        "stable = set(stable_maximal_nested_sets(bm))\n"
+        "unstable = next(s for s in maximal_nested_sets(bm) if s not in stable)\n"
+        "print(kind(psi_fibers, built_from_matroid(make_uniform(3, 4), 'min')),"
+        " kind(psi_fibers, built_from_matroid(make_boolean(3), 'min')),"
+        " kind(psi_fiber_of, bm, unstable))\n"
+    )
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["NotComplete", "NotIrreducible", "BadParameters"]
 
 
 def test_augmented_u23():
