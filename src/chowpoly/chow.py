@@ -51,8 +51,7 @@ from .nested import (
     extends_nested,
     is_nested,
     link_decomposition,
-    maximal_nested_sets,
-    stable_maximal_nested_sets,
+    stable_descent_sets,
 )
 from .polynomials import binom_poly, normalize, padd, pmul, trange
 
@@ -345,10 +344,8 @@ def gamma_by_descents(bm):
     if not bm.irreducible:
         raise NotIrreducible("the descent formula needs an irreducible built matroid")
     out = [0] * ((bm.rank - 1) // 2 + 1)
-    for s in maximal_nested_sets(bm):
-        dd = descent_set(bm, s)
-        if dd.stable:
-            out[dd.des] += 1
+    for _, d in stable_descent_sets(bm):
+        out[len(d)] += 1
     return out
 
 
@@ -390,18 +387,18 @@ def psi_fibers(bm):
         s = completion(bm, supp)
         deg = sum(a for _, a in m)
         fibers.setdefault(s, []).append(deg)
-    stables = stable_maximal_nested_sets(bm)
+    stables = dict(stable_descent_sets(bm))
     for s in fibers:
-        if s not in set(stables):
+        if s not in stables:
             raise FiberMismatch(("unstable image", sorted(s)))
     out = {}
-    for s in stables:
+    for s, descents in stables.items():
         degs = fibers.get(s, [])
         poly = [0] * (max(degs, default=0) + 1)
         for d in degs:
             poly[d] += 1
         poly = normalize(poly)
-        expected = _expected_fiber(descent_set(bm, s).des, bm.rank)
+        expected = _expected_fiber(len(descents), bm.rank)
         if poly != expected:
             raise FiberMismatch((sorted(s), poly, expected))
         out[s] = poly

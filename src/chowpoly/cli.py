@@ -18,16 +18,11 @@ Instances come in as JSON documents (``--spec FILE``, ``-`` for stdin):
 Output is canonical JSON on stdout: sorted keys, no floats, ground elements
 as 0-based indices, flats as sorted index arrays.  Exit codes: 0 ok,
 2 invalid input, 3 check or cross-method agreement failure.
-
-The environment variable CHOWPOLY_THREADS caps the worker count used by the
-``--corpus`` runs (default 1; the per-instance work is pure and independent).
 """
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .building import (
     BuiltMatroid,
@@ -260,12 +255,7 @@ def cmd_chow(args):
 def _corpus_rows(fn):
     from .corpus import corpus
 
-    insts = corpus()
-    workers = max(1, int(os.environ.get("CHOWPOLY_THREADS", "1")))
-    if workers == 1:
-        return [fn(inst) for inst in insts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, insts))
+    return [fn(inst) for inst in corpus()]
 
 
 def _corpus_chow():

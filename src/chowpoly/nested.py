@@ -11,6 +11,7 @@ from itertools import combinations, product
 
 from .building import BuiltMatroid, tl_chain
 from .errors import (
+    BadParameters,
     NotIrreducible,
     NotMaximal,
     NotNestedLocal,
@@ -29,9 +30,13 @@ def _cache(bm):
 
 
 def is_nested(bm, s):
-    """True iff every antichain of size >= 2 inside s joins outside bset."""
+    """True iff every antichain of size >= 2 inside s joins outside bset.
+
+    Raises BadParameters when s has flats outside the building set."""
     s = sorted(set(s))
-    assert all(f in bm.bset for f in s), "nested sets live inside the building set"
+    outside = [f for f in s if f not in bm.bset]
+    if outside:
+        raise BadParameters(f"{outside} not in the building set")
     lat = bm.lat
     for k in range(2, len(s) + 1):
         for a in combinations(s, k):
@@ -265,9 +270,14 @@ def _local_interval(bm, j, g):
     )
 
 
+def _require_nested(bm, s):
+    if not is_nested(bm, s):
+        raise BadParameters(f"{sorted(s)} is not a nested set")
+
+
 def link_decomposition(bm, s):
     """Local intervals of a nested set over s plus the maximal elements."""
-    assert is_nested(bm, s)
+    _require_nested(bm, s)
     s = frozenset(s) - set(bm.maxg)
     shat = _shat(bm, s)
     return [_local_interval(bm, _jbottom(bm, shat, g), g) for g in shat]
@@ -313,7 +323,7 @@ def completion(bm, s):
     if not bm.irreducible:
         raise NotIrreducible("completion needs an irreducible built matroid")
     s = frozenset(s) - set(bm.maxg)
-    assert is_nested(bm, s)
+    _require_nested(bm, s)
     shat = _shat(bm, s)
     out = set(s)
     for g in shat:
@@ -342,19 +352,23 @@ class DescentData:
     parents: dict
 
 
+def _least(bm, mask):
+    """The order-least ground element of a nonzero mask."""
+    for e in bm.order:
+        if mask >> e & 1:
+            return e
+
+
 def lambda_label(bm, s, g):
-    """The order-least ground element whose join with J^g gives g."""
+    """The order-least ground element whose join with J^g gives g.
+
+    When g covers J^g, every element of g outside J^g joins J^g up to g, so
+    this is the order-least element of g minus J^g."""
     lat = bm.lat
-    shat = _shat(bm, s)
-    j = _jbottom(bm, shat, g)
+    j = _jbottom(bm, _shat(bm, s), g)
     if lat.rank_of(g) - lat.rank_of(j) != 1:
         raise RankNotOne((j, g))
-    for e in bm.order:
-        if j >> e & 1:
-            continue
-        if lat.join(j, lat.flats[lat.atom_of_elem[e]]) == g:
-            return e
-    raise AssertionError("no generator found for a rank-1 step")
+    return _least(bm, g & ~j)
 
 
 def descent_set(bm, s):
@@ -362,6 +376,10 @@ def descent_set(bm, s):
 
     Every element of s is descent-eligible; the parent of an element with no
     s-element above it is the top flat, which itself is never a descent.
+    The elements of ŝ above g form a chain (two incomparable ones would meet
+    in g, so their join would be in G), so the parent of g is the first
+    element after g in rank order that contains g, and J^g is the join of
+    the children of g.
     """
     if not bm.irreducible:
         raise NotIrreducible("descents need an irreducible built matroid")
@@ -369,30 +387,31 @@ def descent_set(bm, s):
     if len(s) != bm.rank - 1 or not is_nested(bm, s):
         raise NotMaximal(sorted(s))
     lat = bm.lat
-    full = lat.full
-    shat = _shat(bm, s)
+    shat = _shat(bm, s)  # s in rank order, then the top flat
+    parents = {}
+    children = {g: [] for g in shat}
+    for i, g in enumerate(shat[:-1]):
+        p = next(h for h in shat[i + 1 :] if g & ~h == 0)
+        parents[g] = p
+        children[p].append(g)
     lambdas = {}
     for g in shat:
-        lambdas[g] = lambda_label(bm, s, g)
-    parents = {}
-    for g in s:
-        ups = [h for h in shat if h != g and g & ~h == 0]
-        parents[g] = min(ups, key=lambda h: lat.rank_of(h))
+        j = 0
+        for c in children[g]:
+            j = lat.join(j, c)
+        if lat.rank_of(g) - lat.rank_of(j) != 1:
+            raise RankNotOne((j, g))
+        lambdas[g] = _least(bm, g & ~j)
     pos = bm.pos
     descents = frozenset(
         g for g in s if pos[lambdas[g]] > pos[lambdas[parents[g]]]
     )
-    minimal = {g for g in s if not any(x != g and x & ~g == 0 for x in s)}
-    bottoms = frozenset(descents & minimal)
-    doubles = set()
-    for g in descents - minimal:
-        below = [x for x in s if x != g and x & ~g == 0]
-        children = [
-            x for x in below if not any(y != x and x & ~y == 0 for y in below)
-        ]
-        if children and all(x in descents for x in children):
-            doubles.add(g)
-    doubles = frozenset(doubles)
+    bottoms = frozenset(g for g in descents if not children[g])
+    doubles = frozenset(
+        g
+        for g in descents
+        if children[g] and all(c in descents for c in children[g])
+    )
     return DescentData(
         descents=descents,
         des=len(descents),
@@ -404,24 +423,25 @@ def descent_set(bm, s):
     )
 
 
-def descents_have_rank1_local(bm, descents):
-    """Whether the descent set, viewed as a nested set, has a local interval
-    of rank 1.
+def stable_descent_sets(bm):
+    """(facet, descent set) for every stable facet, in facet order.
 
-    Every unstable facet's descent set has one, so a False answer certifies
-    stability; the converse does not hold (stable facets may have rank-1
-    local intervals too)."""
-    lat = bm.lat
-    shat = _shat(bm, descents)
-    for g in shat:
-        j = _jbottom(bm, shat, g)
-        if lat.rank_of(g) - lat.rank_of(j) == 1:
-            return True
-    return False
+    One pass calls descent_set once per facet; the pairs are cached next to
+    the facets, so the descent formula, the Γ-complex and the ψ-fibers share
+    it.  The result is the cached tuple itself."""
+    cache = _cache(bm)
+    if "stable" not in cache:
+        pairs = []
+        for s in maximal_nested_sets(bm):
+            dd = descent_set(bm, s)
+            if dd.stable:
+                pairs.append((s, dd.descents))
+        cache["stable"] = tuple(pairs)
+    return cache["stable"]
 
 
 def stable_maximal_nested_sets(bm):
-    return [s for s in maximal_nested_sets(bm) if descent_set(bm, s).stable]
+    return [s for s, _ in stable_descent_sets(bm)]
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +481,9 @@ def gamma_complex(bm):
     )
     counts = {}
     faces = set()
-    for s in maximal_nested_sets(bm):
-        dd = descent_set(bm, s)
-        if dd.stable:
-            faces.add(dd.descents)
-            counts[dd.des] = counts.get(dd.des, 0) + 1
+    for _, d in stable_descent_sets(bm):
+        faces.add(d)
+        counts[len(d)] = counts.get(len(d), 0) + 1
     violations = []
     for f in faces:
         for k in range(len(f)):
@@ -496,17 +514,11 @@ def gamma_fvector(bm):
 
     if bm.irreducible:
         reps = [gamma_complex(bm)]
-        out = [1]
-        f, _, _, _ = complex_stats(reps[0].complex)
-        out = list(f)
     else:
-        out = [1]
-        reps = []
-        for g in bm.maxg:
-            rep = gamma_complex(restrict(bm, g))
-            f, _, _, _ = complex_stats(rep.complex)
-            out = pmul(out, list(f))
-            reps.append(rep)
+        reps = [gamma_complex(restrict(bm, g)) for g in bm.maxg]
+    out = [1]
+    for rep in reps:
+        out = pmul(out, list(complex_stats(rep.complex)[0]))
     want = (bm.rank - len(bm.maxg)) // 2 + 1
     out = out + [0] * (want - len(out))
     return out, reps

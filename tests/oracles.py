@@ -318,6 +318,89 @@ def descent_data(n, rank, g, order, s, top):
 
 
 # ---------------------------------------------------------------------------
+# descent data of a package BuiltMatroid by the join loop
+
+
+def _shat(bm, s):
+    return sorted(set(s) | set(bm.maxg), key=lambda f: (bm.lat.rank_of(f), f))
+
+
+def _jbottom(bm, shat, g):
+    j = 0
+    for h in shat:
+        if h != g and h & ~g == 0:
+            j = bm.lat.join(j, h)
+    return j
+
+
+def lambda_by_join(bm, s, g):
+    """The first element e of bm.order outside J^g whose atom joins J^g up
+    to g, or None when there is none.
+
+    This was the package's own λ-label before it read the label off the
+    elements of g outside J^g."""
+    lat = bm.lat
+    j = _jbottom(bm, _shat(bm, s), g)
+    for e in bm.order:
+        if not j >> e & 1 and lat.join(j, lat.flats[lat.atom_of_elem[e]]) == g:
+            return e
+    return None
+
+
+def descent_data_by_join(bm, s):
+    """The package's DescentData of a facet s, every field recomputed from
+    the definitions: λ by the join loop, the parent as the least-rank
+    element of ŝ above, the children as the maximal elements below."""
+    from chowpoly.nested import DescentData
+
+    s = frozenset(s) - set(bm.maxg)
+    shat = _shat(bm, s)
+    lat = bm.lat
+    lambdas = {g: lambda_by_join(bm, s, g) for g in shat}
+    parents = {
+        g: min((h for h in shat if h != g and g & ~h == 0), key=lat.rank_of)
+        for g in s
+    }
+    pos = bm.pos
+    descents = frozenset(
+        g for g in s if pos[lambdas[g]] > pos[lambdas[parents[g]]]
+    )
+    minimal = {g for g in s if not any(x != g and x & ~g == 0 for x in s)}
+    bottoms = frozenset(descents & minimal)
+    doubles = set()
+    for g in descents - minimal:
+        below = [x for x in s if x != g and x & ~g == 0]
+        children = [
+            x for x in below if not any(y != x and x & ~y == 0 for y in below)
+        ]
+        if children and all(x in descents for x in children):
+            doubles.add(g)
+    return DescentData(
+        descents=descents,
+        des=len(descents),
+        bottoms=bottoms,
+        doubles=frozenset(doubles),
+        stable=not bottoms and not doubles,
+        lambdas=lambdas,
+        parents=parents,
+    )
+
+
+def descents_have_rank1_local(bm, descents):
+    """Whether the descent set, viewed as a nested set, has a local interval
+    of rank 1.
+
+    Every unstable facet's descent set has one, so a False answer certifies
+    stability; the converse does not hold (stable facets may have rank-1
+    local intervals too)."""
+    lat = bm.lat
+    shat = _shat(bm, descents)
+    return any(
+        lat.rank_of(g) - lat.rank_of(_jbottom(bm, shat, g)) == 1 for g in shat
+    )
+
+
+# ---------------------------------------------------------------------------
 # real-rootedness via an independent Sturm chain over Fraction
 
 

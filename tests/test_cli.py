@@ -293,8 +293,7 @@ def test_invalid_inputs_exit_2(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
 
 
-def test_gamma_corpus_matrix(capsys, monkeypatch):
-    monkeypatch.setenv("CHOWPOLY_THREADS", "2")
+def test_gamma_corpus_matrix(capsys):
     code, out = run(capsys, ["gamma", "--corpus"])
     assert code == 0
     doc = json.loads(out)

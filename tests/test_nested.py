@@ -1,6 +1,10 @@
 """Nested sets, the nested complex, links/composition/completion, descents,
 and the Γ-complex, cross-checked against brute-force oracles."""
 
+import os
+import subprocess
+import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -10,6 +14,7 @@ from helpers import b4_flag_built, mask_of, masks_of, set_of, sets_of
 
 from chowpoly.building import g_min, is_complete
 from chowpoly.errors import (
+    BadParameters,
     NotIrreducible,
     NotMaximal,
     NotNestedLocal,
@@ -29,7 +34,6 @@ from chowpoly.nested import (
     completion,
     compose,
     descent_set,
-    descents_have_rank1_local,
     gamma_complex,
     gamma_fvector,
     is_nested,
@@ -262,7 +266,57 @@ def test_descent_set_matches_oracle():
                 assert sets_of(dd.doubles) == set(odd), (name, order, s)
                 assert dd.stable == (not ob and not odd)
                 if not dd.stable:
-                    assert descents_have_rank1_local(bm, dd.descents)
+                    assert oracles.descents_have_rank1_local(bm, dd.descents)
+
+
+def _descent_kernel_cases():
+    from chowpoly.corpus import corpus
+
+    pi6 = built_from_matroid(make_partition(6), "min")
+    cases = [(inst.name, inst.built) for inst in corpus() if inst.built.irreducible]
+    cases += [
+        ("Pi6|min", pi6),
+        ("Pi6|min reversed", type(pi6)(pi6.lat, pi6.bset, tuple(reversed(pi6.order)))),
+        ("B6|max", built_from_matroid(make_boolean(6), "max")),
+        ("U(4,7)|max", built_from_matroid(make_uniform(4, 7), "max")),
+    ]
+    return cases
+
+
+def test_descent_set_matches_join_loop_reference():
+    """Every DescentData field equals the join-loop reference on every facet."""
+    facets = 0
+    for name, bm in _descent_kernel_cases():
+        for s in maximal_nested_sets(bm):
+            assert descent_set(bm, s) == oracles.descent_data_by_join(bm, s), (
+                name,
+                sorted(s),
+            )
+            facets += 1
+    assert facets > 5000
+
+
+def test_descent_pass_runs_once_per_facet(monkeypatch):
+    import chowpoly.nested as nested
+    from chowpoly.chow import gamma_by_descents, psi_fibers
+
+    bm = built_from_matroid(make_partition(5), "min")
+    calls = Counter()
+    real = nested.descent_set
+
+    def counted(bm, s):
+        calls[s] += 1
+        return real(bm, s)
+
+    monkeypatch.setattr(nested, "descent_set", counted)
+    gamma = gamma_by_descents(bm)
+    rep = gamma_complex(bm)
+    psi_fibers(bm)
+    stable = stable_maximal_nested_sets(bm)
+    assert calls == Counter(maximal_nested_sets(bm))
+    assert sorted(rep.descent_counts.items()) == list(enumerate(gamma))
+    stable.clear()  # callers get a fresh list, not the cache
+    assert len(stable_maximal_nested_sets(bm)) == sum(gamma)
 
 
 def test_descent_error_raises():
@@ -276,6 +330,44 @@ def test_descent_error_raises():
         descent_set(b3, {0b001, 0b010})  # right size, not nested? no: nested
     with pytest.raises(RankNotOne):
         lambda_label(b3, frozenset(), b3.lat.full)
+
+
+def test_nested_input_errors_are_typed():
+    b3 = built_from_matroid(make_boolean(3), "max")
+    with pytest.raises(BadParameters):
+        is_nested(b3, {0b1000})  # not a flat of B3
+    with pytest.raises(BadParameters):
+        completion(b3, {0b001, 0b010})  # two atoms joining into G
+    with pytest.raises(BadParameters):
+        link_decomposition(b3, {0b001, 0b010})
+    with pytest.raises(BadParameters):
+        descent_set(b3, {0b001, 0b1000})
+
+
+def test_nested_input_errors_are_typed_under_optimize():
+    code = (
+        "from chowpoly import built_from_matroid, make_boolean\n"
+        "from chowpoly.nested import completion, is_nested, link_decomposition\n"
+        "def kind(fn, *a):\n"
+        "    try:\n"
+        "        fn(*a)\n"
+        "    except Exception as e:\n"
+        "        return type(e).__name__\n"
+        "    return 'none'\n"
+        "bm = built_from_matroid(make_boolean(3), 'max')\n"
+        "print(kind(is_nested, bm, {0b1000}), kind(completion, bm, {1, 2}),"
+        " kind(link_decomposition, bm, {1, 2}))\n"
+    )
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["BadParameters"] * 3
 
 
 def test_stable_counts_b3():
