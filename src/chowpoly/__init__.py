@@ -19,7 +19,6 @@ from .building import (
     contract,
     delete_element,
     extend,
-    filtration,
     find_complete_order,
     flag_nonface_witness,
     g_max,
@@ -111,7 +110,6 @@ __all__ = [
     "delete_element",
     "descent_set",
     "extend",
-    "filtration",
     "find_complete_order",
     "flag_nonface_witness",
     "fy_monomials",

@@ -23,7 +23,15 @@ from .errors import (
     Stuck,
     TooLarge,
 )
-from .lattice import GeomLattice, ModularCut, bits, popcount, validate_modular_cut
+from .lattice import (
+    GeomLattice,
+    ModularCut,
+    bits,
+    maximal,
+    minimal,
+    popcount,
+    validate_modular_cut,
+)
 
 
 def g_min(lat):
@@ -59,32 +67,10 @@ def validate_building_set(lat, s):
     return s
 
 
-def building_set_structural_check(lat, s):
-    """Definition via interval products: for every flat F with factors
-    G_1..G_k, ranks add up and every flat below F is the join of its meets
-    with the factors.  Used as a cross-check against validate_building_set."""
-    for f in lat.flats:
-        if f == 0:
-            continue
-        fac = factors_in(lat, s, f)
-        if sum(lat.rank_of(g) for g in fac) != lat.rank_of(f):
-            return False
-        for h in lat.flats:
-            if h & ~f:
-                continue
-            j = 0
-            for g in fac:
-                j = lat.join(j, h & g)
-            if j != h:
-                return False
-    return True
-
-
 def factors_in(lat, s, f):
     """Maximal elements of s weakly below f, sorted by (rank, mask)."""
-    below = [g for g in s if g & ~f == 0]
-    out = [g for g in below if not any(g != h and g & ~h == 0 for h in below)]
-    return sorted(out, key=lambda g: (lat.rank_of(g), g))
+    below = maximal(g for g in s if g & ~f == 0)
+    return sorted(below, key=lambda g: (lat.rank_of(g), g))
 
 
 def _check_order(order, n):
@@ -111,13 +97,7 @@ class BuiltMatroid:
             _check_order(self.order, lat.n)
             validate_building_set(lat, self.bset)
         self.pos = {e: i for i, e in enumerate(self.order)}
-        self.maxg = tuple(
-            sorted(
-                g
-                for g in self.bset
-                if not any(g != h and g & ~h == 0 for h in self.bset)
-            )
-        )
+        self.maxg = tuple(sorted(maximal(self.bset)))
         self.irreducible = lat.full in self.bset
         self.rank = lat.rk
 
@@ -152,107 +132,91 @@ class BuiltMatroid:
         return f"BuiltMatroid(n={self.n}, rank={self.rank}, |G|={len(self.bset)})"
 
 
-def _compress_map(keep_mask):
-    """Map old element -> new element for the kept positions, low bits first."""
-    out = {}
-    for i, e in enumerate(bits(keep_mask)):
-        out[e] = i
-    return out
+def _interval(lat, bset, order, bottom, top, validate=True):
+    """The interval [bottom, top] of lat with its induced building set, as a
+    standalone BuiltMatroid; the one relabeling rule of this package.
 
+    - The new elements are the covers of bottom below top, labelled in the
+      order of their least new ground element.
+    - A flat F of the interval becomes the set of covers below it, with rank
+      rk F - rk bottom.
+    - An element g of bset below top and not below bottom becomes
+      bottom ∨ g.
+    - The new order lists the covers by the earliest element, in `order`,
+      that each one takes in.
 
-def _remap_mask(mask, emap):
-    out = 0
-    for e in bits(mask):
-        out |= 1 << emap[e]
-    return out
+    Restriction is [0, F], contraction [F, 1̂], a local interval of a nested
+    set [J^g, g], and simplification [0, 1̂] of a non-simple lattice.
+    Returns (built, to_local), where to_local maps every flat of the
+    interval to its local mask.
+    """
+    new = top & ~bottom
+    via = lat.cover_via[lat.idx[bottom]]
+    label = {}
+    for e in bits(new):
+        label.setdefault(via[e], len(label))
+    ebit = {e: 1 << label[via[e]] for e in bits(new)}
+    rb = lat.rank_of(bottom)
+    to_local = {}
+    flats = []
+    for f, r in zip(lat.flats, lat.ranks):
+        if bottom & ~f or f & ~top:
+            continue
+        mask = 0
+        for e in bits(f & ~bottom):
+            mask |= ebit[e]
+        to_local[f] = mask
+        flats.append((mask, r - rb))
+    local_bset = frozenset(
+        to_local[g if bottom & ~g == 0 else lat.join(bottom, g)]
+        for g in bset
+        if g & ~top == 0 and g & ~bottom
+    )
+    local_order = tuple(dict.fromkeys(label[via[e]] for e in order if new >> e & 1))
+    sub = GeomLattice(len(label), flats)
+    return BuiltMatroid(sub, local_bset, local_order, validate=validate), to_local
 
 
 def simplify_built(lat, bset, order):
-    """Collapse parallel classes: new elements are the atoms of lat.
+    """Collapse parallel classes: the interval [0, 1̂], whose new elements
+    are the atoms of lat.
 
     Returns (BuiltMatroid, elem_map) where elem_map sends an old element to
     its new label.  If lat is already simple this is just a relabeling by
-    identity (the same lattice object is reused).
+    identity (the same lattice object is reused).  The result is not
+    validated.
     """
     _check_order(order, lat.n)
     if lat.simple():
         return BuiltMatroid(lat, bset, order, validate=False), {
             e: e for e in range(lat.n)
         }
-    pos = {e: i for i, e in enumerate(order)}
-    atom_masks = sorted((lat.flats[i] for i in lat.atoms), key=lambda a: min(bits(a)))
-    label = {a: i for i, a in enumerate(atom_masks)}
-
-    def remap(mask):
-        out = 0
-        for a, i in label.items():
-            if a & ~mask == 0:
-                out |= 1 << i
-        return out
-
-    flats = [(remap(f), lat.rank_of(f)) for f in lat.flats]
-    sub = GeomLattice(len(atom_masks), flats)
-    new_bset = frozenset(remap(f) for f in bset)
-    by_pos = sorted(atom_masks, key=lambda a: min(pos[e] for e in bits(a)))
-    new_order = tuple(label[a] for a in by_pos)
-    elem_map = {}
-    for a, i in label.items():
-        for e in bits(a):
-            elem_map[e] = i
-    return BuiltMatroid(sub, new_bset, new_order, validate=False), elem_map
+    bm, to_local = _interval(lat, bset, order, 0, lat.full, validate=False)
+    elem_map = {
+        e: to_local[lat.flats[lat.atom_of_elem[e]]].bit_length() - 1
+        for e in range(lat.n)
+    }
+    return bm, elem_map
 
 
 def restrict(bm, f):
     """Restriction to the interval [0, f] with the induced building set."""
-    lat = bm.lat
-    if not lat.is_flat(f):
+    if not bm.lat.is_flat(f):
         raise NotAFlat(f"{f:b} is not a flat")
-    emap = _compress_map(f)
-    flats = [(_remap_mask(g, emap), lat.rank_of(g)) for g in lat.flats_below(f)]
-    sub = GeomLattice(popcount(f), flats)
-    bset = frozenset(_remap_mask(g, emap) for g in bm.bset if g & ~f == 0)
-    order = tuple(emap[e] for e in bm.order if f >> e & 1)
-    return BuiltMatroid(sub, bset, order)
+    return _interval(bm.lat, bm.bset, bm.order, 0, f)[0]
 
 
 def contract(bm, f):
-    """Contraction at a flat, simplified: new elements are the covers of f."""
-    lat = bm.lat
-    if not lat.is_flat(f):
+    """Contraction at a flat, simplified: the interval [f, 1̂]."""
+    if not bm.lat.is_flat(f):
         raise NotAFlat(f"{f:b} is not a flat")
-    covers = lat.covers(f)
-    # order the new elements by the earliest old element they swallow
-    keyed = sorted(covers, key=lambda c: min(bm.pos[e] for e in bits(c & ~f)))
-    by_label = sorted(keyed, key=lambda c: min(bits(c & ~f)))
-    label = {c: i for i, c in enumerate(by_label)}
-    rf = lat.rank_of(f)
-    flats = []
-    for g in lat.flats:
-        if f & ~g:
-            continue
-        mask = 0
-        for c in covers:
-            if c & ~g == 0:
-                mask |= 1 << label[c]
-        flats.append((mask, lat.rank_of(g) - rf))
-    sub = GeomLattice(len(covers), flats)
-    bset = set()
-    for g in bm.bset:
-        j = lat.join(f, g)
-        if j == f:
-            continue
-        mask = 0
-        for c in covers:
-            if c & ~j == 0:
-                mask |= 1 << label[c]
-        bset.add(mask)
-    order = tuple(label[c] for c in keyed)
-    return BuiltMatroid(sub, frozenset(bset), order)
+    return _interval(bm.lat, bm.bset, bm.order, f, bm.lat.full)[0]
 
 
 def delete_element(bm, e):
     """Single-element deletion (bit e dropped, higher bits shifted down)."""
-    assert e in range(bm.n)
+    if type(e) is not int or not 0 <= e < bm.n:
+        raise BadParameters(f"element {e!r} outside 0..{bm.n - 1}")
     from .lattice import delete_lattice
 
     lat = bm.lat
@@ -287,8 +251,7 @@ def extend(bm, cut, validate_cut=True):
     cutset = mc.flats
     if not mc.proper:
         raise ImproperCut("the bottom flat lies in the cut")
-    minimal = [f for f in cutset if not any(g != f and g & ~f == 0 for g in cutset)]
-    for f in minimal:
+    for f in sorted(minimal(cutset)):
         if f not in bm.bset:
             raise NotGCompatible(f)
     n = bm.n
@@ -362,7 +325,8 @@ def tl_chain(bm, f, g):
     closures of f plus successive order-smallest elements of g - f.
     The returned list starts at f and ends at g."""
     lat = bm.lat
-    assert f & ~g == 0, "need f <= g"
+    if f & ~g:
+        raise BadParameters(f"tl_chain needs f <= g, got {f:b} and {g:b}")
     elems = sorted(bits(g & ~f), key=lambda e: bm.pos[e])
     chain = [f]
     cur = f
@@ -376,34 +340,22 @@ def tl_chain(bm, f, g):
     return chain
 
 
-def is_complete(bm, mode="fast"):
-    """Whether every building-set element's bottom chain stays inside the set.
+def complete_witness(bm):
+    """The first building-set element (by mask) whose bottom chain leaves
+    the set, with the first flat of that chain outside it, or None if the
+    built matroid is complete."""
+    for g in sorted(bm.bset):
+        for x in tl_chain(bm, 0, g)[1:]:
+            if x not in bm.bset:
+                return g, x
+    return None
 
-    mode="fast" checks chains from the bottom flat only; mode="definitive"
-    checks every interval [F, G] against the contracted building set.  The two
-    agree (the bottom-chain criterion is equivalent); both are kept so tests
-    can cross-check.
-    """
-    lat = bm.lat
-    if mode == "fast":
-        for g in bm.bset:
-            for x in tl_chain(bm, 0, g)[1:]:
-                if x not in bm.bset:
-                    return False
-        return True
-    if mode == "definitive":
-        for f in lat.flats:
-            images = None
-            for g in bm.bset:
-                if f & ~g or f == g:
-                    continue
-                if images is None:
-                    images = {lat.join(f, h) for h in bm.bset} - {f}
-                for x in tl_chain(bm, f, g)[1:]:
-                    if x not in images:
-                        return False
-        return True
-    raise ValueError(f"unknown mode {mode!r}")
+
+def is_complete(bm):
+    """Whether every building-set element's bottom chain stays inside the
+    set (equivalent to checking every interval [F, G] against the
+    contracted building set, which the test oracles do)."""
+    return complete_witness(bm) is None
 
 
 def find_complete_order(bm):
@@ -535,20 +487,6 @@ def is_removable(bm, g):
     return g in bm.bset and _removable(bm.lat, bm.bset, g)
 
 
-def filtration(bm, small):
-    """Filtration from small up to bm.bset removing minimal elements in
-    reverse; every intermediate set is validated."""
-
-    def pick(lat, cur, small):
-        extra = cur - small
-        if not extra:
-            return None
-        mins = [f for f in extra if not any(g != f and g & ~f == 0 for g in extra)]
-        return next((f for f in sorted(mins) if _removable(lat, cur, f)), None)
-
-    return _removal_chain(bm, small, pick)
-
-
 def binary_filtration(bm, small):
     """Binary filtration from small up to bm.bset (requires bm flag).
 
@@ -569,10 +507,7 @@ def binary_filtration(bm, small):
 
     def pick(lat, cur, small):
         cand = [f for f in cur - small if _removable(lat, cur, f)]
-        if not cand:
-            return None
-        maxima = [f for f in cand if not any(g != f and f & ~g == 0 for g in cand)]
-        return min(maxima)
+        return min(maximal(cand)) if cand else None
 
     filt = _removal_chain(bm, small, pick)
     if not all(filt.binary):

@@ -3,7 +3,8 @@
 Routes: the FY monomial count (chow_polynomial), the deletion recursion
 (chow_by_deletion), filtration pullbacks (chow_by_filtration), and exact
 linear algebra on the toric presentation (toric_hilbert_oracle).  They share
-no code beyond the lattice kernel, which is the point.
+the lattice kernel, the building-set kernel and the interval relabeler
+(building._interval), but no Chow arithmetic: their agreement is the point.
 
 chow_polynomial counts the FY basis without listing it.  The maximal
 elements of a nested set are exactly the G-factors of their join
@@ -49,6 +50,7 @@ from .nested import (
     completion,
     descent_set,
     extends_nested,
+    factor_restrictions,
     is_nested,
     link_decomposition,
     stable_descent_sets,
@@ -358,8 +360,8 @@ def gamma_by_descents_factored(bm):
     if bm.irreducible:
         out = gamma_by_descents(bm)
     else:
-        for g in bm.maxg:
-            out = pmul(out, gamma_by_descents(restrict(bm, g)))
+        for factor in factor_restrictions(bm):
+            out = pmul(out, gamma_by_descents(factor))
     want = (bm.rank - len(bm.maxg)) // 2 + 1
     out = list(out) + [0] * (want - len(out))
     return out

@@ -26,10 +26,9 @@ import sys
 
 from .building import (
     BuiltMatroid,
+    complete_witness,
     flag_nonface_witness,
-    g_min,
     is_complete,
-    tl_chain,
     validate_building_set,
 )
 from .chow import (
@@ -384,6 +383,30 @@ def _corpus_gamma():
 # check
 
 
+def _flat_witness(e):
+    return mask_to_indices(e.args[0])
+
+
+def _pair_witness(e):
+    return masks_to_arrays(e.args[0])
+
+
+# A failed check's exception type -> (error name, witness serializer).
+_WITNESSES = {
+    MissingIrreducible: ("MissingIrreducible", _flat_witness),
+    JoinClosureViolation: ("JoinClosureViolation", _pair_witness),
+    NotUpwardClosed: ("NotUpwardClosed", _pair_witness),
+    NotMeetClosed: ("NotMeetClosed", _pair_witness),
+    NotAFlat: ("NotAFlat", str),
+}
+
+
+def _check_failed(what, e):
+    name, witness = _WITNESSES[type(e)]
+    emit({"check": what, "ok": False, "error": name, "witness": witness(e)})
+    return EXIT_FAIL
+
+
 def cmd_check(args):
     try:
         doc = load_spec(args.spec)
@@ -402,29 +425,8 @@ def cmd_check(args):
             lat, bset, _ = parsed
         try:
             validate_building_set(lat, bset)
-        except MissingIrreducible as e:
-            emit(
-                {
-                    "check": what,
-                    "ok": False,
-                    "error": "MissingIrreducible",
-                    "witness": mask_to_indices(e.args[0]),
-                }
-            )
-            return EXIT_FAIL
-        except JoinClosureViolation as e:
-            emit(
-                {
-                    "check": what,
-                    "ok": False,
-                    "error": "JoinClosureViolation",
-                    "witness": masks_to_arrays(e.args[0]),
-                }
-            )
-            return EXIT_FAIL
-        except NotAFlat as e:
-            emit({"check": what, "ok": False, "error": "NotAFlat", "witness": str(e)})
-            return EXIT_FAIL
+        except tuple(_WITNESSES) as e:
+            return _check_failed(what, e)
         emit({"check": what, "ok": True, "witness": None})
         return EXIT_OK
 
@@ -434,23 +436,13 @@ def cmd_check(args):
         return fail_invalid(f"{type(e).__name__}: {e}")
 
     if what == "complete":
-        for gmask in sorted(bm.bset):
-            for x in tl_chain(bm, 0, gmask)[1:]:
-                if x not in bm.bset:
-                    emit(
-                        {
-                            "check": what,
-                            "ok": False,
-                            "witness": {
-                                "element": mask_to_indices(gmask),
-                                "missing": mask_to_indices(x),
-                            },
-                        }
-                    )
-                    return EXIT_FAIL
-        assert is_complete(bm)
-        emit({"check": what, "ok": True, "witness": None})
-        return EXIT_OK
+        w = complete_witness(bm)
+        if w is None:
+            emit({"check": what, "ok": True, "witness": None})
+            return EXIT_OK
+        witness = {"element": mask_to_indices(w[0]), "missing": mask_to_indices(w[1])}
+        emit({"check": what, "ok": False, "witness": witness})
+        return EXIT_FAIL
 
     if what == "flag":
         w = flag_nonface_witness(bm)
@@ -469,29 +461,8 @@ def cmd_check(args):
             return fail_invalid(str(e))
         try:
             mc = validate_modular_cut(bm.lat, cut)
-        except NotUpwardClosed as e:
-            emit(
-                {
-                    "check": what,
-                    "ok": False,
-                    "error": "NotUpwardClosed",
-                    "witness": masks_to_arrays(e.args[0]),
-                }
-            )
-            return EXIT_FAIL
-        except NotMeetClosed as e:
-            emit(
-                {
-                    "check": what,
-                    "ok": False,
-                    "error": "NotMeetClosed",
-                    "witness": masks_to_arrays(e.args[0]),
-                }
-            )
-            return EXIT_FAIL
-        except NotAFlat as e:
-            emit({"check": what, "ok": False, "error": "NotAFlat", "witness": str(e)})
-            return EXIT_FAIL
+        except tuple(_WITNESSES) as e:
+            return _check_failed(what, e)
         emit(
             {
                 "check": what,

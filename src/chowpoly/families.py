@@ -68,25 +68,20 @@ def make_partition(n):
 
 def built_from_matroid(m, bset="min", order=None):
     """Lattice + building set in one step; non-simple matroids are simplified
-    first (elements collapse onto atoms, order positions follow the earliest
-    element)."""
-    from .building import g_max, g_min
+    after the building set is validated (elements collapse onto atoms, order
+    positions follow the earliest element)."""
+    from .building import g_max, g_min, validate_building_set
 
     lat = lattice_of_flats(m)
-    if lat.simple():
-        if bset == "min":
-            chosen = g_min(lat)
-        elif bset == "max":
-            chosen = g_max(lat)
-        else:
-            chosen = frozenset(bset)
-        return BuiltMatroid(lat, chosen, order)
     if bset == "min":
         chosen = g_min(lat)
     elif bset == "max":
         chosen = g_max(lat)
     else:
         chosen = frozenset(bset)
+    if lat.simple():
+        return BuiltMatroid(lat, chosen, order)
+    validate_building_set(lat, chosen)
     order = tuple(order) if order is not None else tuple(range(lat.n))
     bm, _ = simplify_built(lat, chosen, order)
     return bm

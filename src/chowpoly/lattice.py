@@ -25,6 +25,28 @@ def popcount(mask):
     return mask.bit_count()
 
 
+def maximal(family):
+    """The inclusion-maximal masks of a family, largest first.
+
+    One pass by falling popcount: a mask is kept iff no kept mask contains
+    it, because anything that contains it came earlier."""
+    out = []
+    for f in sorted(family, key=popcount, reverse=True):
+        if not any(f & ~m == 0 for m in out):
+            out.append(f)
+    return out
+
+
+def minimal(family):
+    """The inclusion-minimal masks of a family, smallest first (the mirror
+    of `maximal`)."""
+    out = []
+    for f in sorted(family, key=popcount):
+        if not any(m & ~f == 0 for m in out):
+            out.append(f)
+    return out
+
+
 class Matroid:
     """A rank oracle on bitmask subsets of 0..n-1."""
 
@@ -183,9 +205,6 @@ class GeomLattice:
     def covers(self, f):
         return [self.flats[j] for j in self.covers_up[self.idx[f]]]
 
-    def flats_below(self, f):
-        return [g for g in self.flats if g & ~f == 0]
-
     def simple(self):
         return all(popcount(self.flats[i]) == 1 for i in self.atoms)
 
@@ -308,21 +327,3 @@ def delete_lattice(lat, e):
     sub = GeomLattice(n - 1, new.items())
     return sub, drop
 
-
-def deletion_modular_cut(lat, e):
-    """The modular cut on M minus e whose extension re-adds e.
-
-    Collects the deletion's flats whose closure in M contains e; the result is
-    expressed in the deletion's labelling (bit e dropped).
-    """
-    sub, drop = delete_lattice(lat, e)
-    low = (1 << e) - 1
-
-    def lift(mask):
-        return (mask & low) | ((mask >> e) << (e + 1))
-
-    cut = set()
-    for f in sub.flats:
-        if lat.closure(lift(f)) >> e & 1:
-            cut.add(f)
-    return sub, validate_modular_cut(sub, cut)

@@ -9,7 +9,7 @@ subset filter lives in the test oracles.
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .building import BuiltMatroid, tl_chain
+from .building import BuiltMatroid, _interval, restrict, tl_chain
 from .errors import (
     BadParameters,
     NotIrreducible,
@@ -18,7 +18,6 @@ from .errors import (
     NotUnique,
     RankNotOne,
 )
-from .lattice import GeomLattice, bits, popcount
 
 
 def _cache(bm):
@@ -202,16 +201,12 @@ class SimplicialComplex:
 
 @dataclass
 class LocalInterval:
-    """The interval [J^G, G] of a nested set with its contracted building set.
-
-    ``bset_global`` holds the interval building set as global flats; ``built``
-    is the same data relabeled to a standalone BuiltMatroid whose elements are
-    the covers of the bottom (flat_map sends global flats to built flats).
-    """
+    """The interval [J^G, G] of a nested set as a standalone BuiltMatroid
+    (relabeled by `building._interval`); flat_map sends the bottom, the top
+    and the global flats of the interval's building set to local flats."""
 
     bottom: int
     top: int
-    bset_global: frozenset
     built: BuiltMatroid
     flat_map: dict
 
@@ -230,44 +225,11 @@ def _jbottom(bm, shat, g):
 
 
 def _local_interval(bm, j, g):
-    lat = bm.lat
-    covers = [c for c in lat.covers(j) if c & ~g == 0]
-    order_pos = bm.pos
-    keyed = sorted(covers, key=lambda c: min(order_pos[e] for e in bits(c & ~j)))
-    by_label = sorted(covers, key=lambda c: min(bits(c & ~j)))
-    label = {c: i for i, c in enumerate(by_label)}
-    rj = lat.rank_of(j)
-
-    def to_local(f):
-        mask = 0
-        for c in covers:
-            if c & ~f == 0:
-                mask |= 1 << label[c]
-        return mask
-
-    flats = [
-        (to_local(f), lat.rank_of(f) - rj)
-        for f in lat.flats
-        if j & ~f == 0 and f & ~g == 0
-    ]
-    bset_global = set()
-    for gg in bm.bset:
-        x = lat.join(j, gg)
-        if x != j and x & ~g == 0:
-            bset_global.add(x)
-    sub = GeomLattice(len(covers), flats)
-    built = BuiltMatroid(
-        sub,
-        frozenset(to_local(f) for f in bset_global),
-        tuple(label[c] for c in keyed),
-    )
-    return LocalInterval(
-        bottom=j,
-        top=g,
-        bset_global=frozenset(bset_global),
-        built=built,
-        flat_map={f: to_local(f) for f in sorted(bset_global) + [j, g]},
-    )
+    built, to_local = _interval(bm.lat, bm.bset, bm.order, j, g)
+    flat_map = {
+        f: m for f, m in to_local.items() if m in built.bset or f in (j, g)
+    }
+    return LocalInterval(bottom=j, top=g, built=built, flat_map=flat_map)
 
 
 def _require_nested(bm, s):
@@ -444,6 +406,16 @@ def stable_maximal_nested_sets(bm):
     return [s for s, _ in stable_descent_sets(bm)]
 
 
+def factor_restrictions(bm):
+    """restrict(bm, g) for every maximal building-set element g, cached next
+    to the facets, so that the descent formula and the Γ-complex of a
+    reducible input share one descent pass per factor."""
+    cache = _cache(bm)
+    if "factors" not in cache:
+        cache["factors"] = tuple(restrict(bm, g) for g in bm.maxg)
+    return cache["factors"]
+
+
 # ---------------------------------------------------------------------------
 # the Γ-complex
 
@@ -509,13 +481,12 @@ def gamma_fvector(bm):
     Irreducible input gives one report; reducible input factors into the
     maximal building-set elements (the complex of a direct sum is the join of
     the factor complexes, so the f-polynomial is the product)."""
-    from .building import restrict
     from .polynomials import pmul
 
     if bm.irreducible:
         reps = [gamma_complex(bm)]
     else:
-        reps = [gamma_complex(restrict(bm, g)) for g in bm.maxg]
+        reps = [gamma_complex(f) for f in factor_restrictions(bm)]
     out = [1]
     for rep in reps:
         out = pmul(out, list(complex_stats(rep.complex)[0]))

@@ -401,6 +401,227 @@ def descents_have_rank1_local(bm, descents):
 
 
 # ---------------------------------------------------------------------------
+# building-set cross-checks on package objects, and the reference relabelers
+
+
+def building_set_structural_check(lat, s):
+    """Definition via interval products: for every flat F with factors
+    G_1..G_k, ranks add up and every flat below F is the join of its meets
+    with the factors.  A cross-check for `validate_building_set`."""
+    from chowpoly.building import factors_in
+
+    for f in lat.flats:
+        if f == 0:
+            continue
+        fac = factors_in(lat, s, f)
+        if sum(lat.rank_of(g) for g in fac) != lat.rank_of(f):
+            return False
+        for h in lat.flats:
+            if h & ~f:
+                continue
+            j = 0
+            for g in fac:
+                j = lat.join(j, h & g)
+            if j != h:
+                return False
+    return True
+
+
+def is_complete_definitive(bm):
+    """Completeness checked on every interval [F, G] against the contracted
+    building set; equivalent to the package's bottom-chain criterion."""
+    from chowpoly.building import tl_chain
+
+    lat = bm.lat
+    for f in lat.flats:
+        images = None
+        for g in bm.bset:
+            if f & ~g or f == g:
+                continue
+            if images is None:
+                images = {lat.join(f, h) for h in bm.bset} - {f}
+            for x in tl_chain(bm, f, g)[1:]:
+                if x not in images:
+                    return False
+    return True
+
+
+def deletion_modular_cut(lat, e):
+    """The modular cut on M minus e whose extension re-adds e.
+
+    Collects the deletion's flats whose closure in M contains e; the result is
+    expressed in the deletion's labelling (bit e dropped).
+    """
+    from chowpoly.lattice import delete_lattice, validate_modular_cut
+
+    sub, drop = delete_lattice(lat, e)
+    low = (1 << e) - 1
+
+    def lift(mask):
+        return (mask & low) | ((mask >> e) << (e + 1))
+
+    cut = set()
+    for f in sub.flats:
+        if lat.closure(lift(f)) >> e & 1:
+            cut.add(f)
+    return sub, validate_modular_cut(sub, cut)
+
+
+def filtration(bm, small):
+    """Filtration from small up to bm.bset removing minimal elements in
+    reverse; every intermediate set is validated."""
+    from chowpoly.building import _removable, _removal_chain
+
+    def pick(lat, cur, small):
+        extra = cur - small
+        if not extra:
+            return None
+        mins = [f for f in extra if not any(g != f and g & ~f == 0 for g in extra)]
+        return next((f for f in sorted(mins) if _removable(lat, cur, f)), None)
+
+    return _removal_chain(bm, small, pick)
+
+
+# The package relabeled intervals into standalone built matroids with these
+# four functions before one interval kernel replaced them.
+
+
+def bits_of(mask):
+    return [e for e in range(mask.bit_length()) if mask >> e & 1]
+
+
+def _compress_map(keep_mask):
+    return {e: i for i, e in enumerate(bits_of(keep_mask))}
+
+
+def _remap_mask(mask, emap):
+    out = 0
+    for e in bits_of(mask):
+        out |= 1 << emap[e]
+    return out
+
+
+def simplify_built_ref(lat, bset, order):
+    """(BuiltMatroid, elem_map): new elements are the atoms of lat."""
+    from chowpoly.building import BuiltMatroid
+    from chowpoly.lattice import GeomLattice
+
+    if lat.simple():
+        return BuiltMatroid(lat, bset, order, validate=False), {
+            e: e for e in range(lat.n)
+        }
+    pos = {e: i for i, e in enumerate(order)}
+    atoms = [lat.flats[i] for i in lat.atoms]
+    atom_masks = sorted(atoms, key=lambda a: min(bits_of(a)))
+    label = {a: i for i, a in enumerate(atom_masks)}
+
+    def remap(mask):
+        out = 0
+        for a, i in label.items():
+            if a & ~mask == 0:
+                out |= 1 << i
+        return out
+
+    flats = [(remap(f), lat.rank_of(f)) for f in lat.flats]
+    sub = GeomLattice(len(atom_masks), flats)
+    new_bset = frozenset(remap(f) for f in bset)
+    by_pos = sorted(atom_masks, key=lambda a: min(pos[e] for e in bits_of(a)))
+    new_order = tuple(label[a] for a in by_pos)
+    elem_map = {}
+    for a, i in label.items():
+        for e in bits_of(a):
+            elem_map[e] = i
+    return BuiltMatroid(sub, new_bset, new_order, validate=False), elem_map
+
+
+def restrict_ref(bm, f):
+    """Restriction to [0, f]: elements of f keep their relative order."""
+    from chowpoly.building import BuiltMatroid
+    from chowpoly.lattice import GeomLattice
+
+    lat = bm.lat
+    emap = _compress_map(f)
+    flats = [(_remap_mask(g, emap), lat.rank_of(g)) for g in lat.flats if g & ~f == 0]
+    sub = GeomLattice(bin(f).count("1"), flats)
+    bset = frozenset(_remap_mask(g, emap) for g in bm.bset if g & ~f == 0)
+    order = tuple(emap[e] for e in bm.order if f >> e & 1)
+    return BuiltMatroid(sub, bset, order)
+
+
+def contract_ref(bm, f):
+    """Contraction at f: new elements are the covers of f."""
+    from chowpoly.building import BuiltMatroid
+    from chowpoly.lattice import GeomLattice
+
+    lat = bm.lat
+    covers = lat.covers(f)
+    keyed = sorted(covers, key=lambda c: min(bm.pos[e] for e in bits_of(c & ~f)))
+    by_label = sorted(keyed, key=lambda c: min(bits_of(c & ~f)))
+    label = {c: i for i, c in enumerate(by_label)}
+    rf = lat.rank_of(f)
+    flats = []
+    for g in lat.flats:
+        if f & ~g:
+            continue
+        mask = 0
+        for c in covers:
+            if c & ~g == 0:
+                mask |= 1 << label[c]
+        flats.append((mask, lat.rank_of(g) - rf))
+    sub = GeomLattice(len(covers), flats)
+    bset = set()
+    for g in bm.bset:
+        j = lat.join(f, g)
+        if j == f:
+            continue
+        mask = 0
+        for c in covers:
+            if c & ~j == 0:
+                mask |= 1 << label[c]
+        bset.add(mask)
+    order = tuple(label[c] for c in keyed)
+    return BuiltMatroid(sub, frozenset(bset), order)
+
+
+def local_interval_ref(bm, j, g):
+    """(built, flat_map) of the interval [j, g]: new elements are the covers
+    of j below g; flat_map covers j, g and the interval's building set."""
+    from chowpoly.building import BuiltMatroid
+    from chowpoly.lattice import GeomLattice
+
+    lat = bm.lat
+    covers = [c for c in lat.covers(j) if c & ~g == 0]
+    keyed = sorted(covers, key=lambda c: min(bm.pos[e] for e in bits_of(c & ~j)))
+    by_label = sorted(covers, key=lambda c: min(bits_of(c & ~j)))
+    label = {c: i for i, c in enumerate(by_label)}
+    rj = lat.rank_of(j)
+
+    def to_local(f):
+        mask = 0
+        for c in covers:
+            if c & ~f == 0:
+                mask |= 1 << label[c]
+        return mask
+
+    flats = [
+        (to_local(f), lat.rank_of(f) - rj)
+        for f in lat.flats
+        if j & ~f == 0 and f & ~g == 0
+    ]
+    bset_global = set()
+    for gg in bm.bset:
+        x = lat.join(j, gg)
+        if x != j and x & ~g == 0:
+            bset_global.add(x)
+    built = BuiltMatroid(
+        GeomLattice(len(covers), flats),
+        frozenset(to_local(f) for f in bset_global),
+        tuple(label[c] for c in keyed),
+    )
+    return built, {f: to_local(f) for f in sorted(bset_global) + [j, g]}
+
+
+# ---------------------------------------------------------------------------
 # real-rootedness via an independent Sturm chain over Fraction
 
 

@@ -9,11 +9,9 @@ from helpers import b4_flag_built, boolean_built, mask_of, set_of, sets_of
 from chowpoly.building import (
     BuiltMatroid,
     binary_filtration,
-    building_set_structural_check,
     contract,
     delete_element,
     extend,
-    filtration,
     find_complete_order,
     flag_nonface_witness,
     g_max,
@@ -39,10 +37,12 @@ from chowpoly.families import (
     built_from_matroid,
     make_boolean,
     make_graphic,
+    make_graphic,
     make_partition,
     make_uniform,
 )
 from chowpoly.lattice import lattice_of_flats, validate_modular_cut
+from chowpoly.nested import link_decomposition
 
 
 def _oracle_gmin(name, m, n, orank):
@@ -79,7 +79,7 @@ def test_validate_vs_structural_exhaustive_small():
                 ok = True
             except (MissingIrreducible, JoinClosureViolation):
                 ok = False
-            assert ok == building_set_structural_check(lat, s), sets_of(s)
+            assert ok == oracles.building_set_structural_check(lat, s), sets_of(s)
 
 
 def test_validate_rejections():
@@ -197,7 +197,7 @@ def test_is_complete_fast_equals_definitive():
         built_from_matroid(make_uniform(3, 5), "min"),
     ]
     for bm in cases:
-        assert is_complete(bm, "fast") == is_complete(bm, "definitive")
+        assert is_complete(bm) == oracles.is_complete_definitive(bm)
 
 
 def test_b4_flag_instance_not_complete_for_any_order():
@@ -242,7 +242,7 @@ def test_flag_witness_u34_atoms_plus_full():
 def test_filtration_min_to_max_b3():
     bm = built_from_matroid(make_boolean(3), "max")
     small = g_min(bm.lat)
-    filt = filtration(bm, small)
+    filt = oracles.filtration(bm, small)
     assert filt.bsets[0] == small
     assert filt.bsets[-1] | {filt.added[-1]} == bm.bset
     for prev, added in zip(filt.bsets, filt.added):
@@ -301,7 +301,8 @@ def test_structural_check_on_corpus():
     from chowpoly.corpus import corpus
 
     for inst in corpus():
-        assert building_set_structural_check(inst.built.lat, inst.built.bset), inst.name
+        bm = inst.built
+        assert oracles.building_set_structural_check(bm.lat, bm.bset), inst.name
 
 
 def test_completeness_stability_spot():
@@ -320,3 +321,46 @@ def test_flag_stability_spot():
         assert is_flag(contract(bm, f))
     for e in range(bm.n):
         assert is_flag(delete_element(bm, e))
+
+
+def _fields(bm):
+    return (bm.n, bm.lat.flats, bm.lat.ranks, bm.bset, bm.order)
+
+
+def test_interval_kernel_matches_reference_relabelers_on_corpus():
+    """restrict, contract, link_decomposition and simplify_built against the
+    four relabelers the interval kernel replaced, field for field."""
+    from chowpoly.corpus import corpus
+
+    restricts = contracts = intervals = 0
+    for inst in corpus():
+        bm = inst.built
+        for f in bm.lat.flats:
+            assert _fields(restrict(bm, f)) == _fields(oracles.restrict_ref(bm, f))
+            assert _fields(contract(bm, f)) == _fields(oracles.contract_ref(bm, f))
+            restricts += 1
+            contracts += 1
+        # the empty nested set and every single non-maximal element
+        for s in [()] + [(g,) for g in sorted(bm.bset - set(bm.maxg))]:
+            for li in link_decomposition(bm, s):
+                built, flat_map = oracles.local_interval_ref(bm, li.bottom, li.top)
+                assert _fields(li.built) == _fields(built), (inst.name, s, li.top)
+                assert li.flat_map == flat_map, (inst.name, s, li.top)
+                intervals += 1
+    assert (restricts, contracts, intervals) == (4124, 4124, 4825)
+
+    simplified = 0
+    for edges in (
+        [(0, 1), (0, 1), (1, 2)],
+        [(0, 1), (1, 2), (0, 2), (0, 2), (2, 3), (2, 3), (1, 3)],
+        [(0, 1), (0, 1), (0, 1), (1, 2), (1, 2), (0, 2)],
+    ):
+        lat = lattice_of_flats(make_graphic(edges))
+        assert not lat.simple()
+        for bset in (g_min(lat), g_max(lat)):
+            for order in (tuple(range(lat.n)), tuple(reversed(range(lat.n)))):
+                got, got_map = simplify_built(lat, bset, order)
+                want, want_map = oracles.simplify_built_ref(lat, bset, order)
+                assert _fields(got) == _fields(want) and got_map == want_map
+                simplified += 1
+    assert simplified == 12

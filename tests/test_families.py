@@ -10,7 +10,7 @@ from helpers import mask_of, set_of
 
 from chowpoly.building import BuiltMatroid, is_complete, validate_building_set
 from chowpoly.chow import chow_polynomial
-from chowpoly.errors import BadParameters, ChowpolyError
+from chowpoly.errors import BadParameters, ChowpolyError, MissingIrreducible
 from chowpoly.families import (
     augmented_built_matroid,
     binary_trees,
@@ -47,6 +47,14 @@ FLAT_COUNT_CASES = [
 def test_flat_sets_match_oracle(name, m, n, orank):
     lat = lattice_of_flats(m)
     assert {set_of(f) for f in lat.flats} == set(oracles.all_flats(n, orank))
+
+
+def test_non_simple_explicit_building_set_is_validated():
+    m = make_graphic([(0, 1), (0, 1), (1, 2)])  # edges 0 and 1 are parallel
+    with pytest.raises(MissingIrreducible):
+        built_from_matroid(m, [0b011, 0b111])  # the atom {2} is missing
+    bm = built_from_matroid(m, [0b011, 0b100, 0b111], order=(2, 1, 0))
+    assert (bm.n, bm.bset, bm.order) == (2, {0b01, 0b10, 0b11}, (1, 0))
 
 
 def test_bad_parameters():

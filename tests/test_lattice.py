@@ -13,7 +13,6 @@ from chowpoly.families import make_boolean, make_graphic, make_partition, make_u
 from chowpoly.lattice import (
     Matroid,
     delete_lattice,
-    deletion_modular_cut,
     is_modular_pair,
     lattice_of_flats,
     validate_modular_cut,
@@ -166,6 +165,6 @@ def test_delete_lattice_boolean():
 
 def test_deletion_modular_cut_roundtrip_rank():
     lat = lattice_of_flats(make_uniform(2, 4))
-    sub, mc = deletion_modular_cut(lat, 3)
+    sub, mc = oracles.deletion_modular_cut(lat, 3)
     assert sorted(sub.flats) == sorted(lattice_of_flats(make_uniform(2, 3)).flats)
     assert mc.flats == {f for f in sub.flats if sub.rank_of(f) == 2}

@@ -12,7 +12,7 @@ import pytest
 import oracles
 from helpers import b4_flag_built, mask_of, masks_of, set_of, sets_of
 
-from chowpoly.building import g_min, is_complete
+from chowpoly.building import BuiltMatroid, g_min, is_complete
 from chowpoly.errors import (
     BadParameters,
     NotIrreducible,
@@ -27,6 +27,7 @@ from chowpoly.families import (
     make_partition,
     make_uniform,
 )
+from chowpoly.lattice import lattice_of_flats
 from chowpoly.nested import (
     SimplicialComplex,
     balanced_check,
@@ -298,7 +299,11 @@ def test_descent_set_matches_join_loop_reference():
 
 def test_descent_pass_runs_once_per_facet(monkeypatch):
     import chowpoly.nested as nested
-    from chowpoly.chow import gamma_by_descents, psi_fibers
+    from chowpoly.chow import (
+        gamma_by_descents,
+        gamma_by_descents_factored,
+        psi_fibers,
+    )
 
     bm = built_from_matroid(make_partition(5), "min")
     calls = Counter()
@@ -317,6 +322,16 @@ def test_descent_pass_runs_once_per_facet(monkeypatch):
     assert sorted(rep.descent_counts.items()) == list(enumerate(gamma))
     stable.clear()  # callers get a fresh list, not the cache
     assert len(stable_maximal_nested_sets(bm)) == sum(gamma)
+
+    # a direct sum: B3|max on {0, 1, 2} and on {3, 4, 5}, inside B6
+    b6 = lattice_of_flats(make_boolean(6))
+    blocks = (0b000111, 0b111000)
+    bset = frozenset(f for f in b6.flats if f and any(f & ~b == 0 for b in blocks))
+    red = BuiltMatroid(b6, bset)
+    calls.clear()
+    gamma_by_descents_factored(red)
+    gamma_fvector(red)
+    assert sum(calls.values()) == 12
 
 
 def test_descent_error_raises():
@@ -347,6 +362,7 @@ def test_nested_input_errors_are_typed():
 def test_nested_input_errors_are_typed_under_optimize():
     code = (
         "from chowpoly import built_from_matroid, make_boolean\n"
+        "from chowpoly.building import delete_element, tl_chain\n"
         "from chowpoly.nested import completion, is_nested, link_decomposition\n"
         "def kind(fn, *a):\n"
         "    try:\n"
@@ -356,7 +372,8 @@ def test_nested_input_errors_are_typed_under_optimize():
         "    return 'none'\n"
         "bm = built_from_matroid(make_boolean(3), 'max')\n"
         "print(kind(is_nested, bm, {0b1000}), kind(completion, bm, {1, 2}),"
-        " kind(link_decomposition, bm, {1, 2}))\n"
+        " kind(link_decomposition, bm, {1, 2}), kind(delete_element, bm, 3),"
+        " kind(delete_element, bm, -1), kind(tl_chain, bm, 0b011, 0b101))\n"
     )
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     proc = subprocess.run(
@@ -367,7 +384,7 @@ def test_nested_input_errors_are_typed_under_optimize():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["BadParameters"] * 3
+    assert proc.stdout.split() == ["BadParameters"] * 6
 
 
 def test_stable_counts_b3():
