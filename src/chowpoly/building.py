@@ -132,7 +132,7 @@ class BuiltMatroid:
         return f"BuiltMatroid(n={self.n}, rank={self.rank}, |G|={len(self.bset)})"
 
 
-def _interval(lat, bset, order, bottom, top, validate=True):
+def _interval(lat, bset, order, bottom, top):
     """The interval [bottom, top] of lat with its induced building set, as a
     standalone BuiltMatroid; the one relabeling rule of this package.
 
@@ -149,6 +149,13 @@ def _interval(lat, bset, order, bottom, top, validate=True):
     set [J^g, g], and simplification [0, 1̂] of a non-simple lattice.
     Returns (built, to_local), where to_local maps every flat of the
     interval to its local mask.
+
+    The result is not validated, because it cannot fail: the local lattice
+    is simple (one label per cover of bottom), the local order permutes the
+    labels, and for a building set G, {bottom ∨ g : g ∈ G, g ≤ top, g ≰
+    bottom} is a building set of [bottom, top] (Feichtner–Kozlov 2004,
+    Prop. 2.8).  Only simplification gets a set not yet validated, and its
+    callers validate it.
     """
     new = top & ~bottom
     via = lat.cover_via[lat.idx[bottom]]
@@ -174,7 +181,7 @@ def _interval(lat, bset, order, bottom, top, validate=True):
     )
     local_order = tuple(dict.fromkeys(label[via[e]] for e in order if new >> e & 1))
     sub = GeomLattice(len(label), flats)
-    return BuiltMatroid(sub, local_bset, local_order, validate=validate), to_local
+    return BuiltMatroid(sub, local_bset, local_order, validate=False), to_local
 
 
 def simplify_built(lat, bset, order):
@@ -191,7 +198,7 @@ def simplify_built(lat, bset, order):
         return BuiltMatroid(lat, bset, order, validate=False), {
             e: e for e in range(lat.n)
         }
-    bm, to_local = _interval(lat, bset, order, 0, lat.full, validate=False)
+    bm, to_local = _interval(lat, bset, order, 0, lat.full)
     elem_map = {
         e: to_local[lat.flats[lat.atom_of_elem[e]]].bit_length() - 1
         for e in range(lat.n)
@@ -325,8 +332,8 @@ def tl_chain(bm, f, g):
     closures of f plus successive order-smallest elements of g - f.
     The returned list starts at f and ends at g."""
     lat = bm.lat
-    if f & ~g:
-        raise BadParameters(f"tl_chain needs f <= g, got {f:b} and {g:b}")
+    if not (lat.is_flat(f) and lat.is_flat(g)) or f & ~g:
+        raise BadParameters(f"tl_chain needs flats f <= g, got {f:b} and {g:b}")
     elems = sorted(bits(g & ~f), key=lambda e: bm.pos[e])
     chain = [f]
     cur = f
@@ -423,6 +430,11 @@ class Filtration:
 
 
 def _removal_chain(bm, small, pick):
+    """Remove what pick(lat, cur, small) returns until small is left.
+
+    Only small, which is caller input, is validated: pick returns only
+    elements `_removable` accepts, so by the proof in `is_removable` every
+    set of the chain from bm.bset down is a building set."""
     lat = bm.lat
     small = frozenset(small)
     if not small <= bm.bset:
@@ -435,7 +447,6 @@ def _removal_chain(bm, small, pick):
         if g is None:
             raise Stuck(sorted(cur - small))
         cur.discard(g)
-        validate_building_set(lat, frozenset(cur))
         chain.append(frozenset(cur))
     chain.reverse()
     added = []
@@ -494,9 +505,9 @@ def binary_filtration(bm, small):
     ties); raises NotFlag if bm is not flag and Stuck if the greedy jams.
 
     A candidate g is removable iff it is reducible and the maximal elements
-    of the current set strictly below g are pairwise disjoint; the removal
-    chain keeps the current set a validated building set, which is the
-    criterion's precondition.  Proof:
+    of the current set strictly below g are pairwise disjoint; each removal
+    keeps the current set a building set, which is the criterion's
+    precondition.  Proof:
     - a pair that breaks join-closure once g is gone joins to g, because
       the current set is join-closed;
     - disjoint maximal elements below g leave no meeting pair joining to g;

@@ -6,19 +6,22 @@ from itertools import combinations
 
 from .building import BuiltMatroid, simplify_built
 from .errors import BadParameters
-from .lattice import GeomLattice, Matroid, bits, lattice_of_flats, popcount
+from .lattice import Matroid, bits, lattice_of_flats, popcount
 
 
 def make_uniform(r, n):
     if not (1 <= r <= n and n <= 64):
         raise BadParameters(f"uniform({r},{n})")
-    return Matroid(n, lambda s: min(r, popcount(s)))
+    full = (1 << n) - 1
+    return Matroid(
+        n, lambda s: min(r, popcount(s)), lambda s: s if popcount(s) < r else full
+    )
 
 
 def make_boolean(n):
     if not (1 <= n <= 64):
         raise BadParameters(f"boolean({n})")
-    return Matroid(n, popcount)
+    return Matroid(n, popcount, lambda s: s)
 
 
 def make_graphic(edges, n_vertices=None):
@@ -31,8 +34,10 @@ def make_graphic(edges, n_vertices=None):
     if n_vertices is not None and n_vertices < len(verts):
         raise BadParameters("n_vertices smaller than the support")
     vid = {v: i for i, v in enumerate(verts)}
+    ends = [(vid[a], vid[b]) for a, b in edges]
 
-    def rank(s):
+    def components(s):
+        """Union-find over the edges in s: (root finder, rank of s)."""
         parent = list(range(len(verts)))
 
         def find(x):
@@ -43,13 +48,26 @@ def make_graphic(edges, n_vertices=None):
 
         r = 0
         for i in bits(s):
-            a, b = find(vid[edges[i][0]]), find(vid[edges[i][1]])
+            a, b = find(ends[i][0]), find(ends[i][1])
             if a != b:
                 parent[a] = b
                 r += 1
-        return r
+        return find, r
 
-    return Matroid(len(edges), rank)
+    def rank(s):
+        return components(s)[1]
+
+    def closure(s):
+        """Every edge whose ends the edges of s already connect."""
+        find = components(s)[0]
+        root = [find(v) for v in range(len(verts))]
+        out = s
+        for i, (a, b) in enumerate(ends):
+            if root[a] == root[b]:
+                out |= 1 << i
+        return out
+
+    return Matroid(len(edges), rank, closure)
 
 
 def braid_edges(n):
@@ -208,12 +226,6 @@ def _insertions(t, leaf):
             yield (a, ib)
 
 
-def _min_leaf(t):
-    if isinstance(t, int):
-        return t
-    return min(_min_leaf(t[0]), _min_leaf(t[1]))
-
-
 def tree_descent_data(t):
     """(descents, bottoms, doubles) over internal vertices of a rooted binary
     tree; the root carries no descent.
@@ -221,32 +233,39 @@ def tree_descent_data(t):
     The label of an internal vertex is the larger of its children's minimal
     leaves; a vertex is a descent when its label exceeds its parent's.
     A bottom descent has two leaf children; a double descent has at least one
-    internal child and all internal children are descents.
+    internal child and all internal children are descents.  One bottom-up
+    pass labels every internal vertex, then one top-down pass reads them.
     """
+    labels = {}  # id of an internal vertex -> its label
+    _label_vertices(t, labels)
     descents = []
     bottoms = []
     doubles = []
-
-    def label(v):
-        return max(_min_leaf(v[0]), _min_leaf(v[1]))
-
-    def walk(v, parent_label, is_root):
+    stack = [(t, None)]  # preorder: the left subtree before the right
+    while stack:
+        v, parent_label = stack.pop()
         if isinstance(v, int):
-            return
-        lv = label(v)
-        is_desc = (not is_root) and lv > parent_label
-        kids = [c for c in v if isinstance(c, tuple)]
-        if is_desc:
+            continue
+        lv = labels[id(v)]
+        if parent_label is not None and lv > parent_label:
             descents.append(v)
+            kids = [c for c in v if isinstance(c, tuple)]
             if not kids:
                 bottoms.append(v)
-            elif all(label(c) > lv for c in kids):
+            elif all(labels[id(c)] > lv for c in kids):
                 doubles.append(v)
-        for c in v:
-            walk(c, lv, False)
-
-    walk(t, None, True)
+        stack.append((v[1], lv))
+        stack.append((v[0], lv))
     return descents, bottoms, doubles
+
+
+def _label_vertices(v, labels):
+    """Label every internal vertex below v; returns the minimal leaf of v."""
+    if isinstance(v, int):
+        return v
+    a, b = _label_vertices(v[0], labels), _label_vertices(v[1], labels)
+    labels[id(v)] = max(a, b)
+    return min(a, b)
 
 
 def stable_trees(n):

@@ -48,13 +48,15 @@ def minimal(family):
 
 
 class Matroid:
-    """A rank oracle on bitmask subsets of 0..n-1."""
+    """A rank oracle on bitmask subsets of 0..n-1, with an optional closure
+    oracle; without one, a closure costs n rank calls."""
 
-    def __init__(self, n, rank_fn):
+    def __init__(self, n, rank_fn, closure_fn=None):
         if not 0 <= n <= MAX_ELEMENTS:
             raise InvalidMatroid(f"ground set size {n} outside 0..{MAX_ELEMENTS}")
         self.n = n
         self._rank_fn = rank_fn
+        self._closure_fn = closure_fn
         self._rank_cache = {}
 
     def rank(self, mask):
@@ -65,6 +67,8 @@ class Matroid:
         return r
 
     def closure(self, mask):
+        if self._closure_fn is not None:
+            return self._closure_fn(mask)
         r = self.rank(mask)
         out = mask
         for e in range(self.n):
@@ -140,31 +144,35 @@ class GeomLattice:
             bad = self.atom_of_elem.index(None)
             raise InvalidMatroid(f"element {bad} lies in no atom (loop?)")
         self._build_covers()
-        self._factor_cache = {}
+        self._factors = None
 
     def _build_covers(self):
         self.covers_up = [[] for _ in self.flats]
         self.cover_via = [dict() for _ in self.flats]
         for r in range(self.rk):
-            uppers = self.by_rank[r + 1] if r + 1 <= self.rk else []
+            # a cover of f contains all of f: scan those through f's rarest element
+            uppers = self.by_rank[r + 1]
+            through = [[] for _ in range(self.n)]
+            for j in uppers:
+                for e in bits(self.flats[j]):
+                    through[e].append(j)
             for i in self.by_rank[r]:
-                f = self.flats[i]
-                for j in uppers:
+                f = reached = self.flats[i]
+                for j in min((through[e] for e in bits(f)), key=len, default=uppers):
                     g = self.flats[j]
-                    if f & ~g == 0:
-                        self.covers_up[i].append(j)
-                        for e in bits(g & ~f):
-                            if e in self.cover_via[i]:
-                                raise InvalidMatroid(
-                                    f"element {e} above flat {f:b} in two covers"
-                                )
-                            self.cover_via[i][e] = j
-                missing = self.full & ~f
-                for e in bits(missing):
-                    if e not in self.cover_via[i]:
+                    if f & ~g:
+                        continue
+                    if g & ~f & reached:
+                        e = next(bits(g & ~f & reached))
                         raise InvalidMatroid(
-                            f"no cover of flat {f:b} through element {e}"
+                            f"element {e} above flat {f:b} in two covers"
                         )
+                    self.covers_up[i].append(j)
+                    self.cover_via[i].update(dict.fromkeys(bits(g & ~f), j))
+                    reached |= g
+                if reached != self.full:
+                    e = next(bits(self.full & ~reached))
+                    raise InvalidMatroid(f"no cover of flat {f:b} through element {e}")
 
     # -- basic queries ------------------------------------------------------
 
@@ -177,23 +185,22 @@ class GeomLattice:
             raise NotAFlat(f"{mask:b} is not a flat")
         return self.ranks[i]
 
+    def _climb(self, i, mask):
+        """The least flat containing flat i and mask, up cover_via."""
+        rest = mask & ~self.flats[i]
+        while rest:
+            i = self.cover_via[i][(rest & -rest).bit_length() - 1]
+            rest &= ~self.flats[i]
+        return self.flats[i]
+
     def closure(self, mask):
         """Smallest flat containing an arbitrary subset mask."""
-        ci = 0
-        for e in bits(mask):
-            f = self.flats[ci]
-            if not f >> e & 1:
-                ci = self.cover_via[ci][e]
-        return self.flats[ci]
+        return self._climb(0, mask)
 
     def join(self, f, g):
         if f not in self.idx or g not in self.idx:
             raise NotAFlat(f"join of non-flats {f:b}, {g:b}")
-        ci = self.idx[f]
-        for e in bits(g & ~f):
-            if not self.flats[ci] >> e & 1:
-                ci = self.cover_via[ci][e]
-        return self.flats[ci]
+        return self._climb(self.idx[f], g)
 
     def meet(self, f, g):
         if f not in self.idx or g not in self.idx:
@@ -213,33 +220,49 @@ class GeomLattice:
     def interval_factors(self, f):
         """Connected components of [0, f]: f as a disjoint union of
         irreducible flats with additive ranks (sorted by (rank, mask))."""
-        if f not in self.idx:
+        i = self.idx.get(f)
+        if i is None:
             raise NotAFlat(f"{f:b} is not a flat")
-        out = self._factor_cache.get(f)
-        if out is None:
-            out = self._split(f)
-            out = sorted(out, key=lambda g: (self.rank_of(g), g))
-            self._factor_cache[f] = out
-        return list(out)
+        if self._factors is None:
+            self._factors = self._factor_table()
+        return list(self._factors[i])
 
-    def _split(self, f):
-        if f == 0:
-            return []
-        rf = self.rank_of(f)
-        for a in self.flats:
-            if a == 0 or a == f or a & ~f:
-                continue
-            b = f & ~a
-            if b in self.idx and self.rank_of(a) + self.ranks[self.idx[b]] == rf:
-                return self._split(a) + self._split(b)
-        return [f]
+    def _factor_table(self):
+        """The factors of every flat, in one pass in (rank, mask) order.
+
+        F is reducible iff the maximal irreducible flats strictly below F
+        have union F and additive ranks, and they are then its factors: an
+        irreducible flat below a direct sum lies in one summand, and such
+        flats are disjoint (two that meet lose the rank of their meet), so
+        they split F.  Every irreducible flat strictly below F lies inside a
+        factor of a lower cover of F, so those factors are the candidates."""
+        below = [[] for _ in self.flats]
+        table = []
+        for i, (f, r) in enumerate(zip(self.flats, self.ranks)):
+            tops = maximal(set(below[i]))
+            below[i] = None
+            union = 0
+            for g in tops:
+                union |= g
+            if union == f and sum(self.ranks[self.idx[g]] for g in tops) == r:
+                out = tuple(sorted(tops, key=lambda g: (self.ranks[self.idx[g]], g)))
+            else:
+                out = (f,)
+            table.append(out)
+            for j in self.covers_up[i]:
+                below[j].extend(out)
+        return table
 
     def is_irreducible(self, f):
         return len(self.interval_factors(f)) == 1
 
 
 def lattice_of_flats(m):
-    """Materialize the lattice of flats of a loopless matroid."""
+    """Materialize the lattice of flats of a loopless matroid.
+
+    A breadth-first pass by rank.  The covers of a flat F are the closures
+    cl(F + e), and every element of such a cover outside F gives the same
+    one, so F costs one closure per cover rather than one per element."""
     if m.n == 0:
         raise InvalidMatroid("empty ground set")
     if m.closure(0) != 0:
@@ -249,11 +272,13 @@ def lattice_of_flats(m):
     while frontier:
         nxt = []
         for f in frontier:
-            r = seen[f]
-            for e in bits(((1 << m.n) - 1) & ~f):
-                g = m.closure(f | 1 << e)
+            r = seen[f] + 1
+            rest = ((1 << m.n) - 1) & ~f
+            while rest:
+                g = m.closure(f | rest & -rest)
+                rest &= ~g
                 if g not in seen:
-                    seen[g] = r + 1
+                    seen[g] = r
                     nxt.append(g)
         frontier = nxt
     return GeomLattice(m.n, seen.items())

@@ -18,6 +18,7 @@ from .errors import (
     NotUnique,
     RankNotOne,
 )
+from .lattice import bits
 
 
 def _cache(bm):
@@ -101,46 +102,45 @@ def _nested_antichains(bm, candidates, target_rank):
             )
 
     go(0, [], 0, [], 0, 0)
+    del go  # go refers to itself; without this the cycle keeps bm alive
     return out
 
 
-def _subtree_facets(bm, g):
-    """All saturated nested subtrees rooted at g (g included), as frozensets."""
-    cache = _cache(bm)
-    key = ("subtree", g)
-    if key in cache:
-        return cache[key]
-    lat = bm.lat
-    target = lat.rank_of(g) - 1
-    below = [h for h in bm.bset if h != g and h & ~g == 0]
-    out = []
-    for chain_children in _nested_antichains(bm, below, target):
-        branches = [_subtree_facets(bm, b) for b in chain_children]
-        for combo in product(*branches):
-            s = frozenset((g,)).union(*combo)
-            out.append(s)
-    cache[key] = out
-    return out
+def _subtree_facets(bm, g, memo):
+    """All saturated nested subtrees rooted at g (g included), as frozensets;
+    memo keeps them per root for one enumeration only."""
+    if g not in memo:
+        target = bm.lat.rank_of(g) - 1
+        below = [h for h in bm.bset if h != g and h & ~g == 0]
+        out = []
+        for chain_children in _nested_antichains(bm, below, target):
+            branches = [_subtree_facets(bm, b, memo) for b in chain_children]
+            out.extend(frozenset((g,)).union(*combo) for combo in product(*branches))
+        memo[g] = out
+    return memo[g]
 
 
 def maximal_nested_sets(bm):
     """Facets of the reduced nested set complex N (maximal building-set
     elements stripped); for irreducible bm each facet has rank(M)-1 elements.
-    Reducible inputs are handled per maximal element and recombined."""
+    Reducible inputs are handled per maximal element and recombined.
+
+    Every set built is nested, so none is re-checked.  Take an antichain A
+    of size >= 2 in a facet, and p the lowest tree node (or the top flat)
+    with elements of A under two of its children, c1 and c2.  The children
+    of p are a nested antichain, as are the maximal elements of G, so each
+    g in G below their join lies under one child (Feichtner–Kozlov 2004,
+    Prop. 2.8); if ∨A were such a g, that child would meet the disjoint c1
+    and c2, which is impossible.  So ∨A is not in G."""
     cache = _cache(bm)
-    if "facets" in cache:
-        return cache["facets"]
-    parts = [_subtree_facets(bm, m) for m in bm.maxg]
-    maxset = set(bm.maxg)
-    out = []
-    for combo in product(*parts):
-        s = frozenset().union(*combo) - maxset
-        # the recursion checks antichains of siblings; antichains that mix
-        # separate subtrees still need the definitional test
-        if is_nested(bm, s):
-            out.append(s)
-    cache["facets"] = out
-    return out
+    if "facets" not in cache:
+        memo = {}
+        parts = [_subtree_facets(bm, m, memo) for m in bm.maxg]
+        maxset = set(bm.maxg)
+        cache["facets"] = [
+            frozenset().union(*combo) - maxset for combo in product(*parts)
+        ]
+    return cache["facets"]
 
 
 def extends_nested(bm, chosen, v):
@@ -348,6 +348,11 @@ def descent_set(bm, s):
     s = frozenset(s) - set(bm.maxg)
     if len(s) != bm.rank - 1 or not is_nested(bm, s):
         raise NotMaximal(sorted(s))
+    return _descent_data(bm, s)
+
+
+def _descent_data(bm, s):
+    """`descent_set` on a facet known to be one, with no checks."""
     lat = bm.lat
     shat = _shat(bm, s)  # s in rank order, then the top flat
     parents = {}
@@ -388,14 +393,17 @@ def descent_set(bm, s):
 def stable_descent_sets(bm):
     """(facet, descent set) for every stable facet, in facet order.
 
-    One pass calls descent_set once per facet; the pairs are cached next to
-    the facets, so the descent formula, the Γ-complex and the ψ-fibers share
-    it.  The result is the cached tuple itself."""
+    One pass reads each facet's descent data once, without `descent_set`'s
+    input check (`maximal_nested_sets` builds only facets); the pairs are
+    cached next to the facets, so the descent formula, the Γ-complex and
+    the ψ-fibers share it.  The result is the cached tuple itself."""
+    if not bm.irreducible:
+        raise NotIrreducible("descents need an irreducible built matroid")
     cache = _cache(bm)
     if "stable" not in cache:
         pairs = []
         for s in maximal_nested_sets(bm):
-            dd = descent_set(bm, s)
+            dd = _descent_data(bm, s)
             if dd.stable:
                 pairs.append((s, dd.descents))
         cache["stable"] = tuple(pairs)
@@ -525,23 +533,36 @@ def complex_stats(c):
         # f_i (y-1)^(d-i) contributes to y^(d-j)
         for j in range(i, d + 1):
             h[j] += fi * comb(d - i, j - i) * (-1) ** (j - i)
-    # flag iff every clique of the 1-skeleton is a face
-    faces = set(c.faces)
-    verts = sorted(v for fc in faces for v in fc if len(fc) == 1)
-    edges = {fc for fc in faces if len(fc) == 2}
-    flag = True
+    return tuple(f), tuple(h), _flag_by_masks(c.faces), d - 1
 
-    def cliques(start, chosen):
-        nonlocal flag
-        if len(chosen) >= 3 and frozenset(chosen) not in faces:
-            flag = False
-            return
-        for i in range(start, len(verts)):
-            if not flag:
-                return
-            v = verts[i]
-            if all(frozenset((u, v)) in edges for u in chosen):
-                cliques(i + 1, chosen + [v])
 
-    cliques(0, [])
-    return tuple(f), tuple(h), flag, d - 1
+def _flag_by_masks(faces):
+    """Flag iff every clique of the 1-skeleton (the 1-faces, joined by the
+    2-faces between them) is a face, decided with adjacency bitmasks.
+
+    It is enough that f + v is a face for every face f that is a clique and
+    every vertex v adjacent to all of f.  Then a clique C of size k >= 3 is
+    a face, by induction on k: C minus one vertex is a clique of size k - 1,
+    so an edge or, by induction, a face, and the vertex left out is adjacent
+    to all of it.  The complex need not be downward closed."""
+    verts = sorted(v for fc in faces if len(fc) == 1 for v in fc)
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    near = dict.fromkeys(verts, 0)  # a vertex -> the mask of its neighbours
+    for fc in faces:
+        if len(fc) == 2 and all(v in bit for v in fc):
+            a, b = fc
+            near[a] |= bit[b]
+            near[b] |= bit[a]
+    for fc in faces:
+        if len(fc) < 2 or not all(v in bit for v in fc):
+            continue
+        mask = 0
+        common = -1  # the vertices adjacent to all of fc
+        for v in fc:
+            mask |= bit[v]
+            common &= near[v]
+        if any(mask & ~near[v] != bit[v] for v in fc):
+            continue  # not a clique
+        if any(fc | {verts[i]} not in faces for i in bits(common)):
+            return False
+    return True

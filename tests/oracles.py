@@ -469,8 +469,8 @@ def deletion_modular_cut(lat, e):
 
 def filtration(bm, small):
     """Filtration from small up to bm.bset removing minimal elements in
-    reverse; every intermediate set is validated."""
-    from chowpoly.building import _removable, _removal_chain
+    reverse; every set of the chain is validated here."""
+    from chowpoly.building import _removable, _removal_chain, validate_building_set
 
     def pick(lat, cur, small):
         extra = cur - small
@@ -479,7 +479,10 @@ def filtration(bm, small):
         mins = [f for f in extra if not any(g != f and g & ~f == 0 for g in extra)]
         return next((f for f in sorted(mins) if _removable(lat, cur, f)), None)
 
-    return _removal_chain(bm, small, pick)
+    filt = _removal_chain(bm, small, pick)
+    for bset in filt.bsets:
+        assert validate_building_set(bm.lat, bset) == bset
+    return filt
 
 
 # The package relabeled intervals into standalone built matroids with these
@@ -702,6 +705,79 @@ def is_real_rooted_oracle(coeffs):
 
 
 # ---------------------------------------------------------------------------
+# the lattice kernel before the bottom-up factor table and the cover-skipping
+# BFS, as the reference for both
+
+
+def split_factors(lat, f):
+    """The factors of flat f by splitting off the first flat a below f whose
+    complement f - a is a flat of complementary rank, recursively."""
+    if f == 0:
+        return []
+    rf = lat.rank_of(f)
+    for a in lat.flats:
+        if a == 0 or a == f or a & ~f:
+            continue
+        b = f & ~a
+        if lat.is_flat(b) and lat.rank_of(a) + lat.rank_of(b) == rf:
+            return split_factors(lat, a) + split_factors(lat, b)
+    return [f]
+
+
+def lattice_of_flats_ref(m):
+    """(flats, ranks) by a BFS that closes F + e for every e outside every
+    flat F, each closure taking n + 1 calls of m.rank."""
+
+    def closure(mask):
+        r = m.rank(mask)
+        out = mask
+        for e in range(m.n):
+            if not out >> e & 1 and m.rank(mask | 1 << e) == r:
+                out |= 1 << e
+        return out
+
+    assert closure(0) == 0
+    seen = {0: 0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for e in range(m.n):
+                if f >> e & 1:
+                    continue
+                g = closure(f | 1 << e)
+                if g not in seen:
+                    seen[g] = seen[f] + 1
+                    nxt.append(g)
+        frontier = nxt
+    items = sorted(seen.items(), key=lambda t: (t[1], t[0]))
+    return [f for f, _ in items], [r for _, r in items]
+
+
+def flag_by_cliques(faces):
+    """Flagness by search: every clique of the 1-skeleton is a face."""
+    faces = set(faces)
+    verts = sorted(v for fc in faces for v in fc if len(fc) == 1)
+    edges = {fc for fc in faces if len(fc) == 2}
+    flag = True
+
+    def cliques(start, chosen):
+        nonlocal flag
+        if len(chosen) >= 3 and frozenset(chosen) not in faces:
+            flag = False
+            return
+        for i in range(start, len(verts)):
+            if not flag:
+                return
+            v = verts[i]
+            if all(frozenset((u, v)) in edges for u in chosen):
+                cliques(i + 1, chosen + [v])
+
+    cliques(0, [])
+    return flag
+
+
+# ---------------------------------------------------------------------------
 # binary trees by recursive splitting (independent of leaf insertion)
 
 
@@ -750,6 +826,36 @@ def tree_descents(t):
         stack.append((node[0], ell(node)))
         stack.append((node[1], ell(node)))
     return des
+
+
+def tree_descent_data_ref(t):
+    """The stable-tree walk that recomputes every minimal leaf from scratch:
+    (descents, bottoms, doubles) in preorder."""
+
+    def min_leaf(v):
+        return v if isinstance(v, int) else min(min_leaf(v[0]), min_leaf(v[1]))
+
+    def label(v):
+        return max(min_leaf(v[0]), min_leaf(v[1]))
+
+    descents, bottoms, doubles = [], [], []
+
+    def walk(v, parent_label, is_root):
+        if isinstance(v, int):
+            return
+        lv = label(v)
+        kids = [c for c in v if isinstance(c, tuple)]
+        if not is_root and lv > parent_label:
+            descents.append(v)
+            if not kids:
+                bottoms.append(v)
+            elif all(label(c) > lv for c in kids):
+                doubles.append(v)
+        for c in v:
+            walk(c, lv, False)
+
+    walk(t, None, True)
+    return descents, bottoms, doubles
 
 
 if __name__ == "__main__":

@@ -364,3 +364,29 @@ def test_interval_kernel_matches_reference_relabelers_on_corpus():
                 assert _fields(got) == _fields(want) and got_map == want_map
                 simplified += 1
     assert simplified == 12
+
+
+def test_unvalidated_results_are_building_sets_on_corpus():
+    """restrict, contract and local intervals skip validating their result,
+    and the filtration chain validates only its small end: here every such
+    result gets the full check (simple lattice, order, building set)."""
+    from chowpoly.corpus import corpus
+
+    built = chained = 0
+    for inst in corpus():
+        bm = inst.built
+        results = [restrict(bm, f) for f in bm.lat.flats]
+        results += [contract(bm, f) for f in bm.lat.flats]
+        for s in [()] + [(g,) for g in sorted(bm.bset - set(bm.maxg))]:
+            results += [li.built for li in link_decomposition(bm, s)]
+        for r in results:
+            BuiltMatroid(r.lat, r.bset, r.order)
+        built += len(results)
+        try:
+            filt = binary_filtration(bm, g_min(bm.lat))
+        except NotFlag:
+            continue
+        for bset in filt.bsets:
+            assert validate_building_set(bm.lat, bset) == bset
+        chained += len(filt.bsets)
+    assert (built, chained) == (13073, 1350)

@@ -2,6 +2,7 @@
 the stable-tree model, cross-checked against the oracles."""
 
 from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
@@ -202,3 +203,45 @@ def test_built_from_matroid_simplifies():
     bm = built_from_matroid(make_uniform(1, 3), "min")
     assert bm.n == 1 and bm.rank == 1
     assert chow_polynomial(bm) == [1]
+
+
+def test_tree_walk_matches_reference_walk():
+    """tree_descent_data labels each vertex once; the per-tree data and
+    m0n_gamma equal those of the walk that recomputes every minimal leaf."""
+    for n in range(2, 8):
+        counts = Counter()
+        for t in binary_trees(n):
+            got = tree_descent_data(t)
+            assert got == oracles.tree_descent_data_ref(t), t
+            des, bot, dbl = got
+            if not bot and not dbl:
+                counts[len(des)] += 1
+        assert m0n_gamma(n) == [counts[d] for d in range(max(counts) + 1)], n
+
+
+def _canonical_graph(nverts, edges):
+    return min(
+        tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges))
+        for p in permutations(range(nverts))
+    )
+
+
+def test_atlas_table_holds_each_graph_class_once():
+    """Brute force over the edge sets of K5: the corpus's frozen graph table
+    has exactly one graph per isomorphism class of graphs on at most 5
+    vertices with an edge and no isolated vertex."""
+    from chowpoly.corpus import ATLAS_GRAPHS
+
+    k5 = list(combinations(range(5), 2))
+    classes = set()
+    for mask in range(1, 1 << len(k5)):
+        edges = [e for i, e in enumerate(k5) if mask >> i & 1]
+        used = sorted({v for e in edges for v in e})
+        vid = {v: i for i, v in enumerate(used)}
+        relabeled = [(vid[a], vid[b]) for a, b in edges]
+        classes.add((len(used), _canonical_graph(len(used), relabeled)))
+    table = [(nv, _canonical_graph(nv, edges)) for nv, edges in ATLAS_GRAPHS]
+    for nv, edges in ATLAS_GRAPHS:
+        assert {v for e in edges for v in e} == set(range(nv))
+    assert len(classes) == len(table) == len(set(table)) == 33
+    assert set(table) == classes

@@ -168,3 +168,86 @@ def test_deletion_modular_cut_roundtrip_rank():
     sub, mc = oracles.deletion_modular_cut(lat, 3)
     assert sorted(sub.flats) == sorted(lattice_of_flats(make_uniform(2, 3)).flats)
     assert mc.flats == {f for f in sub.flats if sub.rank_of(f) == 2}
+
+
+def _corpus_hosts():
+    """The host matroids of `corpus()`, as its families build them."""
+    from chowpoly.corpus import ATLAS_GRAPHS
+
+    hosts = [make_uniform(r, n) for n in range(1, 7) for r in range(1, n + 1)]
+    hosts += [make_boolean(n) for n in range(1, 6)]
+    hosts += [make_partition(n) for n in range(2, 6)]
+    hosts += [make_graphic(edges) for _, edges in ATLAS_GRAPHS]
+    return hosts
+
+
+def _count_rank_calls(m):
+    """Count the calls of m.rank from now on, as the benchmark's tracer
+    does; returns a one-element list holding the count."""
+    calls = [0]
+    rank = m.rank
+
+    def counted(mask):
+        calls[0] += 1
+        return rank(mask)
+
+    m.rank = counted
+    return calls
+
+
+def test_factor_table_matches_split_reference():
+    """The bottom-up factor table against the old split-off search, on
+    every flat of every corpus lattice plus Π7, B6 and U(5,11)."""
+    from chowpoly.corpus import corpus
+
+    lats = [inst.built.lat for inst in corpus()]
+    lats += [
+        lattice_of_flats(m)
+        for m in (make_partition(7), make_boolean(6), make_uniform(5, 11))
+    ]
+    flats = 0
+    for lat in lats:
+        for f in lat.flats:
+            want = oracles.split_factors(lat, f)
+            want.sort(key=lambda g: (lat.rank_of(g), g))
+            assert lat.interval_factors(f) == want, f
+            assert lat.is_irreducible(f) == (len(want) == 1)
+            flats += 1
+    assert (len(lats), flats) == (232, 5628)
+
+
+def test_lattice_of_flats_takes_fewer_rank_calls():
+    """The same flats and ranks as the BFS that closes F + e for every e
+    outside F, with strictly fewer calls of m.rank: on every corpus host and
+    on Π6 with the family's closure oracle, and on Π6 through the rank
+    oracle alone, where one closure per cover saves more than half."""
+    ref_total = 0
+    for m in _corpus_hosts() + [make_partition(6)]:
+        ref = Matroid(m.n, m._rank_fn)
+        ref_calls = _count_rank_calls(ref)
+        want = oracles.lattice_of_flats_ref(ref)
+        calls = _count_rank_calls(m)
+        lat = lattice_of_flats(m)
+        assert (lat.flats, lat.ranks) == want
+        assert calls[0] < ref_calls[0]
+        ref_total += ref_calls[0]
+    pi6 = make_partition(6)
+    generic = Matroid(pi6.n, pi6._rank_fn)
+    calls = _count_rank_calls(generic)
+    lat = lattice_of_flats(generic)
+    ref = Matroid(pi6.n, pi6._rank_fn)
+    ref_calls = _count_rank_calls(ref)
+    assert (lat.flats, lat.ranks) == oracles.lattice_of_flats_ref(ref)
+    assert 2 * calls[0] < ref_calls[0]
+
+
+def test_closure_oracles_match_rank_closure():
+    """The uniform, Boolean and graphic closure oracles against the closure
+    by rank calls, on every subset."""
+    cases = [make_uniform(r, n) for n in range(1, 7) for r in range(1, n + 1)]
+    cases += [make_boolean(6), make_partition(5)]
+    cases.append(make_graphic([(0, 1), (0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]))
+    for m in cases:
+        generic = Matroid(m.n, m._rank_fn)
+        for s in range(1 << m.n):
+            assert m.closure(s) == generic.closure(s), (m.n, s)

@@ -307,13 +307,13 @@ def test_descent_pass_runs_once_per_facet(monkeypatch):
 
     bm = built_from_matroid(make_partition(5), "min")
     calls = Counter()
-    real = nested.descent_set
+    real = nested._descent_data
 
     def counted(bm, s):
         calls[s] += 1
         return real(bm, s)
 
-    monkeypatch.setattr(nested, "descent_set", counted)
+    monkeypatch.setattr(nested, "_descent_data", counted)
     gamma = gamma_by_descents(bm)
     rep = gamma_complex(bm)
     psi_fibers(bm)
@@ -361,7 +361,7 @@ def test_nested_input_errors_are_typed():
 
 def test_nested_input_errors_are_typed_under_optimize():
     code = (
-        "from chowpoly import built_from_matroid, make_boolean\n"
+        "from chowpoly import built_from_matroid, make_boolean, make_uniform\n"
         "from chowpoly.building import delete_element, tl_chain\n"
         "from chowpoly.nested import completion, is_nested, link_decomposition\n"
         "def kind(fn, *a):\n"
@@ -371,9 +371,11 @@ def test_nested_input_errors_are_typed_under_optimize():
         "        return type(e).__name__\n"
         "    return 'none'\n"
         "bm = built_from_matroid(make_boolean(3), 'max')\n"
+        "um = built_from_matroid(make_uniform(3, 4), 'max')\n"
         "print(kind(is_nested, bm, {0b1000}), kind(completion, bm, {1, 2}),"
         " kind(link_decomposition, bm, {1, 2}), kind(delete_element, bm, 3),"
-        " kind(delete_element, bm, -1), kind(tl_chain, bm, 0b011, 0b101))\n"
+        " kind(delete_element, bm, -1), kind(tl_chain, bm, 0b011, 0b101),"
+        " kind(tl_chain, um, 0b1, 0b111))\n"
     )
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     proc = subprocess.run(
@@ -384,7 +386,7 @@ def test_nested_input_errors_are_typed_under_optimize():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["BadParameters"] * 6
+    assert proc.stdout.split() == ["BadParameters"] * 7
 
 
 def test_stable_counts_b3():
@@ -463,3 +465,65 @@ def test_complex_stats_goldens():
 def test_balanced_single_vertex():
     c = SimplicialComplex(vertices=(3,), faces=frozenset({frozenset(), frozenset({3})}))
     assert balanced_check(built_from_matroid(make_boolean(3), "max"), c)
+
+
+def test_enumerated_facets_pass_the_full_nested_check_on_corpus():
+    """maximal_nested_sets and the shared descent pass skip is_nested: here
+    every facet they give gets the full check, and the pass's descent sets
+    equal those of descent_set, which checks its input."""
+    from chowpoly.corpus import corpus
+    from chowpoly.nested import stable_descent_sets
+
+    cases = [(inst.name, inst.built) for inst in corpus()]
+    cases.append(("Pi6|min", built_from_matroid(make_partition(6), "min")))
+    cases.append(("B5|max", built_from_matroid(make_boolean(5), "max")))
+    facets = stable = 0
+    for name, bm in cases:
+        for s in maximal_nested_sets(bm):
+            assert len(s) == bm.rank - len(bm.maxg), (name, sorted(s))
+            assert is_nested(bm, s), (name, sorted(s))
+            facets += 1
+        if not bm.irreducible:
+            continue
+        for s, d in stable_descent_sets(bm):
+            assert is_nested(bm, s), (name, sorted(s))
+            dd = descent_set(bm, s)
+            assert dd.stable and dd.descents == d, (name, sorted(s))
+            stable += 1
+    assert (facets, stable) == (6717, 1574)
+
+
+def test_flag_test_by_masks_matches_clique_search():
+    """complex_stats decides flagness with the bitmask test; it agrees with
+    the clique search of the oracles on every corpus Γ-complex, on the
+    hollow triangle, which is not flag, and on every family of nonempty
+    subsets of {1, 2, 3, 4}, most of them not downward closed."""
+    from chowpoly.corpus import corpus
+    from chowpoly.nested import _flag_by_masks
+
+    verdicts = Counter()
+    for inst in corpus():
+        bm = inst.built
+        if not bm.irreducible:
+            continue
+        faces = gamma_complex(bm).complex.faces
+        flag = _flag_by_masks(faces)
+        assert flag == oracles.flag_by_cliques(faces), inst.name
+        verdicts[flag] += 1
+    assert verdicts == Counter({True: 170})
+    hollow = {frozenset(c) for k in range(3) for c in combinations((1, 2, 3), k)}
+    assert not _flag_by_masks(hollow) and not oracles.flag_by_cliques(hollow)
+    solid = hollow | {frozenset((1, 2, 3))}
+    assert _flag_by_masks(solid) and oracles.flag_by_cliques(solid)
+    odd = SimplicialComplex((1, 2, 3), frozenset(hollow - {frozenset((1,))}))
+    assert complex_stats(odd)[2] == oracles.flag_by_cliques(odd.faces)
+    subsets = [
+        frozenset(c) for k in range(1, 5) for c in combinations((1, 2, 3, 4), k)
+    ]
+    verdicts = Counter()
+    for pick in range(1 << len(subsets)):
+        faces = {c for i, c in enumerate(subsets) if pick >> i & 1}
+        flag = _flag_by_masks(faces)
+        assert flag == oracles.flag_by_cliques(faces), sorted(map(sorted, faces))
+        verdicts[flag] += 1
+    assert verdicts[True] and verdicts[False]
