@@ -409,7 +409,10 @@ def flag_nonface_witness(bm):
                 return got
         return None
 
-    return grow([], 0, 0)
+    try:
+        return grow([], 0, 0)
+    finally:
+        del grow  # grow refers to itself; without this the cycle keeps bm alive
 
 
 def is_flag(bm):
@@ -513,8 +516,9 @@ def binary_filtration(bm, small):
     - disjoint maximal elements below g leave no meeting pair joining to g;
     - two meeting maximal elements m1, m2 have m1 ∨ m2 = g by maximality.
     """
-    if not is_flag(bm):
-        raise NotFlag(flag_nonface_witness(bm))
+    witness = flag_nonface_witness(bm)
+    if witness is not None:
+        raise NotFlag(witness)
 
     def pick(lat, cur, small):
         cand = [f for f in cur - small if _removable(lat, cur, f)]

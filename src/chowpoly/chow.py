@@ -18,10 +18,16 @@ elements of a nested set are exactly the G-factors of their join
 one bottom-up pass over the lattice of flats.  For G_max this is the
 recursion of Ferroni–Matherne–Schulte–Vecchi.  The enumeration of supports
 survives only in fy_monomials, which the Ψ-fibers need.
+
+toric_hilbert_oracle stays in integers.  The linear forms are e_i - e_b0
+with b0 the least element of i's block of max G, so each pairs with a ray
+as 0 or +-1.  Face monomials of degree d extend those of degree d - 1 by
+one ray, checked by extends_nested once per new support.  Elimination is
+fraction-free: row <- a*row - b*pivot, then division by the gcd.
 """
 
-from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
+from math import gcd
 
 from .building import (
     BuiltMatroid,
@@ -45,13 +51,12 @@ from .errors import (
     Stuck,
     TooLarge,
 )
-from .lattice import bits, popcount
+from .lattice import bits
 from .nested import (
     completion,
     descent_set,
     extends_nested,
     factor_restrictions,
-    is_nested,
     link_decomposition,
     stable_descent_sets,
 )
@@ -89,7 +94,10 @@ def _supports(bm):
             if extends_nested(bm, chosen, v):
                 yield from go(i + 1, chosen + [v], gaps + [gap])
 
-    yield from go(0, [], [])
+    try:
+        yield from go(0, [], [])
+    finally:
+        del go  # go refers to itself; without this the cycle keeps bm alive
 
 
 def fy_monomials(bm):
@@ -239,99 +247,79 @@ def chow_by_filtration(bm, base=None, trace=False):
 # toric Hilbert oracle
 
 
-def _nullspace(rows, n):
-    """Basis of the rational nullspace of an integer matrix given as rows of
-    length n."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -mat[i][fc]
-        basis.append(v)
-    return basis
-
-
-def toric_hilbert_oracle(bm, max_rank=None):
+def toric_hilbert_oracle(bm):
     """Graded dimensions of the ray ring modulo the nonface ideal and the
-    linear forms vanishing on the lineality space; exact Gaussian elimination
-    per degree."""
-    lat = bm.lat
+    linear forms vanishing on the lineality space, by exact elimination per
+    degree.  Raises TooLarge beyond 12 rays or rank 5."""
+    n_rays = len(bm.bset) - len(bm.maxg)
+    if n_rays > 12 or bm.lat.rk > 5:
+        raise TooLarge((n_rays, bm.lat.rk))
+    return _toric_dims(bm)
+
+
+def _toric_dims(bm):
+    """The elimination behind toric_hilbert_oracle, with no cut-off.
+
+    The maximal elements of G are disjoint blocks covering the ground set,
+    so the forms e_i - e_b0, with b0 the least element of i's block and
+    i != b0, are a basis of the forms vanishing on the lineality space.
+    Their pairings with the rays are 0 or +-1, computed once per (form, ray).
+
+    A degree-d monomial is a nondecreasing tuple of ray indices, kept as
+    (key, last index, support mask) with key = sum of (top+1)**index.  It
+    extends a degree-(d-1) one by a ray at or after its last; a ray new to
+    the support must keep it nested, which extends_nested decides once per
+    support.  Rows stay integral: row <- a*row - b*pivot, with a and b the
+    leading entries of pivot and row, then division by the gcd of the
+    entries.  Both are invertible over Q, so each degree's rank is the rank
+    over Q.
+    """
     rays = sorted(bm.bset - set(bm.maxg))
-    top = bm.rank - len(bm.maxg) if max_rank is None else max_rank
-    if len(rays) > 12 or lat.rk > 5:
-        raise TooLarge((len(rays), lat.rk))
-    face = {frozenset(): True}
-
-    def is_face(supp):
-        if supp not in face:
-            face[supp] = is_nested(bm, supp)
-        return face[supp]
-
-    def face_monomials(d):
-        out = []
-        for combo in combinations_with_replacement(rays, d):
-            if is_face(frozenset(combo)):
-                out.append(combo)
-        return out
-
-    lin_rows = [[1 if (m >> i) & 1 else 0 for i in range(lat.n)] for m in bm.maxg]
-    forms = _nullspace(lin_rows, lat.n)
-
-    def pairing(form, flat):
-        return sum(form[i] for i in bits(flat))
-
-    dims = []
-    prev_mons = face_monomials(0)
-    dims.append(len(prev_mons))  # the empty monomial; no relations in deg 0
-    for d in range(1, top + 1):
-        mons = face_monomials(d)
-        index = {m: i for i, m in enumerate(mons)}
+    top = bm.rank - len(bm.maxg)
+    powers = [(top + 1) ** r for r in range(len(rays))]
+    pairings = []
+    for block in bm.maxg:
+        b0, *rest = bits(block)
+        for i in rest:
+            signs = [(g >> i & 1) - (g >> b0 & 1) for g in rays]
+            pairings.append([(r, c) for r, c in enumerate(signs) if c])
+    face = {0: True}
+    prev = [(0, 0, 0)]
+    dims = [1]  # the empty monomial; no relations in degree 0
+    for _ in range(top):
+        mons = []
+        for key, last, supp in prev:
+            for r in range(last, len(rays)):
+                s = supp | 1 << r
+                if s not in face:
+                    face[s] = extends_nested(bm, [rays[i] for i in bits(supp)], rays[r])
+                if face[s]:
+                    mons.append((key + powers[r], r, s))
+        index = {key: i for i, (key, _, _) in enumerate(mons)}
         pivots = {}
-        rank = 0
-        for mu in prev_mons:
-            for form in forms:
-                row = {}
-                for g in rays:
-                    c = pairing(form, g)
-                    if not c:
-                        continue
-                    m = tuple(sorted(mu + (g,)))
-                    if m in index:
-                        row[index[m]] = row.get(index[m], Fraction(0)) + c
-                row = {k: v for k, v in row.items() if v}
+        for key, _, _ in prev:
+            for pairing in pairings:
+                row = {}  # distinct rays give distinct monomials of mu
+                for r, c in pairing:
+                    i = index.get(key + powers[r])
+                    if i is not None:
+                        row[i] = c
                 while row:
                     lead = min(row)
-                    if lead in pivots:
-                        piv = pivots[lead]
-                        f = row[lead]
-                        for k, v in piv.items():
-                            row[k] = row.get(k, Fraction(0)) - f * v
-                        row = {k: v for k, v in row.items() if v}
-                    else:
-                        inv = 1 / row[lead]
-                        pivots[lead] = {k: v * inv for k, v in row.items()}
-                        rank += 1
-                        row = {}
-        dims.append(len(mons) - rank)
-        prev_mons = mons
+                    piv = pivots.get(lead)
+                    if piv is None:
+                        pivots[lead] = row
+                        break
+                    a, b = piv[lead], row[lead]
+                    row = {k: a * v for k, v in row.items()}
+                    for k, v in piv.items():
+                        row[k] = row.get(k, 0) - b * v
+                    row = {k: v for k, v in row.items() if v}
+                    div = gcd(*row.values())
+                    if div > 1:
+                        row = {k: v // div for k, v in row.items()}
+        dims.append(len(mons) - len(pivots))
+        prev = mons
     return normalize(dims)
 
 

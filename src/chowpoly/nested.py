@@ -185,7 +185,10 @@ def nested_complex(bm, variant="cN", max_faces=None):
             if extends_nested(bm, chosen, verts[i]):
                 go(i + 1, chosen + [verts[i]])
 
-    go(0, [])
+    try:
+        go(0, [])
+    finally:
+        del go  # go refers to itself; without this the cycle keeps bm alive
     return SimplicialComplex(vertices=tuple(verts), faces=frozenset(faces))
 
 

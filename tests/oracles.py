@@ -778,6 +778,114 @@ def flag_by_cliques(faces):
 
 
 # ---------------------------------------------------------------------------
+# the toric Hilbert oracle over Fraction, before integer elimination over
+# incrementally generated face monomials, as its reference
+
+
+def _nullspace(rows, n):
+    """Basis of the rational nullspace of an integer matrix given as rows of
+    length n."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -mat[i][fc]
+        basis.append(v)
+    return basis
+
+
+def toric_hilbert_oracle_ref(bm):
+    """Graded dimensions of the ray ring modulo the nonface ideal and the
+    linear forms vanishing on the lineality space; exact Gaussian elimination
+    per degree."""
+    from itertools import combinations_with_replacement
+
+    from chowpoly.errors import TooLarge
+    from chowpoly.lattice import bits
+    from chowpoly.nested import is_nested
+    from chowpoly.polynomials import normalize
+
+    lat = bm.lat
+    rays = sorted(bm.bset - set(bm.maxg))
+    top = bm.rank - len(bm.maxg)
+    if len(rays) > 12 or lat.rk > 5:
+        raise TooLarge((len(rays), lat.rk))
+    face = {frozenset(): True}
+
+    def is_face(supp):
+        if supp not in face:
+            face[supp] = is_nested(bm, supp)
+        return face[supp]
+
+    def face_monomials(d):
+        out = []
+        for combo in combinations_with_replacement(rays, d):
+            if is_face(frozenset(combo)):
+                out.append(combo)
+        return out
+
+    lin_rows = [[1 if (m >> i) & 1 else 0 for i in range(lat.n)] for m in bm.maxg]
+    forms = _nullspace(lin_rows, lat.n)
+
+    def pairing(form, flat):
+        return sum(form[i] for i in bits(flat))
+
+    dims = []
+    prev_mons = face_monomials(0)
+    dims.append(len(prev_mons))  # the empty monomial; no relations in deg 0
+    for d in range(1, top + 1):
+        mons = face_monomials(d)
+        index = {m: i for i, m in enumerate(mons)}
+        pivots = {}
+        rank = 0
+        for mu in prev_mons:
+            for form in forms:
+                row = {}
+                for g in rays:
+                    c = pairing(form, g)
+                    if not c:
+                        continue
+                    m = tuple(sorted(mu + (g,)))
+                    if m in index:
+                        row[index[m]] = row.get(index[m], Fraction(0)) + c
+                row = {k: v for k, v in row.items() if v}
+                while row:
+                    lead = min(row)
+                    if lead in pivots:
+                        piv = pivots[lead]
+                        f = row[lead]
+                        for k, v in piv.items():
+                            row[k] = row.get(k, Fraction(0)) - f * v
+                        row = {k: v for k, v in row.items() if v}
+                    else:
+                        inv = 1 / row[lead]
+                        pivots[lead] = {k: v * inv for k, v in row.items()}
+                        rank += 1
+                        row = {}
+        dims.append(len(mons) - rank)
+        prev_mons = mons
+    return normalize(dims)
+
+
+# ---------------------------------------------------------------------------
 # binary trees by recursive splitting (independent of leaf insertion)
 
 

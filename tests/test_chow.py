@@ -14,6 +14,7 @@ from chowpoly.building import BuiltMatroid, extend, is_complete
 from chowpoly.nested import maximal_nested_sets, stable_maximal_nested_sets
 from chowpoly.chow import (
     _CHOW_MEMO,
+    _toric_dims,
     chow_by_deletion,
     chow_by_filtration,
     chow_polynomial,
@@ -184,6 +185,30 @@ def test_toric_agrees_and_guards():
         assert toric_hilbert_oracle(bm) == chow_polynomial(bm), name
     with pytest.raises(TooLarge):
         toric_hilbert_oracle(built_from_matroid(make_boolean(6), "max"))
+
+
+def test_toric_oracle_matches_fraction_reference_on_corpus():
+    from chowpoly.corpus import corpus
+
+    for inst in corpus():
+        try:
+            want = oracles.toric_hilbert_oracle_ref(inst.built)
+        except TooLarge as exc:
+            with pytest.raises(TooLarge) as got:
+                toric_hilbert_oracle(inst.built)
+            assert got.value.args == exc.args, inst.name
+        else:
+            assert toric_hilbert_oracle(inst.built) == want, inst.name
+
+
+def test_toric_elimination_beyond_the_cutoff():
+    for name, bm in [
+        ("Pi5min", built_from_matroid(make_partition(5), "min")),
+        ("U46max", built_from_matroid(make_uniform(4, 6), "max")),
+    ]:
+        with pytest.raises(TooLarge):
+            toric_hilbert_oracle(bm)
+        assert _toric_dims(bm) == chow_polynomial(bm), name
 
 
 def test_gamma_by_descents_goldens():

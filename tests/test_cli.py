@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: JSON in, canonical JSON out, exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -326,9 +327,11 @@ def test_bad_order_and_non_simple_are_invalid_input(capsys, tmp_path, doc):
         assert capsys.readouterr().out == ""
 
 
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+
 def test_bad_order_is_invalid_input_under_optimize():
-    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "chowpoly.cli", "chow", "--spec", "-"],
         input=json.dumps(BAD_ORDER),
@@ -340,3 +343,25 @@ def test_bad_order_is_invalid_input_under_optimize():
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: BadParameters")
+
+
+# sha256 of each command's stdout.  Performance work must leave these bytes
+# unchanged; a change that alters them on purpose updates the digest.
+STDOUT_SHA256 = {
+    ("chow", "--corpus"): "60b0dd358e0181911e8d2bc564078fc3bf177227ae76c904729393610a8556ff",
+    ("gamma", "--corpus"): "971123acd018a43205283dc954a50c13bcf441ab1ac67d5dde689278f6320821",
+    ("m0n", "--n", "7"): "6b36eb24fe7a416bcc81347ed87b1a5d74215f58cb292a068843408aa5b02ed6",
+}
+
+
+@pytest.mark.parametrize("argv", list(STDOUT_SHA256), ids=" ".join)
+def test_stdout_bytes_are_pinned(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "chowpoly.cli", *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[argv]

@@ -1,9 +1,11 @@
 """Nested sets, the nested complex, links/composition/completion, descents,
 and the Γ-complex, cross-checked against brute-force oracles."""
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from itertools import combinations
 
@@ -12,7 +14,8 @@ import pytest
 import oracles
 from helpers import b4_flag_built, mask_of, masks_of, set_of, sets_of
 
-from chowpoly.building import BuiltMatroid, g_min, is_complete
+from chowpoly.building import BuiltMatroid, flag_nonface_witness, g_min, is_complete
+from chowpoly.chow import _supports
 from chowpoly.errors import (
     BadParameters,
     NotIrreducible,
@@ -527,3 +530,28 @@ def test_flag_test_by_masks_matches_clique_search():
         assert flag == oracles.flag_by_cliques(faces), sorted(map(sorted, faces))
         verdicts[flag] += 1
     assert verdicts[True] and verdicts[False]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        flag_nonface_witness,
+        nested_complex,
+        maximal_nested_sets,
+        lambda bm: list(_supports(bm)),
+        lambda bm: next(_supports(bm)),
+    ],
+    ids=["flag-witness", "nested-complex", "facets", "supports", "supports-partial"],
+)
+def test_recursive_walks_leave_no_cycle_holding_the_built_matroid(call):
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        bm = built_from_matroid(make_uniform(3, 5), "max")
+        call(bm)
+        ref = weakref.ref(bm)
+        del bm
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
