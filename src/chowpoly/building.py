@@ -385,32 +385,32 @@ def find_complete_order(bm):
 
 def flag_nonface_witness(bm):
     """An antichain of size >= 3 with pairwise joins outside the building set
-    whose total join lies inside it, or None if the complex is flag."""
-    lat = bm.lat
-    members = sorted(bm.bset, key=lambda f: (lat.rank_of(f), f))
+    whose total join lies inside it, or None if the complex is flag.
 
-    def grow(chosen, join_so_far, start):
-        if len(chosen) >= 3 and join_so_far in bm.bset:
+    The search carries the union of the chosen flats and skips a candidate
+    c that meets it.  That skips nothing the pairwise test would accept:
+    if c meets a chosen a, then a ∧ c is a nonempty flat, so it is not the
+    bottom, and either a and c are comparable or, by the join-closure
+    axiom, a ∨ c lies in the building set.  Two disjoint flats of the
+    building set are never comparable, so only the join needs a look."""
+    lat = bm.lat
+    bset = bm.bset
+    members = sorted(bset, key=lambda f: (lat.rank_of(f), f))
+
+    def grow(chosen, union, join_so_far, start):
+        if len(chosen) >= 3 and join_so_far in bset:
             return list(chosen)
         for i in range(start, len(members)):
             c = members[i]
-            ok = True
-            for a in chosen:
-                if a & ~c == 0 or c & ~a == 0:
-                    ok = False
-                    break
-                if lat.join(a, c) in bm.bset:
-                    ok = False
-                    break
-            if not ok:
+            if c & union or any(lat.join(a, c) in bset for a in chosen):
                 continue
-            got = grow(chosen + [c], lat.join(join_so_far, c), i + 1)
+            got = grow(chosen + [c], union | c, lat.join(join_so_far, c), i + 1)
             if got:
                 return got
         return None
 
     try:
-        return grow([], 0, 0)
+        return grow([], 0, 0, 0)
     finally:
         del grow  # grow refers to itself; without this the cycle keeps bm alive
 

@@ -2,8 +2,9 @@
 
 A nested set is a frozenset of building-set flats in which every antichain of
 size >= 2 has join outside the building set.  Maximal nested sets (facets) are
-enumerated by a tree recursion through rank-1 local intervals; the brute-force
-subset filter lives in the test oracles.
+enumerated by a tree recursion through rank-1 local intervals, and the stable
+facets by the same recursion, pruned as it goes; the brute-force subset filter
+and the filter of every facet by its descent data live in the test oracles.
 """
 
 from dataclasses import dataclass
@@ -57,8 +58,9 @@ def is_nested(bm, s):
 
 
 def _nested_antichains(bm, candidates, target_rank):
-    """Antichains of pairwise-disjoint candidates, all sub-joins outside the
-    building set, with total join rank == target_rank.
+    """(antichain, join) for the antichains of pairwise-disjoint candidates,
+    all sub-joins outside the building set, with total join rank ==
+    target_rank.
 
     Disjointness is forced: a meeting incomparable pair would have its join in
     the building set by the join-closure axiom, breaking nestedness.
@@ -69,7 +71,7 @@ def _nested_antichains(bm, candidates, target_rank):
 
     def go(start, chosen, union, subjoins, total, total_rank):
         if total_rank == target_rank:
-            out.append(tuple(chosen))
+            out.append((tuple(chosen), total))
             # adding further disjoint flats would raise the join rank
         for i in range(start, len(cands)):
             c = cands[i]
@@ -106,15 +108,30 @@ def _nested_antichains(bm, candidates, target_rank):
     return out
 
 
+def _child_table(bm, g):
+    """(children, position of λ(g)) for every way to saturate the tree
+    below g: the children are a nested antichain A under g with join of
+    rank rk g - 1, and λ(g) = least(g ∖ ∨A) is the label g has in every
+    facet where A are its children.  Cached per g, so the facets and the
+    stable lister share one table."""
+    table = _cache(bm).setdefault("children", {})
+    if g not in table:
+        below = [h for h in bm.bset if h != g and h & ~g == 0]
+        pos = bm.pos
+        table[g] = [
+            (a, min(pos[e] for e in bits(g & ~j)))
+            for a, j in _nested_antichains(bm, below, bm.lat.rank_of(g) - 1)
+        ]
+    return table[g]
+
+
 def _subtree_facets(bm, g, memo):
     """All saturated nested subtrees rooted at g (g included), as frozensets;
     memo keeps them per root for one enumeration only."""
     if g not in memo:
-        target = bm.lat.rank_of(g) - 1
-        below = [h for h in bm.bset if h != g and h & ~g == 0]
         out = []
-        for chain_children in _nested_antichains(bm, below, target):
-            branches = [_subtree_facets(bm, b, memo) for b in chain_children]
+        for children, _ in _child_table(bm, g):
+            branches = [_subtree_facets(bm, b, memo) for b in children]
             out.extend(frozenset((g,)).union(*combo) for combo in product(*branches))
         memo[g] = out
     return memo[g]
@@ -394,21 +411,60 @@ def _descent_data(bm, s):
 
 
 def stable_descent_sets(bm):
-    """(facet, descent set) for every stable facet, in facet order.
+    """(facet, descent set) for every stable facet, each once, in the order
+    the recursion below builds them.
 
-    One pass reads each facet's descent data once, without `descent_set`'s
-    input check (`maximal_nested_sets` builds only facets); the pairs are
-    cached next to the facets, so the descent formula, the Γ-complex and
-    the ψ-fibers share it.  The result is the cached tuple itself."""
+    A facet is a tree: the children of g are the maximal facet elements
+    below it, one antichain of `_child_table(bm, g)`, which also fixes λ(g).
+    So whether g is a descent depends only on that entry and on the
+    position p of its parent's λ, and whether g is a bottom or a double only
+    on that and on which of its children are descents.  The recursion walks
+    the tree of `_subtree_facets` with the state (g, p) and returns the
+    stable subtrees below g, memoised on (g, p).  Under a descent it drops
+    every choice of subtrees whose roots are all descents: a double, or a
+    bottom when there are no children.  The top flat, which is never a
+    descent, starts with p past every position.  Every subtree it keeps is
+    stable and every stable subtree is built, once, so no unstable facet is
+    listed.  A subtree is the node (g, g is a descent, child subtrees),
+    which shares its children with every other subtree built on them; each
+    stable facet is read off its tree once, at the end.
+
+    The pairs are cached, so the descent formula, the Γ-complex and the
+    ψ-fibers share one recursion.  The result is the cached tuple itself."""
     if not bm.irreducible:
         raise NotIrreducible("descents need an irreducible built matroid")
     cache = _cache(bm)
     if "stable" not in cache:
+        memo = {}
+
+        def go(g, p):
+            if (g, p) not in memo:
+                out = []
+                for children, lpos in _child_table(bm, g):
+                    desc = lpos > p
+                    for combo in product(*[go(c, lpos) for c in children]):
+                        if desc and all(sub[1] for sub in combo):
+                            continue  # a double, or a bottom if no children
+                        out.append((g, desc, combo))
+                memo[g, p] = out
+            return memo[g, p]
+
+        try:
+            (top,) = bm.maxg
+            trees = go(top, bm.n)
+        finally:
+            del go  # go refers to itself; without this the cycle keeps bm alive
         pairs = []
-        for s in maximal_nested_sets(bm):
-            dd = _descent_data(bm, s)
-            if dd.stable:
-                pairs.append((s, dd.descents))
+        for _, _, combo in trees:
+            flats, descents = [], []
+            stack = list(combo)
+            while stack:
+                g, desc, sub = stack.pop()
+                flats.append(g)
+                if desc:
+                    descents.append(g)
+                stack.extend(sub)
+            pairs.append((frozenset(flats), frozenset(descents)))
         cache["stable"] = tuple(pairs)
     return cache["stable"]
 

@@ -386,6 +386,21 @@ def descent_data_by_join(bm, s):
     )
 
 
+def stable_descent_sets_ref(bm):
+    """(facet, descent set) for every stable facet, in facet order: every
+    facet of `maximal_nested_sets` is built and its descent data read once,
+    and the unstable ones are dropped.  This was the package's own pass
+    before the stable facets were listed by a pruned recursion."""
+    from chowpoly.nested import _descent_data, maximal_nested_sets
+
+    pairs = []
+    for s in maximal_nested_sets(bm):
+        dd = _descent_data(bm, s)
+        if dd.stable:
+            pairs.append((s, dd.descents))
+    return tuple(pairs)
+
+
 def descents_have_rank1_local(bm, descents):
     """Whether the descent set, viewed as a nested set, has a local interval
     of rank 1.
@@ -752,6 +767,39 @@ def lattice_of_flats_ref(m):
         frontier = nxt
     items = sorted(seen.items(), key=lambda t: (t[1], t[0]))
     return [f for f, _ in items], [r for _, r in items]
+
+
+def flag_nonface_witness_ref(bm):
+    """`building.flag_nonface_witness` before it carried the union of the
+    chosen flats: every candidate is tested against every chosen flat for
+    comparability and for a join inside the building set."""
+    lat = bm.lat
+    members = sorted(bm.bset, key=lambda f: (lat.rank_of(f), f))
+
+    def grow(chosen, join_so_far, start):
+        if len(chosen) >= 3 and join_so_far in bm.bset:
+            return list(chosen)
+        for i in range(start, len(members)):
+            c = members[i]
+            ok = True
+            for a in chosen:
+                if a & ~c == 0 or c & ~a == 0:
+                    ok = False
+                    break
+                if lat.join(a, c) in bm.bset:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            got = grow(chosen + [c], lat.join(join_so_far, c), i + 1)
+            if got:
+                return got
+        return None
+
+    try:
+        return grow([], 0, 0)
+    finally:
+        del grow
 
 
 def flag_by_cliques(faces):

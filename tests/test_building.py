@@ -1,6 +1,8 @@
 """Building sets, built matroids, minors, extensions, completeness and
 flagness, cross-checked against the brute-force oracles."""
 
+from collections import Counter
+
 import pytest
 
 import oracles
@@ -220,6 +222,19 @@ def test_gmax_is_flag_and_complete():
         bm = built_from_matroid(m, "max")
         assert is_flag(bm)
         assert is_complete(bm)
+
+
+def test_flag_witness_matches_pairwise_search_on_corpus():
+    """The union-pruned search returns the very witness of the pairwise
+    search, or None with it, on every corpus instance."""
+    from chowpoly.corpus import corpus
+
+    verdicts = Counter()
+    for inst in corpus():
+        w = flag_nonface_witness(inst.built)
+        assert w == oracles.flag_nonface_witness_ref(inst.built), inst.name
+        verdicts[w is None] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_flag_witness_u34_atoms_plus_full():

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -345,19 +346,43 @@ def test_bad_order_is_invalid_input_under_optimize():
     assert proc.stderr.startswith("error: BadParameters")
 
 
+# Specs that the pinned commands below name after --spec.
+B3_MAX_BLOCKS = [
+    list(c)
+    for block in ((0, 1, 2), (3, 4, 5))
+    for k in (1, 2, 3)
+    for c in itertools.combinations(block, k)
+]
+PINNED_SPECS = {
+    "Pi7|min": {"matroid": {"type": "partition", "n": 7}, "building_set": "min"},
+    "B6|max": {"matroid": {"type": "boolean", "n": 6}, "building_set": "max"},
+    "B3|max+B3|max": {
+        "matroid": {"type": "boolean", "n": 6},
+        "building_set": B3_MAX_BLOCKS,
+    },
+}
+GAMMA_ALL = ("gamma", "--with-descents", "--with-complex", "--spec")
+
 # sha256 of each command's stdout.  Performance work must leave these bytes
 # unchanged; a change that alters them on purpose updates the digest.
 STDOUT_SHA256 = {
     ("chow", "--corpus"): "60b0dd358e0181911e8d2bc564078fc3bf177227ae76c904729393610a8556ff",
     ("gamma", "--corpus"): "971123acd018a43205283dc954a50c13bcf441ab1ac67d5dde689278f6320821",
     ("m0n", "--n", "7"): "6b36eb24fe7a416bcc81347ed87b1a5d74215f58cb292a068843408aa5b02ed6",
+    (*GAMMA_ALL, "Pi7|min"): "aebbba0049d00602bcf8b3bf5620b680f53c95537312b54ad3e0707ede17350f",
+    (*GAMMA_ALL, "B6|max"): "8fde96dcc40b984da4c1d65b52d42d9f0b81b9d10bced4406655e8023ca6d00c",
+    (*GAMMA_ALL, "B3|max+B3|max"): "72444bb1de0d1f68c93335cd5ebcdab4d1736299b78db255a157770846f72da7",
 }
 
 
 @pytest.mark.parametrize("argv", list(STDOUT_SHA256), ids=" ".join)
-def test_stdout_bytes_are_pinned(argv):
+def test_stdout_bytes_are_pinned(argv, tmp_path):
+    args = list(argv)
+    if "--spec" in args:
+        i = args.index("--spec") + 1
+        args[i] = spec_arg(tmp_path, PINNED_SPECS[args[i]])
     proc = subprocess.run(
-        [sys.executable, "-m", "chowpoly.cli", *argv],
+        [sys.executable, "-m", "chowpoly.cli", *args],
         capture_output=True,
         env=dict(os.environ, PYTHONPATH=SRC),
         timeout=300,

@@ -46,6 +46,7 @@ from chowpoly.nested import (
     maximal_nested_sets,
     nested_complex,
     new_factor,
+    stable_descent_sets,
     stable_maximal_nested_sets,
 )
 
@@ -300,7 +301,10 @@ def test_descent_set_matches_join_loop_reference():
     assert facets > 5000
 
 
-def test_descent_pass_runs_once_per_facet(monkeypatch):
+def test_stable_pairs_are_built_once_per_built_matroid(monkeypatch):
+    """The descent formula, the Γ-complex and the ψ-fibers share one build
+    of the stable pairs per built matroid, and none of them lists the
+    facets."""
     import chowpoly.nested as nested
     from chowpoly.chow import (
         gamma_by_descents,
@@ -308,20 +312,28 @@ def test_descent_pass_runs_once_per_facet(monkeypatch):
         psi_fibers,
     )
 
+    class Recording(dict):
+        def __init__(self):
+            super().__init__()
+            self.filled = Counter()
+
+        def __setitem__(self, key, value):
+            self.filled[key] += 1
+            super().__setitem__(key, value)
+
+    def recording_cache(bm):
+        if not hasattr(bm, "_nested_cache"):
+            bm._nested_cache = Recording()
+        return bm._nested_cache
+
+    monkeypatch.setattr(nested, "_cache", recording_cache)
     bm = built_from_matroid(make_partition(5), "min")
-    calls = Counter()
-    real = nested._descent_data
-
-    def counted(bm, s):
-        calls[s] += 1
-        return real(bm, s)
-
-    monkeypatch.setattr(nested, "_descent_data", counted)
     gamma = gamma_by_descents(bm)
     rep = gamma_complex(bm)
     psi_fibers(bm)
     stable = stable_maximal_nested_sets(bm)
-    assert calls == Counter(maximal_nested_sets(bm))
+    assert bm._nested_cache.filled["stable"] == 1
+    assert "facets" not in bm._nested_cache.filled
     assert sorted(rep.descent_counts.items()) == list(enumerate(gamma))
     stable.clear()  # callers get a fresh list, not the cache
     assert len(stable_maximal_nested_sets(bm)) == sum(gamma)
@@ -331,10 +343,42 @@ def test_descent_pass_runs_once_per_facet(monkeypatch):
     blocks = (0b000111, 0b111000)
     bset = frozenset(f for f in b6.flats if f and any(f & ~b == 0 for b in blocks))
     red = BuiltMatroid(b6, bset)
-    calls.clear()
     gamma_by_descents_factored(red)
     gamma_fvector(red)
-    assert sum(calls.values()) == 12
+    factors = nested.factor_restrictions(red)
+    assert red._nested_cache.filled["factors"] == 1
+    assert [f._nested_cache.filled["stable"] for f in factors] == [1, 1]
+    assert not any("facets" in f._nested_cache.filled for f in factors)
+    assert [len(stable_descent_sets(f)) for f in factors] == [3, 3]
+
+
+def test_stable_descent_sets_match_facet_filter_reference():
+    """The pruned recursion lists the same (facet, descent set) pairs as
+    filtering every facet by its descent data, and no facet twice: every
+    irreducible corpus instance in its own order and reversed, plus three
+    larger instances."""
+    from chowpoly.corpus import corpus
+
+    cases = []
+    for inst in corpus():
+        bm = inst.built
+        if bm.irreducible:
+            reversed_ = type(bm)(bm.lat, bm.bset, tuple(reversed(bm.order)))
+            cases += [(inst.name, bm), (inst.name + " reversed", reversed_)]
+    cases += [
+        ("Pi6|min", built_from_matroid(make_partition(6), "min")),
+        ("B6|max", built_from_matroid(make_boolean(6), "max")),
+        ("U(4,7)|max", built_from_matroid(make_uniform(4, 7), "max")),
+    ]
+    assert len(cases) == 343
+    pairs = 0
+    for name, bm in cases:
+        got = stable_descent_sets(bm)
+        facets = [s for s, _ in got]
+        assert len(set(facets)) == len(facets), name
+        assert set(got) == set(oracles.stable_descent_sets_ref(bm)), name
+        pairs += len(got)
+    assert pairs > 2000
 
 
 def test_descent_error_raises():
@@ -471,9 +515,9 @@ def test_balanced_single_vertex():
 
 
 def test_enumerated_facets_pass_the_full_nested_check_on_corpus():
-    """maximal_nested_sets and the shared descent pass skip is_nested: here
-    every facet they give gets the full check, and the pass's descent sets
-    equal those of descent_set, which checks its input."""
+    """maximal_nested_sets and the stable-facet recursion skip is_nested:
+    here every facet they give gets the full check, and the recursion's
+    descent sets equal those of descent_set, which checks its input."""
     from chowpoly.corpus import corpus
     from chowpoly.nested import stable_descent_sets
 
@@ -540,8 +584,18 @@ def test_flag_test_by_masks_matches_clique_search():
         maximal_nested_sets,
         lambda bm: list(_supports(bm)),
         lambda bm: next(_supports(bm)),
+        stable_descent_sets,
+        gamma_complex,
     ],
-    ids=["flag-witness", "nested-complex", "facets", "supports", "supports-partial"],
+    ids=[
+        "flag-witness",
+        "nested-complex",
+        "facets",
+        "supports",
+        "supports-partial",
+        "stable-pairs",
+        "gamma-complex",
+    ],
 )
 def test_recursive_walks_leave_no_cycle_holding_the_built_matroid(call):
     was_enabled = gc.isenabled()
