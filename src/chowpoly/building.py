@@ -48,6 +48,11 @@ def validate_building_set(lat, s):
     """Check s is a building set on lat; returns it as a frozenset.
 
     Raises MissingIrreducible(F) or JoinClosureViolation((G, G')) on failure.
+
+    One pass up the covers decides acceptance (`_splits_outside`).  Only a
+    rejected s pays for the scans below, which name the witness: the first
+    irreducible flat missing from s, else the first meeting pair of members
+    whose join leaves s, both in sorted order.
     """
     s = frozenset(s)
     for f in s:
@@ -55,6 +60,8 @@ def validate_building_set(lat, s):
             raise NotAFlat(f"{f:b} is not a flat")
         if f == 0:
             raise NotAFlat("the bottom flat cannot belong to a building set")
+    if _splits_outside(lat, s):
+        return s
     for f in sorted(g_min(lat)):
         if f not in s:
             raise MissingIrreducible(f)
@@ -65,6 +72,42 @@ def validate_building_set(lat, s):
                 if lat.join(a, b) not in s:
                     raise JoinClosureViolation((a, b))
     return s
+
+
+def _splits_outside(lat, s):
+    """Whether every nonzero flat F outside s is split by its tops: they are
+    pairwise disjoint, their union is F and their ranks add up to rk F.
+
+    tops(F) is (F,) for F in s, and otherwise the maximal elements among the
+    tops of F's lower covers, so it is the set of maximal elements of s
+    below F.  One pass in (rank, mask) order, as in
+    `GeomLattice._factor_table`.  A True answer makes s a building set
+    (Feichtner–Kozlov 2004):
+    - F outside s is split into k >= 2 parts with additive ranks, so it is
+      reducible, and every irreducible flat lies in s;
+    - meeting a, b in s with a ∨ b = F outside s lie under one top m of F,
+      because the tops are disjoint, so a ∨ b <= m < F: no such pair.
+    A building set always passes, since its maximal elements below F are
+    the factors of F."""
+    below = [[] for _ in lat.flats]
+    for i, (f, r) in enumerate(zip(lat.flats, lat.ranks)):
+        if f in s:
+            tops = (f,)
+        else:
+            tops = maximal(set(below[i]))
+            union = 0
+            for g in tops:
+                union |= g
+            if (
+                union != f
+                or sum(map(popcount, tops)) != popcount(f)
+                or sum(lat.rank_of(g) for g in tops) != r
+            ):
+                return False
+        below[i] = None
+        for j in lat.covers_up[i]:
+            below[j].extend(tops)
+    return True
 
 
 def factors_in(lat, s, f):
@@ -221,7 +264,18 @@ def contract(bm, f):
 
 
 def delete_element(bm, e):
-    """Single-element deletion (bit e dropped, higher bits shifted down)."""
+    """Single-element deletion (bit e dropped, higher bits shifted down).
+
+    The deleted building set G∖e is the set of nonzero flats F′ of M∖e with
+    cl_M(F′) in G.  It is not validated, because it cannot fail when G is a
+    building set of the simple lattice of M (the BuiltMatroid invariant):
+    - M∖e is simple and the new order permutes its elements;
+    - if F′ is irreducible in M∖e, then M|F′ is connected, and so is
+      cl_M(F′), which adds at most e, spanned by F′: cl_M(F′) lies in G;
+    - if F′ and H′ in G∖e meet, then cl_M(F′) and cl_M(H′) in G meet, and
+      cl_M(cl_{M∖e}(F′ ∪ H′)) = cl_M(F′ ∪ H′) = cl_M(F′) ∨ cl_M(H′) lies
+      in G, so the join of F′ and H′ in M∖e lies in G∖e.
+    """
     if type(e) is not int or not 0 <= e < bm.n:
         raise BadParameters(f"element {e!r} outside 0..{bm.n - 1}")
     from .lattice import delete_lattice
@@ -237,7 +291,7 @@ def delete_element(bm, e):
         f for f in sub.flats if f and lat.closure(lift(f)) in bm.bset
     )
     order = tuple(x if x < e else x - 1 for x in bm.order if x != e)
-    return BuiltMatroid(sub, bset, order)
+    return BuiltMatroid(sub, bset, order, validate=False)
 
 
 def extend(bm, cut, validate_cut=True):
@@ -245,8 +299,9 @@ def extend(bm, cut, validate_cut=True):
     appended as n and becomes the order-greatest element.
 
     The cut may be empty (the new element is a coloop).  Raises ImproperCut if
-    the bottom flat lies in the cut and NotGCompatible if some minimal cut
-    element is outside the building set.
+    the bottom flat lies in the cut, NotGCompatible if some minimal cut
+    element is outside the building set, and CutContainsAtom if the cut holds
+    an atom (the new element would be parallel to it).
     """
     lat = bm.lat
     if isinstance(cut, ModularCut):
@@ -261,6 +316,9 @@ def extend(bm, cut, validate_cut=True):
     for f in sorted(minimal(cutset)):
         if f not in bm.bset:
             raise NotGCompatible(f)
+    atoms = sorted(f for f in cutset if lat.rank_of(f) == 1)
+    if atoms:
+        raise CutContainsAtom(atoms)
     n = bm.n
     bit = 1 << n
     collar = {
@@ -282,7 +340,6 @@ def extend(bm, cut, validate_cut=True):
     order = bm.order + (n,)
     out = BuiltMatroid(big, frozenset(bset), order, validate=False)
     validate_building_set(big, out.bset)
-    assert big.simple(), "extension along an atom-containing cut is not simple"
     return out
 
 

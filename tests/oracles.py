@@ -419,6 +419,31 @@ def descents_have_rank1_local(bm, descents):
 # building-set cross-checks on package objects, and the reference relabelers
 
 
+def validate_building_set_ref(lat, s):
+    """`building.validate_building_set` before its pass up the covers: the
+    irreducible flats from `g_min`, then a lattice join for every meeting
+    incomparable pair of members.  Same errors, same witnesses."""
+    from chowpoly.building import g_min
+    from chowpoly.errors import JoinClosureViolation, MissingIrreducible, NotAFlat
+
+    s = frozenset(s)
+    for f in s:
+        if not lat.is_flat(f):
+            raise NotAFlat(f"{f:b} is not a flat")
+        if f == 0:
+            raise NotAFlat("the bottom flat cannot belong to a building set")
+    for f in sorted(g_min(lat)):
+        if f not in s:
+            raise MissingIrreducible(f)
+    members = sorted(s)
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            if a & b and not (a & ~b == 0 or b & ~a == 0):
+                if lat.join(a, b) not in s:
+                    raise JoinClosureViolation((a, b))
+    return s
+
+
 def building_set_structural_check(lat, s):
     """Definition via interval products: for every flat F with factors
     G_1..G_k, ranks add up and every flat below F is the join of its meets

@@ -1,6 +1,10 @@
 """Building sets, built matroids, minors, extensions, completeness and
 flagness, cross-checked against the brute-force oracles."""
 
+import os
+import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -28,6 +32,7 @@ from chowpoly.building import (
     validate_building_set,
 )
 from chowpoly.errors import (
+    ChowpolyError,
     CutContainsAtom,
     ImproperCut,
     JoinClosureViolation,
@@ -90,6 +95,59 @@ def test_validate_rejections():
         validate_building_set(lat, {0b001, 0b010})  # atom 2 missing
     with pytest.raises(JoinClosureViolation):
         validate_building_set(lat, {0b001, 0b010, 0b100, 0b011, 0b101})
+
+
+def _outcome(fn, lat, s):
+    """What fn(lat, s) returns, or the type and args of what it raises."""
+    try:
+        return fn(lat, s)
+    except ChowpolyError as e:
+        return type(e), e.args
+
+
+def test_validate_matches_reference_validator():
+    """The pass up the covers against the pairwise reference: the same
+    result, or the same error with the same witness, on every corpus lattice
+    with its own G, G_min and G_max, on seeded mutations of those that add or
+    drop 1-4 flats, and on every family of nonzero flats of three non-simple
+    lattices."""
+    from chowpoly.corpus import corpus
+
+    rng = random.Random(9)
+    cases = []
+    for inst in corpus():
+        lat = inst.built.lat
+        nz = [f for f in lat.flats if f]
+        for base in (inst.built.bset, g_min(lat), g_max(lat)):
+            cases.append((lat, base))
+            for _ in range(6):
+                s = set(base)
+                for _ in range(rng.randint(1, 4)):
+                    rest = [f for f in nz if f not in s]
+                    if s and (not rest or rng.random() < 0.5):
+                        s.discard(rng.choice(sorted(s)))
+                    else:
+                        s.add(rng.choice(rest))
+                cases.append((lat, frozenset(s)))
+    for m in (
+        make_uniform(1, 3),
+        make_graphic([(0, 1), (0, 1), (1, 2), (1, 2), (0, 2)]),
+        make_graphic([(0, 1), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    ):
+        lat = lattice_of_flats(m)
+        assert not lat.simple()
+        nz = [f for f in lat.flats if f]
+        for pick in range(1 << len(nz)):
+            s = frozenset(f for i, f in enumerate(nz) if pick >> i & 1)
+            cases.append((lat, s))
+    rejected = Counter()
+    for lat, s in cases:
+        want = _outcome(oracles.validate_building_set_ref, lat, s)
+        assert _outcome(validate_building_set, lat, s) == want, sets_of(s)
+        if want != s:
+            rejected[want[0].__name__] += 1
+    assert len(cases) == 21211
+    assert rejected == {"MissingIrreducible": 18596, "JoinClosureViolation": 584}
 
 
 def test_built_matroid_attributes():
@@ -180,6 +238,48 @@ def test_extend_rejections():
     atom_cut = frozenset(f for f in lat.flats if 1 & ~f == 0)
     with pytest.raises(CutContainsAtom):
         truncate(built_from_matroid(make_boolean(3), "max"), atom_cut)
+    # B2|max along {{0}, {0,1}}: the new element would be parallel to 0
+    with pytest.raises(CutContainsAtom) as err:
+        extend(built_from_matroid(make_boolean(2), "max"), {0b01, 0b11})
+    assert err.value.args == ([0b01],)
+
+
+def test_extend_atom_cut_is_typed_under_optimize():
+    code = (
+        "from chowpoly import built_from_matroid, make_boolean\n"
+        "from chowpoly.building import extend\n"
+        "from chowpoly.errors import CutContainsAtom\n"
+        "try:\n"
+        "    extend(built_from_matroid(make_boolean(2), 'max'), {0b01, 0b11})\n"
+        "except CutContainsAtom as e:\n"
+        "    print(e.args)\n"
+    )
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "([1],)\n"
+
+
+def test_delete_element_results_are_building_sets_on_corpus():
+    """delete_element skips validating its result (proof in its docstring):
+    here every deletion of every corpus instance gets the full check."""
+    from chowpoly.corpus import corpus
+
+    deletions = 0
+    for inst in corpus():
+        bm = inst.built
+        for e in range(bm.n):
+            d = delete_element(bm, e)
+            BuiltMatroid(d.lat, d.bset, d.order)  # simple lattice, order
+            assert oracles.validate_building_set_ref(d.lat, d.bset) == d.bset
+            deletions += 1
+    assert deletions == 990
 
 
 def test_tl_chain_follows_order():

@@ -190,6 +190,24 @@ def test_check_building_set_witness(capsys, tmp_path):
     }
 
 
+def test_check_building_set_join_witness(capsys, tmp_path):
+    """B3 with {0}, {1}, {2}, {0,1}, {1,2}: {0,1} and {1,2} meet and join to
+    the top, which is missing.  Bytes and exit code pinned."""
+    doc = {
+        "matroid": {"type": "boolean", "n": 3},
+        "building_set": [[0], [1], [2], [0, 1], [1, 2]],
+    }
+    code, out = run(
+        capsys,
+        ["check", "--spec", spec_arg(tmp_path, doc), "--what", "building-set"],
+    )
+    assert code == 3
+    assert out == (
+        '{"check":"building-set","error":"JoinClosureViolation","ok":false,'
+        '"witness":[[0,1],[1,2]]}\n'
+    )
+
+
 def test_check_modular_cut(capsys, tmp_path):
     base = {"matroid": {"type": "boolean", "n": 3}, "building_set": "max"}
     bad = dict(base, cut=[[0, 1]])
