@@ -294,7 +294,7 @@ def delete_element(bm, e):
     return BuiltMatroid(sub, bset, order, validate=False)
 
 
-def extend(bm, cut, validate_cut=True):
+def extend(bm, cut):
     """Single-element extension along a modular cut; the new element is
     appended as n and becomes the order-greatest element.
 
@@ -304,12 +304,7 @@ def extend(bm, cut, validate_cut=True):
     an atom (the new element would be parallel to it).
     """
     lat = bm.lat
-    if isinstance(cut, ModularCut):
-        mc = cut
-    else:
-        mc = validate_modular_cut(lat, cut) if validate_cut else ModularCut(
-            frozenset(cut), 0 not in cut, bool(cut), True
-        )
+    mc = cut if isinstance(cut, ModularCut) else validate_modular_cut(lat, cut)
     cutset = mc.flats
     if not mc.proper:
         raise ImproperCut("the bottom flat lies in the cut")
@@ -343,19 +338,14 @@ def extend(bm, cut, validate_cut=True):
     return out
 
 
-def truncate(bm, cut, validate_cut=True):
+def truncate(bm, cut):
     """Truncation along a proper nonempty atom-free modular cut.
 
     Flats in the cut drop rank by one; the collar (flats outside the cut with
     a cover inside it) disappears.  An empty cut is the identity.
     """
     lat = bm.lat
-    if isinstance(cut, ModularCut):
-        mc = cut
-    else:
-        mc = validate_modular_cut(lat, cut) if validate_cut else ModularCut(
-            frozenset(cut), 0 not in cut, bool(cut), True
-        )
+    mc = cut if isinstance(cut, ModularCut) else validate_modular_cut(lat, cut)
     cutset = mc.flats
     if not cutset:
         return bm

@@ -17,16 +17,17 @@ elements of a nested set are exactly the G-factors of their join
 
 one bottom-up pass over the lattice of flats.  For G_max this is the
 recursion of Ferroni–Matherne–Schulte–Vecchi.  The enumeration of supports
-survives only in fy_monomials, which the Ψ-fibers need.
+survives only in fy_monomials and psi_fiber_of, which the Ψ-fibers need;
+both walk `nested.nested_subsets`.
 
 toric_hilbert_oracle stays in integers.  The linear forms are e_i - e_b0
 with b0 the least element of i's block of max G, so each pairs with a ray
 as 0 or +-1.  Face monomials of degree d extend those of degree d - 1 by
-one ray, checked by extends_nested once per new support.  Elimination is
+one ray, checked by is_nested once per new support.  Elimination is
 fraction-free: row <- a*row - b*pivot, then division by the gcd.
 """
 
-from itertools import combinations, product
+from itertools import product
 from math import gcd
 
 from .building import (
@@ -53,16 +54,16 @@ from .errors import (
 )
 from .lattice import bits
 from .nested import (
+    _links,
     completion,
     descent_set,
-    extends_nested,
     factor_restrictions,
-    link_decomposition,
+    is_nested,
+    nested_subsets,
     stable_descent_sets,
 )
 from .polynomials import binom_poly, normalize, padd, pmul, trange
 
-_CHOW_MEMO = {}
 _DELETION_MEMO = {}
 
 
@@ -70,40 +71,10 @@ _DELETION_MEMO = {}
 # FY monomials
 
 
-def _supports(bm):
-    """Stream (support, gaps): nested subsets of the building set whose local
-    rank gaps are all >= 2, with the gap of each member.
-
-    Vertices are visited in rank order, so the bottom join J^F of a placed
-    flat never changes afterwards.
-    """
-    lat = bm.lat
-    verts = sorted(bm.bset, key=lambda f: (lat.rank_of(f), f))
-
-    def go(start, chosen, gaps):
-        yield tuple(chosen), tuple(gaps)
-        for i in range(start, len(verts)):
-            v = verts[i]
-            j = 0
-            for u in chosen:
-                if u & ~v == 0:
-                    j = lat.join(j, u)
-            gap = lat.rank_of(v) - lat.rank_of(j)
-            if gap < 2:
-                continue
-            if extends_nested(bm, chosen, v):
-                yield from go(i + 1, chosen + [v], gaps + [gap])
-
-    try:
-        yield from go(0, [], [])
-    finally:
-        del go  # go refers to itself; without this the cycle keeps bm alive
-
-
 def fy_monomials(bm):
     """Stream monomials as tuples ((flat, exponent), ...) sorted by flat; the
     empty tuple is the degree-0 monomial."""
-    for supp, gaps in _supports(bm):
+    for supp, gaps in nested_subsets(bm, bm.bset, 2):
         for expos in product(*(range(1, g) for g in gaps)):
             yield tuple(zip(supp, expos))
 
@@ -126,9 +97,6 @@ def chow_polynomial(bm):
     disjoint and cover F, so taking building-set elements below F by
     falling rank and skipping those that meet an earlier pick finds them.
     """
-    key = bm.key()
-    if key in _CHOW_MEMO:
-        return list(_CHOW_MEMO[key])
     lat, bset = bm.lat, bm.bset
     by_rank_desc = sorted(bset, key=lambda g: -lat.rank_of(g))
     p = {0: [1]}
@@ -153,7 +121,6 @@ def chow_polynomial(bm):
                     covered |= g
         p[f] = poly
         out = padd(out, poly)
-    _CHOW_MEMO[key] = tuple(out)
     return out
 
 
@@ -231,8 +198,9 @@ def chow_by_filtration(bm, base=None, trace=False):
         if all(in_max):
             h = pmul(h, [1, 1])
         elif not any(in_max):
+            # the G-factors of a flat are nested, so the pair needs no check
             star = [1]
-            for li in link_decomposition(prev, frozenset(a)):
+            for li in _links(prev, a):
                 star = pmul(star, chow_polynomial(li.built))
             h = padd(h, pmul([0, 1], star))
         else:
@@ -268,7 +236,7 @@ def _toric_dims(bm):
     A degree-d monomial is a nondecreasing tuple of ray indices, kept as
     (key, last index, support mask) with key = sum of (top+1)**index.  It
     extends a degree-(d-1) one by a ray at or after its last; a ray new to
-    the support must keep it nested, which extends_nested decides once per
+    the support must keep it nested, which is_nested decides once per
     support.  Rows stay integral: row <- a*row - b*pivot, with a and b the
     leading entries of pivot and row, then division by the gcd of the
     entries.  Both are invertible over Q, so each degree's rank is the rank
@@ -292,7 +260,7 @@ def _toric_dims(bm):
             for r in range(last, len(rays)):
                 s = supp | 1 << r
                 if s not in face:
-                    face[s] = extends_nested(bm, [rays[i] for i in bits(supp)], rays[r])
+                    face[s] = is_nested(bm, [rays[i] for i in bits(s)])
                 if face[s]:
                     mons.append((key + powers[r], r, s))
         index = {key: i for i, (key, _, _) in enumerate(mons)}
@@ -398,9 +366,10 @@ def psi_fibers(bm):
 def psi_fiber_of(bm, s):
     """The fiber of a single stable facet without enumerating all of FY:
     fiber supports live inside s plus the top flat, because s is the
-    completion of its own descent set."""
+    completion of its own descent set.  The supports are walked by
+    `nested_subsets` over s plus the top flat and kept when they complete
+    to s."""
     _require_irreducible_complete(bm)
-    lat = bm.lat
     s = frozenset(s) - set(bm.maxg)
     if not s <= bm.bset:
         raise BadParameters(f"{sorted(s - bm.bset)} not in the building set")
@@ -412,27 +381,10 @@ def psi_fiber_of(bm, s):
         raise BadParameters(f"{sorted(s)} is not a stable facet")
     if completion(bm, dd.descents) != s:
         raise BadParameters(f"{sorted(s)} is not the completion of its descents")
-    pool = sorted(set(s) | {lat.full}, key=lambda f: (lat.rank_of(f), f))
     monomials = []
-    for k in range(len(pool) + 1):
-        for supp in combinations(pool, k):
-            j_by = []
-            ok = True
-            for v in supp:
-                j = 0
-                for u in supp:
-                    if u != v and u & ~v == 0:
-                        j = lat.join(j, u)
-                gap = lat.rank_of(v) - lat.rank_of(j)
-                if gap < 2:
-                    ok = False
-                    break
-                j_by.append(gap)
-            if not ok:
-                continue
-            if completion(bm, frozenset(supp) - set(bm.maxg)) != s:
-                continue
-            for expos in product(*(range(1, g) for g in j_by)):
+    for supp, gaps in nested_subsets(bm, s | {bm.lat.full}, 2):
+        if completion(bm, frozenset(supp) - set(bm.maxg)) == s:
+            for expos in product(*(range(1, g) for g in gaps)):
                 monomials.append(tuple(zip(supp, expos)))
     degs = sorted(sum(a for _, a in m) for m in monomials)
     poly = [0] * (max(degs, default=0) + 1)

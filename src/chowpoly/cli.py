@@ -166,17 +166,25 @@ def parse_matroid(d):
     raise ValueError(f"unknown matroid type {kind!r}")
 
 
-def parse_instance(doc, validate=True):
-    """Build a BuiltMatroid from a spec document.
-
-    With validate=False, explicit building sets are not checked (the check
-    subcommand validates them itself to report a witness)."""
+def _spec_parts(doc):
+    """(matroid, building-set descriptor, order) of a spec document; an
+    explicit building set comes back as a frozenset of masks."""
     if not isinstance(doc, dict) or "matroid" not in doc:
         raise ValueError("spec must be an object with a 'matroid' key")
     m = parse_matroid(doc["matroid"])
     bdesc = doc.get("building_set", "min")
     order = tuple(doc["order"]) if "order" in doc else None
+    if isinstance(bdesc, list):
+        bdesc = frozenset(_mask_of(ix, m.n) for ix in bdesc)
+    return m, bdesc, order
 
+
+def parse_instance(doc):
+    """Build a BuiltMatroid from a spec document."""
+    return _built(doc, *_spec_parts(doc))
+
+
+def _built(doc, m, bdesc, order):
     if isinstance(bdesc, dict) and bdesc.get("type") == "augmented":
         return augmented_built_matroid(m, order)
     if isinstance(bdesc, dict) and bdesc.get("type") == "chordal":
@@ -188,14 +196,8 @@ def parse_instance(doc, validate=True):
         if not (0 <= k < len(sets)):
             raise ValueError(f"chordal index {k} out of range 0..{len(sets) - 1}")
         return BuiltMatroid(lattice_of_flats(m), sets[k], order)
-    if bdesc in ("min", "max"):
+    if bdesc in ("min", "max") or isinstance(bdesc, frozenset):
         return built_from_matroid(m, bdesc, order)
-    if isinstance(bdesc, list):
-        lat = lattice_of_flats(m)
-        bset = frozenset(_mask_of(ix, lat.n) for ix in bdesc)
-        if not validate:
-            return lat, bset, order
-        return BuiltMatroid(lat, bset, order)
     raise ValueError(f"unknown building-set descriptor {bdesc!r}")
 
 
@@ -416,13 +418,15 @@ def cmd_check(args):
 
     if what == "building-set":
         try:
-            parsed = parse_instance(doc, validate=False)
+            m, bdesc, order = _spec_parts(doc)
+            if isinstance(bdesc, frozenset):
+                # validated below, to report its witness
+                lat, bset = lattice_of_flats(m), bdesc
+            else:
+                bm = _built(doc, m, bdesc, order)
+                lat, bset = bm.lat, bm.bset
         except (ChowpolyError, ValueError, KeyError, TypeError) as e:
             return fail_invalid(f"{type(e).__name__}: {e}")
-        if isinstance(parsed, BuiltMatroid):
-            lat, bset = parsed.lat, parsed.bset
-        else:
-            lat, bset, _ = parsed
         try:
             validate_building_set(lat, bset)
         except tuple(_WITNESSES) as e:

@@ -17,6 +17,7 @@ The corpus is what the test suite and the command line ``--corpus`` runs
 iterate over; it is deterministic across runs.
 """
 
+import functools
 import random
 
 from .building import BuiltMatroid, g_min, validate_building_set
@@ -131,14 +132,9 @@ def _close_joins(lat, s):
         s.update(new)
 
 
-_CORPUS = None
-
-
+@functools.cache
 def corpus():
     """The full deterministic instance list (built lazily, then cached)."""
-    global _CORPUS
-    if _CORPUS is not None:
-        return _CORPUS
     out = []
 
     for n in range(1, 7):
@@ -223,5 +219,4 @@ def corpus():
             )
         )
 
-    _CORPUS = out
     return out

@@ -184,14 +184,12 @@ def chordal_building_sets(n):
             go(i + 1, included, obligations)
         if can:
             new_obl = set(obligations) - {s}
-            ok = True
             for t in included:
                 if t & s and not (t & ~s == 0 or s & ~t == 0):
                     u = t | s
                     assert u in node_set
                     new_obl.add(u)
-            if ok:
-                go(i + 1, included | {s}, frozenset(new_obl))
+            go(i + 1, included | {s}, frozenset(new_obl))
 
     go(0, frozenset(), frozenset())
     return sorted(out, key=lambda g: (len(g), sorted(g)))

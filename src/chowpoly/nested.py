@@ -1,10 +1,12 @@
 """Nested set complexes, descent statistics, completion, and the Γ-complex.
 
 A nested set is a frozenset of building-set flats in which every antichain of
-size >= 2 has join outside the building set.  Maximal nested sets (facets) are
-enumerated by a tree recursion through rank-1 local intervals, and the stable
-facets by the same recursion, pruned as it goes; the brute-force subset filter
-and the filter of every facet by its descent data live in the test oracles.
+size >= 2 has join outside the building set; `is_nested` decides it by a
+polynomial forest test, and `nested_subsets` is the one walk over nested
+subsets.  Maximal nested sets (facets) are enumerated by a tree recursion
+through rank-1 local intervals, and the stable facets by the same recursion,
+pruned as it goes; the antichain scan, the brute-force subset filter and the
+filter of every facet by its descent data live in the test oracles.
 """
 
 from dataclasses import dataclass
@@ -33,24 +35,79 @@ def _cache(bm):
 def is_nested(bm, s):
     """True iff every antichain of size >= 2 inside s joins outside bset.
 
-    Raises BadParameters when s has flats outside the building set."""
-    s = sorted(set(s))
-    outside = [f for f in s if f not in bm.bset]
+    Raises BadParameters when s has flats outside the building set.
+
+    Decided by the forest criterion: s is nested iff every two members are
+    comparable or disjoint, and for each member, and for the roots, the
+    children C (the maximal members strictly below it, or the maximal
+    members of s) with |C| >= 2 are exactly the G-factors of their join.
+    - Necessary: two meeting incomparable members join inside G; and a
+      nested antichain is exactly the set of G-factors of its join
+      (Feichtner–Kozlov 2004, Prop. 2.8).
+    - Sufficient: the lowest-node argument of `maximal_nested_sets`; an
+      antichain A of s with elements under two children c1, c2 of its
+      lowest node joins below ∨C, so if ∨A were in G it would lie under one
+      factor, that is one child, which would meet the disjoint c1 and c2.
+    - The count: every child lies under one factor.  The factors are the
+      direct summands of ∨C, so ∨C is the join, factor by factor, of the
+      children under each.  A factor holding no child would leave ∨C short
+      of it, so equal counts give each factor one child, and a child
+      strictly below its factor would leave ∨C short as well."""
+    s = set(s)
+    outside = sorted(f for f in s if f not in bm.bset)
     if outside:
         raise BadParameters(f"{outside} not in the building set")
+    children = {}  # a member, or None for the roots -> its children
+    for x in s:
+        up = None  # the least of the members above x, which form a chain
+        for y in s:
+            if x & y and x != y:
+                if x & ~y and y & ~x:
+                    return False  # meeting and incomparable
+                if x & ~y == 0 and (up is None or y & ~up == 0):
+                    up = y
+        children.setdefault(up, []).append(x)
     lat = bm.lat
-    for k in range(2, len(s) + 1):
-        for a in combinations(s, k):
-            if any(
-                x & ~y == 0 or y & ~x == 0 for x, y in combinations(a, 2)
-            ):
-                continue
+    for kids in children.values():
+        if len(kids) >= 2:
             j = 0
-            for x in a:
-                j = lat.join(j, x)
-            if j in bm.bset:
+            for c in kids:
+                j = lat.join(j, c)
+            # a join in G is its own one factor; skip the scan for it
+            if j in bm.bset or len(bm.factors(j)) != len(kids):
                 return False
     return True
+
+
+def nested_subsets(bm, verts, min_gap):
+    """Stream (subset, gaps) for every nested subset of verts whose members
+    each rise at least min_gap in rank over the join of the members below
+    them, depth first over verts in (rank, mask) order; gaps[i] is the gap
+    of subset[i], and both are tuples in that order.
+
+    A member's gap is fixed when it is placed, because every later vertex
+    has at least its rank and so is not below it.  Dropping a member only
+    shrinks the joins, so every prefix of an admissible subset is admissible
+    and extending each one by later vertices reaches them all."""
+    lat = bm.lat
+    verts = sorted(verts, key=lambda f: (lat.rank_of(f), f))
+
+    def go(start, chosen, gaps):
+        yield tuple(chosen), tuple(gaps)
+        for i in range(start, len(verts)):
+            v = verts[i]
+            j = 0
+            for u in chosen:
+                if u & ~v == 0:
+                    j = lat.join(j, u)
+            gap = lat.rank_of(v) - lat.rank_of(j)
+            if gap >= min_gap and is_nested(bm, [*chosen, v]):
+                yield from go(i + 1, chosen + [v], gaps + [gap])
+
+    try:
+        yield from go(0, [], [])
+    finally:
+        del go  # go refers to itself; without this the cycle keeps bm alive
 
 
 # ---------------------------------------------------------------------------
@@ -160,31 +217,13 @@ def maximal_nested_sets(bm):
     return cache["facets"]
 
 
-def extends_nested(bm, chosen, v):
-    """Given nested `chosen`, whether chosen + [v] is still nested.  Only
-    antichains through v need checking."""
-    lat = bm.lat
-    for k in range(1, len(chosen) + 1):
-        for a in combinations(chosen, k):
-            cand = list(a) + [v]
-            if any(
-                x & ~y == 0 or y & ~x == 0 for x, y in combinations(cand, 2)
-            ):
-                continue
-            j = 0
-            for x in cand:
-                j = lat.join(j, x)
-            if j in bm.bset:
-                return False
-    return True
-
-
-def nested_complex(bm, variant="cN", max_faces=None):
+def nested_complex(bm, variant="cN"):
     """The full nested set complex as a SimplicialComplex.
 
     variant "cN" uses the whole building set as vertices; "N" strips the
-    maximal elements.  Faces are enumerated incrementally (downward closure
-    makes suffix extension sound); max_faces guards runaway instances.
+    maximal elements.  The faces are the subsets of `nested_subsets` with
+    gap 1, which every member of a nested set has: its children join below
+    it, or they would be an antichain joining in G.
     """
     if variant == "cN":
         verts = sorted(bm.bset)
@@ -192,21 +231,8 @@ def nested_complex(bm, variant="cN", max_faces=None):
         verts = sorted(bm.bset - set(bm.maxg))
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    faces = []
-
-    def go(start, chosen):
-        faces.append(frozenset(chosen))
-        if max_faces is not None and len(faces) > max_faces:
-            raise MemoryError(f"more than {max_faces} faces")
-        for i in range(start, len(verts)):
-            if extends_nested(bm, chosen, verts[i]):
-                go(i + 1, chosen + [verts[i]])
-
-    try:
-        go(0, [])
-    finally:
-        del go  # go refers to itself; without this the cycle keeps bm alive
-    return SimplicialComplex(vertices=tuple(verts), faces=frozenset(faces))
+    faces = frozenset(frozenset(f) for f, _ in nested_subsets(bm, verts, 1))
+    return SimplicialComplex(vertices=tuple(verts), faces=faces)
 
 
 @dataclass(frozen=True)
@@ -260,6 +286,11 @@ def _require_nested(bm, s):
 def link_decomposition(bm, s):
     """Local intervals of a nested set over s plus the maximal elements."""
     _require_nested(bm, s)
+    return _links(bm, s)
+
+
+def _links(bm, s):
+    """`link_decomposition` on a set known to be nested, with no check."""
     s = frozenset(s) - set(bm.maxg)
     shat = _shat(bm, s)
     return [_local_interval(bm, _jbottom(bm, shat, g), g) for g in shat]

@@ -160,6 +160,30 @@ def is_nested_family(n, rank, g, s):
     return True
 
 
+def is_nested_ref(bm, s):
+    """`nested.is_nested` before the forest test: every antichain of size
+    >= 2 inside s, scanned by size, must join outside the building set of a
+    package BuiltMatroid.  Raises BadParameters, as the package does, when
+    s has flats outside the building set."""
+    from chowpoly.errors import BadParameters
+
+    s = sorted(set(s))
+    outside = [f for f in s if f not in bm.bset]
+    if outside:
+        raise BadParameters(f"{outside} not in the building set")
+    lat = bm.lat
+    for k in range(2, len(s) + 1):
+        for a in combinations(s, k):
+            if any(x & ~y == 0 or y & ~x == 0 for x, y in combinations(a, 2)):
+                continue
+            j = 0
+            for x in a:
+                j = lat.join(j, x)
+            if j in bm.bset:
+                return False
+    return True
+
+
 def all_nested_sets(n, rank, g, vertices):
     """All nested subsets of the given vertex pool (list of frozensets)."""
     verts = list(vertices)
@@ -219,13 +243,14 @@ def fy_support_count(bm):
     """H(M,G) by walking every FY support of a package BuiltMatroid.
 
     Sums prod (t + ... + t^(gap-1)) over the supports that
-    `chow._supports` streams, one support at a time; this was the package's
-    own FY route before the lattice-of-flats recurrence replaced it.
+    `nested.nested_subsets` streams over G with gap 2, one support at a
+    time; this was the package's own FY route before the lattice-of-flats
+    recurrence replaced it.
     """
-    from chowpoly.chow import _supports
+    from chowpoly.nested import nested_subsets
 
     coeffs = [0]
-    for _, gaps in _supports(bm):
+    for _, gaps in nested_subsets(bm, bm.bset, 2):
         for alphas in product(*(range(1, g) for g in gaps)):
             d = sum(alphas)
             coeffs.extend([0] * (d + 1 - len(coeffs)))
@@ -893,7 +918,6 @@ def toric_hilbert_oracle_ref(bm):
 
     from chowpoly.errors import TooLarge
     from chowpoly.lattice import bits
-    from chowpoly.nested import is_nested
     from chowpoly.polynomials import normalize
 
     lat = bm.lat
@@ -905,7 +929,7 @@ def toric_hilbert_oracle_ref(bm):
 
     def is_face(supp):
         if supp not in face:
-            face[supp] = is_nested(bm, supp)
+            face[supp] = is_nested_ref(bm, supp)
         return face[supp]
 
     def face_monomials(d):

@@ -13,7 +13,6 @@ from helpers import b4_flag_built, mask_of, set_of
 from chowpoly.building import BuiltMatroid, extend, is_complete
 from chowpoly.nested import maximal_nested_sets, stable_maximal_nested_sets
 from chowpoly.chow import (
-    _CHOW_MEMO,
     _toric_dims,
     chow_by_deletion,
     chow_by_filtration,
@@ -157,7 +156,6 @@ def test_filtration_b7_max_is_eulerian():
     assert chow_by_filtration(bm) == eulerian
     assert chow_polynomial(bm) == eulerian
     b8 = built_from_matroid(make_boolean(8), "max")
-    _CHOW_MEMO.clear()
     assert chow_polynomial(b8) == [1, 247, 4293, 15619, 15619, 4293, 247, 1]
 
 
@@ -171,7 +169,6 @@ def test_chow_dp_matches_support_enumeration():
         ("U47max", built_from_matroid(make_uniform(4, 7), "max")),
     ]
     for name, bm in cases:
-        _CHOW_MEMO.clear()
         assert chow_polynomial(bm) == oracles.fy_support_count(bm), name
 
 

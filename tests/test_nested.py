@@ -2,7 +2,9 @@
 and the Γ-complex, cross-checked against brute-force oracles."""
 
 import gc
+import hashlib
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -15,9 +17,10 @@ import oracles
 from helpers import b4_flag_built, mask_of, masks_of, set_of, sets_of
 
 from chowpoly.building import BuiltMatroid, flag_nonface_witness, g_min, is_complete
-from chowpoly.chow import _supports
+from chowpoly.chow import fy_monomials, psi_fiber_of
 from chowpoly.errors import (
     BadParameters,
+    NotComplete,
     NotIrreducible,
     NotMaximal,
     NotNestedLocal,
@@ -45,6 +48,7 @@ from chowpoly.nested import (
     link_decomposition,
     maximal_nested_sets,
     nested_complex,
+    nested_subsets,
     new_factor,
     stable_descent_sets,
     stable_maximal_nested_sets,
@@ -77,6 +81,118 @@ def test_is_nested_matches_oracle_exhaustively(name, bm):
             bm.n, orank, og, [set_of(f) for f in s]
         )
         assert is_nested(bm, s) == want, s
+
+
+def test_forest_test_matches_antichain_scan():
+    """is_nested (the forest test) against the antichain scan it replaced,
+    `oracles.is_nested_ref`: every subset of at most 4 members of each
+    corpus G with at most 12 members; 300 seeded random subsets of 2 to
+    rank + 2 members of every G, corpus and Π6|min, U(4,7)|max and B5|max;
+    and up to 300 facets of each."""
+    from chowpoly.corpus import corpus
+
+    cases = [inst.built for inst in corpus()] + [
+        built_from_matroid(make_partition(6), "min"),
+        built_from_matroid(make_uniform(4, 7), "max"),
+        built_from_matroid(make_boolean(5), "max"),
+    ]
+    rng = random.Random(10)
+    verdicts = Counter()
+    for bm in cases:
+        pool = sorted(bm.bset)
+        sample = []
+        if len(pool) <= 12:
+            sample += [s for k in range(5) for s in combinations(pool, k)]
+        for _ in range(300):
+            k = rng.randint(2, min(len(pool), bm.rank + 2)) if len(pool) > 1 else 1
+            sample.append(rng.sample(pool, k))
+        sample += maximal_nested_sets(bm)[:300]
+        for s in sample:
+            want = oracles.is_nested_ref(bm, s)
+            assert is_nested(bm, s) == want, (bm, sorted(s))
+            verdicts[want] += 1
+    assert verdicts == Counter({False: 70305, True: 37497})
+
+
+def test_forest_test_rejects_foreign_flats_as_the_scan_did():
+    b3 = built_from_matroid(make_boolean(3), "max")
+    for s, msg in (
+        ({0b1000}, "[8] not in the building set"),
+        ([0b001, 0b10000, 0b1000], "[8, 16] not in the building set"),
+    ):
+        for fn in (is_nested, oracles.is_nested_ref):
+            with pytest.raises(BadParameters) as got:
+                fn(b3, s)
+            assert str(got.value) == msg
+
+
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+# Taken before nested_subsets replaced the three walks: per instance, the
+# count and digest of the sorted FY monomials, the face counts and digest of
+# nested_complex (cN and N), and the stable facets and digest of the
+# psi_fiber_of monomials (None where the instance is not complete).
+WALKS_BEFORE = {
+    "B4|max": (
+        24,
+        "a1b98785f51fab586a1ecba5cbebbc036806e4ac0cf9c0ec4a40e7238a61ae1b",
+        {"cN": 150, "N": 75},
+        "1dadd20e0d3d9d55c6b3a076e6833f34547e5dee7b93002a42341d6fc0021763",
+        9,
+        "7d96fc47660e03ae25fb7d492346bcdacacc04c1280a8471bae6467e94f8d11f",
+    ),
+    "Pi5|min": (
+        34,
+        "629c55e6e1fb19f3575c4db1a8201d9d54c2e03ab3376b7d259dc66f8c6c248d",
+        {"cN": 472, "N": 236},
+        "07a39eff1ddc8955aa062a1fd69063eb995c517f876471ebf873954e932e560d",
+        14,
+        "9f2e8a9b529becf920f5cc00622cff06333b5984fa369eaf31cbb3adf35ca999",
+    ),
+    "U(3,5)|min": (
+        3,
+        "00a068204e857dcaca56566cbdf7ccc9563882557ff1f307208ebbe49e072881",
+        {"cN": 32, "N": 16},
+        "8a1725a4fc285f34ccbdf4ca11a1a4d81f0447fc0142056f29b48465f440d33d",
+        None,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALKS_BEFORE))
+def test_nested_subset_walks_give_the_same_sets(name):
+    m, kind = {
+        "B4|max": (make_boolean(4), "max"),
+        "Pi5|min": (make_partition(5), "min"),
+        "U(3,5)|min": (make_uniform(3, 5), "min"),
+    }[name]
+    bm = built_from_matroid(m, kind)
+    fy = sorted(tuple(sorted(mon)) for mon in fy_monomials(bm))
+    faces = {
+        v: sorted(tuple(sorted(f)) for f in nested_complex(bm, v).faces)
+        for v in ("cN", "N")
+    }
+    if is_complete(bm):
+        psi = []
+        for s in sorted(stable_maximal_nested_sets(bm), key=sorted):
+            mons, poly = psi_fiber_of(bm, s)
+            psi.append((sorted(s), sorted(tuple(sorted(mon)) for mon in mons), poly))
+        psi_seen = (len(psi), _digest(psi))
+    else:
+        with pytest.raises(NotComplete):
+            psi_fiber_of(bm, frozenset())
+        psi_seen = (None, None)
+    got = (
+        len(fy),
+        _digest(fy),
+        {v: len(f) for v, f in faces.items()},
+        _digest(faces),
+        *psi_seen,
+    )
+    assert got == WALKS_BEFORE[name]
 
 
 @pytest.mark.parametrize("name,bm", _cases(), ids=[c[0] for c in _cases()])
@@ -582,8 +698,8 @@ def test_flag_test_by_masks_matches_clique_search():
         flag_nonface_witness,
         nested_complex,
         maximal_nested_sets,
-        lambda bm: list(_supports(bm)),
-        lambda bm: next(_supports(bm)),
+        lambda bm: list(nested_subsets(bm, bm.bset, 2)),
+        lambda bm: next(nested_subsets(bm, bm.bset, 2)),
         stable_descent_sets,
         gamma_complex,
     ],
