@@ -44,7 +44,6 @@ from .chow import (
 from .errors import ChowpolyError
 from .families import (
     augmented_built_matroid,
-    binary_trees,
     built_from_matroid,
     chordal_building_sets,
     m0n_gamma,
@@ -52,8 +51,6 @@ from .families import (
     make_graphic,
     make_partition,
     make_uniform,
-    stable_trees,
-    tree_descent_data,
 )
 from .lattice import (
     GeomLattice,
@@ -97,7 +94,6 @@ __all__ = [
     "augmented_built_matroid",
     "balanced_check",
     "binary_filtration",
-    "binary_trees",
     "built_from_matroid",
     "chordal_building_sets",
     "chow_by_deletion",
@@ -144,9 +140,7 @@ __all__ = [
     "restrict",
     "simplify_built",
     "stable_maximal_nested_sets",
-    "stable_trees",
     "toric_hilbert_oracle",
-    "tree_descent_data",
     "truncate",
     "validate_building_set",
     "validate_modular_cut",

@@ -169,22 +169,20 @@ def chow_by_deletion(bm):
 # filtration pullbacks
 
 
-def chow_by_filtration(bm, base=None, trace=False):
-    """Walk a binary filtration from `base` (default: the minimal building
-    set) up to bm.bset, starting from the FY value on the base.
+def chow_by_filtration(bm, trace=False):
+    """Walk a binary filtration from the minimal building set up to
+    bm.bset, starting from the FY value on the minimal set.
 
     Each step adds a flat with exactly two factors A in the current set:
     if both factors are maximal the series multiplies by (1+t) (subdivision
     inside the lineality space); if both are non-maximal it gains
     t * product of the local-interval series of A (the star of the cone).
     With trace=True returns (h, intermediates) where intermediates holds the
-    series after every step including the base value.
+    series after every step including the starting value.
     """
     lat = bm.lat
-    if base is None:
-        base = g_min(lat)
     try:
-        filt = binary_filtration(bm, frozenset(base))
+        filt = binary_filtration(bm, g_min(lat))
     except (NotFlag, Stuck) as exc:
         raise NoBinaryFiltration(str(exc)) from exc
     cur = BuiltMatroid(lat, filt.bsets[0], bm.order, validate=False)

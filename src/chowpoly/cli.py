@@ -353,21 +353,19 @@ def _corpus_gamma():
             "gamma_positive": is_gamma_positive(h),
         }
         ok = True
-        if complete:
-            ok = ok and row["gamma_positive"]
+        reps = None
         if complete:
             match = gamma_by_descents_factored(bm) == gam
             row["descent_match"] = match
-            ok = ok and match
             f, reps = gamma_fvector(bm)
             cok = all(r.downward_closed for r in reps) and f == gam
             row["complex_ok"] = cok
-            ok = ok and cok
+            ok = row["gamma_positive"] and match and cok
         else:
             row["descent_match"] = None
             row["complex_ok"] = None
         if inst.bset_kind == "max":
-            rep = gamma_complex(bm)
+            rep = reps[0] if reps else gamma_complex(bm)  # G_max is irreducible
             row["balanced"] = balanced_check(bm, rep.complex)
             ok = ok and row["balanced"]
         else:

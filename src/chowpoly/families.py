@@ -7,6 +7,7 @@ from itertools import combinations
 from .building import BuiltMatroid, simplify_built
 from .errors import BadParameters
 from .lattice import Matroid, bits, lattice_of_flats, popcount
+from .polynomials import padd, pmul
 
 
 def make_uniform(r, n):
@@ -196,94 +197,59 @@ def chordal_building_sets(n):
 
 
 # ---------------------------------------------------------------------------
-# stable trees for M0,n+1
-
-
-def binary_trees(n):
-    """Rooted binary trees with leaves labeled 1..n, built by leaf insertion;
-    represented as nested pairs with int leaves.  (2n-3)!! trees."""
-    if not (2 <= n <= 9):
-        raise BadParameters(f"binary_trees({n})")
-    trees = [(1, 2)]
-    for leaf in range(3, n + 1):
-        nxt = []
-        for t in trees:
-            for u in _insertions(t, leaf):
-                nxt.append(u)
-        trees = nxt
-    return trees
-
-
-def _insertions(t, leaf):
-    yield (t, leaf)  # subdivide the root stem
-    if isinstance(t, tuple):
-        a, b = t
-        for ia in _insertions(a, leaf):
-            yield (ia, b)
-        for ib in _insertions(b, leaf):
-            yield (a, ib)
-
-
-def tree_descent_data(t):
-    """(descents, bottoms, doubles) over internal vertices of a rooted binary
-    tree; the root carries no descent.
-
-    The label of an internal vertex is the larger of its children's minimal
-    leaves; a vertex is a descent when its label exceeds its parent's.
-    A bottom descent has two leaf children; a double descent has at least one
-    internal child and all internal children are descents.  One bottom-up
-    pass labels every internal vertex, then one top-down pass reads them.
-    """
-    labels = {}  # id of an internal vertex -> its label
-    _label_vertices(t, labels)
-    descents = []
-    bottoms = []
-    doubles = []
-    stack = [(t, None)]  # preorder: the left subtree before the right
-    while stack:
-        v, parent_label = stack.pop()
-        if isinstance(v, int):
-            continue
-        lv = labels[id(v)]
-        if parent_label is not None and lv > parent_label:
-            descents.append(v)
-            kids = [c for c in v if isinstance(c, tuple)]
-            if not kids:
-                bottoms.append(v)
-            elif all(labels[id(c)] > lv for c in kids):
-                doubles.append(v)
-        stack.append((v[1], lv))
-        stack.append((v[0], lv))
-    return descents, bottoms, doubles
-
-
-def _label_vertices(v, labels):
-    """Label every internal vertex below v; returns the minimal leaf of v."""
-    if isinstance(v, int):
-        return v
-    a, b = _label_vertices(v[0], labels), _label_vertices(v[1], labels)
-    labels[id(v)] = max(a, b)
-    return min(a, b)
-
-
-def stable_trees(n):
-    """(tree, descent count) for every stable tree on leaves 1..n."""
-    out = []
-    for t in binary_trees(n):
-        des, bot, dbl = tree_descent_data(t)
-        if not bot and not dbl:
-            out.append((t, len(des)))
-    return out
+# the stable-tree model for M0,n+1
 
 
 def m0n_gamma(n):
-    """γ-vector of the Poincaré polynomial of M0,n+1 via stable trees."""
-    counts = {}
-    for _, d in stable_trees(n):
-        counts[d] = counts.get(d, 0) + 1
-    if not counts:
-        return []
-    out = [0] * (max(counts) + 1)
-    for d, c in counts.items():
-        out[d] = c
-    return out
+    """γ-vector of the Poincaré polynomial of M0,n+1: the stable trees on
+    the leaves 1..n, counted by descents.
+
+    An internal vertex of a rooted binary tree is labelled with the larger
+    of its children's minimal leaves.  A non-root vertex is a descent when
+    its label exceeds its parent's; a descent is a bottom when both children
+    are leaves, a double when it has internal children and all of them are
+    descents.  A tree is stable when it has neither.
+
+    One recursion over (leaf set S, parent label p) counts them: it returns
+    the descent polynomials of the subtrees on S with no bottom or double,
+    all of them and those whose root is a descent.  Proof: every binary tree
+    on S is a root over exactly one split S = A ⊔ B with min S ∈ A and one
+    tree on each part.  The root's label is max(min A, min B) = min B, so it
+    is a descent iff min B > p.  Each part's descents, bottoms and doubles,
+    its root's included, depend only on its tree and on its parent label
+    min B; whether the root is a bottom or a double depends only on whether
+    it is a descent and on which internal children are descents.  So a
+    split contributes the product of its internal children's polynomials,
+    and if the root is a descent, t times that product minus the product of
+    the children's descent polynomials: the combinations dropped are the
+    doubles, or the bottom when both products are empty.  The root starts
+    with p = n + 1, above every label, so it is never a descent.
+    """
+    if not (2 <= n <= 9):
+        raise BadParameters(f"m0n_gamma({n})")
+    memo = {}  # (S as a mask with leaf i at bit i, p) -> (all, descent)
+
+    def go(s, p):
+        if (s, p) not in memo:
+            rest = s & (s - 1)  # S without its least leaf, which stays in A
+            every, desc = [], []
+            b = rest
+            while b:
+                label = (b & -b).bit_length() - 1
+                prod, prod_desc = [1], [1]
+                for part in (s ^ b, b):
+                    if part & (part - 1):  # an internal child
+                        sub, sub_desc = go(part, label)
+                        prod, prod_desc = pmul(prod, sub), pmul(prod_desc, sub_desc)
+                if label > p:
+                    prod = [0, *padd(prod, [-c for c in prod_desc])]
+                    desc = padd(desc, prod)
+                every = padd(every, prod)
+                b = (b - 1) & rest
+            memo[s, p] = every, desc
+        return memo[s, p]
+
+    try:
+        return go(((1 << n) - 1) << 1, n + 1)[0]
+    finally:
+        del go  # go refers to itself; without this the cycle keeps memo alive

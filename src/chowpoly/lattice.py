@@ -77,7 +77,10 @@ class Matroid:
         return out
 
 
-def validate_rank_axioms(m, sample=4096):
+_RANK_AXIOM_SAMPLE = 4096  # subsets checked when n > 16
+
+
+def validate_rank_axioms(m):
     """Check rank axioms; exhaustive for n <= 16, sampled above."""
     import random
 
@@ -88,7 +91,7 @@ def validate_rank_axioms(m, sample=4096):
         subsets = range(1 << n)
     else:
         rng = random.Random(0)
-        subsets = [rng.getrandbits(n) for _ in range(sample)]
+        subsets = [rng.getrandbits(n) for _ in range(_RANK_AXIOM_SAMPLE)]
     for s in subsets:
         rs = m.rank(s)
         if not 0 <= rs <= popcount(s):

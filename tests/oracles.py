@@ -6,6 +6,7 @@ so that agreement with the package is meaningful.  Sets of ground elements are
 frozensets of ints; a "flat family" is a frozenset of frozensets.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -983,7 +984,7 @@ def toric_hilbert_oracle_ref(bm):
 
 
 # ---------------------------------------------------------------------------
-# binary trees by recursive splitting (independent of leaf insertion)
+# binary trees, by recursive splitting and by leaf insertion
 
 
 def binary_trees(leaves):
@@ -1004,6 +1005,37 @@ def binary_trees(leaves):
                 for rt in binary_trees(right_set):
                     out.append((lt, rt))
     return out
+
+
+def binary_trees_by_insertion(n):
+    """All rooted binary trees on the leaves 1..n, built by inserting each
+    leaf above every vertex of every tree on the smaller leaves; (2n-3)!!
+    trees, as nested pairs with int leaves."""
+    trees = [(1, 2)]
+    for leaf in range(3, n + 1):
+        trees = [u for t in trees for u in _insertions(t, leaf)]
+    return trees
+
+
+def _insertions(t, leaf):
+    yield (t, leaf)  # subdivide the edge above t
+    if isinstance(t, tuple):
+        a, b = t
+        for ia in _insertions(a, leaf):
+            yield (ia, b)
+        for ib in _insertions(b, leaf):
+            yield (a, ib)
+
+
+def stable_tree_gamma(trees):
+    """Descent counts of the stable trees among `trees` (no bottom and no
+    double descent under tree_descent_data_ref), as a coefficient list."""
+    counts = Counter()
+    for t in trees:
+        des, bot, dbl = tree_descent_data_ref(t)
+        if not bot and not dbl:
+            counts[len(des)] += 1
+    return [counts[d] for d in range(max(counts) + 1)]
 
 
 def tree_leaves(t):

@@ -7,6 +7,8 @@ enumerations are cached at module level because two criteria consume them.
 import time
 from collections import Counter
 
+import oracles
+
 from chowpoly.building import (
     BuiltMatroid,
     contract,
@@ -35,7 +37,6 @@ from chowpoly.errors import (
     TooLarge,
 )
 from chowpoly.families import (
-    binary_trees,
     built_from_matroid,
     chordal_building_sets,
     m0n_gamma,
@@ -317,7 +318,7 @@ def test_criterion_09_m0n_tree_model():
         assert kruskal_katona_check(gam), n
     pi7 = built_from_matroid(make_partition(7), "min")
     assert len(pi7.lat.flats) == 877
-    assert len(binary_trees(7)) == 10395
+    assert len(oracles.binary_trees_by_insertion(7)) == 10395
     assert len(maximal_nested_sets(pi7)) == 10395
     assert time.perf_counter() - t <= 300.0
 

@@ -3,6 +3,7 @@ the stable-tree model, cross-checked against the oracles."""
 
 from collections import Counter
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
@@ -14,7 +15,6 @@ from chowpoly.chow import chow_polynomial
 from chowpoly.errors import BadParameters, ChowpolyError, MissingIrreducible
 from chowpoly.families import (
     augmented_built_matroid,
-    binary_trees,
     braid_edges,
     built_from_matroid,
     chordal_building_sets,
@@ -23,8 +23,6 @@ from chowpoly.families import (
     make_graphic,
     make_partition,
     make_uniform,
-    stable_trees,
-    tree_descent_data,
 )
 from chowpoly.lattice import lattice_of_flats, popcount
 
@@ -70,8 +68,8 @@ def test_bad_parameters():
         lambda: make_partition(9),
         lambda: chordal_building_sets(6),
         lambda: chordal_building_sets(1),
-        lambda: binary_trees(1),
-        lambda: binary_trees(10),
+        lambda: m0n_gamma(1),
+        lambda: m0n_gamma(10),
     ):
         with pytest.raises(BadParameters):
             call()
@@ -133,11 +131,11 @@ def _canon(t):
 def test_binary_tree_counts_and_sets():
     want = {2: 1, 3: 3, 4: 15, 5: 105, 6: 945}
     for n, cnt in want.items():
-        trees = binary_trees(n)
+        trees = oracles.binary_trees_by_insertion(n)
         assert len(trees) == cnt, n
         assert len({_canon(t) for t in trees}) == cnt, n
     for n in (2, 3, 4, 5):
-        got = {_canon(t) for t in binary_trees(n)}
+        got = {_canon(t) for t in oracles.binary_trees_by_insertion(n)}
         want_trees = {
             _canon(t) for t in oracles.binary_trees(range(1, n + 1))
         }
@@ -146,22 +144,15 @@ def test_binary_tree_counts_and_sets():
 
 def test_tree_descents_match_oracle():
     for n in (3, 4, 5):
-        ours = Counter(
-            len(tree_descent_data(t)[0]) for t in binary_trees(n)
-        )
+        trees = oracles.binary_trees_by_insertion(n)
+        ours = Counter(len(oracles.tree_descent_data_ref(t)[0]) for t in trees)
         oracle = Counter(
             oracles.tree_descents(t)
             for t in oracles.binary_trees(range(1, n + 1))
         )
         assert ours == oracle, n
-        for t in binary_trees(n):
-            assert len(tree_descent_data(t)[0]) == oracles.tree_descents(t)
-
-
-def test_stable_trees_golden():
-    assert stable_trees(2) == [((1, 2), 0)]
-    assert stable_trees(3) == [(((1, 2), 3), 0)]
-    assert sorted(d for _, d in stable_trees(4)) == [0, 1, 1, 1]
+        for t in trees:
+            assert len(oracles.tree_descent_data_ref(t)[0]) == oracles.tree_descents(t)
 
 
 def test_m0n_gamma_values():
@@ -170,6 +161,18 @@ def test_m0n_gamma_values():
     assert m0n_gamma(4) == [1, 3]
     assert m0n_gamma(5) == [1, 13]
     assert m0n_gamma(6) == [1, 38, 45]
+    assert m0n_gamma(7) == [1, 94, 423]
+    assert m0n_gamma(8) == [1, 213, 2425, 1575]  # the `m0n --n 8` row
+    assert m0n_gamma(9) == [1, 459, 11017, 25497]  # FY on Π9 with G_min
+
+
+def test_m0n_gamma_matches_keel_b2():
+    """b2(M0,n+1) = 2^n - C(n+1, 2) - 1 (Keel 1992); with h1 = (n-2)γ0 + γ1
+    and γ0 = 1 that fixes γ1."""
+    for n in range(2, 10):
+        gam = m0n_gamma(n) + [0, 0]
+        assert gam[0] == 1, n
+        assert gam[1] == 2**n - comb(n + 1, 2) - n + 1, n
 
 
 def test_augmented_goldens():
@@ -205,18 +208,15 @@ def test_built_from_matroid_simplifies():
     assert chow_polynomial(bm) == [1]
 
 
-def test_tree_walk_matches_reference_walk():
-    """tree_descent_data labels each vertex once; the per-tree data and
-    m0n_gamma equal those of the walk that recomputes every minimal leaf."""
+def test_m0n_gamma_matches_stable_tree_references():
+    """The counting recursion equals the stable trees, classified by the
+    walk that recomputes every minimal leaf, of both tree enumerations."""
     for n in range(2, 8):
-        counts = Counter()
-        for t in binary_trees(n):
-            got = tree_descent_data(t)
-            assert got == oracles.tree_descent_data_ref(t), t
-            des, bot, dbl = got
-            if not bot and not dbl:
-                counts[len(des)] += 1
-        assert m0n_gamma(n) == [counts[d] for d in range(max(counts) + 1)], n
+        want = oracles.stable_tree_gamma(oracles.binary_trees_by_insertion(n))
+        assert m0n_gamma(n) == want, n
+    for n in range(2, 7):
+        want = oracles.stable_tree_gamma(oracles.binary_trees(range(1, n + 1)))
+        assert m0n_gamma(n) == want, n
 
 
 def _canonical_graph(nverts, edges):
