@@ -27,6 +27,7 @@ from .lattice import (
     GeomLattice,
     ModularCut,
     bits,
+    delete_lattice,
     maximal,
     minimal,
     popcount,
@@ -143,6 +144,7 @@ class BuiltMatroid:
         self.maxg = tuple(sorted(maximal(self.bset)))
         self.irreducible = lat.full in self.bset
         self.rank = lat.rk
+        self._nested_cache = {}  # the tables chowpoly.nested builds for it
 
     def factors(self, f):
         return factors_in(self.lat, self.bset, f)
@@ -201,11 +203,11 @@ def _interval(lat, bset, order, bottom, top):
     callers validate it.
     """
     new = top & ~bottom
-    via = lat.cover_via[lat.idx[bottom]]
-    label = {}
-    for e in bits(new):
-        label.setdefault(via[e], len(label))
-    ebit = {e: 1 << label[via[e]] for e in bits(new)}
+    parts = sorted(
+        (g & ~bottom for g in lat.covers(bottom) if g & ~top == 0),
+        key=lambda d: d & -d,
+    )
+    label = {e: k for k, d in enumerate(parts) for e in bits(d)}
     rb = lat.rank_of(bottom)
     to_local = {}
     flats = []
@@ -214,7 +216,7 @@ def _interval(lat, bset, order, bottom, top):
             continue
         mask = 0
         for e in bits(f & ~bottom):
-            mask |= ebit[e]
+            mask |= 1 << label[e]
         to_local[f] = mask
         flats.append((mask, r - rb))
     local_bset = frozenset(
@@ -222,8 +224,8 @@ def _interval(lat, bset, order, bottom, top):
         for g in bset
         if g & ~top == 0 and g & ~bottom
     )
-    local_order = tuple(dict.fromkeys(label[via[e]] for e in order if new >> e & 1))
-    sub = GeomLattice(len(label), flats)
+    local_order = tuple(dict.fromkeys(label[e] for e in order if new >> e & 1))
+    sub = GeomLattice(len(parts), flats)
     return BuiltMatroid(sub, local_bset, local_order, validate=False), to_local
 
 
@@ -278,18 +280,11 @@ def delete_element(bm, e):
     """
     if type(e) is not int or not 0 <= e < bm.n:
         raise BadParameters(f"element {e!r} outside 0..{bm.n - 1}")
-    from .lattice import delete_lattice
-
     lat = bm.lat
     sub, drop = delete_lattice(lat, e)
-    low = (1 << e) - 1
-
-    def lift(mask):
-        return (mask & low) | ((mask >> e) << (e + 1))
-
-    bset = frozenset(
-        f for f in sub.flats if f and lat.closure(lift(f)) in bm.bset
-    )
+    # F′ is the image of an old flat f, and cl_M(F′) = cl_M(f ∖ e)
+    rest = {f & ~(1 << e) for f in lat.flats}
+    bset = frozenset(drop(s) for s in rest if s and lat.closure(s) in bm.bset)
     order = tuple(x if x < e else x - 1 for x in bm.order if x != e)
     return BuiltMatroid(sub, bset, order, validate=False)
 

@@ -52,7 +52,7 @@ from .errors import (
     Stuck,
     TooLarge,
 )
-from .lattice import bits
+from .lattice import bits, drop_bit
 from .nested import (
     _links,
     completion,
@@ -142,11 +142,6 @@ def chow_by_deletion(bm):
     ebit = 1 << e
     atom_e = lat.flats[lat.atom_of_elem[e]]
     bmd = delete_element(bm, e)
-    low = ebit - 1
-
-    def drop(mask):
-        return (mask & low) | ((mask >> (e + 1)) << e)
-
     out = chow_by_deletion(bmd)
     for f in sorted(bm.bset):
         if not f & ebit or f == atom_e:
@@ -154,7 +149,7 @@ def chow_by_deletion(bm):
         fd_old = lat.closure(f & ~ebit)
         if lat.rank_of(fd_old) != lat.rank_of(f) - 1:
             continue  # e not a coloop in f
-        fd = drop(f & ~ebit)
+        fd = drop_bit(f, e)
         n_f = len(bmd.factors(fd))
         term = trange(1, n_f)
         term = pmul(term, chow_by_deletion(restrict(bmd, fd)))

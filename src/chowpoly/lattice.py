@@ -2,8 +2,8 @@
 
 Ground elements are 0..n-1 and subsets are bitmask ints, so a flat is just an
 int and subset tests are bitwise.  A lattice is fully materialized: flats,
-ranks, covers, and a per-flat table ``cover_via[i][e]`` giving the unique cover
-of flat i that contains element e.  Joins and closures walk that table.
+ranks and the upper covers ``covers_up`` of every flat.  The covers of a flat
+F partition E ∖ F, so joins and closures climb them, one cover per step.
 """
 
 from dataclasses import dataclass
@@ -116,7 +116,8 @@ class GeomLattice:
     """The lattice of flats of a loopless matroid, fully materialized.
 
     flats are sorted by (rank, mask); ``idx`` maps mask -> position.  meet is
-    plain intersection (flats are intersection-closed), join walks cover_via.
+    plain intersection, and raises InvalidMatroid if that is not a flat;
+    join climbs covers_up, whose covers of each flat F partition E ∖ F.
     """
 
     def __init__(self, n, flats_with_ranks):
@@ -151,7 +152,6 @@ class GeomLattice:
 
     def _build_covers(self):
         self.covers_up = [[] for _ in self.flats]
-        self.cover_via = [dict() for _ in self.flats]
         for r in range(self.rk):
             # a cover of f contains all of f: scan those through f's rarest element
             uppers = self.by_rank[r + 1]
@@ -171,7 +171,6 @@ class GeomLattice:
                             f"element {e} above flat {f:b} in two covers"
                         )
                     self.covers_up[i].append(j)
-                    self.cover_via[i].update(dict.fromkeys(bits(g & ~f), j))
                     reached |= g
                 if reached != self.full:
                     e = next(bits(self.full & ~reached))
@@ -189,12 +188,18 @@ class GeomLattice:
         return self.ranks[i]
 
     def _climb(self, i, mask):
-        """The least flat containing flat i and mask, up cover_via."""
-        rest = mask & ~self.flats[i]
+        """The least flat containing flat i and mask: step up to the cover
+        of i holding the lowest missing element until none is missing."""
+        flats = self.flats
+        rest = mask & ~flats[i]
         while rest:
-            i = self.cover_via[i][(rest & -rest).bit_length() - 1]
-            rest &= ~self.flats[i]
-        return self.flats[i]
+            low = rest & -rest
+            for j in self.covers_up[i]:
+                if flats[j] & low:
+                    break
+            i = j
+            rest &= ~flats[i]
+        return flats[i]
 
     def closure(self, mask):
         """Smallest flat containing an arbitrary subset mask."""
@@ -209,7 +214,10 @@ class GeomLattice:
         if f not in self.idx or g not in self.idx:
             raise NotAFlat(f"meet of non-flats {f:b}, {g:b}")
         m = f & g
-        assert m in self.idx, "flats are intersection-closed"
+        if m not in self.idx:
+            raise InvalidMatroid(
+                f"flats {f:b} and {g:b} meet in {m:b}, which is not a flat"
+            )
         return m
 
     def covers(self, f):
@@ -334,6 +342,12 @@ def validate_modular_cut(lat, cut):
     )
 
 
+def drop_bit(mask, e):
+    """mask without bit e, the higher bits shifted down: the relabeling of
+    a single-element deletion."""
+    return mask & ((1 << e) - 1) | (mask >> (e + 1)) << e
+
+
 def delete_lattice(lat, e):
     """Lattice of the single-element deletion, plus the flat projection map.
 
@@ -341,10 +355,9 @@ def delete_lattice(lat, e):
     mask over 0..n-2 (bit e removed, higher bits shifted down).
     """
     n = lat.n
-    low = (1 << e) - 1
 
     def drop(mask):
-        return (mask & low) | ((mask >> (e + 1)) << e)
+        return drop_bit(mask, e)
 
     new = {}
     for f in lat.flats:

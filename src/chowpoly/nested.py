@@ -24,14 +24,6 @@ from .errors import (
 from .lattice import bits
 
 
-def _cache(bm):
-    try:
-        return bm._nested_cache
-    except AttributeError:
-        bm._nested_cache = {}
-        return bm._nested_cache
-
-
 def is_nested(bm, s):
     """True iff every antichain of size >= 2 inside s joins outside bset.
 
@@ -171,7 +163,7 @@ def _child_table(bm, g):
     rank rk g - 1, and λ(g) = least(g ∖ ∨A) is the label g has in every
     facet where A are its children.  Cached per g, so the facets and the
     stable lister share one table."""
-    table = _cache(bm).setdefault("children", {})
+    table = bm._nested_cache.setdefault("children", {})
     if g not in table:
         below = [h for h in bm.bset if h != g and h & ~g == 0]
         pos = bm.pos
@@ -206,7 +198,7 @@ def maximal_nested_sets(bm):
     g in G below their join lies under one child (Feichtner–Kozlov 2004,
     Prop. 2.8); if ∨A were such a g, that child would meet the disjoint c1
     and c2, which is impossible.  So ∨A is not in G."""
-    cache = _cache(bm)
+    cache = bm._nested_cache
     if "facets" not in cache:
         memo = {}
         parts = [_subtree_facets(bm, m, memo) for m in bm.maxg]
@@ -464,7 +456,7 @@ def stable_descent_sets(bm):
     ψ-fibers share one recursion.  The result is the cached tuple itself."""
     if not bm.irreducible:
         raise NotIrreducible("descents need an irreducible built matroid")
-    cache = _cache(bm)
+    cache = bm._nested_cache
     if "stable" not in cache:
         memo = {}
 
@@ -508,7 +500,7 @@ def factor_restrictions(bm):
     """restrict(bm, g) for every maximal building-set element g, cached next
     to the facets, so that the descent formula and the Γ-complex of a
     reducible input share one descent pass per factor."""
-    cache = _cache(bm)
+    cache = bm._nested_cache
     if "factors" not in cache:
         cache["factors"] = tuple(restrict(bm, g) for g in bm.maxg)
     return cache["factors"]

@@ -1,6 +1,10 @@
 """Lattice-of-flats construction, joins/meets, interval factorization and
 modular cuts, cross-checked against the brute-force oracles."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +13,16 @@ import oracles
 from helpers import mask_of, set_of, sets_of
 
 from chowpoly.errors import InvalidMatroid, NotAFlat, NotMeetClosed, NotUpwardClosed
-from chowpoly.families import make_boolean, make_graphic, make_partition, make_uniform
+from chowpoly.building import contract, delete_element, restrict
+from chowpoly.families import (
+    built_from_matroid,
+    make_boolean,
+    make_graphic,
+    make_partition,
+    make_uniform,
+)
 from chowpoly.lattice import (
+    GeomLattice,
     Matroid,
     delete_lattice,
     is_modular_pair,
@@ -18,6 +30,7 @@ from chowpoly.lattice import (
     validate_modular_cut,
     validate_rank_axioms,
 )
+from chowpoly.nested import link_decomposition, maximal_nested_sets
 
 CASES = [
     ("B4", make_boolean(4), 4, oracles.boolean_rank),
@@ -52,6 +65,80 @@ def test_join_meet_match_oracle(name, m, n, orank):
             j = lat.join(f, g)
             assert set_of(j) == oracles.join_of(n, orank, set_of(f), set_of(g))
             assert lat.meet(f, g) == f & g
+
+
+def _least_flat_containing(lat, mask):
+    """The least-rank flat of lat holding mask, by a scan of all flats."""
+    return min(
+        (r, f) for f, r in zip(lat.flats, lat.ranks) if mask & ~f == 0
+    )[1]
+
+
+@pytest.mark.parametrize(
+    "m,kind",
+    [(make_partition(5), "min"), (make_boolean(4), "max"), (make_uniform(3, 6), "max")],
+    ids=["Pi5-min", "B4-max", "U36-max"],
+)
+def test_join_and_closure_on_derived_lattices(m, kind):
+    """Joins and closures climb the covers of every lattice that a minor or
+    a local interval builds, not only of `lattice_of_flats` results."""
+    bm = built_from_matroid(m, kind)
+    derived = [restrict(bm, f) for f in bm.lat.flats]
+    derived += [contract(bm, f) for f in bm.lat.flats]
+    derived += [delete_element(bm, e) for e in range(bm.n)]
+    for s in maximal_nested_sets(bm) + [frozenset({g}) for g in bm.bset]:
+        derived += [link.built for link in link_decomposition(bm, s)]
+    for lat in {id(d.lat): d.lat for d in derived}.values():
+        for f in lat.flats:
+            for g in lat.flats:
+                assert lat.join(f, g) == _least_flat_containing(lat, f | g)
+        for mask in range(1 << lat.n):
+            assert lat.closure(mask) == _least_flat_containing(lat, mask)
+
+
+# Its covers partition E ∖ F at every flat F, so the constructor accepts it.
+_NOT_MEET_CLOSED = [
+    (0, 0),
+    (0b11, 1),
+    (0b1100, 1),
+    (0b111, 2),
+    (0b1011, 2),
+    (0b1101, 2),
+    (0b1110, 2),
+    (0b1111, 3),
+]
+
+
+def test_meet_outside_the_flats_is_typed():
+    """Covers that partition at every flat do not make the flats
+    intersection-closed: here {0, 1} and {0, 2, 3} meet in {0}, no flat."""
+    lat = GeomLattice(4, _NOT_MEET_CLOSED)
+    with pytest.raises(InvalidMatroid, match="11 and 1101"):
+        lat.meet(0b11, 0b1101)
+
+
+def test_meet_outside_the_flats_is_typed_under_optimize():
+    code = (
+        "from chowpoly.errors import InvalidMatroid\n"
+        "from chowpoly.lattice import GeomLattice\n"
+        f"lat = GeomLattice(4, {_NOT_MEET_CLOSED!r})\n"
+        "try:\n"
+        "    lat.meet(0b11, 0b1101)\n"
+        "except InvalidMatroid as e:\n"
+        "    print(e.args)\n"
+    )
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "('flats 11 and 1101 meet in 1, which is not a flat',)\n"
+    )
 
 
 @pytest.mark.parametrize("name,m,n,orank", CASES, ids=[c[0] for c in CASES])

@@ -437,12 +437,13 @@ def test_stable_pairs_are_built_once_per_built_matroid(monkeypatch):
             self.filled[key] += 1
             super().__setitem__(key, value)
 
-    def recording_cache(bm):
-        if not hasattr(bm, "_nested_cache"):
-            bm._nested_cache = Recording()
-        return bm._nested_cache
+    init = BuiltMatroid.__init__
 
-    monkeypatch.setattr(nested, "_cache", recording_cache)
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._nested_cache = Recording()
+
+    monkeypatch.setattr(BuiltMatroid, "__init__", recording_init)
     bm = built_from_matroid(make_partition(5), "min")
     gamma = gamma_by_descents(bm)
     rep = gamma_complex(bm)
