@@ -50,52 +50,63 @@ def validate_building_set(lat, s):
 
     Raises MissingIrreducible(F) or JoinClosureViolation((G, G')) on failure.
 
-    One pass up the covers decides acceptance (`_splits_outside`).  Only a
-    rejected s pays for the scans below, which name the witness: the first
+    One pass up the covers decides acceptance (`_g_factor_table`).  Only a
+    rejected s pays for the scans that name the witness: the first
     irreducible flat missing from s, else the first meeting pair of members
     whose join leaves s, both in sorted order.
     """
     s = frozenset(s)
+    _validated_g_factor_table(lat, s)
+    return s
+
+
+def _validated_g_factor_table(lat, s):
+    """`_g_factor_table(lat, s)` for a frozenset s, raising as
+    `validate_building_set` does unless s is a building set."""
     for f in s:
         if not lat.is_flat(f):
             raise NotAFlat(f"{f:b} is not a flat")
         if f == 0:
             raise NotAFlat("the bottom flat cannot belong to a building set")
-    if _splits_outside(lat, s):
-        return s
-    for f in sorted(g_min(lat)):
-        if f not in s:
-            raise MissingIrreducible(f)
-    members = sorted(s)
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            if a & b and not (a & ~b == 0 or b & ~a == 0):
-                if lat.join(a, b) not in s:
-                    raise JoinClosureViolation((a, b))
-    return s
+    table = _g_factor_table(lat, s)
+    if table is None:
+        for f in sorted(g_min(lat)):
+            if f not in s:
+                raise MissingIrreducible(f)
+        members = sorted(s)
+        for i, a in enumerate(members):
+            for b in members[i + 1 :]:
+                if a & b and not (a & ~b == 0 or b & ~a == 0):
+                    if lat.join(a, b) not in s:
+                        raise JoinClosureViolation((a, b))
+    return table
 
 
-def _splits_outside(lat, s):
-    """Whether every nonzero flat F outside s is split by its tops: they are
-    pairwise disjoint, their union is F and their ranks add up to rk F.
+def _g_factor_table(lat, s):
+    """The G-factors of every flat, indexed like lat.flats, each a tuple of
+    the maximal elements of s below it; None when s is not a building set.
 
-    tops(F) is (F,) for F in s, and otherwise the maximal elements among the
-    tops of F's lower covers, so it is the set of maximal elements of s
-    below F.  One pass in (rank, mask) order, as in
-    `GeomLattice._factor_table`.  A True answer makes s a building set
-    (Feichtner–Kozlov 2004):
+    tops(F) is (F,) for F in s, and otherwise the maximal elements among
+    the tops of F's lower covers, so it is the set of maximal elements of
+    s below F.  One pass in (rank, mask) order, as in
+    `GeomLattice._factor_table`.  It returns None as soon as a nonzero flat
+    F outside s is not split by its tops, that is, they are not pairwise
+    disjoint, their union is not F or their ranks do not add up to rk F.
+    When every such F is split, s is a building set (Feichtner–Kozlov
+    2004):
     - F outside s is split into k >= 2 parts with additive ranks, so it is
       reducible, and every irreducible flat lies in s;
     - meeting a, b in s with a ∨ b = F outside s lie under one top m of F,
       because the tops are disjoint, so a ∨ b <= m < F: no such pair.
     A building set always passes, since its maximal elements below F are
-    the factors of F."""
+    the factors of F, and then tops(F) are exactly the G-factors of F."""
     below = [[] for _ in lat.flats]
+    table = []
     for i, (f, r) in enumerate(zip(lat.flats, lat.ranks)):
         if f in s:
             tops = (f,)
         else:
-            tops = maximal(set(below[i]))
+            tops = tuple(maximal(set(below[i])))
             union = 0
             for g in tops:
                 union |= g
@@ -104,11 +115,12 @@ def _splits_outside(lat, s):
                 or sum(map(popcount, tops)) != popcount(f)
                 or sum(lat.rank_of(g) for g in tops) != r
             ):
-                return False
+                return None
+        table.append(tops)
         below[i] = None
         for j in lat.covers_up[i]:
             below[j].extend(tops)
-    return True
+    return table
 
 
 def factors_in(lat, s, f):
@@ -131,6 +143,7 @@ class BuiltMatroid:
         self.n = lat.n
         self.bset = frozenset(bset)
         self.order = tuple(order) if order is not None else tuple(range(lat.n))
+        self._nested_cache = {}  # the tables chowpoly.nested builds for it
         if validate:
             parallel = [lat.flats[i] for i in lat.atoms if popcount(lat.flats[i]) > 1]
             if parallel:
@@ -139,12 +152,13 @@ class BuiltMatroid:
                     f"{list(bits(parallel[0]))} are parallel"
                 )
             _check_order(self.order, lat.n)
-            validate_building_set(lat, self.bset)
+            # the pass that accepts the set gives nested its G-factors too
+            tops = _validated_g_factor_table(lat, self.bset)
+            self._nested_cache["tops"] = tops
         self.pos = {e: i for i, e in enumerate(self.order)}
         self.maxg = tuple(sorted(maximal(self.bset)))
         self.irreducible = lat.full in self.bset
         self.rank = lat.rk
-        self._nested_cache = {}  # the tables chowpoly.nested builds for it
 
     def factors(self, f):
         return factors_in(self.lat, self.bset, f)
@@ -269,7 +283,21 @@ def delete_element(bm, e):
     """Single-element deletion (bit e dropped, higher bits shifted down).
 
     The deleted building set G∖e is the set of nonzero flats F′ of M∖e with
-    cl_M(F′) in G.  It is not validated, because it cannot fail when G is a
+    cl_M(F′) in G.  The flats of M∖e are the sets f ∖ e of the flats f of
+    M, so G∖e is read off G with no closure:
+
+        G∖e = {drop(f ∖ e) : f ∈ G, f ∖ e ≠ 0, and not (e ∈ f and f ∖ e
+        is a flat of M)}.
+
+    - cl_M(f ∖ e) is f unless e is a coloop of M|f: for e ∉ f, f ∖ e = f;
+      for e ∈ f, cl_M(f ∖ e) lies between f ∖ e and f, so it is f ∖ e when
+      that is a flat of M and f otherwise.
+    - So for f in the right-hand side, cl_M(f ∖ e) = f lies in G, and
+      drop(f ∖ e) lies in G∖e.  Conversely, for F′ in G∖e, f = cl_M(F′)
+      lies in G with f ∖ e = F′ ≠ 0, and f is not F′ + e with F′ a flat,
+      since F′ would then be its own closure.
+
+    The result is not validated, because it cannot fail when G is a
     building set of the simple lattice of M (the BuiltMatroid invariant):
     - M∖e is simple and the new order permutes its elements;
     - if F′ is irreducible in M∖e, then M|F′ is connected, and so is
@@ -282,9 +310,12 @@ def delete_element(bm, e):
         raise BadParameters(f"element {e!r} outside 0..{bm.n - 1}")
     lat = bm.lat
     sub, drop = delete_lattice(lat, e)
-    # F′ is the image of an old flat f, and cl_M(F′) = cl_M(f ∖ e)
-    rest = {f & ~(1 << e) for f in lat.flats}
-    bset = frozenset(drop(s) for s in rest if s and lat.closure(s) in bm.bset)
+    bit = 1 << e
+    bset = frozenset(
+        drop(f & ~bit)
+        for f in bm.bset
+        if f & ~bit and not (f & bit and lat.is_flat(f & ~bit))
+    )
     order = tuple(x if x < e else x - 1 for x in bm.order if x != e)
     return BuiltMatroid(sub, bset, order, validate=False)
 
@@ -557,14 +588,31 @@ def binary_filtration(bm, small):
       the current set is join-closed;
     - disjoint maximal elements below g leave no meeting pair joining to g;
     - two meeting maximal elements m1, m2 have m1 ∨ m2 = g by maximality.
+
+    `_removable(lat, cur, f)` reads only the members of cur strictly below
+    f, so a verdict stays valid until one of those is removed.  The
+    verdicts are kept in a dict local to the call, and removing g drops
+    only those of g and of the flats strictly above it.  The picks, and so
+    the chain and its errors, are those of rescanning every candidate at
+    every step.
     """
     witness = flag_nonface_witness(bm)
     if witness is not None:
         raise NotFlag(witness)
+    verdicts = {}  # a flat of cur - small -> whether it is removable now
 
     def pick(lat, cur, small):
-        cand = [f for f in cur - small if _removable(lat, cur, f)]
-        return min(maximal(cand)) if cand else None
+        for f in cur - small:
+            if f not in verdicts:
+                verdicts[f] = _removable(lat, cur, f)
+        cand = [f for f, ok in verdicts.items() if ok]
+        if not cand:
+            return None
+        g = min(maximal(cand))
+        # _removal_chain removes g before it asks again
+        for f in [f for f in verdicts if g & ~f == 0]:
+            del verdicts[f]
+        return g
 
     filt = _removal_chain(bm, small, pick)
     if not all(filt.binary):

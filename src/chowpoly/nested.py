@@ -5,14 +5,23 @@ size >= 2 has join outside the building set; `is_nested` decides it by a
 polynomial forest test, and `nested_subsets` is the one walk over nested
 subsets.  Maximal nested sets (facets) are enumerated by a tree recursion
 through rank-1 local intervals, and the stable facets by the same recursion,
-pruned as it goes; the antichain scan, the brute-force subset filter and the
-filter of every facet by its descent data live in the test oracles.
+pruned as it goes.  The children a facet can give g are read off the lower
+covers of g, one G-factor set per cover, with no search and no join.  The
+antichain scan, the pruned child-antichain search, the brute-force subset
+filter and the filter of every facet by its descent data live in the test
+oracles.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .building import BuiltMatroid, _interval, restrict, tl_chain
+from .building import (
+    BuiltMatroid,
+    _g_factor_table,
+    _interval,
+    restrict,
+    tl_chain,
+)
 from .errors import (
     BadParameters,
     NotIrreducible,
@@ -106,71 +115,45 @@ def nested_subsets(bm, verts, min_gap):
 # facet enumeration
 
 
-def _nested_antichains(bm, candidates, target_rank):
-    """(antichain, join) for the antichains of pairwise-disjoint candidates,
-    all sub-joins outside the building set, with total join rank ==
-    target_rank.
-
-    Disjointness is forced: a meeting incomparable pair would have its join in
-    the building set by the join-closure axiom, breaking nestedness.
-    """
-    lat = bm.lat
-    cands = sorted(candidates, key=lambda f: (-lat.rank_of(f), f))
-    out = []
-
-    def go(start, chosen, union, subjoins, total, total_rank):
-        if total_rank == target_rank:
-            out.append((tuple(chosen), total))
-            # adding further disjoint flats would raise the join rank
-        for i in range(start, len(cands)):
-            c = cands[i]
-            if c & union:
-                continue
-            if total_rank + lat.rank_of(c) > target_rank:
-                continue
-            new = []
-            ok = True
-            for j in subjoins:
-                nj = lat.join(j, c)
-                if nj in bm.bset:
-                    ok = False
-                    break
-                new.append(nj)
-            if not ok:
-                continue
-            nt = lat.join(total, c)
-            # nested antichains are rank-additive (their join factors as
-            # a direct sum over the antichain)
-            if lat.rank_of(nt) != total_rank + lat.rank_of(c):
-                continue
-            go(
-                i + 1,
-                chosen + [c],
-                union | c,
-                subjoins + new + [c],
-                nt,
-                total_rank + lat.rank_of(c),
-            )
-
-    go(0, [], 0, [], 0, 0)
-    del go  # go refers to itself; without this the cycle keeps bm alive
-    return out
-
-
 def _child_table(bm, g):
     """(children, position of λ(g)) for every way to saturate the tree
     below g: the children are a nested antichain A under g with join of
     rank rk g - 1, and λ(g) = least(g ∖ ∨A) is the label g has in every
     facet where A are its children.  Cached per g, so the facets and the
-    stable lister share one table."""
-    table = bm._nested_cache.setdefault("children", {})
+    stable lister share one table.
+
+    The rows are read off the lower covers of g, one row per cover j: the
+    G-factors of j, in (-rank, mask) order, and the least position in
+    g ∖ j.  A nested antichain is exactly the set of G-factors of its join
+    (Feichtner–Kozlov 2004, Prop. 2.8), so A is the factor set of ∨A, a
+    lower cover of g; conversely the G-factors of a flat are a nested
+    antichain with that flat as join.  So A ↦ ∨A is a bijection from the
+    child antichains onto the lower covers.  The G-factors of every flat
+    come from one pass up the covers (`building._g_factor_table`), the
+    one that validated the building set if it was validated, cached next
+    to the table.  The rows are sorted by their (-rank, mask) key
+    tuples, the order of a search that adds children in (-rank, mask)
+    order (`tests/oracles.py:nested_antichains_ref`)."""
+    cache = bm._nested_cache
+    table = cache.setdefault("children", {})
     if g not in table:
-        below = [h for h in bm.bset if h != g and h & ~g == 0]
+        if "tops" not in cache:
+            cache["tops"] = _g_factor_table(bm.lat, bm.bset)
+        tops = cache["tops"]
+        lat = bm.lat
+        flats = lat.flats
         pos = bm.pos
-        table[g] = [
-            (a, min(pos[e] for e in bits(g & ~j)))
-            for a, j in _nested_antichains(bm, below, bm.lat.rank_of(g) - 1)
-        ]
+
+        def key(f):
+            return -lat.rank_of(f), f
+
+        lower = [i for i in lat.by_rank[lat.rank_of(g) - 1] if not flats[i] & ~g]
+        rows = []
+        for i in lower:
+            lpos = min(pos[e] for e in bits(g & ~flats[i]))
+            rows.append((tuple(sorted(tops[i], key=key)), lpos))
+        rows.sort(key=lambda row: [key(f) for f in row[0]])
+        table[g] = rows
     return table[g]
 
 

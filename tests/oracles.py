@@ -144,8 +144,86 @@ def greedy_binary_chain(lat, big, small):
     return chain, added, binary
 
 
+def binary_filtration_rescan_ref(bm, small):
+    """`building.binary_filtration` as it was before it kept its verdicts:
+    every step asks `_removable` again for every candidate left."""
+    from chowpoly.building import (
+        _removable,
+        _removal_chain,
+        flag_nonface_witness,
+    )
+    from chowpoly.errors import NotFlag, Stuck
+    from chowpoly.lattice import maximal
+
+    witness = flag_nonface_witness(bm)
+    if witness is not None:
+        raise NotFlag(witness)
+
+    def pick(lat, cur, small):
+        cand = [f for f in cur - small if _removable(lat, cur, f)]
+        return min(maximal(cand)) if cand else None
+
+    filt = _removal_chain(bm, small, pick)
+    if not all(filt.binary):
+        raise Stuck("non-binary step in greedy filtration")
+    return filt
+
+
 # ---------------------------------------------------------------------------
 # nested sets
+
+
+def nested_antichains_ref(bm, candidates, target_rank):
+    """(antichain, join) for the antichains of pairwise-disjoint candidates,
+    all sub-joins outside the building set, with total join rank ==
+    target_rank, in the order of a depth-first search over the candidates
+    in (-rank, mask) order; each antichain is a tuple in that order.
+
+    This is the pruned search the facet enumerator used before it read the
+    child antichains off the lower covers.  Disjointness is forced: a
+    meeting incomparable pair would have its join in the building set by
+    the join-closure axiom, breaking nestedness.
+    """
+    lat = bm.lat
+    cands = sorted(candidates, key=lambda f: (-lat.rank_of(f), f))
+    out = []
+
+    def go(start, chosen, union, subjoins, total, total_rank):
+        if total_rank == target_rank:
+            out.append((tuple(chosen), total))
+            # adding further disjoint flats would raise the join rank
+        for i in range(start, len(cands)):
+            c = cands[i]
+            if c & union:
+                continue
+            if total_rank + lat.rank_of(c) > target_rank:
+                continue
+            new = []
+            ok = True
+            for j in subjoins:
+                nj = lat.join(j, c)
+                if nj in bm.bset:
+                    ok = False
+                    break
+                new.append(nj)
+            if not ok:
+                continue
+            nt = lat.join(total, c)
+            # nested antichains are rank-additive (their join factors as
+            # a direct sum over the antichain)
+            if lat.rank_of(nt) != total_rank + lat.rank_of(c):
+                continue
+            go(
+                i + 1,
+                chosen + [c],
+                union | c,
+                subjoins + new + [c],
+                nt,
+                total_rank + lat.rank_of(c),
+            )
+
+    go(0, [], 0, [], 0, 0)
+    return out
 
 
 def is_nested_family(n, rank, g, s):

@@ -268,7 +268,9 @@ def test_extend_atom_cut_is_typed_under_optimize():
 
 def test_delete_element_results_are_building_sets_on_corpus():
     """delete_element skips validating its result (proof in its docstring):
-    here every deletion of every corpus instance gets the full check."""
+    here every deletion of every corpus instance gets the full check, and
+    its building set, read off G with no closure, is the definition's: the
+    nonzero flats F′ of M∖e with cl_M(F′) in G."""
     from chowpoly.corpus import corpus
 
     deletions = 0
@@ -278,6 +280,12 @@ def test_delete_element_results_are_building_sets_on_corpus():
             d = delete_element(bm, e)
             BuiltMatroid(d.lat, d.bset, d.order)  # simple lattice, order
             assert oracles.validate_building_set_ref(d.lat, d.bset) == d.bset
+            low = (1 << e) - 1
+            lifts = {f: f & low | (f >> e) << (e + 1) for f in d.lat.flats}
+            want = {
+                f for f, s in lifts.items() if s and bm.lat.closure(s) in bm.bset
+            }
+            assert d.bset == want, (inst.name, e)
             deletions += 1
     assert deletions == 990
 
@@ -410,6 +418,61 @@ def test_binary_filtration_matches_reference_greedy_on_corpus():
         ref = oracles.greedy_binary_chain(bm.lat, bm.bset, g_min(bm.lat))
         assert (filt.bsets, filt.added, filt.binary) == ref, inst.name
     assert flag == 206
+
+
+def _filtration_or_error(filtrate, bm):
+    try:
+        filt = filtrate(bm, g_min(bm.lat))
+    except ChowpolyError as exc:
+        return type(exc)
+    return (filt.bsets, filt.added, filt.binary)
+
+
+def test_binary_filtration_matches_rescan_reference():
+    """Keeping the removability verdicts across steps picks what rescanning
+    every candidate picks: the same chain, or the same error type, on every
+    corpus instance and on B6|max."""
+    from chowpoly.corpus import corpus
+
+    cases = [inst.built for inst in corpus()]
+    cases.append(built_from_matroid(make_boolean(6), "max"))
+    outcomes = Counter()
+    for bm in cases:
+        got = _filtration_or_error(binary_filtration, bm)
+        want = _filtration_or_error(oracles.binary_filtration_rescan_ref, bm)
+        assert got == want, bm
+        outcomes[got if isinstance(got, type) else "chain"] += 1
+    assert outcomes == {"chain": 207, NotFlag: 23}
+
+
+@pytest.mark.parametrize("name", ["B6max", "U(4,7)max"])
+def test_binary_filtration_rechecks_only_what_a_removal_changed(
+    name, monkeypatch
+):
+    """The greedy asks `_removable` at most half as often as rescanning
+    every candidate at every step (a rescan makes 1653 calls on B6|max and
+    1596 on U(4,7)|max)."""
+    import chowpoly.building as building
+
+    m = make_boolean(6) if name == "B6max" else make_uniform(4, 7)
+    bm = built_from_matroid(m, "max")
+    calls = 0
+    removable = building._removable
+
+    def counting_removable(lat, bset, g):
+        nonlocal calls
+        calls += 1
+        return removable(lat, bset, g)
+
+    monkeypatch.setattr(building, "_removable", counting_removable)
+    counts = []
+    for filtrate in (oracles.binary_filtration_rescan_ref, binary_filtration):
+        calls = 0
+        filtrate(bm, g_min(bm.lat))
+        counts.append(calls)
+    rescan, incremental = counts
+    assert rescan == {"B6max": 1653, "U(4,7)max": 1596}[name]
+    assert 2 * incremental <= rescan
 
 
 def test_structural_check_on_corpus():

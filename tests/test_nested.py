@@ -247,6 +247,101 @@ def test_facet_goldens():
     assert len(maximal_nested_sets(b4)) == 24  # maximal chains of B4
 
 
+def test_child_table_matches_pruned_antichain_search():
+    """The rows read off the lower covers are the child antichains of the
+    pruned search, in its order, with the same λ positions, for every
+    building-set flat g."""
+    from chowpoly.corpus import corpus
+    from chowpoly.families import chordal_building_sets
+    from chowpoly.lattice import bits
+    from chowpoly.nested import _child_table
+
+    b4 = lattice_of_flats(make_boolean(4))
+    cases = [
+        built_from_matroid(make_partition(5), "min"),
+        built_from_matroid(make_partition(6), "min"),
+        built_from_matroid(make_boolean(5), "max"),
+        built_from_matroid(make_uniform(4, 7), "max"),
+        built_from_matroid(make_uniform(3, 6), "max"),
+    ]
+    cases += [BuiltMatroid(b4, bset) for bset in chordal_building_sets(4)]
+    cases += [i.built for i in corpus() if i.bset_kind == "random"][:10]
+    pairs = rows = 0
+    for bm in cases:
+        lat = bm.lat
+        for g in sorted(bm.bset):
+            below = [h for h in bm.bset if h != g and h & ~g == 0]
+            want = [
+                (a, min(bm.pos[e] for e in bits(g & ~j)))
+                for a, j in oracles.nested_antichains_ref(
+                    bm, below, lat.rank_of(g) - 1
+                )
+            ]
+            assert _child_table(bm, g) == want, (bm, g)
+            pairs += 1
+            rows += len(want)
+    assert len(cases) == 5 + len(chordal_building_sets(4)) + 10
+    assert (pairs, rows) == (969, 2254)
+
+
+@pytest.mark.parametrize(
+    "bm",
+    [
+        built_from_matroid(make_uniform(5, 11), "max"),
+        built_from_matroid(make_partition(6), "min"),
+    ],
+    ids=["U(5,11)max", "Pi6min"],
+)
+def test_facets_make_no_join(bm, monkeypatch):
+    """The facet enumerator reads its child antichains off the lower
+    covers, so it joins no flats (a search made 15576 and 3448 joins)."""
+    from chowpoly.lattice import GeomLattice
+
+    joins = 0
+    join = GeomLattice.join
+
+    def counting_join(self, f, g):
+        nonlocal joins
+        joins += 1
+        return join(self, f, g)
+
+    monkeypatch.setattr(GeomLattice, "join", counting_join)
+    facets = maximal_nested_sets(bm)
+    assert joins == 0
+    assert len(facets) == {11: 7920, 15: 945}[bm.n]
+
+
+def test_g_factor_table_is_taken_once_per_built_matroid(monkeypatch):
+    """A validated built matroid keeps the table of its validating pass for
+    the child tables; an unvalidated one (a deletion) takes it once, on
+    first use."""
+    import chowpoly.building as building
+    import chowpoly.nested as nested
+    from chowpoly.building import delete_element
+
+    calls = 0
+    table = building._g_factor_table
+
+    def counting_table(lat, s):
+        nonlocal calls
+        calls += 1
+        return table(lat, s)
+
+    monkeypatch.setattr(building, "_g_factor_table", counting_table)
+    monkeypatch.setattr(nested, "_g_factor_table", counting_table)
+    bm = built_from_matroid(make_partition(5), "min")
+    assert calls == 1
+    maximal_nested_sets(bm)
+    stable_descent_sets(bm)
+    assert calls == 1
+    assert bm._nested_cache["tops"] == table(bm.lat, bm.bset)
+    d = delete_element(bm, 0)
+    assert calls == 1
+    maximal_nested_sets(d)
+    maximal_nested_sets(d)
+    assert calls == 2
+
+
 def test_gmax_facets_are_maximal_chains():
     """For the maximal building set, facets are exactly the maximal proper
     chains; their count is cross-checked by an independent chain-count DP."""
