@@ -123,12 +123,6 @@ def _g_factor_table(lat, s):
     return table
 
 
-def factors_in(lat, s, f):
-    """Maximal elements of s weakly below f, sorted by (rank, mask)."""
-    below = maximal(g for g in s if g & ~f == 0)
-    return sorted(below, key=lambda g: (lat.rank_of(g), g))
-
-
 def _check_order(order, n):
     """Raise BadParameters unless order is a permutation of 0..n-1."""
     if not all(type(e) is int for e in order) or sorted(order) != list(range(n)):
@@ -143,7 +137,7 @@ class BuiltMatroid:
         self.n = lat.n
         self.bset = frozenset(bset)
         self.order = tuple(order) if order is not None else tuple(range(lat.n))
-        self._nested_cache = {}  # the tables chowpoly.nested builds for it
+        self._nested_cache = {}  # the G-factor table and chowpoly.nested's tables
         if validate:
             parallel = [lat.flats[i] for i in lat.atoms if popcount(lat.flats[i]) > 1]
             if parallel:
@@ -152,16 +146,27 @@ class BuiltMatroid:
                     f"{list(bits(parallel[0]))} are parallel"
                 )
             _check_order(self.order, lat.n)
-            # the pass that accepts the set gives nested its G-factors too
-            tops = _validated_g_factor_table(lat, self.bset)
-            self._nested_cache["tops"] = tops
+            self._nested_cache["tops"] = _validated_g_factor_table(lat, self.bset)
         self.pos = {e: i for i, e in enumerate(self.order)}
         self.maxg = tuple(sorted(maximal(self.bset)))
         self.irreducible = lat.full in self.bset
         self.rank = lat.rk
 
+    def factor_table(self):
+        """The G-factors of every flat, indexed like lat.flats
+        (`_g_factor_table`): the table of the validating pass, or one pass
+        on first use for a built matroid that was not validated."""
+        cache = self._nested_cache
+        if "tops" not in cache:
+            cache["tops"] = _g_factor_table(self.lat, self.bset)
+        return cache["tops"]
+
     def factors(self, f):
-        return factors_in(self.lat, self.bset, f)
+        """The G-factors of the flat f, a row of `factor_table`."""
+        i = self.lat.idx.get(f)
+        if i is None:
+            raise NotAFlat(f"{f:b} is not a flat")
+        return self.factor_table()[i]
 
     def key(self):
         """Canonical relabeling by the order; usable as a memo key."""
@@ -320,6 +325,15 @@ def delete_element(bm, e):
     return BuiltMatroid(sub, bset, order, validate=False)
 
 
+def _collar(lat, cutset):
+    """The flats outside the cut with a cover inside it."""
+    return {
+        f
+        for f in lat.flats
+        if f not in cutset and any(g in cutset for g in lat.covers(f))
+    }
+
+
 def extend(bm, cut):
     """Single-element extension along a modular cut; the new element is
     appended as n and becomes the order-greatest element.
@@ -342,11 +356,7 @@ def extend(bm, cut):
         raise CutContainsAtom(atoms)
     n = bm.n
     bit = 1 << n
-    collar = {
-        f
-        for f in lat.flats
-        if f not in cutset and any(g in cutset for g in lat.covers(f))
-    }
+    collar = _collar(lat, cutset)
     flats = []
     for f in lat.flats:
         if f in cutset:
@@ -358,10 +368,7 @@ def extend(bm, cut):
     big = GeomLattice(n + 1, flats)
     bset = {f | bit if f in cutset else f for f in bm.bset}
     bset.add(big.closure(bit))
-    order = bm.order + (n,)
-    out = BuiltMatroid(big, frozenset(bset), order, validate=False)
-    validate_building_set(big, out.bset)
-    return out
+    return BuiltMatroid(big, bset, bm.order + (n,))
 
 
 def truncate(bm, cut):
@@ -379,11 +386,7 @@ def truncate(bm, cut):
         raise ImproperCut("the bottom flat lies in the cut")
     if not mc.atom_free:
         raise CutContainsAtom(sorted(f for f in cutset if lat.rank_of(f) == 1))
-    collar = {
-        f
-        for f in lat.flats
-        if f not in cutset and any(g in cutset for g in lat.covers(f))
-    }
+    collar = _collar(lat, cutset)
     flats = [
         (f, lat.rank_of(f) - (1 if f in cutset else 0))
         for f in lat.flats
@@ -502,44 +505,42 @@ class Filtration:
 
     bsets: list  # list of frozensets, len = steps + 1
     added: list  # flat added at each step
-    binary: list  # whether the added flat has exactly 2 factors in the prior set
+    factors: list  # its factors in the prior set, sorted by (rank, mask)
 
 
 def _removal_chain(bm, small, pick):
     """Remove what pick(lat, cur, small) returns until small is left.
 
-    Only small, which is caller input, is validated: pick returns only
-    elements `_removable` accepts, so by the proof in `is_removable` every
-    set of the chain from bm.bset down is a building set."""
+    pick returns None or (g, `_removable(lat, cur, g)`), whose tops are the
+    factors of g in cur minus g.  Only small, which is caller input, is
+    validated: pick returns only elements `_removable` accepts, so by the
+    proof in `is_removable` every set of the chain is a building set."""
     lat = bm.lat
     small = frozenset(small)
     if not small <= bm.bset:
         raise NotContained(sorted(small - bm.bset))
     validate_building_set(lat, small)
-    chain = [bm.bset]
+    chain, added, factors = [bm.bset], [], []
     cur = set(bm.bset)
-    while frozenset(cur) != small:
-        g = pick(lat, cur, small)
-        if g is None:
+    while chain[-1] != small:
+        step = pick(lat, cur, small)
+        if step is None:
             raise Stuck(sorted(cur - small))
+        g, tops = step
         cur.discard(g)
         chain.append(frozenset(cur))
-    chain.reverse()
-    added = []
-    binary = []
-    for prev, nxt in zip(chain, chain[1:]):
-        (f,) = tuple(nxt - prev)
-        added.append(f)
-        binary.append(len(factors_in(lat, prev, f)) == 2)
-    return Filtration(bsets=chain, added=added, binary=binary)
+        added.append(g)
+        factors.append(tuple(sorted(tops, key=lambda h: (lat.rank_of(h), h))))
+    return Filtration(bsets=chain[::-1], added=added[::-1], factors=factors[::-1])
 
 
 def _removable(lat, bset, g):
-    """Whether bset minus g is still a building set, given a building set
-    bset that contains g: g must be reducible and the maximal elements of
-    bset strictly below g pairwise disjoint (proof in `is_removable`)."""
+    """The maximal elements of bset strictly below g, as a tuple, when bset
+    minus g is still a building set, and None otherwise.  bset is a
+    building set that contains g: g must be reducible and those maximal
+    elements pairwise disjoint (proof in `is_removable`)."""
     if lat.is_irreducible(g):
-        return False
+        return None
     # Descending size: an element is maximal below g iff no earlier maximal
     # element contains it.  Disjoint maximal elements make `union` an exact
     # test for meeting one of them.
@@ -552,10 +553,10 @@ def _removable(lat, bset, g):
         if h & union:
             if any(h & ~t == 0 for t in tops):
                 continue
-            return False
+            return None
         tops.append(h)
         union |= h
-    return True
+    return tuple(tops)
 
 
 def is_removable(bm, g):
@@ -571,7 +572,7 @@ def is_removable(bm, g):
     - if two of them, m1 and m2, meet, then m1 ∨ m2 is in bset, ≤ g and
       strictly above both, so it is g by maximality: removing g breaks them.
     """
-    return g in bm.bset and _removable(bm.lat, bm.bset, g)
+    return g in bm.bset and _removable(bm.lat, bm.bset, g) is not None
 
 
 def binary_filtration(bm, small):
@@ -599,22 +600,23 @@ def binary_filtration(bm, small):
     witness = flag_nonface_witness(bm)
     if witness is not None:
         raise NotFlag(witness)
-    verdicts = {}  # a flat of cur - small -> whether it is removable now
+    verdicts = {}  # a flat of cur - small -> `_removable` of it now
 
     def pick(lat, cur, small):
         for f in cur - small:
             if f not in verdicts:
                 verdicts[f] = _removable(lat, cur, f)
-        cand = [f for f, ok in verdicts.items() if ok]
+        cand = [f for f, tops in verdicts.items() if tops is not None]
         if not cand:
             return None
         g = min(maximal(cand))
+        tops = verdicts[g]
         # _removal_chain removes g before it asks again
         for f in [f for f in verdicts if g & ~f == 0]:
             del verdicts[f]
-        return g
+        return g, tops
 
     filt = _removal_chain(bm, small, pick)
-    if not all(filt.binary):
+    if any(len(tops) != 2 for tops in filt.factors):
         raise Stuck("non-binary step in greedy filtration")
     return filt

@@ -35,7 +35,6 @@ from .building import (
     binary_filtration,
     contract,
     delete_element,
-    factors_in,
     g_min,
     is_complete,
     restrict,
@@ -93,12 +92,10 @@ def chow_polynomial(bm):
     P(F) counts the monomials whose support has maximal elements
     factors_G(F); Q(g) those whose support has g as its one maximal
     element, so P(g) = Q(g) for g in G.  Flats are visited in (rank, mask)
-    order, so every P a flat needs is already known.  G-factors are
-    disjoint and cover F, so taking building-set elements below F by
-    falling rank and skipping those that meet an earlier pick finds them.
+    order, so every P a flat needs is already known.  factors_G(F) is a row
+    of the G-factor table (`BuiltMatroid.factors`).
     """
     lat, bset = bm.lat, bm.bset
-    by_rank_desc = sorted(bset, key=lambda g: -lat.rank_of(g))
     p = {0: [1]}
     out = [1]
     for f, r in zip(lat.flats[1:], lat.ranks[1:]):
@@ -114,11 +111,9 @@ def chow_polynomial(bm):
                 if by_gap[gap]:
                     poly = padd(poly, pmul(by_gap[gap], trange(1, gap - 1)))
         else:
-            poly, covered = [1], 0
-            for g in by_rank_desc:
-                if g & ~f == 0 and not g & covered:
-                    poly = pmul(poly, p[g])
-                    covered |= g
+            poly = [1]
+            for g in bm.factors(f):
+                poly = pmul(poly, p[g])
         p[f] = poly
         out = padd(out, poly)
     return out
@@ -131,7 +126,11 @@ def chow_polynomial(bm):
 def chow_by_deletion(bm):
     """H(M,G) = H(M-e, G-e) + sum over S_e of (t+...+t^{n_F}) * H(M|_{F-e})
     * H(M/F), with e the order-greatest element and S_e the building-set flats
-    in which e is a coloop, except the atom of e."""
+    in which e is a coloop, except the atom of e.
+
+    e is a coloop of M|F iff F ∖ e is a flat of M (`delete_element`), and
+    n_F, the number of (G-e)-factors of F ∖ e, is that of maximal elements
+    of the restriction to F ∖ e: no closure and no factor scan."""
     lat = bm.lat
     if lat.n == 1:
         return [1]
@@ -146,13 +145,10 @@ def chow_by_deletion(bm):
     for f in sorted(bm.bset):
         if not f & ebit or f == atom_e:
             continue
-        fd_old = lat.closure(f & ~ebit)
-        if lat.rank_of(fd_old) != lat.rank_of(f) - 1:
+        if not lat.is_flat(f & ~ebit):
             continue  # e not a coloop in f
-        fd = drop_bit(f, e)
-        n_f = len(bmd.factors(fd))
-        term = trange(1, n_f)
-        term = pmul(term, chow_by_deletion(restrict(bmd, fd)))
+        rd = restrict(bmd, drop_bit(f, e))
+        term = pmul(trange(1, len(rd.maxg)), chow_by_deletion(rd))
         if f != lat.full:
             term = pmul(term, chow_by_deletion(contract(bm, f)))
         out = padd(out, term)
@@ -168,10 +164,11 @@ def chow_by_filtration(bm, trace=False):
     """Walk a binary filtration from the minimal building set up to
     bm.bset, starting from the FY value on the minimal set.
 
-    Each step adds a flat with exactly two factors A in the current set:
-    if both factors are maximal the series multiplies by (1+t) (subdivision
-    inside the lineality space); if both are non-maximal it gains
-    t * product of the local-interval series of A (the star of the cone).
+    Each step adds a flat with exactly two factors A in the current set,
+    recorded by the filtration: if both are maximal the series multiplies
+    by (1+t) (subdivision inside the lineality space); if both are
+    non-maximal it gains t * product of the local-interval series of A
+    (the star of the cone).
     With trace=True returns (h, intermediates) where intermediates holds the
     series after every step including the starting value.
     """
@@ -183,10 +180,8 @@ def chow_by_filtration(bm, trace=False):
     cur = BuiltMatroid(lat, filt.bsets[0], bm.order, validate=False)
     h = chow_polynomial(cur)
     steps = [list(h)]
-    for prev_bset, added in zip(filt.bsets, filt.added):
+    for prev_bset, added, a in zip(filt.bsets, filt.added, filt.factors):
         prev = BuiltMatroid(lat, prev_bset, bm.order, validate=False)
-        a = factors_in(lat, prev_bset, added)
-        assert len(a) == 2
         in_max = [f in prev.maxg for f in a]
         if all(in_max):
             h = pmul(h, [1, 1])
@@ -197,7 +192,7 @@ def chow_by_filtration(bm, trace=False):
                 star = pmul(star, chow_polynomial(li.built))
             h = padd(h, pmul([0, 1], star))
         else:
-            raise MixedFactorStep((added, tuple(a)))
+            raise MixedFactorStep((added, a))
         steps.append(list(h))
     if trace:
         return h, steps

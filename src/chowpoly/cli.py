@@ -78,6 +78,12 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_FAIL = 3
 
+# What reading and parsing an input can raise, each an EXIT_INVALID: a
+# missing file is an OSError, bad JSON a ValueError, a JSON number too large
+# for int() an OverflowError and deeply nested JSON a RecursionError.
+_INPUT_ERRORS = (ChowpolyError, KeyError, OSError, OverflowError, RecursionError,
+                 TypeError, ValueError)
+
 
 # ---------------------------------------------------------------------------
 # serialization
@@ -237,7 +243,7 @@ def cmd_chow(args):
         return _corpus_chow()
     try:
         bm = parse_instance(load_spec(args.spec))
-    except (ChowpolyError, ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
+    except _INPUT_ERRORS as e:
         return fail_invalid(f"{type(e).__name__}: {e}")
     methods = (
         ["fy", "deletion", "filtration", "oracle"]
@@ -317,7 +323,7 @@ def cmd_gamma(args):
         return _corpus_gamma()
     try:
         bm = parse_instance(load_spec(args.spec))
-    except (ChowpolyError, ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
+    except _INPUT_ERRORS as e:
         return fail_invalid(f"{type(e).__name__}: {e}")
     h = chow_polynomial(bm)
     gam = list(gamma_expansion(h))
@@ -410,7 +416,7 @@ def _check_failed(what, e):
 def cmd_check(args):
     try:
         doc = load_spec(args.spec)
-    except (ValueError, OSError) as e:
+    except _INPUT_ERRORS as e:
         return fail_invalid(f"{type(e).__name__}: {e}")
     what = args.what
 
@@ -423,7 +429,7 @@ def cmd_check(args):
             else:
                 bm = _built(doc, m, bdesc, order)
                 lat, bset = bm.lat, bm.bset
-        except (ChowpolyError, ValueError, KeyError, TypeError) as e:
+        except _INPUT_ERRORS as e:
             return fail_invalid(f"{type(e).__name__}: {e}")
         try:
             validate_building_set(lat, bset)
@@ -434,7 +440,7 @@ def cmd_check(args):
 
     try:
         bm = parse_instance(doc)
-    except (ChowpolyError, ValueError, KeyError, TypeError) as e:
+    except _INPUT_ERRORS as e:
         return fail_invalid(f"{type(e).__name__}: {e}")
 
     if what == "complete":
@@ -459,7 +465,7 @@ def cmd_check(args):
             return fail_invalid("modular-cut check needs a 'cut' key in the spec")
         try:
             cut = frozenset(_mask_of(ix, bm.lat.n) for ix in doc["cut"])
-        except ValueError as e:
+        except _INPUT_ERRORS as e:
             return fail_invalid(str(e))
         try:
             mc = validate_modular_cut(bm.lat, cut)

@@ -353,18 +353,20 @@ def delete_lattice(lat, e):
 
     Returns (new_lattice, proj) where proj maps an old flat mask to the new
     mask over 0..n-2 (bit e removed, higher bits shifted down).
+
+    The flats of M∖e are the sets f ∖ e, of rank rk cl_M(f ∖ e), which is
+    rk f unless f ∖ e is itself a flat of M (`building.delete_element`).
+    That flat comes no later in (rank, mask) order, so the first rank met
+    for each f ∖ e is its rank, and no closure is taken.
     """
     n = lat.n
+    bit = 1 << e
 
     def drop(mask):
         return drop_bit(mask, e)
 
     new = {}
-    for f in lat.flats:
-        s = f & ~(1 << e)
-        key = drop(s)
-        if key not in new:
-            new[key] = lat.rank_of(lat.closure(s))
+    for f, r in zip(lat.flats, lat.ranks):
+        new.setdefault(drop(f & ~bit), r)
     sub = GeomLattice(n - 1, new.items())
     return sub, drop
-

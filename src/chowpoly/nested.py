@@ -17,7 +17,6 @@ from itertools import combinations, product
 
 from .building import (
     BuiltMatroid,
-    _g_factor_table,
     _interval,
     restrict,
     tl_chain,
@@ -129,17 +128,12 @@ def _child_table(bm, g):
     lower cover of g; conversely the G-factors of a flat are a nested
     antichain with that flat as join.  So A ↦ ∨A is a bijection from the
     child antichains onto the lower covers.  The G-factors of every flat
-    come from one pass up the covers (`building._g_factor_table`), the
-    one that validated the building set if it was validated, cached next
-    to the table.  The rows are sorted by their (-rank, mask) key
-    tuples, the order of a search that adds children in (-rank, mask)
-    order (`tests/oracles.py:nested_antichains_ref`)."""
-    cache = bm._nested_cache
-    table = cache.setdefault("children", {})
+    come from `BuiltMatroid.factor_table`.  The rows are sorted by their
+    (-rank, mask) key tuples, the order of a search that adds children in
+    (-rank, mask) order (`tests/oracles.py:nested_antichains_ref`)."""
+    table = bm._nested_cache.setdefault("children", {})
     if g not in table:
-        if "tops" not in cache:
-            cache["tops"] = _g_factor_table(bm.lat, bm.bset)
-        tops = cache["tops"]
+        tops = bm.factor_table()
         lat = bm.lat
         flats = lat.flats
         pos = bm.pos

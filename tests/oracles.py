@@ -112,9 +112,9 @@ def greedy_binary_chain(lat, big, small):
     Works on bitmask flats of a package lattice.  From big down to small, it
     drops the lattice-maximal removable flat with the smallest mask, where f
     is removable when `validate_building_set` accepts the current set minus
-    f.  Returns (bsets, added, binary) from small up to big, with binary[i]
-    telling whether added[i] has exactly two maximal elements of bsets[i]
-    below it; returns None when no flat can be removed.
+    f.  Returns (bsets, added, factors) from small up to big, with factors[i]
+    the maximal elements of bsets[i] below added[i], sorted by (rank, mask);
+    returns None when no flat can be removed.
     """
     from chowpoly.building import validate_building_set
     from chowpoly.errors import JoinClosureViolation, MissingIrreducible
@@ -136,12 +136,8 @@ def greedy_binary_chain(lat, big, small):
         chain.append(cur - {min(maxima)})
     chain.reverse()
     added = [next(iter(b - a)) for a, b in zip(chain, chain[1:])]
-    binary = []
-    for prev, f in zip(chain, added):
-        below = [g for g in prev if g & ~f == 0]
-        tops = [g for g in below if not any(g != h and g & ~h == 0 for h in below)]
-        binary.append(len(tops) == 2)
-    return chain, added, binary
+    factors = [tuple(factors_in(lat, prev, f)) for prev, f in zip(chain, added)]
+    return chain, added, factors
 
 
 def binary_filtration_rescan_ref(bm, small):
@@ -160,11 +156,15 @@ def binary_filtration_rescan_ref(bm, small):
         raise NotFlag(witness)
 
     def pick(lat, cur, small):
-        cand = [f for f in cur - small if _removable(lat, cur, f)]
-        return min(maximal(cand)) if cand else None
+        verdicts = {f: _removable(lat, cur, f) for f in cur - small}
+        cand = [f for f, tops in verdicts.items() if tops is not None]
+        if not cand:
+            return None
+        g = min(maximal(cand))
+        return g, verdicts[g]
 
     filt = _removal_chain(bm, small, pick)
-    if not all(filt.binary):
+    if any(len(tops) != 2 for tops in filt.factors):
         raise Stuck("non-binary step in greedy filtration")
     return filt
 
@@ -548,12 +548,18 @@ def validate_building_set_ref(lat, s):
     return s
 
 
+def factors_in(lat, s, f):
+    """The maximal elements of s weakly below f, sorted by (rank, mask), by
+    a scan of s: the reference for `BuiltMatroid.factors`."""
+    below = [g for g in s if g & ~f == 0]
+    tops = [g for g in below if not any(g != h and g & ~h == 0 for h in below)]
+    return sorted(tops, key=lambda g: (lat.rank_of(g), g))
+
+
 def building_set_structural_check(lat, s):
     """Definition via interval products: for every flat F with factors
     G_1..G_k, ranks add up and every flat below F is the join of its meets
     with the factors.  A cross-check for `validate_building_set`."""
-    from chowpoly.building import factors_in
-
     for f in lat.flats:
         if f == 0:
             continue
@@ -621,7 +627,11 @@ def filtration(bm, small):
         if not extra:
             return None
         mins = [f for f in extra if not any(g != f and g & ~f == 0 for g in extra)]
-        return next((f for f in sorted(mins) if _removable(lat, cur, f)), None)
+        for f in sorted(mins):
+            tops = _removable(lat, cur, f)
+            if tops is not None:
+                return f, tops
+        return None
 
     filt = _removal_chain(bm, small, pick)
     for bset in filt.bsets:

@@ -37,6 +37,7 @@ from chowpoly.errors import (
     ImproperCut,
     JoinClosureViolation,
     MissingIrreducible,
+    NotAFlat,
     NotFlag,
     NotGCompatible,
 )
@@ -49,7 +50,7 @@ from chowpoly.families import (
     make_uniform,
 )
 from chowpoly.lattice import lattice_of_flats, validate_modular_cut
-from chowpoly.nested import link_decomposition
+from chowpoly.nested import link_decomposition, maximal_nested_sets
 
 
 def _oracle_gmin(name, m, n, orank):
@@ -160,6 +161,57 @@ def test_built_matroid_attributes():
     bm2 = built_from_matroid(make_boolean(4), "min")
     assert not bm2.irreducible
     assert set(bm2.maxg) == {1, 2, 4, 8}
+
+
+def test_factors_match_scan_reference_on_corpus_and_minors():
+    """`BuiltMatroid.factors` reads the G-factor table.  Here it equals a scan
+    of the building set at every flat of every corpus instance, of each of
+    its single-element deletions, and of its restriction and contraction at
+    each flat other than the bottom and the top."""
+    from chowpoly.corpus import corpus
+
+    def check(bm):
+        for f in bm.lat.flats:
+            assert set(bm.factors(f)) == set(oracles.factors_in(bm.lat, bm.bset, f))
+        return len(bm.lat.flats)
+
+    flats = minors = 0
+    for inst in corpus():
+        bm = inst.built
+        flats += check(bm)
+        for e in range(bm.n):
+            flats += check(delete_element(bm, e))
+            minors += 1
+        for f in bm.lat.flats[1:-1]:
+            flats += check(restrict(bm, f)) + check(contract(bm, f))
+            minors += 2
+    assert (flats, minors) == (57508, 8322)
+    u23 = built_from_matroid(make_uniform(2, 3), "min")
+    with pytest.raises(NotAFlat):
+        u23.factors(0b011)
+
+
+def test_extend_keeps_the_table_of_its_validating_pass(monkeypatch):
+    """extend validates its result as a built matroid, in one pass whose
+    table then serves the G-factors and the facets."""
+    import chowpoly.building as building
+
+    calls = 0
+    table = building._g_factor_table
+
+    def counting_table(lat, s):
+        nonlocal calls
+        calls += 1
+        return table(lat, s)
+
+    bm = built_from_matroid(make_boolean(4), "max")
+    top = mask_of([0, 1, 2])
+    monkeypatch.setattr(building, "_g_factor_table", counting_table)
+    ext = extend(bm, frozenset(f for f in bm.lat.flats if top & ~f == 0))
+    for f in ext.lat.flats:
+        ext.factors(f)
+    maximal_nested_sets(ext)
+    assert calls == 1
 
 
 def test_key_is_relabeling_invariant():
@@ -373,9 +425,7 @@ def test_filtration_min_to_max_b3():
     bf = binary_filtration(bm, small)
     for prev, added in zip(bf.bsets, bf.added):
         assert len(bm.factors(added)) >= 1
-        from chowpoly.building import factors_in
-
-        assert len(factors_in(bm.lat, prev, added)) == 2
+        assert len(oracles.factors_in(bm.lat, prev, added)) == 2
 
 
 def test_is_removable_matches_full_validation_on_corpus():
@@ -416,7 +466,7 @@ def test_binary_filtration_matches_reference_greedy_on_corpus():
             continue
         flag += 1
         ref = oracles.greedy_binary_chain(bm.lat, bm.bset, g_min(bm.lat))
-        assert (filt.bsets, filt.added, filt.binary) == ref, inst.name
+        assert (filt.bsets, filt.added, filt.factors) == ref, inst.name
     assert flag == 206
 
 
@@ -425,7 +475,7 @@ def _filtration_or_error(filtrate, bm):
         filt = filtrate(bm, g_min(bm.lat))
     except ChowpolyError as exc:
         return type(exc)
-    return (filt.bsets, filt.added, filt.binary)
+    return (filt.bsets, filt.added, filt.factors)
 
 
 def test_binary_filtration_matches_rescan_reference():

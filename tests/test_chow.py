@@ -128,6 +128,37 @@ def test_deletion_agrees_including_all_chordal_b4():
         assert chow_by_deletion(bm) == chow_polynomial(bm), name
 
 
+@pytest.mark.parametrize("name", ["Pi6min", "B5max"])
+def test_deletion_takes_no_closure_and_no_factors(name, monkeypatch):
+    """The deletion recursion reads coloops off `is_flat` and n_F off the
+    restriction it builds anyway: no closure, no G-factor lookup."""
+    import chowpoly.chow as chow
+    from chowpoly.lattice import GeomLattice
+
+    if name == "Pi6min":
+        bm = built_from_matroid(make_partition(6), "min")
+    else:
+        bm = built_from_matroid(make_boolean(5), "max")
+    want = chow_polynomial(bm)
+    calls = {"closure": 0, "factors": 0}
+
+    def counting(cls, attr):
+        method = getattr(cls, attr)
+
+        def wrapper(self, *args):
+            calls[attr] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(cls, attr, wrapper)
+
+    counting(GeomLattice, "closure")
+    counting(BuiltMatroid, "factors")
+    monkeypatch.setattr(chow, "_DELETION_MEMO", {})
+    assert chow_by_deletion(bm) == want
+    assert len(chow._DELETION_MEMO) > 1
+    assert calls == {"closure": 0, "factors": 0}
+
+
 def test_filtration_trace_b3_max():
     bm = built_from_matroid(make_uniform(3, 3), "max")
     h, trace = chow_by_filtration(bm, trace=True)

@@ -313,6 +313,41 @@ def test_invalid_inputs_exit_2(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
 
 
+SPEC_COMMANDS = [
+    ["chow"],
+    ["gamma", "--with-descents", "--with-complex"],
+    ["check", "--what", "building-set"],
+    ["check", "--what", "complete"],
+]
+# Spec file texts that fail before any instance is built.
+BAD_SPEC_TEXTS = {
+    "missing-file": None,
+    "int-overflow": '{"matroid":{"type":"uniform","r":1e400,"n":3}}',
+    "deep-nesting": "[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_SPEC_TEXTS))
+@pytest.mark.parametrize("cmd", SPEC_COMMANDS, ids=" ".join)
+def test_unreadable_specs_exit_2(capsys, tmp_path, cmd, bad):
+    """A missing file, a JSON number int() cannot take and JSON nested past
+    the recursion limit are invalid input on every subcommand that reads a
+    spec: exit 2, nothing on stdout, the error named on stderr."""
+    spec = tmp_path / "spec.json"
+    if BAD_SPEC_TEXTS[bad] is not None:
+        spec.write_text(BAD_SPEC_TEXTS[bad])
+    assert cli.main([*cmd, "--spec", str(spec)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_modular_cut_that_is_not_a_list_exits_2(capsys, tmp_path):
+    spec = spec_arg(tmp_path, dict(U33_MAX, cut=5))
+    assert cli.main(["check", "--what", "modular-cut", "--spec", spec]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_gamma_corpus_matrix(capsys):
     code, out = run(capsys, ["gamma", "--corpus"])
     assert code == 0

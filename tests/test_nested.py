@@ -316,7 +316,6 @@ def test_g_factor_table_is_taken_once_per_built_matroid(monkeypatch):
     the child tables; an unvalidated one (a deletion) takes it once, on
     first use."""
     import chowpoly.building as building
-    import chowpoly.nested as nested
     from chowpoly.building import delete_element
 
     calls = 0
@@ -328,7 +327,6 @@ def test_g_factor_table_is_taken_once_per_built_matroid(monkeypatch):
         return table(lat, s)
 
     monkeypatch.setattr(building, "_g_factor_table", counting_table)
-    monkeypatch.setattr(nested, "_g_factor_table", counting_table)
     bm = built_from_matroid(make_partition(5), "min")
     assert calls == 1
     maximal_nested_sets(bm)
