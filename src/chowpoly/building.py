@@ -6,7 +6,7 @@ lattice, a building set and a total order on the ground elements (the order
 drives chain constructions and completeness).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 
 from .errors import (
@@ -214,6 +214,14 @@ def _interval(lat, bset, order, bottom, top):
     Returns (built, to_local), where to_local maps every flat of the
     interval to its local mask.
 
+    The flats of [bottom, top] are those reached from bottom by climbing
+    covers_up and staying below top: every one of them is the end of a
+    maximal chain from bottom, whose steps are covers below top.  An
+    interval's covers are the lattice's covers inside it, so the new
+    lattice takes them over with no rescan.  Relabeling keeps ranks (less
+    rk bottom) and sorts each rank by local mask, and each cover list is
+    then sorted by new index, as `GeomLattice._build_covers` yields it.
+
     The result is not validated, because it cannot fail: the local lattice
     is simple (one label per cover of bottom), the local order permutes the
     labels, and for a building set G, {bottom ∨ g : g ∈ G, g ≤ top, g ≰
@@ -221,30 +229,41 @@ def _interval(lat, bset, order, bottom, top):
     Prop. 2.8).  Only simplification gets a set not yet validated, and its
     callers validate it.
     """
+    flats, ranks, covers_up = lat.flats, lat.ranks, lat.covers_up
+    ib = lat.idx[bottom]
     new = top & ~bottom
     parts = sorted(
-        (g & ~bottom for g in lat.covers(bottom) if g & ~top == 0),
+        (flats[j] & ~bottom for j in covers_up[ib] if flats[j] & ~top == 0),
         key=lambda d: d & -d,
     )
     label = {e: k for k, d in enumerate(parts) for e in bits(d)}
-    rb = lat.rank_of(bottom)
-    to_local = {}
-    flats = []
-    for f, r in zip(lat.flats, lat.ranks):
-        if bottom & ~f or f & ~top:
-            continue
-        mask = 0
-        for e in bits(f & ~bottom):
-            mask |= 1 << label[e]
-        to_local[f] = mask
-        flats.append((mask, r - rb))
+    local = {ib: 0}  # index of a flat of the interval -> its local mask
+    reached = [ib]
+    for i in reached:  # grows as it goes: a breadth-first climb from bottom
+        f, mask = flats[i], local[i]
+        for j in covers_up[i]:
+            if j not in local and flats[j] & ~top == 0:
+                up = mask
+                for e in bits(flats[j] & ~f):
+                    up |= 1 << label[e]
+                local[j] = up
+                reached.append(j)
+    rb = ranks[ib]
+    reached.sort(key=lambda i: (ranks[i], local[i]))
+    pos = {i: k for k, i in enumerate(reached)}
+    sub = GeomLattice._derived(
+        len(parts),
+        [local[i] for i in reached],
+        [ranks[i] - rb for i in reached],
+        [sorted(pos[j] for j in covers_up[i] if j in pos) for i in reached],
+    )
+    to_local = {flats[i]: local[i] for i in reached}
     local_bset = frozenset(
         to_local[g if bottom & ~g == 0 else lat.join(bottom, g)]
         for g in bset
         if g & ~top == 0 and g & ~bottom
     )
     local_order = tuple(dict.fromkeys(label[e] for e in order if new >> e & 1))
-    sub = GeomLattice(len(parts), flats)
     return BuiltMatroid(sub, local_bset, local_order, validate=False), to_local
 
 
@@ -506,6 +525,8 @@ class Filtration:
     bsets: list  # list of frozensets, len = steps + 1
     added: list  # flat added at each step
     factors: list  # its factors in the prior set, sorted by (rank, mask)
+    # bsets[0] as a validated built matroid, holding its G-factor table
+    base: BuiltMatroid = field(default=None, compare=False, repr=False)
 
 
 def _removal_chain(bm, small, pick):
@@ -513,13 +534,14 @@ def _removal_chain(bm, small, pick):
 
     pick returns None or (g, `_removable(lat, cur, g)`), whose tops are the
     factors of g in cur minus g.  Only small, which is caller input, is
-    validated: pick returns only elements `_removable` accepts, so by the
-    proof in `is_removable` every set of the chain is a building set."""
+    validated, as the built matroid `Filtration.base`: pick returns only
+    elements `_removable` accepts, so by the proof in `is_removable` every
+    set of the chain is a building set."""
     lat = bm.lat
     small = frozenset(small)
     if not small <= bm.bset:
         raise NotContained(sorted(small - bm.bset))
-    validate_building_set(lat, small)
+    base = BuiltMatroid(lat, small, bm.order)
     chain, added, factors = [bm.bset], [], []
     cur = set(bm.bset)
     while chain[-1] != small:
@@ -531,7 +553,7 @@ def _removal_chain(bm, small, pick):
         chain.append(frozenset(cur))
         added.append(g)
         factors.append(tuple(sorted(tops, key=lambda h: (lat.rank_of(h), h))))
-    return Filtration(bsets=chain[::-1], added=added[::-1], factors=factors[::-1])
+    return Filtration(chain[::-1], added[::-1], factors[::-1], base)
 
 
 def _removable(lat, bset, g):

@@ -20,11 +20,17 @@ recursion of Ferroni–Matherne–Schulte–Vecchi.  The enumeration of supports
 survives only in fy_monomials and psi_fiber_of, which the Ψ-fibers need;
 both walk `nested.nested_subsets`.
 
+chow_by_filtration starts from the built matroid its filtration validated
+and counts each local interval with its induced set once per call.
+
 toric_hilbert_oracle stays in integers.  The linear forms are e_i - e_b0
 with b0 the least element of i's block of max G, so each pairs with a ray
 as 0 or +-1.  Face monomials of degree d extend those of degree d - 1 by
-one ray, checked by is_nested once per new support.  Elimination is
-fraction-free: row <- a*row - b*pivot, then division by the gcd.
+one ray, checked by is_nested once per new support.  Pivot rows are kept
+primitive with a positive leading entry (`_add_row`).  That entry is
+nearly always 1, and then a row is reduced in place, row <- row - b*pivot;
+otherwise the update is fraction-free, row <- a*row - b*pivot, then
+division by the gcd.
 """
 
 from itertools import product
@@ -32,6 +38,7 @@ from math import gcd
 
 from .building import (
     BuiltMatroid,
+    _interval,
     binary_filtration,
     contract,
     delete_element,
@@ -53,7 +60,7 @@ from .errors import (
 )
 from .lattice import bits, drop_bit
 from .nested import (
-    _links,
+    _link_bounds,
     completion,
     descent_set,
     factor_restrictions,
@@ -171,15 +178,22 @@ def chow_by_filtration(bm, trace=False):
     (the star of the cone).
     With trace=True returns (h, intermediates) where intermediates holds the
     series after every step including the starting value.
+
+    The base is the built matroid the filtration validated, so FY reads the
+    G-factor table of that validation.  A local interval [J^g, g] with its
+    induced set is fixed by J^g, g and the members h of the current set
+    with h <= g and h not <= J^g, so its series is counted once per such
+    key (those members as a mask of lattice indices), in a dict local to
+    the call.
     """
     lat = bm.lat
     try:
         filt = binary_filtration(bm, g_min(lat))
     except (NotFlag, Stuck) as exc:
         raise NoBinaryFiltration(str(exc)) from exc
-    cur = BuiltMatroid(lat, filt.bsets[0], bm.order, validate=False)
-    h = chow_polynomial(cur)
+    h = chow_polynomial(filt.base)
     steps = [list(h)]
+    link_series = {}  # (J^g, g, members that induce its set) -> its series
     for prev_bset, added, a in zip(filt.bsets, filt.added, filt.factors):
         prev = BuiltMatroid(lat, prev_bset, bm.order, validate=False)
         in_max = [f in prev.maxg for f in a]
@@ -188,8 +202,17 @@ def chow_by_filtration(bm, trace=False):
         elif not any(in_max):
             # the G-factors of a flat are nested, so the pair needs no check
             star = [1]
-            for li in _links(prev, a):
-                star = pmul(star, chow_polynomial(li.built))
+            for j, g in _link_bounds(prev, a):
+                below = 0  # the members that induce its set, by lattice index
+                for x in prev_bset:
+                    if x & ~g == 0 and x & ~j:
+                        below |= 1 << lat.idx[x]
+                key = (j, g, below)
+                series = link_series.get(key)
+                if series is None:
+                    link = _interval(lat, prev_bset, bm.order, j, g)[0]
+                    series = link_series[key] = chow_polynomial(link)
+                star = pmul(star, series)
             h = padd(h, pmul([0, 1], star))
         else:
             raise MixedFactorStep((added, a))
@@ -225,10 +248,11 @@ def _toric_dims(bm):
     (key, last index, support mask) with key = sum of (top+1)**index.  It
     extends a degree-(d-1) one by a ray at or after its last; a ray new to
     the support must keep it nested, which is_nested decides once per
-    support.  Rows stay integral: row <- a*row - b*pivot, with a and b the
-    leading entries of pivot and row, then division by the gcd of the
-    entries.  Both are invertible over Q, so each degree's rank is the rank
-    over Q.
+    support.  Rows stay integral and are reduced by `_add_row`: in place,
+    row <- row - b*pivot, against a pivot that leads with 1, which is
+    nearly every one, and otherwise row <- a*row - b*pivot, divided by the
+    gcd of the entries.  Both are invertible over Q, so each degree's rank
+    is the rank over Q.
     """
     rays = sorted(bm.bset - set(bm.maxg))
     top = bm.rank - len(bm.maxg)
@@ -260,23 +284,52 @@ def _toric_dims(bm):
                     i = index.get(key + powers[r])
                     if i is not None:
                         row[i] = c
-                while row:
-                    lead = min(row)
-                    piv = pivots.get(lead)
-                    if piv is None:
-                        pivots[lead] = row
-                        break
-                    a, b = piv[lead], row[lead]
-                    row = {k: a * v for k, v in row.items()}
-                    for k, v in piv.items():
-                        row[k] = row.get(k, 0) - b * v
-                    row = {k: v for k, v in row.items() if v}
-                    div = gcd(*row.values())
-                    if div > 1:
-                        row = {k: v // div for k, v in row.items()}
+                _add_row(pivots, row)
         dims.append(len(mons) - len(pivots))
         prev = mons
     return normalize(dims)
+
+
+def _add_row(pivots, row):
+    """Reduce an integer row against the pivot rows and keep what is left,
+    if anything, as a new pivot row.
+
+    Rows are dicts from column to nonzero int, and pivots maps each pivot
+    row's leading (least) column to the row.  Every pivot row is primitive
+    with a positive leading entry.  Against a pivot whose leading entry is
+    1 the row is reduced in place, row <- row - b*pivot with b the row's
+    leading entry.  Against any other it becomes a*row - b*pivot, with a
+    the pivot's leading entry, divided by the gcd of its entries.  Both are
+    invertible row operations over Q, so the number of pivots is the rank
+    over Q of the rows added.  row is consumed.
+    """
+    while row:
+        lead = min(row)
+        piv = pivots.get(lead)
+        if piv is None:
+            div = gcd(*row.values())
+            if row[lead] < 0:
+                div = -div
+            if div != 1:
+                row = {k: v // div for k, v in row.items()}
+            pivots[lead] = row
+            return
+        a, b = piv[lead], row[lead]
+        if a == 1:
+            for k, v in piv.items():
+                x = row.get(k, 0) - b * v
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+        else:
+            row = {k: a * v for k, v in row.items()}
+            for k, v in piv.items():
+                row[k] = row.get(k, 0) - b * v
+            row = {k: v for k, v in row.items() if v}
+            div = gcd(*row.values())
+            if div > 1:
+                row = {k: v // div for k, v in row.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ Ground elements are 0..n-1 and subsets are bitmask ints, so a flat is just an
 int and subset tests are bitwise.  A lattice is fully materialized: flats,
 ranks and the upper covers ``covers_up`` of every flat.  The covers of a flat
 F partition E ∖ F, so joins and closures climb them, one cover per step.
+A lattice from outside input has its covers found and checked by a rescan;
+a deletion or an interval of a lattice takes them over from that lattice.
 """
 
 from dataclasses import dataclass
@@ -121,33 +123,56 @@ class GeomLattice:
     """
 
     def __init__(self, n, flats_with_ranks):
+        items = sorted(set(flats_with_ranks), key=lambda t: (t[1], t[0]))
+        flats = [f for f, _ in items]
+        ranks = [r for _, r in items]
+        if len(set(flats)) != len(flats):
+            raise InvalidMatroid("duplicate flat with conflicting ranks")
+        if not flats or flats[0] != 0 or ranks[0] != 0:
+            raise InvalidMatroid("missing bottom flat")
+        if flats[-1] != (1 << n) - 1:
+            raise InvalidMatroid("missing top flat")
+        self._index(n, flats, ranks)
+        seen = 0
+        for i in self.atoms:
+            if flats[i] & seen:
+                e = next(bits(flats[i] & seen))
+                raise InvalidMatroid(f"element {e} lies in two atoms")
+            seen |= flats[i]
+        if seen != self.full:
+            bad = next(bits(self.full & ~seen))
+            raise InvalidMatroid(f"element {bad} lies in no atom (loop?)")
+        self._build_covers()
+
+    @classmethod
+    def _derived(cls, n, flats, ranks, covers_up):
+        """A lattice read off one that is already validated, with no check
+        and no rescan.  The caller proves that flats and ranks are those of
+        a geometric lattice in (rank, mask) order, and that covers_up is
+        exactly what `_build_covers` yields on them: each flat's upper
+        covers, as indices in ascending order."""
+        lat = cls.__new__(cls)
+        lat._index(n, flats, ranks)
+        lat.covers_up = covers_up
+        return lat
+
+    def _index(self, n, flats, ranks):
+        """Every field but covers_up, from flats and ranks sorted by (rank,
+        mask) that run from the empty set (rank 0) to the ground set."""
         self.n = n
         self.full = (1 << n) - 1
-        items = sorted(set(flats_with_ranks), key=lambda t: (t[1], t[0]))
-        self.flats = [f for f, _ in items]
-        self.ranks = [r for _, r in items]
-        self.idx = {f: i for i, f in enumerate(self.flats)}
-        if len(self.idx) != len(self.flats):
-            raise InvalidMatroid("duplicate flat with conflicting ranks")
-        if not self.flats or self.flats[0] != 0 or self.ranks[0] != 0:
-            raise InvalidMatroid("missing bottom flat")
-        if self.flats[-1] != self.full:
-            raise InvalidMatroid("missing top flat")
-        self.rk = self.ranks[-1]
+        self.flats = flats
+        self.ranks = ranks
+        self.idx = {f: i for i, f in enumerate(flats)}
+        self.rk = ranks[-1]
         self.by_rank = [[] for _ in range(self.rk + 1)]
-        for i, r in enumerate(self.ranks):
+        for i, r in enumerate(ranks):
             self.by_rank[r].append(i)
         self.atoms = list(self.by_rank[1]) if self.rk >= 1 else []
         self.atom_of_elem = [None] * n
         for i in self.atoms:
-            for e in bits(self.flats[i]):
-                if self.atom_of_elem[e] is not None:
-                    raise InvalidMatroid(f"element {e} lies in two atoms")
+            for e in bits(flats[i]):
                 self.atom_of_elem[e] = i
-        if any(a is None for a in self.atom_of_elem):
-            bad = self.atom_of_elem.index(None)
-            raise InvalidMatroid(f"element {bad} lies in no atom (loop?)")
-        self._build_covers()
         self._factors = None
 
     def _build_covers(self):
@@ -356,17 +381,43 @@ def delete_lattice(lat, e):
 
     The flats of M∖e are the sets f ∖ e, of rank rk cl_M(f ∖ e), which is
     rk f unless f ∖ e is itself a flat of M (`building.delete_element`).
-    That flat comes no later in (rank, mask) order, so the first rank met
-    for each f ∖ e is its rank, and no closure is taken.
+    That flat comes no later in (rank, mask) order, so the first source f
+    met for each f ∖ e has its rank, and no closure is taken.
+
+    The covers of f ∖ e in M∖e are the sets g ∖ e for g covering that
+    first source f in M, less f ∖ e itself (met when g = f + e), so no
+    rescan is needed:
+    - if e ∉ f, a cover g ∋ e other than f + e has g ∖ e ⊋ f, and g ∖ e is
+      no flat of M, since it would lie strictly between f and g; so
+      cl_M(g ∖ e) = g.  If e ∈ f, f ∖ e is no flat of M (it would come
+      first), so it spans e, and so does g ∖ e.  Either way g ∖ e is a
+      flat of M∖e of rank rk f + 1 above f ∖ e;
+    - distinct covers g give distinct sets g ∖ e, since two covers of f
+      are incomparable;
+    - a cover h′ of f ∖ e in M∖e has cl_M(h′) ⊇ cl_M(f ∖ e) = f and rank
+      rk f + 1, so it is a cover g of f with g ∖ e = h′.
+    Each cover list is sorted by index, as `_build_covers` yields it, and
+    drop keeps the (rank, mask) order of sets without e.
     """
-    n = lat.n
     bit = 1 << e
 
     def drop(mask):
         return drop_bit(mask, e)
 
-    new = {}
-    for f, r in zip(lat.flats, lat.ranks):
-        new.setdefault(drop(f & ~bit), r)
-    sub = GeomLattice(n - 1, new.items())
+    flats, ranks, covers_up = lat.flats, lat.ranks, lat.covers_up
+    first = {}  # f ∖ e -> index of its first source f
+    for i, f in enumerate(flats):
+        first.setdefault(f & ~bit, i)
+    order = sorted(first, key=lambda m: (ranks[first[m]], m))
+    pos = {m: k for k, m in enumerate(order)}
+    new_covers = []
+    for k, m in enumerate(order):
+        ups = (pos[flats[j] & ~bit] for j in covers_up[first[m]])
+        new_covers.append(sorted(u for u in ups if u != k))
+    sub = GeomLattice._derived(
+        lat.n - 1,
+        [drop(m) for m in order],
+        [ranks[first[m]] for m in order],
+        new_covers,
+    )
     return sub, drop

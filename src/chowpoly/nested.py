@@ -255,14 +255,14 @@ def _require_nested(bm, s):
 def link_decomposition(bm, s):
     """Local intervals of a nested set over s plus the maximal elements."""
     _require_nested(bm, s)
-    return _links(bm, s)
+    return [_local_interval(bm, j, g) for j, g in _link_bounds(bm, s)]
 
 
-def _links(bm, s):
-    """`link_decomposition` on a set known to be nested, with no check."""
-    s = frozenset(s) - set(bm.maxg)
+def _link_bounds(bm, s):
+    """The pairs (J^g, g) for g in ŝ, s plus the maximal elements, in rank
+    order: the bounds of the local intervals of a nested set s."""
     shat = _shat(bm, s)
-    return [_local_interval(bm, _jbottom(bm, shat, g), g) for g in shat]
+    return [(_jbottom(bm, shat, g), g) for g in shat]
 
 
 def new_factor(bm, g, f):

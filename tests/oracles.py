@@ -999,6 +999,12 @@ def _nullspace(rows, n):
     return basis
 
 
+def fraction_rank(rows):
+    """Rank over Q of an integer matrix given as equal-length rows."""
+    n = len(rows[0]) if rows else 0
+    return n - len(_nullspace(rows, n))
+
+
 def toric_hilbert_oracle_ref(bm):
     """Graded dimensions of the ray ring modulo the nonface ideal and the
     linear forms vanishing on the lineality space; exact Gaussian elimination

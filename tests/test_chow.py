@@ -131,7 +131,8 @@ def test_deletion_agrees_including_all_chordal_b4():
 @pytest.mark.parametrize("name", ["Pi6min", "B5max"])
 def test_deletion_takes_no_closure_and_no_factors(name, monkeypatch):
     """The deletion recursion reads coloops off `is_flat` and n_F off the
-    restriction it builds anyway: no closure, no G-factor lookup."""
+    restriction it builds anyway: no closure, no G-factor lookup.  Every
+    lattice it builds takes its covers from its parent: no rescan."""
     import chowpoly.chow as chow
     from chowpoly.lattice import GeomLattice
 
@@ -140,7 +141,7 @@ def test_deletion_takes_no_closure_and_no_factors(name, monkeypatch):
     else:
         bm = built_from_matroid(make_boolean(5), "max")
     want = chow_polynomial(bm)
-    calls = {"closure": 0, "factors": 0}
+    calls = {"closure": 0, "factors": 0, "_build_covers": 0}
 
     def counting(cls, attr):
         method = getattr(cls, attr)
@@ -153,10 +154,116 @@ def test_deletion_takes_no_closure_and_no_factors(name, monkeypatch):
 
     counting(GeomLattice, "closure")
     counting(BuiltMatroid, "factors")
+    counting(GeomLattice, "_build_covers")
     monkeypatch.setattr(chow, "_DELETION_MEMO", {})
     assert chow_by_deletion(bm) == want
     assert len(chow._DELETION_MEMO) > 1
-    assert calls == {"closure": 0, "factors": 0}
+    assert calls == {"closure": 0, "factors": 0, "_build_covers": 0}
+
+
+def test_filtration_validates_its_base_in_one_table_pass(monkeypatch):
+    """The base of the walk is the built matroid the filtration validated,
+    so FY reads the table of that pass: one pass on Π6|min (no steps),
+    where validating the set and then counting on it took two."""
+    import chowpoly.building as building
+
+    bm = built_from_matroid(make_partition(6), "min")
+    want = chow_polynomial(bm)
+    calls = 0
+    table = building._g_factor_table
+
+    def counting_table(lat, s):
+        nonlocal calls
+        calls += 1
+        return table(lat, s)
+
+    monkeypatch.setattr(building, "_g_factor_table", counting_table)
+    assert chow_by_filtration(bm) == want
+    assert calls == 1
+
+
+# A chordal building set on B5 whose walk stars one interval [J^g, g] with
+# two different induced sets, so J^g and g alone do not fix a link.
+_B5_TWO_LINKS_ON_ONE_INTERVAL = [
+    1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 14, 15, 16, 19, 21, 23, 24, 25, 27, 29, 30, 31
+]
+
+
+@pytest.mark.parametrize("name", ["B6max", "U47max", "B5chordal"])
+def test_filtration_builds_each_link_once(name, monkeypatch):
+    """A local interval [J^g, g] with its induced set is built and counted
+    once per call, however many steps star it, and no lattice it builds is
+    rescanned for covers."""
+    import chowpoly.chow as chow
+    from chowpoly.building import binary_filtration, g_min
+    from chowpoly.lattice import GeomLattice
+
+    if name == "B6max":
+        bm = built_from_matroid(make_boolean(6), "max")
+    elif name == "U47max":
+        bm = built_from_matroid(make_uniform(4, 7), "max")
+    else:
+        lat = lattice_of_flats(make_boolean(5))
+        bm = BuiltMatroid(lat, _B5_TWO_LINKS_ON_ONE_INTERVAL)
+    lat = bm.lat
+    keys, total = set(), 0
+    filt = binary_filtration(bm, g_min(lat))
+    for prev_bset, a in zip(filt.bsets, filt.factors):
+        prev = BuiltMatroid(lat, prev_bset, bm.order, validate=False)
+        if any(f in prev.maxg for f in a):
+            continue
+        shat = oracles._shat(prev, a)
+        for g in shat:
+            j = oracles._jbottom(prev, shat, g)
+            induced = frozenset(
+                lat.join(j, h) for h in prev_bset if h & ~g == 0 and h & ~j
+            )
+            keys.add((j, g, induced))
+            total += 1
+    assert len(keys) < total
+    if name == "B5chordal":
+        assert len({(j, g) for j, g, _ in keys}) < len(keys)
+
+    want = chow_polynomial(bm)
+    calls = {"_interval": 0, "_build_covers": 0}
+    interval = chow._interval
+    build_covers = GeomLattice._build_covers
+
+    def counting_interval(*args):
+        calls["_interval"] += 1
+        return interval(*args)
+
+    def counting_covers(self):
+        calls["_build_covers"] += 1
+        return build_covers(self)
+
+    monkeypatch.setattr(chow, "_interval", counting_interval)
+    monkeypatch.setattr(GeomLattice, "_build_covers", counting_covers)
+    assert chow_by_filtration(bm) == want
+    assert calls == {"_interval": len(keys), "_build_covers": 0}
+
+
+def test_add_row_ranks_random_integer_matrices():
+    """`chow._add_row` keeps as many pivots as the Fraction rank, on
+    seeded matrices with entries in -3..3, whose pivots lead with 1 (the
+    in-place update) and with 2 or 3 (the fraction-free one)."""
+    import random
+
+    from chowpoly.chow import _add_row
+
+    rng = random.Random(15)
+    leads = set()
+    for _ in range(300):
+        n_rows, n_cols = rng.randint(1, 9), rng.randint(1, 9)
+        rows = [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(n_rows)]
+        pivots = {}
+        for r in rows:
+            _add_row(pivots, {k: v for k, v in enumerate(r) if v})
+        assert len(pivots) == oracles.fraction_rank(rows), rows
+        for lead, piv in pivots.items():
+            assert lead == min(piv) and piv[lead] > 0
+            leads.add(piv[lead])
+    assert 1 in leads and leads - {1}
 
 
 def test_filtration_trace_b3_max():

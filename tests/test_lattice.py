@@ -12,8 +12,22 @@ from hypothesis import strategies as st
 import oracles
 from helpers import mask_of, set_of, sets_of
 
-from chowpoly.errors import InvalidMatroid, NotAFlat, NotMeetClosed, NotUpwardClosed
-from chowpoly.building import contract, delete_element, restrict
+from chowpoly.errors import (
+    InvalidMatroid,
+    NotAFlat,
+    NotFlag,
+    NotMeetClosed,
+    NotUpwardClosed,
+    Stuck,
+)
+from chowpoly.building import (
+    BuiltMatroid,
+    binary_filtration,
+    contract,
+    delete_element,
+    g_min,
+    restrict,
+)
 from chowpoly.families import (
     built_from_matroid,
     make_boolean,
@@ -94,6 +108,46 @@ def test_join_and_closure_on_derived_lattices(m, kind):
                 assert lat.join(f, g) == _least_flat_containing(lat, f | g)
         for mask in range(1 << lat.n):
             assert lat.closure(mask) == _least_flat_containing(lat, mask)
+
+
+def _derived_lattices(bm):
+    """The lattice of every restriction, contraction and single-element
+    deletion of bm, and of every local interval its filtration walk stars."""
+    out = [restrict(bm, f).lat for f in bm.lat.flats]
+    out += [contract(bm, f).lat for f in bm.lat.flats]
+    out += [delete_element(bm, e).lat for e in range(bm.n)]
+    try:
+        filt = binary_filtration(bm, g_min(bm.lat))
+    except (NotFlag, Stuck):
+        return out
+    for prev_bset, a in zip(filt.bsets, filt.factors):
+        prev = BuiltMatroid(bm.lat, prev_bset, bm.order, validate=False)
+        if not any(f in prev.maxg for f in a):
+            out += [link.built.lat for link in link_decomposition(prev, a)]
+    return out
+
+
+def test_derived_covers_match_a_rescan():
+    """Intervals and deletions take their covers from the parent lattice;
+    they are, list for list, what the validating constructor's rescan
+    gives on the same flats."""
+    from chowpoly.corpus import corpus
+
+    cases = [(inst.name, inst.built) for inst in corpus()]
+    cases += [
+        ("Pi6min", built_from_matroid(make_partition(6), "min")),
+        ("B5max", built_from_matroid(make_boolean(5), "max")),
+        ("U47max", built_from_matroid(make_uniform(4, 7), "max")),
+    ]
+    seen = 0
+    for name, bm in cases:
+        for lat in _derived_lattices(bm):
+            fresh = GeomLattice(lat.n, zip(lat.flats, lat.ranks))
+            assert lat.flats == fresh.flats and lat.ranks == fresh.ranks, name
+            assert lat.covers_up == fresh.covers_up, name
+            assert lat.atom_of_elem == fresh.atom_of_elem, name
+            seen += 1
+    assert seen > 10000
 
 
 # Its covers partition E ∖ F at every flat F, so the constructor accepts it.
