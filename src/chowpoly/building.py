@@ -482,12 +482,49 @@ def flag_nonface_witness(bm):
     """An antichain of size >= 3 with pairwise joins outside the building set
     whose total join lies inside it, or None if the complex is flag.
 
+    One pass over the G-factor table (`BuiltMatroid.factor_table`) decides
+    flagness with no join (`_flag_by_factor_table`); only a non-flag set
+    goes on to the search, which names the witness: the first such
+    antichain in (rank, mask) order of the members.  A built matroid whose
+    set is not a building set gets the typed error of
+    `validate_building_set`.
+
+    The pass reads this criterion off the table, whose rows are the
+    G-factor sets: every pairwise nested set is nested iff, for every flat
+    F outside G whose row B has |B| >= 2 and every member x nested with
+    each b in B, F ∪ x is a flat whose row has |B| + 1 entries.  Proof:
+    - The factors of a flat partition it.  So an antichain A of G with
+      |A| >= 2 is nested iff ∪A is a flat outside G whose row has |A|
+      entries, and then the row is A.  If A is nested, its join has the
+      G-factors A (Feichtner–Kozlov 2004, Prop. 2.8), and these partition
+      it.  Conversely, each a in A lies under one entry of the row, and a
+      row entry holding no a would be missing from ∪A, so each of the |A|
+      entries holds exactly one a.  It equals that a, because ∪A covers
+      it and the other members of A lie in the other, disjoint, entries.
+      A sub-antichain of A joining into G would then lie under one a
+      while meeting two disjoint ones.
+    - A row with two or more entries is outside G, so the nested pairs of
+      incomparable members are exactly the rows of length 2, and two
+      nested members of a pairwise nested set are comparable or such a
+      row.
+    - A minimal pairwise nested set C that is not nested holds an antichain
+      joining into G, so by minimality it is that antichain, with |C| >= 3.
+      For x in C, B = C ∖ x is nested, so ∪B is a flat F outside G with row
+      B, and x is nested with every b in B, yet C = B ∪ {x} fails the test
+      of the first point.  Conversely, such an F and x make B ∪ {x} a
+      pairwise nested antichain that is not nested.  A minimal
+      sub-antichain of it joining into G has at least three members and
+      pairwise joins outside G, as the search asks, so the search finds
+      a witness exactly when the pass rejects.
+
     The search carries the union of the chosen flats and skips a candidate
     c that meets it.  That skips nothing the pairwise test would accept:
     if c meets a chosen a, then a ∧ c is a nonempty flat, so it is not the
     bottom, and either a and c are comparable or, by the join-closure
     axiom, a ∨ c lies in the building set.  Two disjoint flats of the
     building set are never comparable, so only the join needs a look."""
+    if _flag_by_factor_table(bm):
+        return None
     lat = bm.lat
     bset = bm.bset
     members = sorted(bset, key=lambda f: (lat.rank_of(f), f))
@@ -510,6 +547,39 @@ def flag_nonface_witness(bm):
         del grow  # grow refers to itself; without this the cycle keeps bm alive
 
 
+def _flag_by_factor_table(bm):
+    """Whether the nested set complex of bm is flag, read off the G-factor
+    table in one pass by the criterion proved in `flag_nonface_witness`.
+
+    The nested pairs are int bitmasks over the members, one per member,
+    read off the rows of length 2, so the pass makes no join.  A set that
+    is not a building set has no table and gets the error of
+    `validate_building_set`."""
+    lat = bm.lat
+    table = bm.factor_table()
+    if table is None:
+        validate_building_set(lat, bm.bset)
+    members = list(bm.bset)
+    bit = {g: 1 << k for k, g in enumerate(members)}
+    nested_with = dict.fromkeys(members, 0)
+    for row in table:
+        if len(row) == 2:
+            a, b = row
+            nested_with[a] |= bit[b]
+            nested_with[b] |= bit[a]
+    for f, row in zip(lat.flats, table):
+        if len(row) < 2:
+            continue
+        common = -1
+        for g in row:
+            common &= nested_with[g]
+        for k in bits(common):
+            i = lat.idx.get(f | members[k])
+            if i is None or len(table[i]) != len(row) + 1:
+                return False
+    return True
+
+
 def is_flag(bm):
     return flag_nonface_witness(bm) is None
 
@@ -525,7 +595,8 @@ class Filtration:
     bsets: list  # list of frozensets, len = steps + 1
     added: list  # flat added at each step
     factors: list  # its factors in the prior set, sorted by (rank, mask)
-    # bsets[0] as a validated built matroid, holding its G-factor table
+    # bsets[0] as a built matroid holding its G-factor table: a validated
+    # one, or the filtered bm itself when the chain takes no step
     base: BuiltMatroid = field(default=None, compare=False, repr=False)
 
 
@@ -536,12 +607,17 @@ def _removal_chain(bm, small, pick):
     factors of g in cur minus g.  Only small, which is caller input, is
     validated, as the built matroid `Filtration.base`: pick returns only
     elements `_removable` accepts, so by the proof in `is_removable` every
-    set of the chain is a building set."""
+    set of the chain is a building set.  A chain with no step has bm
+    itself as its base, with bm's table, unless bm has none; then the
+    base is built, and its validation raises."""
     lat = bm.lat
     small = frozenset(small)
     if not small <= bm.bset:
         raise NotContained(sorted(small - bm.bset))
-    base = BuiltMatroid(lat, small, bm.order)
+    if small == bm.bset and bm.factor_table() is not None:
+        base = bm
+    else:
+        base = BuiltMatroid(lat, small, bm.order)
     chain, added, factors = [bm.bset], [], []
     cur = set(bm.bset)
     while chain[-1] != small:
@@ -598,7 +674,8 @@ def is_removable(bm, g):
 
 
 def binary_filtration(bm, small):
-    """Binary filtration from small up to bm.bset (requires bm flag).
+    """Binary filtration from small up to bm.bset (requires bm flag, as
+    `flag_nonface_witness` decides it from the G-factor table).
 
     Greedily removes a lattice-maximal removable element (smallest mask on
     ties); raises NotFlag if bm is not flag and Stuck if the greedy jams.

@@ -21,7 +21,8 @@ survives only in fy_monomials and psi_fiber_of, which the Ψ-fibers need;
 both walk `nested.nested_subsets`.
 
 chow_by_filtration starts from the built matroid its filtration validated
-and counts each local interval with its induced set once per call.
+(bm itself when it takes no step), carries the maximal elements along the
+walk, and counts each local interval with its induced set once per call.
 
 toric_hilbert_oracle stays in integers.  The linear forms are e_i - e_b0
 with b0 the least element of i's block of max G, so each pairs with a ray
@@ -37,7 +38,6 @@ from itertools import product
 from math import gcd
 
 from .building import (
-    BuiltMatroid,
     _interval,
     binary_filtration,
     contract,
@@ -179,12 +179,26 @@ def chow_by_filtration(bm, trace=False):
     With trace=True returns (h, intermediates) where intermediates holds the
     series after every step including the starting value.
 
-    The base is the built matroid the filtration validated, so FY reads the
-    G-factor table of that validation.  A local interval [J^g, g] with its
-    induced set is fixed by J^g, g and the members h of the current set
-    with h <= g and h not <= J^g, so its series is counted once per such
-    key (those members as a mask of lattice indices), in a dict local to
-    the call.
+    The base is the built matroid the filtration validated, or bm itself
+    when the walk takes no step, so FY reads a G-factor table already
+    built.  A local interval [J^g, g] with its induced set is fixed by
+    J^g, g and the members h of the current set with h <= g and h not <=
+    J^g, so its series is counted once per such key (those members as a
+    mask of lattice indices), in a dict local to the call.
+
+    The walk carries the maximal elements of the current set, starting
+    from those of the base, and builds no built matroid per step.  Adding
+    g with factors a1, a2 changes them only on a (1+t) step:
+    - if a1 and a2 are maximal, they leave and g takes their place: g lies
+      under no maximal m, which would lie strictly above a1, and a maximal
+      element below g is a factor of g, that is a1 or a2;
+    - if neither is maximal, both lie under one maximal m, so g <= m and g
+      is not maximal.  Say a1 <= m1 and a2 <= m2 with m1 != m2.  Then g
+      meets m1 through a1, and neither contains the other: g <= m1 would
+      put a2 in m1, which the disjoint maximal elements forbid, and m1 <=
+      g would make m1 a member below g above the factor a1, so m1 = a1,
+      which is not maximal.  So g ∨ m1 lies in the new set, and since it
+      is not g, in the current one, strictly above the maximal m1.
     """
     lat = bm.lat
     try:
@@ -193,16 +207,18 @@ def chow_by_filtration(bm, trace=False):
         raise NoBinaryFiltration(str(exc)) from exc
     h = chow_polynomial(filt.base)
     steps = [list(h)]
+    maxg = set(filt.base.maxg)  # the maximal elements of the current set
     link_series = {}  # (J^g, g, members that induce its set) -> its series
     for prev_bset, added, a in zip(filt.bsets, filt.added, filt.factors):
-        prev = BuiltMatroid(lat, prev_bset, bm.order, validate=False)
-        in_max = [f in prev.maxg for f in a]
+        in_max = [f in maxg for f in a]
         if all(in_max):
             h = pmul(h, [1, 1])
+            maxg.difference_update(a)
+            maxg.add(added)
         elif not any(in_max):
             # the G-factors of a flat are nested, so the pair needs no check
             star = [1]
-            for j, g in _link_bounds(prev, a):
+            for j, g in _link_bounds(lat, maxg, a):
                 below = 0  # the members that induce its set, by lattice index
                 for x in prev_bset:
                     if x & ~g == 0 and x & ~j:

@@ -226,12 +226,11 @@ class LocalInterval:
     flat_map: dict
 
 
-def _shat(bm, s):
-    return sorted(set(s) | set(bm.maxg), key=lambda f: (bm.lat.rank_of(f), f))
+def _shat(lat, maxg, s):
+    return sorted(set(s) | set(maxg), key=lambda f: (lat.rank_of(f), f))
 
 
-def _jbottom(bm, shat, g):
-    lat = bm.lat
+def _jbottom(lat, shat, g):
     j = 0
     for h in shat:
         if h != g and h & ~g == 0:
@@ -255,14 +254,16 @@ def _require_nested(bm, s):
 def link_decomposition(bm, s):
     """Local intervals of a nested set over s plus the maximal elements."""
     _require_nested(bm, s)
-    return [_local_interval(bm, j, g) for j, g in _link_bounds(bm, s)]
+    return [_local_interval(bm, j, g) for j, g in _link_bounds(bm.lat, bm.maxg, s)]
 
 
-def _link_bounds(bm, s):
-    """The pairs (J^g, g) for g in ŝ, s plus the maximal elements, in rank
-    order: the bounds of the local intervals of a nested set s."""
-    shat = _shat(bm, s)
-    return [(_jbottom(bm, shat, g), g) for g in shat]
+def _link_bounds(lat, maxg, s):
+    """The pairs (J^g, g) for g in ŝ, s plus the maximal elements maxg of
+    the building set, in rank order: the bounds of the local intervals of
+    a nested set s.  It reads only the lattice and maxg, so a walk that
+    carries its maximal elements needs no built matroid of its set."""
+    shat = _shat(lat, maxg, s)
+    return [(_jbottom(lat, shat, g), g) for g in shat]
 
 
 def new_factor(bm, g, f):
@@ -280,13 +281,13 @@ def compose(bm, s, local_sets):
     local interval to an iterable of global flats inside that interval's
     building set."""
     s = frozenset(s) - set(bm.maxg)
-    shat = _shat(bm, s)
+    shat = _shat(bm.lat, bm.maxg, s)
     out = set(s)
     for g in shat:
         chosen = local_sets.get(g, ())
         if not chosen:
             continue
-        li = _local_interval(bm, _jbottom(bm, shat, g), g)
+        li = _local_interval(bm, _jbottom(bm.lat, shat, g), g)
         local = [li.flat_map.get(h) for h in chosen]
         if any(x is None for x in local):
             raise NotNestedLocal((g, tuple(chosen)))
@@ -306,10 +307,10 @@ def completion(bm, s):
         raise NotIrreducible("completion needs an irreducible built matroid")
     s = frozenset(s) - set(bm.maxg)
     _require_nested(bm, s)
-    shat = _shat(bm, s)
+    shat = _shat(bm.lat, bm.maxg, s)
     out = set(s)
     for g in shat:
-        j = _jbottom(bm, shat, g)
+        j = _jbottom(bm.lat, shat, g)
         chain = tl_chain(bm, j, g)
         for prev, h in zip(chain, chain[1:]):
             out.add(new_factor(bm, h, prev))
@@ -347,7 +348,7 @@ def lambda_label(bm, s, g):
     When g covers J^g, every element of g outside J^g joins J^g up to g, so
     this is the order-least element of g minus J^g."""
     lat = bm.lat
-    j = _jbottom(bm, _shat(bm, s), g)
+    j = _jbottom(bm.lat, _shat(bm.lat, bm.maxg, s), g)
     if lat.rank_of(g) - lat.rank_of(j) != 1:
         raise RankNotOne((j, g))
     return _least(bm, g & ~j)
@@ -374,7 +375,7 @@ def descent_set(bm, s):
 def _descent_data(bm, s):
     """`descent_set` on a facet known to be one, with no checks."""
     lat = bm.lat
-    shat = _shat(bm, s)  # s in rank order, then the top flat
+    shat = _shat(bm.lat, bm.maxg, s)  # s in rank order, then the top flat
     parents = {}
     children = {g: [] for g in shat}
     for i, g in enumerate(shat[:-1]):

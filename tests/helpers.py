@@ -1,7 +1,14 @@
 """Conversions between the package's bitmask world and the oracles'
 frozenset world, plus a few instance builders shared across test modules."""
 
-from chowpoly import BuiltMatroid, built_from_matroid, make_boolean, make_uniform
+from chowpoly import (
+    BuiltMatroid,
+    ChowpolyError,
+    built_from_matroid,
+    g_min,
+    make_boolean,
+    make_uniform,
+)
 from chowpoly.lattice import bits, lattice_of_flats
 
 
@@ -37,3 +44,19 @@ def b4_flag_built(order=None):
 
 def u33_max():
     return built_from_matroid(make_uniform(3, 3), "max")
+
+
+def building_set_universe(lat):
+    """Every building set of lat, as validated built matroids: G_min plus
+    each subset of the other nonzero flats that validates, in the order of
+    the subsets' bitmasks over those flats sorted by mask."""
+    base = g_min(lat)
+    free = sorted(f for f in lat.flats if f and f not in base)
+    out = []
+    for pick in range(1 << len(free)):
+        bset = base | {free[k] for k in bits(pick)}
+        try:
+            out.append(BuiltMatroid(lat, bset))
+        except ChowpolyError:
+            pass
+    return out

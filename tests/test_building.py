@@ -10,7 +10,14 @@ from collections import Counter
 import pytest
 
 import oracles
-from helpers import b4_flag_built, boolean_built, mask_of, set_of, sets_of
+from helpers import (
+    b4_flag_built,
+    boolean_built,
+    building_set_universe,
+    mask_of,
+    set_of,
+    sets_of,
+)
 
 from chowpoly.building import (
     BuiltMatroid,
@@ -404,6 +411,7 @@ def test_flag_witness_u34_atoms_plus_full():
     )
     w = flag_nonface_witness(bm)
     assert w is not None
+    assert w == oracles.flag_nonface_witness_ref(bm)
     j = 0
     for f in w:
         j = bm.lat.join(j, f)
@@ -412,6 +420,73 @@ def test_flag_witness_u34_atoms_plus_full():
         for b in w:
             if a < b:
                 assert bm.lat.join(a, b) not in bm.bset
+
+
+@pytest.mark.parametrize(
+    "name, matroid, counts",
+    [
+        ("B4", make_boolean(4), (420, 270, 150)),
+        ("U35", make_uniform(3, 5), (1024, 388, 636)),
+        ("Pi4", make_partition(4), (8, 8, 0)),
+    ],
+)
+def test_flag_witness_on_every_building_set(name, matroid, counts):
+    """On every building set of B4, U(3,5) and Π4 the table pass and the
+    search name the pairwise search's witness, or None with it; the test
+    states how many sets there are, and how many are flag and not."""
+    verdicts = Counter()
+    universe = building_set_universe(lattice_of_flats(matroid))
+    for bm in universe:
+        w = flag_nonface_witness(bm)
+        assert w == oracles.flag_nonface_witness_ref(bm), (name, sorted(bm.bset))
+        verdicts[w is None] += 1
+    assert (len(universe), verdicts[True], verdicts[False]) == counts
+
+
+@pytest.mark.parametrize("name", ["Pi7min", "B6max"])
+def test_flag_pass_makes_no_join(name, monkeypatch):
+    """Flagness is read off the G-factor table: no lattice join on Π7|min
+    or B6|max, both flag, once the built matroid exists."""
+    from chowpoly.lattice import GeomLattice
+
+    if name == "Pi7min":
+        bm = built_from_matroid(make_partition(7), "min")
+    else:
+        bm = built_from_matroid(make_boolean(6), "max")
+    calls = 0
+    join = GeomLattice.join
+
+    def counting_join(self, a, b):
+        nonlocal calls
+        calls += 1
+        return join(self, a, b)
+
+    monkeypatch.setattr(GeomLattice, "join", counting_join)
+    assert flag_nonface_witness(bm) is None
+    assert calls == 0
+
+
+@pytest.mark.parametrize(
+    "lat, bset, error",
+    [
+        (lattice_of_flats(make_uniform(3, 4)), {1, 2, 4, 8}, MissingIrreducible),
+        (
+            lattice_of_flats(make_boolean(3)),
+            {1, 2, 4, 0b011, 0b110},
+            JoinClosureViolation,
+        ),
+    ],
+)
+def test_flag_witness_on_a_set_that_is_not_building(lat, bset, error):
+    """An unvalidated built matroid whose set is not a building set has no
+    G-factor table; flagness raises the typed validation error."""
+    bm = BuiltMatroid(lat, bset, validate=False)
+    assert bm.factor_table() is None
+    with pytest.raises(ChowpolyError) as info:
+        flag_nonface_witness(bm)
+    assert type(info.value) is error
+    with pytest.raises(error):
+        binary_filtration(bm, g_min(lat))
 
 
 def test_filtration_min_to_max_b3():

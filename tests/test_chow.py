@@ -162,9 +162,9 @@ def test_deletion_takes_no_closure_and_no_factors(name, monkeypatch):
 
 
 def test_filtration_validates_its_base_in_one_table_pass(monkeypatch):
-    """The base of the walk is the built matroid the filtration validated,
-    so FY reads the table of that pass: one pass on Π6|min (no steps),
-    where validating the set and then counting on it took two."""
+    """A walk with no step, Π6|min, has the filtered built matroid itself
+    as its base, so the flag pass and FY read the table its validation
+    built: no table pass, where validating the set again took one."""
     import chowpoly.building as building
 
     bm = built_from_matroid(make_partition(6), "min")
@@ -179,7 +179,35 @@ def test_filtration_validates_its_base_in_one_table_pass(monkeypatch):
 
     monkeypatch.setattr(building, "_g_factor_table", counting_table)
     assert chow_by_filtration(bm) == want
-    assert calls == 1
+    assert calls == 0
+
+
+def test_filtration_walk_builds_no_built_matroid_per_step(monkeypatch):
+    """The walk carries the maximal elements of its set: on B6|max it
+    builds one built matroid per `_interval` call and one as its base,
+    and none per step."""
+    import chowpoly.chow as chow
+    from chowpoly.building import binary_filtration, g_min
+
+    bm = built_from_matroid(make_boolean(6), "max")
+    want = chow_polynomial(bm)
+    steps = len(binary_filtration(bm, g_min(bm.lat)).added)
+    calls = {"BuiltMatroid": 0, "_interval": 0}
+    init = BuiltMatroid.__init__
+    interval = chow._interval
+
+    def counting_init(self, *args, **kwargs):
+        calls["BuiltMatroid"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_interval(*args):
+        calls["_interval"] += 1
+        return interval(*args)
+
+    monkeypatch.setattr(BuiltMatroid, "__init__", counting_init)
+    monkeypatch.setattr(chow, "_interval", counting_interval)
+    assert chow_by_filtration(bm) == want
+    assert steps and calls["BuiltMatroid"] == calls["_interval"] + 1
 
 
 # A chordal building set on B5 whose walk stars one interval [J^g, g] with

@@ -148,11 +148,17 @@ def test_check_complete_and_flag(capsys, tmp_path):
     assert code == 0
     assert out == '{"check":"complete","ok":true,"witness":null}\n'
     code, out = run(capsys, ["check", "--spec", p, "--what", "flag"])
-    assert code == 3
-    doc = json.loads(out)
-    assert doc["ok"] is False
-    w = doc["witness"]
-    assert len(w) == 3 and all(len(f) == 1 for f in w)  # an atom antichain
+    assert (code, out) == (
+        3,
+        '{"check":"flag","ok":false,"witness":[[0],[2],[3]]}\n',
+    )
+    for matroid, bset in (
+        ({"type": "partition", "n": 7}, "min"),
+        ({"type": "boolean", "n": 6}, "max"),
+    ):
+        p = spec_arg(tmp_path, {"matroid": matroid, "building_set": bset})
+        code, out = run(capsys, ["check", "--spec", p, "--what", "flag"])
+        assert (code, out) == (0, '{"check":"flag","ok":true,"witness":null}\n')
 
 
 def test_check_complete_respects_order(capsys, tmp_path):
