@@ -8,6 +8,7 @@ drives chain constructions and completeness).
 
 from dataclasses import dataclass, field
 from itertools import permutations
+from operator import itemgetter
 
 from .errors import (
     BadParameters,
@@ -169,18 +170,25 @@ class BuiltMatroid:
         return self.factor_table()[i]
 
     def key(self):
-        """Canonical relabeling by the order; usable as a memo key."""
-        relabel = {e: i for i, e in enumerate(self.order)}
+        """Canonical relabeling by the order, element order[i] becoming i;
+        usable as a memo key.
+
+        The identity order relabels nothing.  Otherwise a mask is read as
+        its n-digit binary string, most significant bit first, so element
+        e sits at position n-1-e; new bit i, at position n-1-i, is the
+        digit of order[i], and one itemgetter picks them all."""
+        n, order = self.n, self.order
+        if order == tuple(range(n)):
+            return (n, tuple(sorted(self.lat.flats)), tuple(sorted(self.bset)))
+        pick = itemgetter(*(n - 1 - order[n - 1 - p] for p in range(n)))
+        width = f"0{n}b"
 
         def remap(mask):
-            out = 0
-            for e in bits(mask):
-                out |= 1 << relabel[e]
-            return out
+            return int("".join(pick(format(mask, width))), 2)
 
-        flats = tuple(sorted(remap(f) for f in self.lat.flats))
-        bset = tuple(sorted(remap(f) for f in self.bset))
-        return (self.n, flats, bset)
+        flats = tuple(sorted(map(remap, self.lat.flats)))
+        bset = tuple(sorted(map(remap, self.bset)))
+        return (n, flats, bset)
 
     def __eq__(self, other):
         return (

@@ -492,8 +492,8 @@ def cmd_check(args):
 
 def cmd_m0n(args):
     n_top = args.n
-    if not (2 <= n_top <= 8):
-        return fail_invalid("--n must be between 2 and 8")
+    if not (2 <= n_top <= 10):
+        return fail_invalid("--n must be between 2 and 10")
     rows = []
     agree = True
     for n in range(2, n_top + 1):

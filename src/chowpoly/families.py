@@ -27,7 +27,22 @@ def make_boolean(n):
 
 def make_graphic(edges, n_vertices=None):
     """Cycle matroid of a multigraph given as a list of vertex pairs; loops
-    are rejected (the matroid must be loopless)."""
+    are rejected (the matroid must be loopless).
+
+    Its covers come from one union-find over the flat F.  For the lowest
+    edge e = (a, b) outside F, the cover cl(F + e) is
+
+        F | inc(comp(a)) & inc(comp(b)),
+
+    where comp(v) is the component of v in (V, F) and inc(C) the mask of
+    the edges with an end in C.  Proof: e is outside the flat F, so it
+    joins two components A = comp(a) and B = comp(b).  An edge lies in
+    cl(F + e) iff its ends are connected in F + e, that is, iff its ends
+    lie in one component of F, and those edges are F itself, or one end
+    lies in A and the other in B.  An edge with an end in each of the
+    disjoint sets A and B is exactly an edge of inc(A) & inc(B).  Parallel
+    edges need no special case: they have the same ends.
+    """
     edges = [tuple(e) for e in edges]
     if not edges or any(len(e) != 2 or e[0] == e[1] for e in edges):
         raise BadParameters(f"graphic({edges})")
@@ -38,37 +53,63 @@ def make_graphic(edges, n_vertices=None):
     ends = [(vid[a], vid[b]) for a, b in edges]
 
     def components(s):
-        """Union-find over the edges in s: (root finder, rank of s)."""
+        """Union-find over the edges in s: (the root of each vertex's
+        component, rank of s)."""
         parent = list(range(len(verts)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         r = 0
-        for i in bits(s):
-            a, b = find(ends[i][0]), find(ends[i][1])
+        while s:
+            low = s & -s
+            a, b = ends[low.bit_length() - 1]
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
             if a != b:
                 parent[a] = b
                 r += 1
-        return find, r
+            s ^= low
+        root = []
+        for v in range(len(verts)):
+            while parent[v] != v:
+                v = parent[v]
+            root.append(v)
+        return root, r
 
     def rank(s):
         return components(s)[1]
 
     def closure(s):
         """Every edge whose ends the edges of s already connect."""
-        find = components(s)[0]
-        root = [find(v) for v in range(len(verts))]
+        root = components(s)[0]
         out = s
         for i, (a, b) in enumerate(ends):
             if root[a] == root[b]:
                 out |= 1 << i
         return out
 
-    return Matroid(len(edges), rank, closure)
+    full = (1 << len(edges)) - 1
+    inc = [0] * len(verts)  # vertex -> mask of the edges at it
+    for i, (a, b) in enumerate(ends):
+        inc[a] |= 1 << i
+        inc[b] |= 1 << i
+
+    def covers(f):
+        """The covers of the flat f, by the rule above."""
+        root = components(f)[0]
+        around = [0] * len(verts)  # root -> inc of its component
+        for v, x in enumerate(root):
+            around[x] |= inc[v]
+        out = []
+        rest = full & ~f
+        while rest:
+            low = rest & -rest
+            a, b = ends[low.bit_length() - 1]
+            g = f | around[root[a]] & around[root[b]]
+            out.append(g)
+            rest &= ~(g | low)
+        return out
+
+    return Matroid(len(edges), rank, closure, covers)
 
 
 def braid_edges(n):
@@ -80,7 +121,7 @@ def braid_edges(n):
 def make_partition(n):
     """The rank-(n-1) matroid of the partition lattice Π_n (the cycle matroid
     of the complete graph on n vertices, edges in lexicographic order)."""
-    if not (2 <= n <= 8):
+    if not (2 <= n <= 10):
         raise BadParameters(f"partition({n})")
     return make_graphic(braid_edges(n))
 
@@ -225,7 +266,7 @@ def m0n_gamma(n):
     doubles, or the bottom when both products are empty.  The root starts
     with p = n + 1, above every label, so it is never a descent.
     """
-    if not (2 <= n <= 9):
+    if not (2 <= n <= 10):
         raise BadParameters(f"m0n_gamma({n})")
     memo = {}  # (S as a mask with leaf i at bit i, p) -> (all, descent)
 

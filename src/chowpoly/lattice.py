@@ -4,8 +4,15 @@ Ground elements are 0..n-1 and subsets are bitmask ints, so a flat is just an
 int and subset tests are bitwise.  A lattice is fully materialized: flats,
 ranks and the upper covers ``covers_up`` of every flat.  The covers of a flat
 F partition E ∖ F, so joins and closures climb them, one cover per step.
-A lattice from outside input has its covers found and checked by a rescan;
-a deletion or an interval of a lattice takes them over from that lattice.
+Where the covers come from, and where a rescan finds and checks them:
+- `lattice_of_flats` on a matroid with a closure or cover oracle of its own
+  (the uniform, Boolean and graphic families) records them in its BFS and
+  checks each flat's list as it goes; no rescan;
+- `lattice_of_flats` on a matroid that closes by rank calls (the
+  `rank-table` and `flats` specs, the augmented matroid), and a
+  `GeomLattice` built from a list of flats (`extend`, `truncate`): the
+  rescan of `GeomLattice.__init__`;
+- a deletion or an interval of a lattice takes them over from that lattice.
 """
 
 from dataclasses import dataclass
@@ -51,14 +58,16 @@ def minimal(family):
 
 class Matroid:
     """A rank oracle on bitmask subsets of 0..n-1, with an optional closure
-    oracle; without one, a closure costs n rank calls."""
+    oracle (without one, a closure costs n rank calls) and an optional
+    cover oracle (without one, `covers` takes one closure per cover)."""
 
-    def __init__(self, n, rank_fn, closure_fn=None):
+    def __init__(self, n, rank_fn, closure_fn=None, covers_fn=None):
         if not 0 <= n <= MAX_ELEMENTS:
             raise InvalidMatroid(f"ground set size {n} outside 0..{MAX_ELEMENTS}")
         self.n = n
         self._rank_fn = rank_fn
         self._closure_fn = closure_fn
+        self._covers_fn = covers_fn
         self._rank_cache = {}
 
     def rank(self, mask):
@@ -76,6 +85,25 @@ class Matroid:
         for e in range(self.n):
             if not out >> e & 1 and self.rank(mask | 1 << e) == r:
                 out |= 1 << e
+        return out
+
+    def covers(self, f):
+        """The upper covers cl(F + e) of the flat F, one per cover.
+
+        Close F plus its lowest missing element, drop that cover's elements
+        and repeat: every element of a cover outside F closes to the same
+        cover, so F costs one closure per cover rather than one per
+        element.  The element closed is dropped too, so a closure oracle
+        that leaves it out cannot loop forever."""
+        if self._covers_fn is not None:
+            return self._covers_fn(f)
+        out = []
+        rest = ((1 << self.n) - 1) & ~f
+        while rest:
+            low = rest & -rest
+            g = self.closure(f | low)
+            out.append(g)
+            rest &= ~(g | low)
         return out
 
 
@@ -296,28 +324,91 @@ class GeomLattice:
 def lattice_of_flats(m):
     """Materialize the lattice of flats of a loopless matroid.
 
-    A breadth-first pass by rank.  The covers of a flat F are the closures
-    cl(F + e), and every element of such a cover outside F gives the same
-    one, so F costs one closure per cover rather than one per element."""
+    A breadth-first pass by rank, taking each flat's covers from
+    `Matroid.covers`.  For a matroid closure these are exactly the covers
+    that `GeomLattice._build_covers` finds by a rescan.  Let F be a flat of
+    rank r:
+    - for e outside F, cl(F + e) is a flat of rank r + 1 above F, since e
+      is not in cl(F) = F;
+    - a flat G of rank r + 1 above F, and any e in G ∖ F, give
+      cl(F + e) ⊆ G of equal rank, so cl(F + e) = G.  The flats of rank
+      r + 1 above F, which the rescan lists, are therefore the sets
+      cl(F + e), and each e outside F lies in exactly one of them;
+    - the pass meets a flat G of rank r + 1 first at level r + 1, and at
+      no other level: with B a basis of G and b in B, G covers the flat
+      cl(B - b) of rank r, and every cover raises the rank by one.
+    Each level is sorted by mask once it is complete, so the flats come in
+    (rank, mask) order, and each cover list is sorted to index order, as
+    the rescan yields it.
+
+    Where validation runs:
+    - A matroid with a closure or cover oracle of its own (the uniform,
+      Boolean and graphic families of `chowpoly.families`) keeps the
+      covers the pass records and goes to `GeomLattice._derived`, with no
+      rescan.  Per flat, the pass checks what the rescan checks of a cover
+      list: each cover strictly contains F, the covers are disjoint beyond
+      F and their union is E.  It also checks that no flat is met at two
+      ranks.  A faulty oracle so raises InvalidMatroid with a witness.
+      What only the rescan sees, a flat of rank r + 1 above F that is
+      missing from F's list, cannot arise from a matroid closure (above).
+    - A matroid that closes by rank calls (the `rank-table` and `flats`
+      specs of the CLI, and the augmented matroid) keeps the rescan through
+      `GeomLattice.__init__`, and the pass only collects flats and ranks.
+      The `flats` spec samples its rank axioms above n = 16, and there the
+      rescan is its only validation.
+    """
     if m.n == 0:
         raise InvalidMatroid("empty ground set")
     if m.closure(0) != 0:
         raise InvalidMatroid(f"loops present: {m.closure(0):b}")
-    seen = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            r = seen[f] + 1
-            rest = ((1 << m.n) - 1) & ~f
-            while rest:
-                g = m.closure(f | rest & -rest)
-                rest &= ~g
-                if g not in seen:
-                    seen[g] = r
+    full = (1 << m.n) - 1
+    rescan = m._closure_fn is None and m._covers_fn is None  # closes by rank
+    seen = {0: 0}  # flat -> the rank it was first met at
+    flats, ranks, covers_up = [0], [0], []
+    level, r = [0], 0
+    while level:
+        nxt, found = [], []
+        for f in level:
+            ups = m.covers(f)
+            if not rescan:
+                _check_covers(f, ups, full)
+                found.append(ups)
+            for g in ups:
+                s = seen.get(g)
+                if s is None:
+                    seen[g] = r + 1
                     nxt.append(g)
-        frontier = nxt
-    return GeomLattice(m.n, seen.items())
+                elif s != r + 1 and not rescan:
+                    raise InvalidMatroid(f"flat {g:b} met at ranks {s} and {r + 1}")
+        nxt.sort()
+        base = len(flats)
+        flats += nxt
+        ranks += [r + 1] * len(nxt)
+        if not rescan:
+            pos = {g: base + k for k, g in enumerate(nxt)}
+            covers_up += [sorted(pos[g] for g in ups) for ups in found]
+        level, r = nxt, r + 1
+    del seen
+    if rescan:
+        return GeomLattice(m.n, zip(flats, ranks))
+    return GeomLattice._derived(m.n, flats, ranks, covers_up)
+
+
+def _check_covers(f, ups, full):
+    """Raise InvalidMatroid unless ups, the covers of the flat f, each
+    strictly contain f inside the ground set full, are disjoint beyond f
+    and have union full: the cover checks of `GeomLattice._build_covers`."""
+    reached = f
+    for g in ups:
+        if f & ~g or g == f or g & ~full:
+            raise InvalidMatroid(f"cover {g:b} of flat {f:b} is no proper superset")
+        if g & ~f & reached:
+            e = next(bits(g & ~f & reached))
+            raise InvalidMatroid(f"element {e} above flat {f:b} in two covers")
+        reached |= g
+    if reached != full:
+        e = next(bits(full & ~reached))
+        raise InvalidMatroid(f"no cover of flat {f:b} through element {e}")
 
 
 # ---------------------------------------------------------------------------

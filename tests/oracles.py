@@ -908,6 +908,15 @@ def lattice_of_flats_ref(m):
     return [f for f, _ in items], [r for _, r in items]
 
 
+def built_key_ref(bm):
+    """`BuiltMatroid.key` before it skipped the identity order and read
+    masks through one itemgetter: every flat remapped bit by bit."""
+    relabel = {e: i for i, e in enumerate(bm.order)}
+    flats = tuple(sorted(_remap_mask(f, relabel) for f in bm.lat.flats))
+    bset = tuple(sorted(_remap_mask(f, relabel) for f in bm.bset))
+    return (bm.n, flats, bset)
+
+
 def flag_nonface_witness_ref(bm):
     """`building.flag_nonface_witness` before it carried the union of the
     chosen flats: every candidate is tested against every chosen flat for

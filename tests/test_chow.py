@@ -161,6 +161,33 @@ def test_deletion_takes_no_closure_and_no_factors(name, monkeypatch):
     assert calls == {"closure": 0, "factors": 0, "_build_covers": 0}
 
 
+def test_deletion_memo_key_matches_reference(monkeypatch):
+    """`BuiltMatroid.key`, the deletion memo key, is the tuple of the
+    bit-by-bit relabeling on every minor the deletion route builds on
+    corpus() and Π6|min, each in its own order and in the reversed one."""
+    import chowpoly.chow as chow
+    from chowpoly.corpus import corpus
+
+    key = BuiltMatroid.key
+    orders = {"identity": 0, "other": 0}
+
+    def checked(self):
+        got = key(self)
+        assert got == oracles.built_key_ref(self), self.order
+        identity = self.order == tuple(range(self.n))
+        orders["identity" if identity else "other"] += 1
+        return got
+
+    monkeypatch.setattr(BuiltMatroid, "key", checked)
+    monkeypatch.setattr(chow, "_DELETION_MEMO", {})
+    cases = [inst.built for inst in corpus()]
+    cases.append(built_from_matroid(make_partition(6), "min"))
+    for bm in cases:
+        chow_by_deletion(bm)
+        chow_by_deletion(BuiltMatroid(bm.lat, bm.bset, bm.order[::-1], validate=False))
+    assert orders["identity"] > 0 and orders["other"] > 0, orders
+
+
 def test_filtration_validates_its_base_in_one_table_pass(monkeypatch):
     """A walk with no step, Π6|min, has the filtered built matroid itself
     as its base, so the flag pass and FY read the table its validation

@@ -319,6 +319,70 @@ def test_invalid_inputs_exit_2(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
 
 
+_N17_PAIRS = [
+    list(p)
+    for p in itertools.combinations(range(17), 2)
+    if not set(p) <= {0, 1, 2} and not set(p) <= {0, 1, 3}
+]
+# `rank-table` and `flats` specs that close by rank calls, with the stderr
+# line each is rejected with.  Above n = 16 the `flats` spec samples its
+# rank axioms, and the last two pass the sample: the lattice's atom check
+# and its cover rescan are what reject them.
+BAD_RANK_SPECS = {
+    "rank-jump": (
+        {"type": "rank-table", "n": 2, "ranks": [0, 1, 1, 0]},
+        "InvalidMatroid: rank increment -1 adding 1 to 1",
+    ),
+    "rank-loop": (
+        {"type": "rank-table", "n": 2, "ranks": [0, 0, 1, 1]},
+        "InvalidMatroid: loops present: 1",
+    ),
+    "rank-short": (
+        {"type": "rank-table", "n": 2, "ranks": [0, 1, 1]},
+        "ValueError: rank table must have 2^2 entries",
+    ),
+    "flats-no-empty": (
+        {"type": "flats", "n": 2, "flats": [[0], [1], [0, 1]]},
+        "ValueError: the empty flat is missing",
+    ),
+    "flats-chain": (
+        {"type": "flats", "n": 2, "flats": [[], [0], [0, 1]]},
+        "InvalidMatroid: rank increment 2 adding 1 to 0",
+    ),
+    "flats-two-atoms": (
+        {"type": "flats", "n": 3, "flats": [[], [0, 1], [1, 2], [0, 1, 2]]},
+        "InvalidMatroid: submodularity fails at 10 with 0,2",
+    ),
+    "flats-n17-atoms-meet": (
+        {"type": "flats", "n": 17, "flats": [[], [0, 1], list(range(17))]},
+        "InvalidMatroid: element 0 lies in two atoms",
+    ),
+    "flats-n17-two-lines": (
+        {
+            "type": "flats",
+            "n": 17,
+            "flats": [[]]
+            + [[i] for i in range(17)]
+            + [[0, 1, 2], [0, 1, 3]]
+            + _N17_PAIRS
+            + [list(range(17))],
+        },
+        "InvalidMatroid: element 1 above flat 1 in two covers",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_RANK_SPECS))
+def test_rejected_rank_specs_keep_their_message(capsys, tmp_path, name):
+    """Lattices that close by rank calls keep their validation: each spec
+    exits 2 with nothing on stdout and its error line on stderr."""
+    matroid, line = BAD_RANK_SPECS[name]
+    spec = spec_arg(tmp_path, {"matroid": matroid, "building_set": "min"})
+    assert cli.main(["chow", "--spec", spec]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {line}\n")
+
+
 SPEC_COMMANDS = [
     ["chow"],
     ["gamma", "--with-descents", "--with-complex"],

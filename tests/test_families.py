@@ -65,11 +65,11 @@ def test_bad_parameters():
         lambda: make_graphic([(1, 1)]),
         lambda: make_graphic([(0, 1, 2)]),
         lambda: make_partition(1),
-        lambda: make_partition(9),
+        lambda: make_partition(11),
         lambda: chordal_building_sets(6),
         lambda: chordal_building_sets(1),
         lambda: m0n_gamma(1),
-        lambda: m0n_gamma(10),
+        lambda: m0n_gamma(11),
     ):
         with pytest.raises(BadParameters):
             call()

@@ -1,6 +1,7 @@
 """Lattice-of-flats construction, joins/meets, interval factorization and
 modular cuts, cross-checked against the brute-force oracles."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -41,6 +42,7 @@ from chowpoly.lattice import (
     delete_lattice,
     is_modular_pair,
     lattice_of_flats,
+    popcount,
     validate_modular_cut,
     validate_rank_axioms,
 )
@@ -392,3 +394,129 @@ def test_closure_oracles_match_rank_closure():
         generic = Matroid(m.n, m._rank_fn)
         for s in range(1 << m.n):
             assert m.closure(s) == generic.closure(s), (m.n, s)
+
+
+def test_lattice_of_flats_covers_equal_a_rescan():
+    """The covers the BFS records are, list for list, those the validating
+    constructor's rescan finds on the same flats and ranks: on every host
+    lattice of corpus(), on Π8, U(5,11) and B8."""
+    hosts = _corpus_hosts()
+    hosts += [make_partition(8), make_uniform(5, 11), make_boolean(8)]
+    for m in hosts:
+        lat = lattice_of_flats(m)
+        fresh = GeomLattice(lat.n, zip(lat.flats, lat.ranks))
+        assert (lat.flats, lat.ranks) == (fresh.flats, fresh.ranks)
+        assert lat.covers_up == fresh.covers_up
+        assert lat.atom_of_elem == fresh.atom_of_elem
+
+
+def _closure_loop(m):
+    """m with its cover oracle dropped, so `covers` takes the default loop
+    of one closure per cover."""
+    return Matroid(m.n, m._rank_fn, m._closure_fn)
+
+
+def test_graphic_covers_match_the_closure_loop_on_pi7():
+    """On every flat of Π7, and of a small multigraph with parallel edges."""
+    for m in (
+        make_partition(7),
+        make_graphic([(0, 1), (0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]),
+    ):
+        plain = _closure_loop(m)
+        for f in lattice_of_flats(plain).flats:
+            assert m.covers(f) == plain.covers(f), f
+
+
+@given(
+    edges=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda e: e[0] != e[1]),
+        min_size=1,
+        max_size=9,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_graphic_covers_match_the_closure_loop_on_multigraphs(edges):
+    """Five vertices and up to nine edges: most draws have parallel edges."""
+    m = make_graphic(edges)
+    plain = _closure_loop(m)
+    for f in lattice_of_flats(plain).flats:
+        assert m.covers(f) == plain.covers(f), f
+
+
+def test_only_rank_closures_are_rescanned(monkeypatch):
+    """A family lattice keeps the covers of its BFS, and a `rank-table`
+    matroid, which closes by rank calls, takes the one rescan."""
+    from chowpoly.cli import parse_matroid
+
+    calls = [0]
+    build_covers = GeomLattice._build_covers
+
+    def counting(self):
+        calls[0] += 1
+        return build_covers(self)
+
+    monkeypatch.setattr(GeomLattice, "_build_covers", counting)
+    for m in _corpus_hosts() + [make_partition(7)]:
+        lattice_of_flats(m)
+    assert calls == [0]
+    ranks = [min(2, popcount(s)) for s in range(16)]
+    lattice_of_flats(parse_matroid({"type": "rank-table", "n": 4, "ranks": ranks}))
+    assert calls == [1]
+
+
+# Faulty oracles on three elements, each with the error the BFS raises:
+# two covers that overlap beyond F, an element in no cover, a flat met at
+# two ranks, and a cover that is F itself.  A "covers" table maps a flat to
+# its covers; a "closure" table maps a set to its closure, and a set not in
+# it closes to itself.
+_BAD_ORACLES = [
+    ("covers", {0: [0b011, 0b110]}, "element 1 above flat 0 in two covers"),
+    ("covers", {0: [0b001, 0b010]}, "no cover of flat 0 through element 2"),
+    (
+        "covers",
+        {0: [1, 6], 1: [3, 5], 3: [7], 5: [7], 6: [7], 7: []},
+        "flat 111 met at ranks 2 and 3",
+    ),
+    ("closure", {1: 0b011, 4: 0b110}, "element 1 above flat 0 in two covers"),
+    ("closure", {1: 0b010}, "no cover of flat 0 through element 0"),
+    ("closure", {2: 0b110}, "flat 111 met at ranks 2 and 3"),
+    ("covers", {0: [0]}, "cover 0 of flat 0 is no proper superset"),
+]
+
+
+def bad_matroid(kind, table):
+    """A Matroid on three elements whose cover or closure oracle is the
+    table of an `_BAD_ORACLES` row."""
+    if kind == "covers":
+        return Matroid(3, popcount, covers_fn=table.__getitem__)
+    return Matroid(3, popcount, closure_fn=lambda s: table.get(s, s))
+
+
+@pytest.mark.parametrize("kind,table,message", _BAD_ORACLES)
+def test_faulty_oracles_raise_with_a_witness(kind, table, message):
+    with pytest.raises(InvalidMatroid) as info:
+        lattice_of_flats(bad_matroid(kind, table))
+    assert info.value.args == (message,)
+
+
+def test_faulty_oracles_raise_under_optimize():
+    code = (
+        "from chowpoly.errors import InvalidMatroid\n"
+        "from chowpoly.lattice import Matroid, lattice_of_flats, popcount\n"
+        + inspect.getsource(bad_matroid)
+        + f"for kind, table, _ in {_BAD_ORACLES!r}:\n"
+        "    try:\n"
+        "        lattice_of_flats(bad_matroid(kind, table))\n"
+        "    except InvalidMatroid as e:\n"
+        "        print(e.args[0])\n"
+    )
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [message for _, _, message in _BAD_ORACLES]
