@@ -27,18 +27,23 @@ from .errors import (
 from .lattice import (
     GeomLattice,
     ModularCut,
+    _g_factor_table,
     bits,
     delete_lattice,
     maximal,
     minimal,
     popcount,
+    splits,
     validate_modular_cut,
 )
 
 
 def g_min(lat):
-    """The minimal building set: all irreducible flats."""
-    return frozenset(f for f in lat.flats if f and lat.is_irreducible(f))
+    """The minimal building set: all irreducible flats, the flats whose
+    row of `GeomLattice.factor_table` is the flat alone."""
+    return frozenset(
+        f for f, row in zip(lat.flats, lat.factor_table()) if len(row) == 1
+    )
 
 
 def g_max(lat):
@@ -51,7 +56,8 @@ def validate_building_set(lat, s):
 
     Raises MissingIrreducible(F) or JoinClosureViolation((G, G')) on failure.
 
-    One pass up the covers decides acceptance (`_g_factor_table`).  Only a
+    One pass up the covers decides acceptance (`_g_factor_table`), and
+    G_min takes none once the lattice holds its factor table.  Only a
     rejected s pays for the scans that name the witness: the first
     irreducible flat missing from s, else the first meeting pair of members
     whose join leaves s, both in sorted order.
@@ -63,12 +69,18 @@ def validate_building_set(lat, s):
 
 def _validated_g_factor_table(lat, s):
     """`_g_factor_table(lat, s)` for a frozenset s, raising as
-    `validate_building_set` does unless s is a building set."""
+    `validate_building_set` does unless s is a building set.
+
+    For s = G_min it is the lattice's own factor table, when the lattice
+    already holds it: both passes see the same rows of the lower covers in
+    (rank, mask) order, so their rows are equal tuple for tuple."""
     for f in s:
         if not lat.is_flat(f):
             raise NotAFlat(f"{f:b} is not a flat")
         if f == 0:
             raise NotAFlat("the bottom flat cannot belong to a building set")
+    if lat._factors is not None and s == g_min(lat):
+        return lat._factors
     table = _g_factor_table(lat, s)
     if table is None:
         for f in sorted(g_min(lat)):
@@ -80,47 +92,6 @@ def _validated_g_factor_table(lat, s):
                 if a & b and not (a & ~b == 0 or b & ~a == 0):
                     if lat.join(a, b) not in s:
                         raise JoinClosureViolation((a, b))
-    return table
-
-
-def _g_factor_table(lat, s):
-    """The G-factors of every flat, indexed like lat.flats, each a tuple of
-    the maximal elements of s below it; None when s is not a building set.
-
-    tops(F) is (F,) for F in s, and otherwise the maximal elements among
-    the tops of F's lower covers, so it is the set of maximal elements of
-    s below F.  One pass in (rank, mask) order, as in
-    `GeomLattice._factor_table`.  It returns None as soon as a nonzero flat
-    F outside s is not split by its tops, that is, they are not pairwise
-    disjoint, their union is not F or their ranks do not add up to rk F.
-    When every such F is split, s is a building set (Feichtner–Kozlov
-    2004):
-    - F outside s is split into k >= 2 parts with additive ranks, so it is
-      reducible, and every irreducible flat lies in s;
-    - meeting a, b in s with a ∨ b = F outside s lie under one top m of F,
-      because the tops are disjoint, so a ∨ b <= m < F: no such pair.
-    A building set always passes, since its maximal elements below F are
-    the factors of F, and then tops(F) are exactly the G-factors of F."""
-    below = [[] for _ in lat.flats]
-    table = []
-    for i, (f, r) in enumerate(zip(lat.flats, lat.ranks)):
-        if f in s:
-            tops = (f,)
-        else:
-            tops = tuple(maximal(set(below[i])))
-            union = 0
-            for g in tops:
-                union |= g
-            if (
-                union != f
-                or sum(map(popcount, tops)) != popcount(f)
-                or sum(lat.rank_of(g) for g in tops) != r
-            ):
-                return None
-        table.append(tops)
-        below[i] = None
-        for j in lat.covers_up[i]:
-            below[j].extend(tops)
     return table
 
 
@@ -155,8 +126,8 @@ class BuiltMatroid:
 
     def factor_table(self):
         """The G-factors of every flat, indexed like lat.flats
-        (`_g_factor_table`): the table of the validating pass, or one pass
-        on first use for a built matroid that was not validated."""
+        (`_g_factor_table`): the table its validation returned, or one
+        pass on first use for a built matroid that was not validated."""
         cache = self._nested_cache
         if "tops" not in cache:
             cache["tops"] = _g_factor_table(self.lat, self.bset)
@@ -603,8 +574,7 @@ class Filtration:
     bsets: list  # list of frozensets, len = steps + 1
     added: list  # flat added at each step
     factors: list  # its factors in the prior set, sorted by (rank, mask)
-    # bsets[0] as a built matroid holding its G-factor table: a validated
-    # one, or the filtered bm itself when the chain takes no step
+    # bsets[0] as a validated built matroid, holding its G-factor table
     base: BuiltMatroid = field(default=None, compare=False, repr=False)
 
 
@@ -615,17 +585,12 @@ def _removal_chain(bm, small, pick):
     factors of g in cur minus g.  Only small, which is caller input, is
     validated, as the built matroid `Filtration.base`: pick returns only
     elements `_removable` accepts, so by the proof in `is_removable` every
-    set of the chain is a building set.  A chain with no step has bm
-    itself as its base, with bm's table, unless bm has none; then the
-    base is built, and its validation raises."""
+    set of the chain is a building set."""
     lat = bm.lat
     small = frozenset(small)
     if not small <= bm.bset:
         raise NotContained(sorted(small - bm.bset))
-    if small == bm.bset and bm.factor_table() is not None:
-        base = bm
-    else:
-        base = BuiltMatroid(lat, small, bm.order)
+    base = BuiltMatroid(lat, small, bm.order)
     chain, added, factors = [bm.bset], [], []
     cur = set(bm.bset)
     while chain[-1] != small:
@@ -643,10 +608,7 @@ def _removal_chain(bm, small, pick):
 def _removable(lat, bset, g):
     """The maximal elements of bset strictly below g, as a tuple, when bset
     minus g is still a building set, and None otherwise.  bset is a
-    building set that contains g: g must be reducible and those maximal
-    elements pairwise disjoint (proof in `is_removable`)."""
-    if lat.is_irreducible(g):
-        return None
+    building set that contains g (criterion and proof in `is_removable`)."""
     # Descending size: an element is maximal below g iff no earlier maximal
     # element contains it.  Disjoint maximal elements make `union` an exact
     # test for meeting one of them.
@@ -662,21 +624,28 @@ def _removable(lat, bset, g):
             return None
         tops.append(h)
         union |= h
-    return tuple(tops)
+    return tuple(tops) if splits(lat, lat.idx[g], tops) else None
 
 
 def is_removable(bm, g):
     """Whether bset minus g is still a building set.
 
-    Requires bm.bset to be a building set.  Then g is removable iff g is
-    reducible and the maximal elements of bm.bset strictly below g are
-    pairwise disjoint (the local criterion of Feichtner–Kozlov).  Proof:
+    Requires bm.bset to be a building set.  Then g is removable iff the
+    maximal elements of bm.bset strictly below g are pairwise disjoint and
+    split g, the test of `lattice.splits` (the local criterion of
+    Feichtner–Kozlov).  Removing g keeps every irreducible flat iff g is
+    reducible, and keeps join-closure iff those maximal elements are
+    disjoint:
     - a pair a, b of bset − {g} that breaks join-closure has a ∨ b = g,
       because bset is join-closed;
     - if the maximal elements below g are disjoint, two meeting elements
       below g lie under one of them, m, and join inside [0, m]: no such pair;
     - if two of them, m1 and m2, meet, then m1 ∨ m2 is in bset, ≤ g and
       strictly above both, so it is g by maximality: removing g breaks them.
+    With disjoint maximal elements, g is reducible iff they split g.  If
+    they split g, g is their direct sum (`_g_factor_table`).  If g is
+    reducible, bset − {g} is a building set by the above, and its
+    G-factors of g, which are those maximal elements, split g.
     """
     return g in bm.bset and _removable(bm.lat, bm.bset, g) is not None
 
@@ -688,14 +657,9 @@ def binary_filtration(bm, small):
     Greedily removes a lattice-maximal removable element (smallest mask on
     ties); raises NotFlag if bm is not flag and Stuck if the greedy jams.
 
-    A candidate g is removable iff it is reducible and the maximal elements
-    of the current set strictly below g are pairwise disjoint; each removal
-    keeps the current set a building set, which is the criterion's
-    precondition.  Proof:
-    - a pair that breaks join-closure once g is gone joins to g, because
-      the current set is join-closed;
-    - disjoint maximal elements below g leave no meeting pair joining to g;
-    - two meeting maximal elements m1, m2 have m1 ∨ m2 = g by maximality.
+    A candidate g is removable by the criterion of `is_removable`; each
+    removal keeps the current set a building set, which is the criterion's
+    precondition.
 
     `_removable(lat, cur, f)` reads only the members of cur strictly below
     f, so a verdict stays valid until one of those is removed.  The

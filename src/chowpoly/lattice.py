@@ -281,44 +281,77 @@ class GeomLattice:
 
     # -- direct-sum structure ----------------------------------------------
 
-    def interval_factors(self, f):
-        """Connected components of [0, f]: f as a disjoint union of
-        irreducible flats with additive ranks (sorted by (rank, mask))."""
+    def factor_table(self):
+        """The direct-sum factors of every flat, indexed like flats
+        (`_g_factor_table`, taken once); an irreducible F has the row (F,)."""
+        if self._factors is None:
+            self._factors = _g_factor_table(self)
+        return self._factors
+
+    def _factor_row(self, f):
         i = self.idx.get(f)
         if i is None:
             raise NotAFlat(f"{f:b} is not a flat")
-        if self._factors is None:
-            self._factors = self._factor_table()
-        return list(self._factors[i])
+        return self.factor_table()[i]
 
-    def _factor_table(self):
-        """The factors of every flat, in one pass in (rank, mask) order.
-
-        F is reducible iff the maximal irreducible flats strictly below F
-        have union F and additive ranks, and they are then its factors: an
-        irreducible flat below a direct sum lies in one summand, and such
-        flats are disjoint (two that meet lose the rank of their meet), so
-        they split F.  Every irreducible flat strictly below F lies inside a
-        factor of a lower cover of F, so those factors are the candidates."""
-        below = [[] for _ in self.flats]
-        table = []
-        for i, (f, r) in enumerate(zip(self.flats, self.ranks)):
-            tops = maximal(set(below[i]))
-            below[i] = None
-            union = 0
-            for g in tops:
-                union |= g
-            if union == f and sum(self.ranks[self.idx[g]] for g in tops) == r:
-                out = tuple(sorted(tops, key=lambda g: (self.ranks[self.idx[g]], g)))
-            else:
-                out = (f,)
-            table.append(out)
-            for j in self.covers_up[i]:
-                below[j].extend(out)
-        return table
+    def interval_factors(self, f):
+        """Connected components of [0, f]: f as a disjoint union of
+        irreducible flats with additive ranks (sorted by (rank, mask))."""
+        return sorted(self._factor_row(f), key=lambda g: (self.rank_of(g), g))
 
     def is_irreducible(self, f):
-        return len(self.interval_factors(f)) == 1
+        return len(self._factor_row(f)) == 1
+
+
+def _g_factor_table(lat, s=None):
+    """The tops of every flat, indexed like lat.flats, in one pass in
+    (rank, mask) order; None when s is given and is not a building set.
+
+    The members are the flats of s, or, with s = None, the flats that
+    their tops do not split.  The tops of a member F are (F,), and
+    otherwise the maximal elements among the tops of F's lower covers,
+    that is, the maximal members strictly below F.  They split F
+    (`splits`) when their union is F and their ranks add up to rk F.  Then
+    F is their direct sum, for they are disjoint: two that meet share a
+    flat of rank at least 1, which by semimodularity their join loses, so
+    the ranks of all the tops would add up to more than rk F.
+    - s = None: by induction, the tops of F are the maximal irreducible
+      flats strictly below F.  A reducible F is split by its direct-sum
+      factors, which are these, and an irreducible F by nothing.  So the
+      members are the irreducible flats, the other rows their factors.
+    - s given and accepted: each flat outside s is split, so reducible,
+      and members a, b below it that meet lie under one top m, so it is
+      not their join, a ∨ b <= m.  So s is a building set (Feichtner–Kozlov
+      2004).  A building set is accepted, with the G-factors as rows: the
+      maximal members below a flat outside it are its G-factors, which
+      split it."""
+    below = [[] for _ in lat.flats]
+    table = []
+    for i, f in enumerate(lat.flats):
+        if s is not None and f in s:
+            tops = (f,)
+        else:
+            tops = tuple(maximal(set(below[i])))
+            if not splits(lat, i, tops):
+                if s is not None:
+                    return None
+                tops = (f,)
+        table.append(tops)
+        below[i] = None
+        for j in lat.covers_up[i]:
+            below[j].extend(tops)
+    return table
+
+
+def splits(lat, i, tops):
+    """Whether the flats tops, strictly below F = lat.flats[i], split F:
+    their union is F and their ranks add up to rk F (`_g_factor_table`)."""
+    ranks, idx = lat.ranks, lat.idx
+    union = rank = 0
+    for g in tops:
+        union |= g
+        rank += ranks[idx[g]]
+    return union == lat.flats[i] and rank == ranks[i]
 
 
 def lattice_of_flats(m):

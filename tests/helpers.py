@@ -1,12 +1,15 @@
 """Conversions between the package's bitmask world and the oracles'
 frozenset world, plus a few instance builders shared across test modules."""
 
+from functools import cache
+
 from chowpoly import (
     BuiltMatroid,
     ChowpolyError,
     built_from_matroid,
     g_min,
     make_boolean,
+    make_partition,
     make_uniform,
 )
 from chowpoly.lattice import bits, lattice_of_flats
@@ -60,3 +63,18 @@ def building_set_universe(lat):
         except ChowpolyError:
             pass
     return out
+
+
+# The hosts whose every building set the tests enumerate, by name.
+UNIVERSE_HOSTS = {
+    "B4": make_boolean(4),
+    "U35": make_uniform(3, 5),
+    "Pi4": make_partition(4),
+}
+
+
+@cache
+def universe(matroid):
+    """`building_set_universe` of the lattice of matroid, enumerated once
+    per session for each host object (those of UNIVERSE_HOSTS)."""
+    return building_set_universe(lattice_of_flats(matroid))

@@ -548,6 +548,48 @@ def validate_building_set_ref(lat, s):
     return s
 
 
+def g_factor_table_ref(lat, s):
+    """The building-set pass as it was before the one split test: the tops
+    of each flat outside s must also have popcounts adding up to that of
+    the flat.  Same rows, or None, as `lattice._g_factor_table(lat, s)`."""
+    from chowpoly.lattice import maximal, popcount
+
+    below = [[] for _ in lat.flats]
+    table = []
+    for i, (f, r) in enumerate(zip(lat.flats, lat.ranks)):
+        if f in s:
+            tops = (f,)
+        else:
+            tops = tuple(maximal(set(below[i])))
+            union = 0
+            for g in tops:
+                union |= g
+            if (
+                union != f
+                or sum(map(popcount, tops)) != popcount(f)
+                or sum(lat.rank_of(g) for g in tops) != r
+            ):
+                return None
+        table.append(tops)
+        below[i] = None
+        for j in lat.covers_up[i]:
+            below[j].extend(tops)
+    return table
+
+
+def removable_ref(lat, bset, g):
+    """`building._removable` before the one split test: None for an
+    irreducible g, else the maximal members of bset strictly below g when
+    they are pairwise disjoint, in the order `_removable` returns them."""
+    if lat.is_irreducible(g):
+        return None
+    below = [h for h in bset if h != g and h & ~g == 0]
+    tops = [h for h in below if not any(h != k and h & ~k == 0 for k in below)]
+    if any(a & b for a, b in combinations(tops, 2)):
+        return None
+    return tuple(sorted(tops, key=lambda h: -h.bit_count()))
+
+
 def factors_in(lat, s, f):
     """The maximal elements of s weakly below f, sorted by (rank, mask), by
     a scan of s: the reference for `BuiltMatroid.factors`."""

@@ -11,12 +11,13 @@ import pytest
 
 import oracles
 from helpers import (
+    UNIVERSE_HOSTS,
     b4_flag_built,
     boolean_built,
-    building_set_universe,
     mask_of,
     set_of,
     sets_of,
+    universe,
 )
 
 from chowpoly.building import (
@@ -38,15 +39,25 @@ from chowpoly.building import (
     truncate,
     validate_building_set,
 )
+from chowpoly.chow import (
+    chow_by_deletion,
+    chow_by_filtration,
+    chow_polynomial,
+    gamma_by_descents_factored,
+    toric_hilbert_oracle,
+)
 from chowpoly.errors import (
     ChowpolyError,
     CutContainsAtom,
     ImproperCut,
     JoinClosureViolation,
     MissingIrreducible,
+    MixedFactorStep,
+    NoBinaryFiltration,
     NotAFlat,
     NotFlag,
     NotGCompatible,
+    TooLarge,
 )
 from chowpoly.families import (
     built_from_matroid,
@@ -57,7 +68,14 @@ from chowpoly.families import (
     make_uniform,
 )
 from chowpoly.lattice import lattice_of_flats, validate_modular_cut
-from chowpoly.nested import link_decomposition, maximal_nested_sets
+from chowpoly.nested import (
+    balanced_check,
+    gamma_complex,
+    gamma_fvector,
+    link_decomposition,
+    maximal_nested_sets,
+)
+from chowpoly.polynomials import gamma_expansion, is_gamma_positive
 
 
 def _oracle_gmin(name, m, n, orank):
@@ -425,9 +443,9 @@ def test_flag_witness_u34_atoms_plus_full():
 @pytest.mark.parametrize(
     "name, matroid, counts",
     [
-        ("B4", make_boolean(4), (420, 270, 150)),
-        ("U35", make_uniform(3, 5), (1024, 388, 636)),
-        ("Pi4", make_partition(4), (8, 8, 0)),
+        ("B4", UNIVERSE_HOSTS["B4"], (420, 270, 150)),
+        ("U35", UNIVERSE_HOSTS["U35"], (1024, 388, 636)),
+        ("Pi4", UNIVERSE_HOSTS["Pi4"], (8, 8, 0)),
     ],
 )
 def test_flag_witness_on_every_building_set(name, matroid, counts):
@@ -435,12 +453,50 @@ def test_flag_witness_on_every_building_set(name, matroid, counts):
     search name the pairwise search's witness, or None with it; the test
     states how many sets there are, and how many are flag and not."""
     verdicts = Counter()
-    universe = building_set_universe(lattice_of_flats(matroid))
-    for bm in universe:
+    sets = universe(matroid)
+    for bm in sets:
         w = flag_nonface_witness(bm)
         assert w == oracles.flag_nonface_witness_ref(bm), (name, sorted(bm.bset))
         verdicts[w is None] += 1
-    assert (len(universe), verdicts[True], verdicts[False]) == counts
+    assert (len(sets), verdicts[True], verdicts[False]) == counts
+
+
+@pytest.mark.parametrize(
+    "name, counts",
+    [("B4", (73, 0, 197, 150)), ("U35", (247, 265, 141, 371)), ("Pi4", (8, 0, 0, 0))],
+)
+def test_routes_and_gamma_on_every_building_set(name, counts):
+    """The abstract's claims on every building set of B4, U(3,5) and Π4,
+    in the natural order: the routes agree; a complete or flag set is
+    γ-positive; on a complete set the descent formula and the f-vector of
+    Γ give γ; on G_max, Γ is balanced.  The counts are the sets that are
+    complete and flag, complete only, flag only and neither."""
+    classes = Counter()
+    for bm in universe(UNIVERSE_HOSTS[name]):
+        where = (name, sorted(bm.bset))
+        h = chow_polynomial(bm)
+        assert chow_by_deletion(bm) == h, where
+        try:
+            assert chow_by_filtration(bm) == h, where
+        except (NoBinaryFiltration, MixedFactorStep):
+            pass
+        try:
+            assert toric_hilbert_oracle(bm) == h, where
+        except TooLarge:
+            pass
+        complete, flag = is_complete(bm), is_flag(bm)
+        classes[complete, flag] += 1
+        gam = list(gamma_expansion(h))
+        if complete or flag:
+            assert is_gamma_positive(h), where
+        if complete:
+            assert gamma_by_descents_factored(bm) == gam, where
+            f, reps = gamma_fvector(bm)
+            assert all(r.downward_closed for r in reps) and f == gam, where
+        if bm.bset == g_max(bm.lat):
+            assert balanced_check(bm, gamma_complex(bm).complex), where
+    got = tuple(classes[c, f] for c, f in ((1, 1), (1, 0), (0, 1), (0, 0)))
+    assert got == counts
 
 
 @pytest.mark.parametrize("name", ["Pi7min", "B6max"])
@@ -504,29 +560,47 @@ def test_filtration_min_to_max_b3():
 
 
 def test_is_removable_matches_full_validation_on_corpus():
+    """The removability verdict on every member of every corpus building
+    set and of every building set of B4, U(3,5) and Π4, against full
+    validation of the set less that member; on the universes also against
+    `oracles.removable_ref`, the criterion before the one split test, for
+    the tops too.  The test states the (pairs, removable) counts."""
+    from chowpoly.building import _removable
     from chowpoly.corpus import corpus
 
-    pairs = removable = 0
-    for inst in corpus():
-        bm = inst.built
-        lat = bm.lat
-        small_host = bm.n <= 4
-        if small_host:
-            orank = lambda s, lat=lat: lat.rank_of(lat.closure(mask_of(s)))
-            oflats = {set_of(f) for f in lat.flats}
-        for g in sorted(bm.bset):
-            try:
-                validate_building_set(lat, bm.bset - {g})
-                want = True
-            except (MissingIrreducible, JoinClosureViolation):
-                want = False
-            assert is_removable(bm, g) == want, (inst.name, g)
+    sources = [("corpus", [inst.built for inst in corpus()])]
+    sources += [(name, universe(host)) for name, host in UNIVERSE_HOSTS.items()]
+    counts = {}
+    for source, bms in sources:
+        pairs = removable = 0
+        for bm in bms:
+            lat = bm.lat
+            small_host = source == "corpus" and bm.n <= 4
             if small_host:
-                og = sets_of(bm.bset - {g})
-                assert oracles.is_building_set(bm.n, orank, oflats, og) == want
-            pairs += 1
-            removable += want
-    assert (pairs, removable) == (2483, 685)
+                orank = lambda s, lat=lat: lat.rank_of(lat.closure(mask_of(s)))
+                oflats = {set_of(f) for f in lat.flats}
+            for g in sorted(bm.bset):
+                try:
+                    validate_building_set(lat, bm.bset - {g})
+                    want = True
+                except (MissingIrreducible, JoinClosureViolation):
+                    want = False
+                assert is_removable(bm, g) == want, (source, sorted(bm.bset), g)
+                if source != "corpus":
+                    tops = _removable(lat, bm.bset, g)
+                    assert tops == oracles.removable_ref(lat, bm.bset, g), g
+                if small_host:
+                    og = sets_of(bm.bset - {g})
+                    assert oracles.is_building_set(bm.n, orank, oflats, og) == want
+                pairs += 1
+                removable += want
+        counts[source] = (pairs, removable)
+    assert counts == {
+        "corpus": (2483, 685),
+        "B4": (3878, 1486),
+        "U35": (11264, 5120),
+        "Pi4": (100, 12),
+    }
 
 
 def test_binary_filtration_matches_reference_greedy_on_corpus():

@@ -189,9 +189,10 @@ def test_deletion_memo_key_matches_reference(monkeypatch):
 
 
 def test_filtration_validates_its_base_in_one_table_pass(monkeypatch):
-    """A walk with no step, Π6|min, has the filtered built matroid itself
-    as its base, so the flag pass and FY read the table its validation
-    built: no table pass, where validating the set again took one."""
+    """A walk with no step, Π6|min, validates its base, G_min, with the
+    lattice's factor table, and the flag pass and FY read the tables
+    validation returned: no table pass, where validating the set again
+    took one."""
     import chowpoly.building as building
 
     bm = built_from_matroid(make_partition(6), "min")

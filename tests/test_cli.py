@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: JSON in, canonical JSON out, exit codes."""
 
+import contextlib
 import hashlib
 import io
 import itertools
@@ -9,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowpoly import built_from_matroid, chow_polynomial, cli, make_graphic
 
@@ -490,6 +493,172 @@ def test_bad_order_is_invalid_input_under_optimize():
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: BadParameters")
+
+
+# Drawn CLI inputs: a subcommand's argv and the text its spec reads on
+# stdin.  The specs are small (at most 6 ground elements), start from the
+# spec grammar of `chowpoly.cli` or a valid document, and may have one key
+# dropped or replaced by a value of the wrong type or range, or their text
+# cut short.
+_ELEMS = st.lists(st.integers(-1, 5), max_size=4)
+_JUNK = st.sampled_from([None, True, -1, 0, 65, 10**30, 1.5, "x", [], {}, [[0, 9]]])
+_MATROIDS = st.one_of(
+    st.fixed_dictionaries(
+        {"type": st.just("uniform"), "r": st.integers(0, 4), "n": st.integers(0, 5)}
+    ),
+    st.fixed_dictionaries({"type": st.just("boolean"), "n": st.integers(0, 4)}),
+    st.fixed_dictionaries({"type": st.just("partition"), "n": st.integers(1, 5)}),
+    st.fixed_dictionaries(
+        {
+            "type": st.just("graphic"),
+            "edges": st.lists(
+                st.lists(st.integers(0, 3), min_size=1, max_size=3), max_size=6
+            ),
+        }
+    ),
+    st.fixed_dictionaries(
+        {
+            "type": st.just("flats"),
+            "n": st.integers(1, 4),
+            "flats": st.lists(_ELEMS, max_size=8),
+        }
+    ),
+    st.integers(0, 3).flatmap(
+        lambda n: st.fixed_dictionaries(
+            {
+                "type": st.just("rank-table"),
+                "n": st.just(n),
+                "ranks": st.lists(st.integers(0, 3), min_size=1 << n, max_size=1 << n),
+            }
+        )
+    ),
+)
+_DRAWN_DOCS = st.fixed_dictionaries(
+    {"matroid": _MATROIDS},
+    optional={
+        "building_set": st.one_of(
+            st.sampled_from(["min", "max", "all"]),
+            st.lists(_ELEMS, max_size=8),
+            st.just({"type": "augmented"}),
+            st.fixed_dictionaries(
+                {"type": st.just("chordal"), "index": st.integers(-1, 6)}
+            ),
+        ),
+        "order": st.lists(st.integers(-1, 5), max_size=6),
+        "cut": st.lists(_ELEMS, max_size=5),
+    },
+)
+_VALID_DOCS = st.sampled_from(
+    [
+        U33_MAX,
+        B4_FLAG,
+        U34_CUSTOM,
+        NON_SIMPLE_LIST,
+        dict(U33_MAX, cut=[[0, 1, 2]]),
+        {
+            "matroid": {"type": "flats", "n": 3, "flats": [[], [0], [1], [2], [0, 1, 2]]},
+            "building_set": "max",
+        },
+        {"matroid": {"type": "rank-table", "n": 2, "ranks": [0, 1, 1, 1]}},
+        {"matroid": {"type": "boolean", "n": 4}, "building_set": {"type": "chordal", "index": 3}},
+        {"matroid": {"type": "uniform", "r": 2, "n": 4}, "building_set": {"type": "augmented"}},
+    ]
+)
+
+
+def _mutations(doc):
+    """doc itself, or doc with one key, at the top or in its matroid,
+    dropped (None) or replaced by a junk value."""
+    paths = [(k,) for k in doc] + [("matroid", k) for k in doc["matroid"]]
+
+    def apply(change):
+        (*outer, key), value = change
+        out = dict(doc, matroid=dict(doc["matroid"]))
+        inner = out["matroid"] if outer else out
+        if value is None:
+            del inner[key]
+        else:
+            inner[key] = value
+        return out
+
+    same = st.just(doc)
+    return st.one_of(
+        same,
+        same,
+        st.tuples(st.sampled_from(paths), st.one_of(st.none(), _JUNK)).map(apply),
+    )
+
+
+def _spec_texts(doc):
+    text = json.dumps(doc)
+    whole = st.just(text)
+    cut = st.integers(0, len(text) - 1).map(lambda k: text[:k])
+    return st.one_of(whole, whole, whole, cut)
+
+
+_SPEC_ARGVS = (
+    [["chow", "--method", m] for m in ("fy", "deletion", "filtration", "oracle", "all")]
+    + [["gamma", *flags] for flags in ([], ["--with-descents"], ["--with-complex"])]
+    + [["gamma", "--with-descents", "--with-complex"]]
+    + [["check", "--what", w] for w in ("building-set", "complete", "flag", "modular-cut")]
+)
+CLI_CASES = st.one_of(
+    st.tuples(
+        st.sampled_from(_SPEC_ARGVS),
+        st.one_of(_DRAWN_DOCS, _VALID_DOCS, _VALID_DOCS)
+        .flatmap(_mutations)
+        .flatmap(_spec_texts),
+    ),
+    st.tuples(st.integers(-1, 5).map(lambda n: ["m0n", "--n", str(n)]), st.just("")),
+)
+
+
+def check_cli_case(case):
+    """Run one drawn case through `cli.main`; raise unless it returns 0, 2
+    or 3.  No assert, so the check holds under python -O too."""
+    argv, text = case
+    if argv[0] != "m0n":
+        argv = [*argv, "--spec", "-"]
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+    finally:
+        sys.stdin = stdin
+    if code not in (0, 2, 3):
+        raise AssertionError(f"exit {code!r} for {argv} on {text!r}")
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=CLI_CASES)
+def test_drawn_specs_exit_0_2_or_3(case):
+    """Every subcommand on drawn and mutated specs returns 0, 2 or 3 and
+    raises nothing."""
+    check_cli_case(case)
+
+
+def test_drawn_specs_exit_0_2_or_3_under_optimize():
+    """The same property under python -O, where an assert would be gone."""
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
+        "from hypothesis import given, settings\n"
+        "import test_cli\n"
+        "run = given(test_cli.CLI_CASES)(test_cli.check_cli_case)\n"
+        "settings(max_examples=60, derandomize=True, database=None, deadline=None)(run)()\n"
+        "print('ok', __debug__)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok False\n"
 
 
 # Specs that the pinned commands below name after --spec.

@@ -359,6 +359,36 @@ def test_factor_table_matches_split_reference():
     assert (len(lats), flats) == (232, 5628)
 
 
+def test_g_factor_pass_matches_popcount_reference():
+    """The one split test against the pass that also compared popcounts
+    (`oracles.g_factor_table_ref`): the same rows, or None on both, on
+    every subset of B4's nonzero flats and every superset of G_min on
+    U(3,5).  A G_min built matroid takes the lattice's factor table as its
+    G-factor table, equal tuple for tuple to the pass on its set, on every
+    corpus host and Π7."""
+    from chowpoly.corpus import corpus
+    from chowpoly.lattice import _g_factor_table, bits
+
+    b4 = lattice_of_flats(make_boolean(4))
+    u35 = lattice_of_flats(make_uniform(3, 5))
+    accepted = []
+    for lat, fixed in ((b4, frozenset()), (u35, g_min(u35))):
+        free = sorted(f for f in lat.flats if f and f not in fixed)
+        ok = 0
+        for pick in range(1 << len(free)):
+            s = fixed | {free[k] for k in bits(pick)}
+            got = _g_factor_table(lat, s)
+            assert got == oracles.g_factor_table_ref(lat, s), sorted(s)
+            ok += got is not None
+        accepted.append(ok)
+    assert accepted == [420, 1024]
+    lats = [inst.built.lat for inst in corpus()] + [lattice_of_flats(make_partition(7))]
+    for lat in lats:
+        bm = BuiltMatroid(lat, g_min(lat))
+        assert bm.factor_table() is lat.factor_table()
+        assert bm.factor_table() == _g_factor_table(lat, bm.bset)
+
+
 def test_lattice_of_flats_takes_fewer_rank_calls():
     """The same flats and ranks as the BFS that closes F + e for every e
     outside F, with strictly fewer calls of m.rank: on every corpus host and

@@ -313,10 +313,11 @@ def test_facets_make_no_join(bm, monkeypatch):
 
 def test_g_factor_table_is_taken_once_per_built_matroid(monkeypatch):
     """A validated built matroid keeps the table of its validating pass for
-    the child tables; an unvalidated one (a deletion) takes it once, on
-    first use."""
+    the child tables; G_min takes none, as its table is the lattice's
+    factor table; an unvalidated one (a deletion) takes it once, on first
+    use."""
     import chowpoly.building as building
-    from chowpoly.building import delete_element
+    from chowpoly.building import delete_element, g_max
 
     calls = 0
     table = building._g_factor_table
@@ -328,15 +329,20 @@ def test_g_factor_table_is_taken_once_per_built_matroid(monkeypatch):
 
     monkeypatch.setattr(building, "_g_factor_table", counting_table)
     bm = built_from_matroid(make_partition(5), "min")
-    assert calls == 1
+    assert calls == 0
     maximal_nested_sets(bm)
     stable_descent_sets(bm)
-    assert calls == 1
+    assert calls == 0
     assert bm._nested_cache["tops"] == table(bm.lat, bm.bset)
     d = delete_element(bm, 0)
+    assert calls == 0
+    maximal_nested_sets(d)
+    maximal_nested_sets(d)
     assert calls == 1
-    maximal_nested_sets(d)
-    maximal_nested_sets(d)
+    big = BuiltMatroid(bm.lat, g_max(bm.lat))
+    assert calls == 2
+    maximal_nested_sets(big)
+    stable_descent_sets(big)
     assert calls == 2
 
 
