@@ -134,13 +134,11 @@ def _matroid_from_flats(n, flat_lists):
         height[f] = 1 + max((height[g] for g in below), default=-1)
 
     def rank(s):
-        best = None
+        # flats are in (popcount, mask) order, so the first holding s is the smallest
         for f in flats:
-            if s & ~f == 0 and (best is None or popcount(f) < popcount(best)):
-                best = f
-        if best is None:
-            raise ValueError(f"no flat contains subset {s:b}")
-        return height[best]
+            if s & ~f == 0:
+                return height[f]
+        raise ValueError(f"no flat contains subset {s:b}")
 
     return Matroid(n, rank)
 

@@ -152,14 +152,19 @@ def _child_table(bm, g):
 
 
 def _subtree_facets(bm, g, memo):
-    """All saturated nested subtrees rooted at g (g included), as frozensets;
-    memo keeps them per root for one enumeration only."""
+    """All saturated nested subtrees below g (g excluded), each a tuple of
+    its members; memo keeps them per root for one enumeration only."""
     if g not in memo:
-        out = []
+        out = memo[g] = []
         for children, _ in _child_table(bm, g):
-            branches = [_subtree_facets(bm, b, memo) for b in children]
-            out.extend(frozenset((g,)).union(*combo) for combo in product(*branches))
-        memo[g] = out
+            branches = [
+                [(c, *below) for below in _subtree_facets(bm, c, memo)]
+                for c in children
+            ]
+            if len(branches) == 1:
+                out += branches[0]
+            else:
+                out.extend(sum(combo, ()) for combo in product(*branches))
     return memo[g]
 
 
@@ -179,10 +184,7 @@ def maximal_nested_sets(bm):
     if "facets" not in cache:
         memo = {}
         parts = [_subtree_facets(bm, m, memo) for m in bm.maxg]
-        maxset = set(bm.maxg)
-        cache["facets"] = [
-            frozenset().union(*combo) - maxset for combo in product(*parts)
-        ]
+        cache["facets"] = [frozenset(sum(combo, ())) for combo in product(*parts)]
     return cache["facets"]
 
 

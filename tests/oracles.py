@@ -51,6 +51,33 @@ def graphic_rank(edges):
     return rank
 
 
+def flats_rank_ref(n, flat_lists):
+    """The rank function of a `flats` spec by the scan the CLI ran before it
+    stopped at the first flat holding the set: every flat is looked at, and
+    the height of the smallest one holding the set is kept, the earliest in
+    (size, mask) order on a tie."""
+    flats = sorted(
+        {sum(1 << i for i in ix) for ix in flat_lists},
+        key=lambda m: (bin(m).count("1"), m),
+    )
+    height = {}
+    for f in flats:
+        below = [g for g in flats if g != f and g & ~f == 0]
+        height[f] = 1 + max((height[g] for g in below), default=-1)
+
+    def rank(s):
+        best = None
+        for f in flats:
+            size = bin(f).count("1")
+            if s & ~f == 0 and (best is None or size < bin(best).count("1")):
+                best = f
+        if best is None:
+            raise ValueError(f"no flat contains subset {s:b}")
+        return height[best]
+
+    return rank
+
+
 def partition_edges(n):
     """Edges of the complete graph on [n] in lexicographic order."""
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -224,6 +251,30 @@ def nested_antichains_ref(bm, candidates, target_rank):
 
     go(0, [], 0, [], 0, 0)
     return out
+
+
+def maximal_nested_sets_ref(bm):
+    """The facets of `maximal_nested_sets`, in its order, by the enumerator
+    it ran before subtrees were carried as tuples: every saturated subtree
+    rooted at g is a frozenset built by a union at every level, and each
+    facet is the union of one subtree per maximal element, with the
+    maximal elements taken out again."""
+    memo = {}
+    parts = [_subtree_facets_ref(bm, m, memo) for m in bm.maxg]
+    maxset = set(bm.maxg)
+    return [frozenset().union(*combo) - maxset for combo in product(*parts)]
+
+
+def _subtree_facets_ref(bm, g, memo):
+    from chowpoly.nested import _child_table
+
+    if g not in memo:
+        out = []
+        for children, _ in _child_table(bm, g):
+            branches = [_subtree_facets_ref(bm, b, memo) for b in children]
+            out.extend(frozenset((g,)).union(*combo) for combo in product(*branches))
+        memo[g] = out
+    return memo[g]
 
 
 def is_nested_family(n, rank, g, s):

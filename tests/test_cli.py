@@ -386,6 +386,23 @@ def test_rejected_rank_specs_keep_their_message(capsys, tmp_path, name):
     assert (out, err) == ("", f"error: {line}\n")
 
 
+def test_flats_rank_oracle_matches_full_scan():
+    """The `flats` spec's rank oracle stops at the first flat holding the
+    set; it gives the full scan's rank on every subset."""
+    import oracles
+
+    pairs = [list(p) for p in itertools.combinations(range(4), 2)]
+    u34 = [[]] + [[i] for i in range(4)] + pairs + [[0, 1, 2, 3]]
+    # not closed under meets: {1} lies in [0, 1] (height 2) and in [1, 2]
+    # (height 1), so the tie sets its rank
+    no_meets = [[], [0], [0, 1], [1, 2], [0, 1, 2, 3]]
+    for flat_lists in (u34, no_meets):
+        rank = cli._matroid_from_flats(4, flat_lists)._rank_fn
+        ref = oracles.flats_rank_ref(4, flat_lists)
+        assert [rank(s) for s in range(16)] == [ref(s) for s in range(16)]
+    assert rank(0b0010) == 2  # no_meets, the last spec
+
+
 SPEC_COMMANDS = [
     ["chow"],
     ["gamma", "--with-descents", "--with-complex"],
