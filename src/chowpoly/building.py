@@ -8,7 +8,6 @@ drives chain constructions and completeness).
 
 from dataclasses import dataclass, field
 from itertools import permutations
-from operator import itemgetter
 
 from .errors import (
     BadParameters,
@@ -144,22 +143,41 @@ class BuiltMatroid:
         """Canonical relabeling by the order, element order[i] becoming i;
         usable as a memo key.
 
-        The identity order relabels nothing.  Otherwise a mask is read as
-        its n-digit binary string, most significant bit first, so element
-        e sits at position n-1-e; new bit i, at position n-1-i, is the
-        digit of order[i], and one itemgetter picks them all."""
-        n, order = self.n, self.order
-        if order == tuple(range(n)):
-            return (n, tuple(sorted(self.lat.flats)), tuple(sorted(self.bset)))
-        pick = itemgetter(*(n - 1 - order[n - 1 - p] for p in range(n)))
-        width = f"0{n}b"
+        The identity order relabels nothing: the key is the sorted flats
+        and the sorted building set.  Any other order takes the identity
+        key of `relabeled`."""
+        n = self.n
+        if self.order != tuple(range(n)):
+            return self.relabeled().key()
+        return (n, tuple(sorted(self.lat.flats)), tuple(sorted(self.bset)))
 
-        def remap(mask):
-            return int("".join(pick(format(mask, width))), 2)
-
-        flats = tuple(sorted(map(remap, self.lat.flats)))
-        bset = tuple(sorted(map(remap, self.bset)))
-        return (n, flats, bset)
+    def relabeled(self):
+        """This built matroid with element order[i] renamed i, so that its
+        order is the identity: one remap of the flats, the building set
+        and covers_up.  Ranks are kept, each rank is sorted again by the
+        new masks, and each cover list by the new indices, as
+        `GeomLattice._build_covers` yields them, so the new lattice is
+        read off through `GeomLattice._derived` with no rescan."""
+        lat, pos = self.lat, self.pos
+        new = []
+        for f in lat.flats:
+            mask = 0
+            for e in bits(f):
+                mask |= 1 << pos[e]
+            new.append(mask)
+        ranks = lat.ranks
+        perm = sorted(range(len(new)), key=lambda i: (ranks[i], new[i]))
+        at = [0] * len(perm)
+        for k, i in enumerate(perm):
+            at[i] = k
+        sub = GeomLattice._derived(
+            self.n,
+            [new[i] for i in perm],
+            [ranks[i] for i in perm],
+            [sorted(at[j] for j in lat.covers_up[i]) for i in perm],
+        )
+        bset = frozenset(new[lat.idx[g]] for g in self.bset)
+        return BuiltMatroid(sub, bset, validate=False)
 
     def __eq__(self, other):
         return (
@@ -207,10 +225,23 @@ def _interval(lat, bset, order, bottom, top):
     bottom} is a building set of [bottom, top] (Feichtner–Kozlov 2004,
     Prop. 2.8).  Only simplification gets a set not yet validated, and its
     callers validate it.
+
+    It is `_interval_build` of `_interval_climb`.  The climb finds the local
+    masks and the induced set, which fix the memo key of the result when
+    order is the identity (`chow.chow_by_deletion`); the build makes the
+    lattice, to_local and the order.
     """
-    flats, ranks, covers_up = lat.flats, lat.ranks, lat.covers_up
+    return _interval_build(lat, order, _interval_climb(lat, bset, bottom, top))
+
+
+def _interval_climb(lat, bset, bottom, top):
+    """The first half of `_interval`: (n, label, local, reached,
+    local_bset), with n the number of new elements, label the new label of
+    each element of top ∖ bottom, local the local mask of each flat of the
+    interval by lattice index, reached those indices as the climb met
+    them, bottom first, and local_bset the induced set as local masks."""
+    flats, covers_up = lat.flats, lat.covers_up
     ib = lat.idx[bottom]
-    new = top & ~bottom
     parts = sorted(
         (flats[j] & ~bottom for j in covers_up[ib] if flats[j] & ~top == 0),
         key=lambda d: d & -d,
@@ -227,22 +258,30 @@ def _interval(lat, bset, order, bottom, top):
                     up |= 1 << label[e]
                 local[j] = up
                 reached.append(j)
-    rb = ranks[ib]
-    reached.sort(key=lambda i: (ranks[i], local[i]))
+    local_bset = frozenset(
+        local[lat.idx[g if bottom & ~g == 0 else lat.join(bottom, g)]]
+        for g in bset
+        if g & ~top == 0 and g & ~bottom
+    )
+    return len(parts), label, local, reached, local_bset
+
+
+def _interval_build(lat, order, climb):
+    """The second half of `_interval`: (built, to_local) from a climb of
+    lat and the order of lat's elements."""
+    n, label, local, reached, local_bset = climb
+    flats, ranks, covers_up = lat.flats, lat.ranks, lat.covers_up
+    rb = ranks[reached[0]]
+    reached = sorted(reached, key=lambda i: (ranks[i], local[i]))
     pos = {i: k for k, i in enumerate(reached)}
     sub = GeomLattice._derived(
-        len(parts),
+        n,
         [local[i] for i in reached],
         [ranks[i] - rb for i in reached],
         [sorted(pos[j] for j in covers_up[i] if j in pos) for i in reached],
     )
     to_local = {flats[i]: local[i] for i in reached}
-    local_bset = frozenset(
-        to_local[g if bottom & ~g == 0 else lat.join(bottom, g)]
-        for g in bset
-        if g & ~top == 0 and g & ~bottom
-    )
-    local_order = tuple(dict.fromkeys(label[e] for e in order if new >> e & 1))
+    local_order = tuple(dict.fromkeys(label[e] for e in order if e in label))
     return BuiltMatroid(sub, local_bset, local_order, validate=False), to_local
 
 

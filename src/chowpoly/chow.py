@@ -20,6 +20,16 @@ recursion of Ferroni–Matherne–Schulte–Vecchi.  The enumeration of supports
 survives only in fy_monomials and psi_fiber_of, which the Ψ-fibers need;
 both walk `nested.nested_subsets`.
 
+chow_by_deletion relabels its input once, element order[i] becoming i, so
+that every minor of the recursion has the identity order: the deleted
+element is the last one, and an interval's covers, labelled by their least
+new element, are then also in the order of their earliest.  Every memo key
+is therefore an identity key, and an interval's is read off the climb of
+`building._interval_climb` before the interval is built, so an interval is
+built only when its key misses the memo, and one of rank 1 is not even
+climbed.  The memo gets the same entries and hits as a recursion in the
+given order (proof in `chow_by_deletion`).
+
 chow_by_filtration starts from the built matroid its filtration validated
 (bm itself when it takes no step), carries the maximal elements along the
 walk, and counts each local interval with its induced set once per call.
@@ -39,12 +49,12 @@ from math import gcd
 
 from .building import (
     _interval,
+    _interval_build,
+    _interval_climb,
     binary_filtration,
-    contract,
     delete_element,
     g_min,
     is_complete,
-    restrict,
 )
 from .errors import (
     BadParameters,
@@ -58,7 +68,7 @@ from .errors import (
     Stuck,
     TooLarge,
 )
-from .lattice import bits, drop_bit
+from .lattice import bits, maximal
 from .nested import (
     _link_bounds,
     completion,
@@ -137,30 +147,94 @@ def chow_by_deletion(bm):
 
     e is a coloop of M|F iff F ∖ e is a flat of M (`delete_element`), and
     n_F, the number of (G-e)-factors of F ∖ e, is that of maximal elements
-    of the restriction to F ∖ e: no closure and no factor scan."""
-    lat = bm.lat
-    if lat.n == 1:
+    of the restriction to F ∖ e: no closure and no factor scan.
+
+    A built matroid whose order is not the identity is relabeled once
+    (`BuiltMatroid.relabeled`), element order[i] becoming i, and the
+    recursion runs on the copy.  There every minor has the identity order:
+    e is n - 1, which `delete_element` drops with no shift, leaving the
+    order 0..n-2, and `_interval` labels the covers of its bottom by their
+    least new element, which is also their earliest in the identity
+    order, so the local order is the identity.  So every memo key is an
+    identity key, and that of an interval is read off its climb
+    (`_climb_key`) before the interval is built.
+
+    The memo gets the entries and the hits it got when the recursion ran
+    in the given order.  The key of a built matroid X is the identity key
+    of its relabeled copy X' (`BuiltMatroid.key`), and each minor the
+    recursion takes of X' is the relabeled copy of the matching minor of
+    X, so the two have one key:
+    - deleting e = order[-1] from X leaves order[i] at place i of the new
+      order for i < n - 1, and in X' ∖ (n - 1) it is i;
+    - an interval of X numbers the covers of its bottom, in its key, in
+      the order of their earliest elements in X's order, and the matching
+      interval of X' in the order of their least elements, which are the
+      places of those earliest elements.
+    The recursions thus meet the same keys with the same values, and each
+    key is computed on its first visit and hit on every later one.  Only
+    the order in which S_e is visited can differ, which a sum and a memo
+    of the subtrees' keys do not see.
+
+    An interval of rank 1 has H = [1] and one maximal element, and is
+    neither climbed nor looked up.  Any other is climbed, and built only
+    when its key misses the memo; on a hit, n_F is the number of maximal
+    elements of the induced set the climb found."""
+    if bm.n == 1:
         return [1]
-    key = bm.key()
-    if key in _DELETION_MEMO:
-        return list(_DELETION_MEMO[key])
-    e = bm.order[-1]
+    if bm.order != tuple(range(bm.n)):
+        bm = bm.relabeled()
+    return _deletion(bm, bm.key())
+
+
+def _deletion(bm, key):
+    """`chow_by_deletion` of bm, of the identity order and more than one
+    element, whose memo key is key."""
+    h = _DELETION_MEMO.get(key)
+    if h is not None:
+        return list(h)
+    lat = bm.lat
+    e = bm.n - 1
     ebit = 1 << e
     atom_e = lat.flats[lat.atom_of_elem[e]]
     bmd = delete_element(bm, e)
-    out = chow_by_deletion(bmd)
+    out = [1] if bmd.n == 1 else _deletion(bmd, bmd.key())
     for f in sorted(bm.bset):
         if not f & ebit or f == atom_e:
             continue
-        if not lat.is_flat(f & ~ebit):
+        fd = f & ~ebit  # drop_bit(f, e), e being the last element
+        if not lat.is_flat(fd):
             continue  # e not a coloop in f
-        rd = restrict(bmd, drop_bit(f, e))
-        term = pmul(trange(1, len(rd.maxg)), chow_by_deletion(rd))
+        h, local_bset = _interval_series(bmd, 0, fd)
+        term = pmul(trange(1, len(maximal(local_bset))), h)
         if f != lat.full:
-            term = pmul(term, chow_by_deletion(contract(bm, f)))
+            term = pmul(term, _interval_series(bm, f, lat.full)[0])
         out = padd(out, term)
     _DELETION_MEMO[key] = tuple(out)
     return out
+
+
+def _interval_series(bm, bottom, top):
+    """(H, induced set) of the interval [bottom, top] of bm, whose order is
+    the identity; the interval is built only when its key misses the
+    memo, and a rank-1 interval, whose set is its one atom, is not
+    climbed.  H may be the memo's tuple, so it is only read."""
+    lat = bm.lat
+    if lat.ranks[lat.idx[top]] - lat.ranks[lat.idx[bottom]] == 1:
+        return (1,), (1,)
+    climb = _interval_climb(lat, bm.bset, bottom, top)
+    key = _climb_key(climb)
+    h = _DELETION_MEMO.get(key)
+    if h is None:
+        h = _deletion(_interval_build(lat, bm.order, climb)[0], key)
+    return h, climb[4]
+
+
+def _climb_key(climb):
+    """`BuiltMatroid.key` of `_interval_build` of the climb in the identity
+    order, where the local order is the identity: the sorted local masks
+    and the sorted induced set."""
+    n, _, local, _, local_bset = climb
+    return (n, tuple(sorted(local.values())), tuple(sorted(local_bset)))
 
 
 # ---------------------------------------------------------------------------

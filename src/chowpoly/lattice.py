@@ -173,25 +173,27 @@ class GeomLattice:
         self._build_covers()
 
     @classmethod
-    def _derived(cls, n, flats, ranks, covers_up):
+    def _derived(cls, n, flats, ranks, covers_up, idx=None):
         """A lattice read off one that is already validated, with no check
         and no rescan.  The caller proves that flats and ranks are those of
         a geometric lattice in (rank, mask) order, and that covers_up is
         exactly what `_build_covers` yields on them: each flat's upper
-        covers, as indices in ascending order."""
+        covers, as indices in ascending order.  A caller that already holds
+        the map from each flat to its index hands it over as idx."""
         lat = cls.__new__(cls)
-        lat._index(n, flats, ranks)
+        lat._index(n, flats, ranks, idx)
         lat.covers_up = covers_up
         return lat
 
-    def _index(self, n, flats, ranks):
+    def _index(self, n, flats, ranks, idx=None):
         """Every field but covers_up, from flats and ranks sorted by (rank,
-        mask) that run from the empty set (rank 0) to the ground set."""
+        mask) that run from the empty set (rank 0) to the ground set, and
+        idx when the caller has it already."""
         self.n = n
         self.full = (1 << n) - 1
         self.flats = flats
         self.ranks = ranks
-        self.idx = {f: i for i, f in enumerate(flats)}
+        self.idx = {f: i for i, f in enumerate(flats)} if idx is None else idx
         self.rk = ranks[-1]
         self.by_rank = [[] for _ in range(self.rk + 1)]
         for i, r in enumerate(ranks):
@@ -384,6 +386,8 @@ def lattice_of_flats(m):
       ranks.  A faulty oracle so raises InvalidMatroid with a witness.
       What only the rescan sees, a flat of rank r + 1 above F that is
       missing from F's list, cannot arise from a matroid closure (above).
+      The pass's dict of the flats met, with each rank replaced by the
+      flat's index, becomes the lattice's idx.
     - A matroid that closes by rank calls (the `rank-table` and `flats`
       specs of the CLI, and the augmented matroid) keeps the rescan through
       `GeomLattice.__init__`, and the pass only collects flats and ranks.
@@ -421,10 +425,12 @@ def lattice_of_flats(m):
             pos = {g: base + k for k, g in enumerate(nxt)}
             covers_up += [sorted(pos[g] for g in ups) for ups in found]
         level, r = nxt, r + 1
-    del seen
     if rescan:
+        del seen
         return GeomLattice(m.n, zip(flats, ranks))
-    return GeomLattice._derived(m.n, flats, ranks, covers_up)
+    for i, f in enumerate(flats):
+        seen[f] = i  # the BFS dict becomes the lattice's idx
+    return GeomLattice._derived(m.n, flats, ranks, covers_up, seen)
 
 
 def _check_covers(f, ups, full):
@@ -520,8 +526,11 @@ def delete_lattice(lat, e):
       are incomparable;
     - a cover h′ of f ∖ e in M∖e has cl_M(h′) ⊇ cl_M(f ∖ e) = f and rank
       rk f + 1, so it is a cover g of f with g ∖ e = h′.
-    Each cover list is sorted by index, as `_build_covers` yields it, and
-    drop keeps the (rank, mask) order of sets without e.
+    The sets f ∖ e are put in (rank, mask) order by one bucket per rank,
+    each sorted by mask, and the new index of each old flat's f ∖ e is
+    looked up once, not once per cover.  Each cover list is sorted by
+    index, as `_build_covers` yields it, and drop keeps the (rank, mask)
+    order of sets without e.
     """
     bit = 1 << e
 
@@ -530,14 +539,19 @@ def delete_lattice(lat, e):
 
     flats, ranks, covers_up = lat.flats, lat.ranks, lat.covers_up
     first = {}  # f ∖ e -> index of its first source f
+    by_rank = [[] for _ in range(lat.rk + 1)]  # the sets f ∖ e by their rank
     for i, f in enumerate(flats):
-        first.setdefault(f & ~bit, i)
-    order = sorted(first, key=lambda m: (ranks[first[m]], m))
+        m = f & ~bit
+        if m not in first:
+            first[m] = i
+            by_rank[ranks[i]].append(m)
+    order = [m for level in by_rank for m in sorted(level)]
     pos = {m: k for k, m in enumerate(order)}
+    at = [pos[f & ~bit] for f in flats]  # old index -> index of f ∖ e
     new_covers = []
     for k, m in enumerate(order):
-        ups = (pos[flats[j] & ~bit] for j in covers_up[first[m]])
-        new_covers.append(sorted(u for u in ups if u != k))
+        ups = map(at.__getitem__, covers_up[first[m]])
+        new_covers.append(sorted([u for u in ups if u != k]))
     sub = GeomLattice._derived(
         lat.n - 1,
         [drop(m) for m in order],

@@ -1002,12 +1002,46 @@ def lattice_of_flats_ref(m):
 
 
 def built_key_ref(bm):
-    """`BuiltMatroid.key` before it skipped the identity order and read
-    masks through one itemgetter: every flat remapped bit by bit."""
+    """`BuiltMatroid.key` by its definition, with no relabeled lattice:
+    every flat remapped bit by bit, element order[i] becoming i."""
     relabel = {e: i for i, e in enumerate(bm.order)}
     flats = tuple(sorted(_remap_mask(f, relabel) for f in bm.lat.flats))
     bset = tuple(sorted(_remap_mask(f, relabel) for f in bm.bset))
     return (bm.n, flats, bset)
+
+
+def chow_by_deletion_ref(bm, memo):
+    """`chow.chow_by_deletion` before it relabeled once at entry and looked
+    minors up before building them: the recursion runs in bm's own order,
+    builds every restriction and contraction in full, and keys memo, a
+    dict it fills, by `built_key_ref`."""
+    from chowpoly.building import contract, delete_element, restrict
+    from chowpoly.lattice import drop_bit
+    from chowpoly.polynomials import padd, pmul, trange
+
+    lat = bm.lat
+    if lat.n == 1:
+        return [1]
+    key = built_key_ref(bm)
+    if key in memo:
+        return list(memo[key])
+    e = bm.order[-1]
+    ebit = 1 << e
+    atom_e = lat.flats[lat.atom_of_elem[e]]
+    bmd = delete_element(bm, e)
+    out = chow_by_deletion_ref(bmd, memo)
+    for f in sorted(bm.bset):
+        if not f & ebit or f == atom_e:
+            continue
+        if not lat.is_flat(f & ~ebit):
+            continue  # e not a coloop in f
+        rd = restrict(bmd, drop_bit(f, e))
+        term = pmul(trange(1, len(rd.maxg)), chow_by_deletion_ref(rd, memo))
+        if f != lat.full:
+            term = pmul(term, chow_by_deletion_ref(contract(bm, f), memo))
+        out = padd(out, term)
+    memo[key] = tuple(out)
+    return out
 
 
 def flag_nonface_witness_ref(bm):

@@ -161,31 +161,93 @@ def test_deletion_takes_no_closure_and_no_factors(name, monkeypatch):
     assert calls == {"closure": 0, "factors": 0, "_build_covers": 0}
 
 
-def test_deletion_memo_key_matches_reference(monkeypatch):
-    """`BuiltMatroid.key`, the deletion memo key, is the tuple of the
-    bit-by-bit relabeling on every minor the deletion route builds on
-    corpus() and Π6|min, each in its own order and in the reversed one."""
-    import chowpoly.chow as chow
+def _deletion_cases():
+    """U(4,7)|max, every corpus() instance and Π6|min, each in its own order
+    and in the reversed one.  Only U(4,7)|max, first on an empty memo, has
+    intervals whose key misses it."""
     from chowpoly.corpus import corpus
 
-    key = BuiltMatroid.key
-    orders = {"identity": 0, "other": 0}
-
-    def checked(self):
-        got = key(self)
-        assert got == oracles.built_key_ref(self), self.order
-        identity = self.order == tuple(range(self.n))
-        orders["identity" if identity else "other"] += 1
-        return got
-
-    monkeypatch.setattr(BuiltMatroid, "key", checked)
-    monkeypatch.setattr(chow, "_DELETION_MEMO", {})
-    cases = [inst.built for inst in corpus()]
+    cases = [built_from_matroid(make_uniform(4, 7), "max")]
+    cases += [inst.built for inst in corpus()]
     cases.append(built_from_matroid(make_partition(6), "min"))
     for bm in cases:
-        chow_by_deletion(bm)
-        chow_by_deletion(BuiltMatroid(bm.lat, bm.bset, bm.order[::-1], validate=False))
+        yield bm
+        yield BuiltMatroid(bm.lat, bm.bset, bm.order[::-1], validate=False)
+
+
+def test_deletion_memo_key_matches_reference():
+    """`BuiltMatroid.key`, the deletion memo key, is the tuple of the
+    bit-by-bit relabeling, on every instance of `_deletion_cases`, and a
+    relabeled copy has the identity order and the same key."""
+    orders = {"identity": 0, "other": 0}
+    for bm in _deletion_cases():
+        want = oracles.built_key_ref(bm)
+        assert bm.key() == want, bm.order
+        copy = bm.relabeled()
+        assert copy.order == tuple(range(bm.n))
+        assert copy.key() == want
+        identity = bm.order == tuple(range(bm.n))
+        orders["identity" if identity else "other"] += 1
     assert orders["identity"] > 0 and orders["other"] > 0, orders
+
+
+def test_deletion_memo_matches_reference_recursion(monkeypatch):
+    """The route, which relabels once at entry and looks intervals up
+    before it builds them, returns the H of the recursion in the given
+    order (`oracles.chow_by_deletion_ref`) and leaves the same memo, keys
+    and values, after every instance of `_deletion_cases`."""
+    import chowpoly.chow as chow
+
+    monkeypatch.setattr(chow, "_DELETION_MEMO", {})
+    ref_memo = {}
+    for bm in _deletion_cases():
+        assert chow_by_deletion(bm) == oracles.chow_by_deletion_ref(bm, ref_memo)
+        assert chow._DELETION_MEMO == ref_memo, bm.order
+    assert len(ref_memo) > 100
+
+
+def test_deletion_builds_only_the_intervals_it_misses(monkeypatch):
+    """Every key read off a climb is `oracles.built_key_ref` of the interval
+    built from it; no interval of rank 1 is climbed; and the intervals
+    built are exactly those whose key missed the memo, each then computed
+    under that key."""
+    import chowpoly.chow as chow
+    from chowpoly.building import _interval_build
+
+    climb, build, deletion = chow._interval_climb, chow._interval_build, chow._deletion
+    counts = {"climbs": 0, "misses": 0, "built": 0, "built_computed": 0}
+    built = {}  # id -> the interval, kept alive so that no id is reused
+
+    def checked_climb(lat, bset, bottom, top):
+        assert lat.rank_of(top) - lat.rank_of(bottom) >= 2
+        c = climb(lat, bset, bottom, top)
+        minor = _interval_build(lat, tuple(range(lat.n)), c)[0]
+        key = chow._climb_key(c)
+        assert key == oracles.built_key_ref(minor)
+        counts["climbs"] += 1
+        counts["misses"] += key not in chow._DELETION_MEMO
+        return c
+
+    def counted_build(*args):
+        out = build(*args)
+        counts["built"] += 1
+        built[id(out[0])] = out[0]
+        return out
+
+    def watched_deletion(bm, key):
+        if id(bm) in built:
+            assert key not in chow._DELETION_MEMO
+            counts["built_computed"] += 1
+        return deletion(bm, key)
+
+    monkeypatch.setattr(chow, "_interval_climb", checked_climb)
+    monkeypatch.setattr(chow, "_interval_build", counted_build)
+    monkeypatch.setattr(chow, "_deletion", watched_deletion)
+    monkeypatch.setattr(chow, "_DELETION_MEMO", {})
+    for bm in _deletion_cases():
+        chow_by_deletion(bm)
+    assert counts["built"] == counts["misses"] == counts["built_computed"]
+    assert 0 < counts["misses"] < counts["climbs"], counts
 
 
 def test_filtration_validates_its_base_in_one_table_pass(monkeypatch):

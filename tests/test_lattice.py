@@ -114,10 +114,13 @@ def test_join_and_closure_on_derived_lattices(m, kind):
 
 def _derived_lattices(bm):
     """The lattice of every restriction, contraction and single-element
-    deletion of bm, and of every local interval its filtration walk stars."""
+    deletion of bm, of bm relabeled by its reversed order, and of every
+    local interval its filtration walk stars."""
     out = [restrict(bm, f).lat for f in bm.lat.flats]
     out += [contract(bm, f).lat for f in bm.lat.flats]
     out += [delete_element(bm, e).lat for e in range(bm.n)]
+    reversed_order = BuiltMatroid(bm.lat, bm.bset, bm.order[::-1], validate=False)
+    out.append(reversed_order.relabeled().lat)
     try:
         filt = binary_filtration(bm, g_min(bm.lat))
     except (NotFlag, Stuck):
@@ -130,9 +133,9 @@ def _derived_lattices(bm):
 
 
 def test_derived_covers_match_a_rescan():
-    """Intervals and deletions take their covers from the parent lattice;
-    they are, list for list, what the validating constructor's rescan
-    gives on the same flats."""
+    """Intervals, deletions and relabeled copies take their covers from the
+    parent lattice; they are, list for list, what the validating
+    constructor's rescan gives on the same flats."""
     from chowpoly.corpus import corpus
 
     cases = [(inst.name, inst.built) for inst in corpus()]
@@ -438,6 +441,15 @@ def test_lattice_of_flats_covers_equal_a_rescan():
         assert (lat.flats, lat.ranks) == (fresh.flats, fresh.ranks)
         assert lat.covers_up == fresh.covers_up
         assert lat.atom_of_elem == fresh.atom_of_elem
+
+
+def test_lattice_of_flats_idx_is_the_index_of_each_flat():
+    """The BFS dict that `lattice_of_flats` hands over as idx maps each flat
+    to its index, and nothing else: on every host lattice of corpus() and
+    on Π8."""
+    for m in _corpus_hosts() + [make_partition(8)]:
+        lat = lattice_of_flats(m)
+        assert lat.idx == {f: i for i, f in enumerate(lat.flats)}
 
 
 def _closure_loop(m):
