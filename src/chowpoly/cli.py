@@ -60,6 +60,7 @@ from .families import (
     make_uniform,
 )
 from .lattice import (
+    GeomLattice,
     Matroid,
     bits,
     lattice_of_flats,
@@ -120,6 +121,35 @@ def _mask_of(indices, n):
 
 
 def _matroid_from_flats(n, flat_lists):
+    """The loopless matroid whose flats are flat_lists, or InvalidMatroid
+    with a witness; the verdict is exact for every n.
+
+    A flat's height is the length of the longest chain of listed flats
+    below it.  `GeomLattice`, given the heights as ranks, checks that the
+    atoms partition E and that the flats one height above each flat F
+    partition E ∖ F.  Then every flat must meet every coatom (a flat of
+    height rk - 1) in a flat.  Together these are the flat axioms (Oxley,
+    Matroid Theory, §1.4): E is a flat, flats are closed under
+    intersection, and the inclusion-minimal flats above each flat F
+    partition E ∖ F.
+    - Meet closure: a flat F below height rk - 1 has at least two flats one
+      height above it (one alone would hold all of E, and be E), and any
+      two of them meet in F.  So every flat but E is an intersection of
+      coatoms, and a meet F′ ∩ F is a chain of meets with coatoms.
+    - Covers: with meet closure, the flats one height above F are exactly
+      the inclusion-minimal flats above F.  Such a flat G has none
+      strictly between, as heights rise strictly along inclusions.  An
+      inclusion-minimal G holds some e outside F, and so does one flat H
+      one height above F; G ∩ H is a flat holding F + e, so it is G, and
+      G ⊆ H gives G = H.
+    So every inclusion-cover raises the height by one, as a cover of a
+    matroid's flats raises the rank by one: the heights are the ranks, and
+    a matroid's flats pass every check.  Meet closure is not implied by
+    the rest: [], [0,3], [1,2], [0,1,2], [0,1,3], [0,2,3], [1,2,3],
+    [0,1,2,3] passes the lattice's checks, and [0,3] ∩ [0,1,2] is no flat.
+
+    The matroid's rank, closure and covers are read off the lattice, so
+    `lattice_of_flats` takes them from its oracles, with no rank call."""
     flats = sorted(
         {_mask_of(ix, n) for ix in flat_lists}, key=lambda m: (popcount(m), m)
     )
@@ -129,18 +159,20 @@ def _matroid_from_flats(n, flat_lists):
     if (1 << n) - 1 not in fset:
         raise ValueError("the full ground set must be a flat")
     height = {}
-    for f in flats:
-        below = [g for g in flats if g != f and g & ~f == 0]
-        height[f] = 1 + max((height[g] for g in below), default=-1)
-
-    def rank(s):
-        # flats are in (popcount, mask) order, so the first holding s is the smallest
+    for i, f in enumerate(flats):
+        # only a flat earlier in (popcount, mask) order can lie below f
+        height[f] = 1 + max(
+            (height[g] for g in flats[:i] if g & ~f == 0), default=-1
+        )
+    lat = GeomLattice(n, height.items())
+    for h in lat.by_rank[lat.rk - 1]:
+        coatom = lat.flats[h]
         for f in flats:
-            if s & ~f == 0:
-                return height[f]
-        raise ValueError(f"no flat contains subset {s:b}")
-
-    return Matroid(n, rank)
+            if f & coatom not in fset:
+                lat.meet(f, coatom)  # raises InvalidMatroid with the pair
+    return Matroid(
+        n, lambda s: lat.rank_of(lat.closure(s)), lat.closure, lat.covers
+    )
 
 
 def parse_matroid(d):
@@ -154,9 +186,7 @@ def parse_matroid(d):
     if kind == "partition":
         return make_partition(int(d["n"]))
     if kind == "flats":
-        m = _matroid_from_flats(int(d["n"]), d["flats"])
-        validate_rank_axioms(m)
-        return m
+        return _matroid_from_flats(int(d["n"]), d["flats"])
     if kind == "rank-table":
         n = int(d["n"])
         if not (1 <= n <= 12):

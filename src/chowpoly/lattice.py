@@ -6,18 +6,25 @@ ranks and the upper covers ``covers_up`` of every flat.  The covers of a flat
 F partition E ∖ F, so joins and closures climb them, one cover per step.
 Where the covers come from, and where a rescan finds and checks them:
 - `lattice_of_flats` on a matroid with a closure or cover oracle of its own
-  (the uniform, Boolean and graphic families) records them in its BFS and
-  checks each flat's list as it goes; no rescan;
+  (the uniform, Boolean and graphic families, and the `flats` spec, whose
+  oracles read a validated lattice) records them in its BFS and checks
+  each flat's list as it goes; no rescan;
 - `lattice_of_flats` on a matroid that closes by rank calls (the
-  `rank-table` and `flats` specs, the augmented matroid), and a
-  `GeomLattice` built from a list of flats (`extend`, `truncate`): the
+  `rank-table` spec, the augmented matroid), and a `GeomLattice` built
+  from a list of flats (the `flats` spec, `extend`, `truncate`): the
   rescan of `GeomLattice.__init__`;
 - a deletion or an interval of a lattice takes them over from that lattice.
 """
 
 from dataclasses import dataclass
 
-from .errors import InvalidMatroid, NotAFlat, NotMeetClosed, NotUpwardClosed
+from .errors import (
+    InvalidMatroid,
+    NotAFlat,
+    NotMeetClosed,
+    NotUpwardClosed,
+    TooLarge,
+)
 
 MAX_ELEMENTS = 64
 
@@ -107,22 +114,15 @@ class Matroid:
         return out
 
 
-_RANK_AXIOM_SAMPLE = 4096  # subsets checked when n > 16
-
-
 def validate_rank_axioms(m):
-    """Check rank axioms; exhaustive for n <= 16, sampled above."""
-    import random
-
+    """Check the rank axioms on all 2^n subsets; above n = 16 raise
+    TooLarge rather than check fewer."""
     n = m.n
+    if n > 16:
+        raise TooLarge(f"rank axioms are checked on all 2^n subsets, n = {n} > 16")
     if m.rank(0) != 0:
         raise InvalidMatroid("rank of the empty set is not 0")
-    if n <= 16:
-        subsets = range(1 << n)
-    else:
-        rng = random.Random(0)
-        subsets = [rng.getrandbits(n) for _ in range(_RANK_AXIOM_SAMPLE)]
-    for s in subsets:
+    for s in range(1 << n):
         rs = m.rank(s)
         if not 0 <= rs <= popcount(s):
             raise InvalidMatroid(f"rank {rs} of {s:b} out of bounds")
@@ -378,21 +378,22 @@ def lattice_of_flats(m):
 
     Where validation runs:
     - A matroid with a closure or cover oracle of its own (the uniform,
-      Boolean and graphic families of `chowpoly.families`) keeps the
-      covers the pass records and goes to `GeomLattice._derived`, with no
-      rescan.  Per flat, the pass checks what the rescan checks of a cover
-      list: each cover strictly contains F, the covers are disjoint beyond
-      F and their union is E.  It also checks that no flat is met at two
-      ranks.  A faulty oracle so raises InvalidMatroid with a witness.
+      Boolean and graphic families of `chowpoly.families`, and the `flats`
+      spec of the CLI, whose oracles read the lattice its flat axioms were
+      checked on) keeps the covers the pass records and goes to
+      `GeomLattice._derived`, with no rescan.  Per flat, the pass checks
+      what the rescan checks of a cover list: each cover strictly contains
+      F, the covers are disjoint beyond F and their union is E.  It also
+      checks that no flat is met at two ranks.  A faulty oracle so raises
+      InvalidMatroid with a witness.
       What only the rescan sees, a flat of rank r + 1 above F that is
       missing from F's list, cannot arise from a matroid closure (above).
       The pass's dict of the flats met, with each rank replaced by the
       flat's index, becomes the lattice's idx.
-    - A matroid that closes by rank calls (the `rank-table` and `flats`
-      specs of the CLI, and the augmented matroid) keeps the rescan through
+    - A matroid that closes by rank calls (the `rank-table` spec of the
+      CLI, whose rank axioms are checked on every subset, the augmented
+      matroid and a bare rank oracle) keeps the rescan through
       `GeomLattice.__init__`, and the pass only collects flats and ranks.
-      The `flats` spec samples its rank axioms above n = 16, and there the
-      rescan is its only validation.
     """
     if m.n == 0:
         raise InvalidMatroid("empty ground set")

@@ -52,10 +52,9 @@ def graphic_rank(edges):
 
 
 def flats_rank_ref(n, flat_lists):
-    """The rank function of a `flats` spec by the scan the CLI ran before it
-    stopped at the first flat holding the set: every flat is looked at, and
-    the height of the smallest one holding the set is kept, the earliest in
-    (size, mask) order on a tie."""
+    """The rank function of a `flats` spec by a full scan: every flat is
+    looked at, and the height of the smallest one holding the set is kept,
+    the earliest in (size, mask) order on a tie."""
     flats = sorted(
         {sum(1 << i for i in ix) for ix in flat_lists},
         key=lambda m: (bin(m).count("1"), m),
@@ -76,6 +75,46 @@ def flats_rank_ref(n, flat_lists):
         return height[best]
 
     return rank
+
+
+def matroid_of_flats_ref(n, family):
+    """The ranks, one per subset mask, of the matroid on range(n) whose flats
+    are exactly family (a set of masks), or None when there is none.
+
+    By the definitions: the family must be closed under intersection, so
+    each subset has a least flat holding it; the height of that flat (the
+    longest chain of flats below it) is the subset's rank; that rank
+    function must satisfy the rank axioms, and its flats, the sets no
+    element outside raises the rank of, must be the family."""
+    family = set(family)
+    if any(f & g not in family for f in family for g in family):
+        return None
+    height = {}
+    for f in sorted(family, key=lambda m: bin(m).count("1")):
+        below = [height[g] for g in family if g != f and g & ~f == 0]
+        height[f] = 1 + max(below, default=-1)
+    full = (1 << n) - 1
+    ranks = []
+    for s in range(1 << n):
+        least = full
+        for f in family:
+            if s & ~f == 0:
+                least &= f
+        ranks.append(height[least])
+    for s in range(1 << n):
+        if not 0 <= ranks[s] <= bin(s).count("1"):
+            return None
+        for t in range(1 << n):
+            if ranks[s] + ranks[t] < ranks[s | t] + ranks[s & t]:
+                return None
+            if s & ~t == 0 and ranks[s] > ranks[t]:
+                return None
+    closed = {
+        s
+        for s in range(1 << n)
+        if all(ranks[s | 1 << e] > ranks[s] for e in range(n) if not s >> e & 1)
+    }
+    return ranks if closed == family else None
 
 
 def partition_edges(n):

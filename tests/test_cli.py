@@ -327,10 +327,11 @@ _N17_PAIRS = [
     for p in itertools.combinations(range(17), 2)
     if not set(p) <= {0, 1, 2} and not set(p) <= {0, 1, 3}
 ]
-# `rank-table` and `flats` specs that close by rank calls, with the stderr
-# line each is rejected with.  Above n = 16 the `flats` spec samples its
-# rank axioms, and the last two pass the sample: the lattice's atom check
-# and its cover rescan are what reject them.
+# Rejected `rank-table` and `flats` specs, with the stderr line each is
+# rejected with.  A `rank-table` spec is checked by the rank axioms on every
+# subset.  A `flats` spec is checked by the flat axioms at every n: the
+# lattice's atom check and cover rescan, then meet closure
+# (`cli._matroid_from_flats`).
 BAD_RANK_SPECS = {
     "rank-jump": (
         {"type": "rank-table", "n": 2, "ranks": [0, 1, 1, 0]},
@@ -350,15 +351,15 @@ BAD_RANK_SPECS = {
     ),
     "flats-chain": (
         {"type": "flats", "n": 2, "flats": [[], [0], [0, 1]]},
-        "InvalidMatroid: rank increment 2 adding 1 to 0",
+        "InvalidMatroid: element 1 lies in no atom (loop?)",
     ),
     "flats-two-atoms": (
         {"type": "flats", "n": 3, "flats": [[], [0, 1], [1, 2], [0, 1, 2]]},
-        "InvalidMatroid: submodularity fails at 10 with 0,2",
+        "InvalidMatroid: element 1 lies in two atoms",
     ),
     "flats-n17-atoms-meet": (
         {"type": "flats", "n": 17, "flats": [[], [0, 1], list(range(17))]},
-        "InvalidMatroid: element 0 lies in two atoms",
+        "InvalidMatroid: element 2 lies in no atom (loop?)",
     ),
     "flats-n17-two-lines": (
         {
@@ -377,8 +378,8 @@ BAD_RANK_SPECS = {
 
 @pytest.mark.parametrize("name", list(BAD_RANK_SPECS))
 def test_rejected_rank_specs_keep_their_message(capsys, tmp_path, name):
-    """Lattices that close by rank calls keep their validation: each spec
-    exits 2 with nothing on stdout and its error line on stderr."""
+    """Each rejected spec exits 2 with nothing on stdout and its error line
+    on stderr."""
     matroid, line = BAD_RANK_SPECS[name]
     spec = spec_arg(tmp_path, {"matroid": matroid, "building_set": "min"})
     assert cli.main(["chow", "--spec", spec]) == 2
@@ -386,21 +387,152 @@ def test_rejected_rank_specs_keep_their_message(capsys, tmp_path, name):
     assert (out, err) == ("", f"error: {line}\n")
 
 
-def test_flats_rank_oracle_matches_full_scan():
-    """The `flats` spec's rank oracle stops at the first flat holding the
-    set; it gives the full scan's rank on every subset."""
+def test_flats_rank_oracle_matches_full_scan(capsys, tmp_path):
+    """The `flats` spec's rank, read off its lattice, is the full scan's
+    rank on every subset of U(3,4); a family that is no lattice of flats
+    exits 2 with its witness."""
     import oracles
 
     pairs = [list(p) for p in itertools.combinations(range(4), 2)]
     u34 = [[]] + [[i] for i in range(4)] + pairs + [[0, 1, 2, 3]]
-    # not closed under meets: {1} lies in [0, 1] (height 2) and in [1, 2]
-    # (height 1), so the tie sets its rank
+    rank = cli._matroid_from_flats(4, u34).rank
+    ref = oracles.flats_rank_ref(4, u34)
+    assert [rank(s) for s in range(16)] == [ref(s) for s in range(16)]
+    # not closed under meets, [0, 1] ∩ [1, 2] = [1]; the atoms [0] and
+    # [1, 2] miss 3, and the atom check comes first
     no_meets = [[], [0], [0, 1], [1, 2], [0, 1, 2, 3]]
-    for flat_lists in (u34, no_meets):
-        rank = cli._matroid_from_flats(4, flat_lists)._rank_fn
-        ref = oracles.flats_rank_ref(4, flat_lists)
-        assert [rank(s) for s in range(16)] == [ref(s) for s in range(16)]
-    assert rank(0b0010) == 2  # no_meets, the last spec
+    for flat_lists, line in (
+        (no_meets, "element 3 lies in no atom (loop?)"),
+        (NOT_MEET_CLOSED, "flats 1001 and 111 meet in 1, which is not a flat"),
+    ):
+        doc = {"matroid": {"type": "flats", "n": 4, "flats": flat_lists}}
+        assert cli.main(["chow", "--spec", spec_arg(tmp_path, doc)]) == 2
+        assert capsys.readouterr() == ("", f"error: InvalidMatroid: {line}\n")
+
+
+# Passes the lattice's atom and cover checks, but [0, 3] ∩ [0, 1, 2] = [0]
+# is no flat.
+NOT_MEET_CLOSED = [
+    [], [0, 3], [1, 2], [0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [0, 1, 2, 3]
+]
+# NOT_MEET_CLOSED with each element blown up into a parallel class of 10.
+NOT_MEET_CLOSED_40 = {
+    "matroid": {
+        "type": "flats",
+        "n": 40,
+        "flats": [[10 * e + k for e in f for k in range(10)] for f in NOT_MEET_CLOSED],
+    }
+}
+NOT_MEET_CLOSED_40_LINE = (
+    "error: InvalidMatroid: flats 1111111111000000000000000000001111111111 and "
+    "111111111111111111111111111111 meet in 1111111111, which is not a flat\n"
+)
+MEET_COMMANDS = [
+    ["chow"],
+    ["gamma"],
+    ["gamma", "--with-descents", "--with-complex"],
+    ["check", "--what", "building-set"],
+]
+
+
+@pytest.mark.parametrize("cmd", MEET_COMMANDS, ids=" ".join)
+def test_flats_spec_not_meet_closed_exits_2(capsys, tmp_path, cmd):
+    """A 40-element `flats` spec that is no lattice of flats, for it is not
+    closed under meets, is invalid input on every subcommand: exit 2,
+    nothing on stdout, the pair that meets outside the flats on stderr."""
+    spec = spec_arg(tmp_path, NOT_MEET_CLOSED_40)
+    assert cli.main([*cmd, "--spec", spec]) == 2
+    assert capsys.readouterr() == ("", NOT_MEET_CLOSED_40_LINE)
+
+
+def test_flats_spec_not_meet_closed_exits_2_under_optimize():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for cmd in MEET_COMMANDS:
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "chowpoly.cli", *cmd, "--spec", "-"],
+            input=json.dumps(NOT_MEET_CLOSED_40),
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2,
+            "",
+            NOT_MEET_CLOSED_40_LINE,
+        ), cmd
+
+
+def test_flats_spec_is_exact_on_four_elements():
+    """Every family of subsets of range(4) that holds the empty set and the
+    ground set is accepted as a `flats` spec exactly when it is the
+    lattice of flats of a matroid (`oracles.matroid_of_flats_ref`), and
+    then with that matroid's ranks.  The accepted families are the 27
+    loopless matroids on 4 labeled elements: 68 matroids, less the 41
+    with a loop.  Three families pass the lattice's atom and cover checks
+    and fail only meet closure, NOT_MEET_CLOSED among them."""
+    import oracles
+
+    from chowpoly.errors import InvalidMatroid
+
+    accepted, meet_only = 0, []
+    for pick in range(1 << 14):  # the masks 1..14 strictly between ∅ and E
+        family = {0, 15} | {k + 1 for k in range(14) if pick >> k & 1}
+        ref = oracles.matroid_of_flats_ref(4, family)
+        try:
+            m = cli._matroid_from_flats(4, [cli.mask_to_indices(f) for f in family])
+        except InvalidMatroid as e:
+            assert ref is None, family
+            if "meet in" in e.args[0]:
+                meet_only.append(family)
+            continue
+        assert ref is not None, family
+        assert [m.rank(s) for s in range(16)] == ref, family
+        accepted += 1
+    assert (accepted, len(meet_only)) == (27, 3)
+    assert {cli._mask_of(f, 4) for f in NOT_MEET_CLOSED} in meet_only
+
+
+def _corpus_host_docs():
+    """The host matroids of `corpus()` and Π6, as family spec documents."""
+    from chowpoly.corpus import ATLAS_GRAPHS
+
+    docs = [
+        {"type": "uniform", "r": r, "n": n} for n in range(1, 7) for r in range(1, n + 1)
+    ]
+    docs += [{"type": "boolean", "n": n} for n in range(1, 6)]
+    docs += [{"type": "partition", "n": n} for n in range(2, 7)]
+    docs += [{"type": "graphic", "edges": edges} for _, edges in ATLAS_GRAPHS]
+    return docs
+
+
+ROUND_TRIP_COMMANDS = [
+    ["chow", "--method", "all"],
+    ["gamma", "--with-descents", "--with-complex"],
+]
+
+
+def test_flats_spec_round_trips_the_corpus_hosts(capsys, tmp_path):
+    """Every corpus host and Π6, written out as a `flats` spec (its flats
+    listed top down), gives the stdout bytes and exit code of its family
+    spec on `chow --method all` and `gamma --with-descents --with-complex`,
+    with G_min and, below Π6, G_max."""
+    from chowpoly.lattice import lattice_of_flats
+
+    for family in _corpus_host_docs():
+        lat = lattice_of_flats(cli.parse_matroid(family))
+        flats = {
+            "type": "flats",
+            "n": lat.n,
+            "flats": [cli.mask_to_indices(f) for f in reversed(lat.flats)],
+        }
+        kinds = ["min"] if family == {"type": "partition", "n": 6} else ["min", "max"]
+        for kind, cmd in itertools.product(kinds, ROUND_TRIP_COMMANDS):
+            got = []
+            for matroid in (family, flats):
+                doc = {"matroid": matroid, "building_set": kind}
+                got.append(run(capsys, [*cmd, "--spec", spec_arg(tmp_path, doc)]))
+            assert got[0] == got[1], (family, kind, cmd)
 
 
 SPEC_COMMANDS = [

@@ -20,6 +20,7 @@ from chowpoly.errors import (
     NotMeetClosed,
     NotUpwardClosed,
     Stuck,
+    TooLarge,
 )
 from chowpoly.building import (
     BuiltMatroid,
@@ -262,6 +263,17 @@ def test_invalid_matroids_rejected():
         lattice_of_flats(Matroid(3, lambda s: 0))  # all loops
     for _, m, _, _ in CASES:
         assert validate_rank_axioms(m)
+
+
+def test_rank_axioms_refuse_more_than_16_elements():
+    """Past 16 elements the rank axioms are not checked on a sample: the
+    check raises TooLarge before its first rank call."""
+
+    def no_call(s):
+        raise AssertionError(f"rank of {s:b} asked")
+
+    with pytest.raises(TooLarge):
+        validate_rank_axioms(Matroid(17, no_call))
 
 
 def test_simple_detection():
