@@ -353,11 +353,13 @@ def delete_element(bm, e):
     lat = bm.lat
     sub, drop = delete_lattice(lat, e)
     bit = 1 << e
-    bset = frozenset(
-        drop(f & ~bit)
+    kept = (
+        f & ~bit
         for f in bm.bset
         if f & ~bit and not (f & bit and lat.is_flat(f & ~bit))
     )
+    # dropping the last element shifts no bit: f ∖ e is already its mask
+    bset = frozenset(kept if e == bm.n - 1 else map(drop, kept))
     order = tuple(x if x < e else x - 1 for x in bm.order if x != e)
     return BuiltMatroid(sub, bset, order, validate=False)
 

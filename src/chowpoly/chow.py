@@ -4,7 +4,8 @@ Routes: the FY monomial count (chow_polynomial), the deletion recursion
 (chow_by_deletion), filtration pullbacks (chow_by_filtration), and exact
 linear algebra on the toric presentation (toric_hilbert_oracle).  They share
 the lattice kernel, the building-set kernel and the interval relabeler
-(building._interval), but no Chow arithmetic: their agreement is the point.
+(building._interval, as its climb and its build), but no Chow arithmetic:
+their agreement is the point.
 
 chow_polynomial counts the FY basis without listing it.  The maximal
 elements of a nested set are exactly the G-factors of their join
@@ -32,23 +33,27 @@ given order (proof in `chow_by_deletion`).
 
 chow_by_filtration starts from the built matroid its filtration validated
 (bm itself when it takes no step), carries the maximal elements along the
-walk, and counts each local interval with its induced set once per call.
+walk, and counts each local interval once per key of its climb
+(`_climb_key`), which fixes the link up to the order of its elements, so
+a link is built only when its key is new to the call.
 
 toric_hilbert_oracle stays in integers.  The linear forms are e_i - e_b0
 with b0 the least element of i's block of max G, so each pairs with a ray
 as 0 or +-1.  Face monomials of degree d extend those of degree d - 1 by
-one ray, checked by is_nested once per new support.  Pivot rows are kept
-primitive with a positive leading entry (`_add_row`).  That entry is
-nearly always 1, and then a row is reduced in place, row <- row - b*pivot;
-otherwise the update is fraction-free, row <- a*row - b*pivot, then
-division by the gcd.
+one ray, checked by is_nested once per new support.  A row pivots on its
+greatest column (`_add_row`): the monomials are listed by extending the
+previous degree, so a row's last column is nearly always one that no
+earlier row reached, and the matrix is close to triangular from the
+right.  Pivot rows are kept primitive with a positive pivot entry.  That
+entry is nearly always 1, and then a row is reduced in place, row <- row
+- b*pivot; otherwise the update is fraction-free, row <- a*row - b*pivot,
+then division by the gcd.
 """
 
 from itertools import product
 from math import gcd
 
 from .building import (
-    _interval,
     _interval_build,
     _interval_climb,
     binary_filtration,
@@ -255,10 +260,26 @@ def chow_by_filtration(bm, trace=False):
 
     The base is the built matroid the filtration validated, or bm itself
     when the walk takes no step, so FY reads a G-factor table already
-    built.  A local interval [J^g, g] with its induced set is fixed by
-    J^g, g and the members h of the current set with h <= g and h not <=
-    J^g, so its series is counted once per such key (those members as a
-    mask of lattice indices), in a dict local to the call.
+    built.  A local interval [J^g, g] with its induced set is counted once
+    per key of its climb (`_climb_key` of `_interval_climb`), in a dict
+    local to the call, and built only when that key is new.  The key fixes
+    the series:
+    - the climb labels the covers of J^g below g by their least new
+      element, and gives each flat of [J^g, g] its local mask and the
+      induced set {J^g ∨ h : h in the current set, h <= g, h not <= J^g}
+      in those masks; the key is the number of labels, the sorted local
+      masks and the sorted induced set;
+    - the local masks are the flats of the local lattice, whose ranks and
+      covers are those of inclusion among them, and `_interval_build`
+      lists them in (rank, mask) order, so two climbs with one key build
+      the same lattice and the same building set, and differ at most in
+      the order of the elements;
+    - FY reads the lattice and the G-factor table of the building set and
+      not the order, so the series of a link is that of any link with
+      its key, whatever bm.order is.
+    Links on different bounds, or with different induced sets, share a
+    key whenever their climbs give the same masks, so a walk builds far
+    fewer links than it stars.
 
     The walk carries the maximal elements of the current set, starting
     from those of the base, and builds no built matroid per step.  Adding
@@ -282,7 +303,7 @@ def chow_by_filtration(bm, trace=False):
     h = chow_polynomial(filt.base)
     steps = [list(h)]
     maxg = set(filt.base.maxg)  # the maximal elements of the current set
-    link_series = {}  # (J^g, g, members that induce its set) -> its series
+    link_series = {}  # `_climb_key` of a link -> its series
     for prev_bset, added, a in zip(filt.bsets, filt.added, filt.factors):
         in_max = [f in maxg for f in a]
         if all(in_max):
@@ -293,14 +314,11 @@ def chow_by_filtration(bm, trace=False):
             # the G-factors of a flat are nested, so the pair needs no check
             star = [1]
             for j, g in _link_bounds(lat, maxg, a):
-                below = 0  # the members that induce its set, by lattice index
-                for x in prev_bset:
-                    if x & ~g == 0 and x & ~j:
-                        below |= 1 << lat.idx[x]
-                key = (j, g, below)
+                climb = _interval_climb(lat, prev_bset, j, g)
+                key = _climb_key(climb)
                 series = link_series.get(key)
                 if series is None:
-                    link = _interval(lat, prev_bset, bm.order, j, g)[0]
+                    link = _interval_build(lat, bm.order, climb)[0]
                     series = link_series[key] = chow_polynomial(link)
                 star = pmul(star, series)
             h = padd(h, pmul([0, 1], star))
@@ -338,11 +356,14 @@ def _toric_dims(bm):
     (key, last index, support mask) with key = sum of (top+1)**index.  It
     extends a degree-(d-1) one by a ray at or after its last; a ray new to
     the support must keep it nested, which is_nested decides once per
-    support.  Rows stay integral and are reduced by `_add_row`: in place,
-    row <- row - b*pivot, against a pivot that leads with 1, which is
-    nearly every one, and otherwise row <- a*row - b*pivot, divided by the
-    gcd of the entries.  Both are invertible over Q, so each degree's rank
-    is the rank over Q.
+    support.  Rows stay integral and are reduced by `_add_row`, which
+    pivots on a row's greatest column: in place, row <- row - b*pivot,
+    against a pivot that leads with 1, which is nearly every one, and
+    otherwise row <- a*row - b*pivot, divided by the gcd of the entries.
+    Both are invertible over Q, so each degree's rank is the rank over Q.
+    A row's greatest column is nearly always a monomial no earlier row
+    reached, because the monomials extend the previous degree's in order,
+    so most rows become pivots after few steps.
     """
     rays = sorted(bm.bset - set(bm.maxg))
     top = bm.rank - len(bm.maxg)
@@ -385,16 +406,18 @@ def _add_row(pivots, row):
     if anything, as a new pivot row.
 
     Rows are dicts from column to nonzero int, and pivots maps each pivot
-    row's leading (least) column to the row.  Every pivot row is primitive
-    with a positive leading entry.  Against a pivot whose leading entry is
-    1 the row is reduced in place, row <- row - b*pivot with b the row's
-    leading entry.  Against any other it becomes a*row - b*pivot, with a
-    the pivot's leading entry, divided by the gcd of its entries.  Both are
-    invertible row operations over Q, so the number of pivots is the rank
-    over Q of the rows added.  row is consumed.
+    row's leading (greatest) column to the row.  Every pivot row is
+    primitive with a positive leading entry.  Against a pivot whose leading
+    entry is 1 the row is reduced in place, row <- row - b*pivot with b the
+    row's leading entry.  Against any other it becomes a*row - b*pivot,
+    with a the pivot's leading entry, divided by the gcd of its entries.
+    Both are invertible row operations over Q, so the number of pivots is
+    the rank over Q of the rows added; that holds for any choice of pivot
+    column, and the greatest is the one the monomial order makes cheap
+    (`_toric_dims`).  row is consumed.
     """
     while row:
-        lead = min(row)
+        lead = max(row)
         piv = pivots.get(lead)
         if piv is None:
             div = gcd(*row.values())

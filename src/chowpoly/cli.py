@@ -156,14 +156,29 @@ def _matroid_from_flats(n, flat_lists):
     fset = set(flats)
     if 0 not in fset:
         raise ValueError("the empty flat is missing")
-    if (1 << n) - 1 not in fset:
+    full = (1 << n) - 1
+    if full not in fset:
         raise ValueError("the full ground set must be a flat")
+    # without[e]: the flats that miss e, as a bitset of their indices; the
+    # flats inside f are those that miss every element outside f, and only
+    # one earlier in (popcount, mask) order can lie strictly below f
+    without = [
+        int("".join("0" if f >> e & 1 else "1" for f in reversed(flats)), 2)
+        for e in range(n)
+    ]
+    level = []  # level[h]: the flats of height h, as a bitset of indices
     height = {}
     for i, f in enumerate(flats):
-        # only a flat earlier in (popcount, mask) order can lie below f
-        height[f] = 1 + max(
-            (height[g] for g in flats[:i] if g & ~f == 0), default=-1
-        )
+        below = (1 << i) - 1
+        for e in bits(full & ~f):
+            below &= without[e]
+        h = len(level)
+        while h and not level[h - 1] & below:
+            h -= 1
+        if h == len(level):
+            level.append(0)
+        level[h] |= 1 << i
+        height[f] = h
     lat = GeomLattice(n, height.items())
     for h in lat.by_rank[lat.rk - 1]:
         coatom = lat.flats[h]

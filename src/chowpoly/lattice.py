@@ -532,11 +532,21 @@ def delete_lattice(lat, e):
     looked up once, not once per cover.  Each cover list is sorted by
     index, as `_build_covers` yields it, and drop keeps the (rank, mask)
     order of sets without e.
+
+    When e is the last element, drop_bit(f ∖ e, e) is f ∖ e, so the new
+    flats are the sets f ∖ e as they are and proj only clears bit e.
     """
     bit = 1 << e
+    last = e == lat.n - 1
+    if last:
 
-    def drop(mask):
-        return drop_bit(mask, e)
+        def drop(mask):
+            return mask & ~bit
+
+    else:
+
+        def drop(mask):
+            return drop_bit(mask, e)
 
     flats, ranks, covers_up = lat.flats, lat.ranks, lat.covers_up
     first = {}  # f ∖ e -> index of its first source f
@@ -555,7 +565,7 @@ def delete_lattice(lat, e):
         new_covers.append(sorted([u for u in ups if u != k]))
     sub = GeomLattice._derived(
         lat.n - 1,
-        [drop(m) for m in order],
+        order if last else [drop(m) for m in order],
         [ranks[first[m]] for m in order],
         new_covers,
     )

@@ -1083,6 +1083,54 @@ def chow_by_deletion_ref(bm, memo):
     return out
 
 
+def chow_by_filtration_ref(bm, trace=False):
+    """`chow.chow_by_filtration` before it keyed link series by their climb:
+    a local interval [J^g, g] is keyed by J^g, g and the members h of the
+    current set with h <= g and h not <= J^g (a mask of lattice indices),
+    and built in full with `building._interval` on each new key."""
+    from chowpoly.building import _interval, binary_filtration, g_min
+    from chowpoly.chow import chow_polynomial
+    from chowpoly.errors import MixedFactorStep, NoBinaryFiltration, NotFlag, Stuck
+    from chowpoly.nested import _link_bounds
+    from chowpoly.polynomials import padd, pmul
+
+    lat = bm.lat
+    try:
+        filt = binary_filtration(bm, g_min(lat))
+    except (NotFlag, Stuck) as exc:
+        raise NoBinaryFiltration(str(exc)) from exc
+    h = chow_polynomial(filt.base)
+    steps = [list(h)]
+    maxg = set(filt.base.maxg)
+    link_series = {}
+    for prev_bset, added, a in zip(filt.bsets, filt.added, filt.factors):
+        in_max = [f in maxg for f in a]
+        if all(in_max):
+            h = pmul(h, [1, 1])
+            maxg.difference_update(a)
+            maxg.add(added)
+        elif not any(in_max):
+            star = [1]
+            for j, g in _link_bounds(lat, maxg, a):
+                below = 0
+                for x in prev_bset:
+                    if x & ~g == 0 and x & ~j:
+                        below |= 1 << lat.idx[x]
+                key = (j, g, below)
+                series = link_series.get(key)
+                if series is None:
+                    link = _interval(lat, prev_bset, bm.order, j, g)[0]
+                    series = link_series[key] = chow_polynomial(link)
+                star = pmul(star, series)
+            h = padd(h, pmul([0, 1], star))
+        else:
+            raise MixedFactorStep((added, a))
+        steps.append(list(h))
+    if trace:
+        return h, steps
+    return h
+
+
 def flag_nonface_witness_ref(bm):
     """`building.flag_nonface_witness` before it carried the union of the
     chosen flats: every candidate is tested against every chosen flat for

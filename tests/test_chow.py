@@ -274,30 +274,40 @@ def test_filtration_validates_its_base_in_one_table_pass(monkeypatch):
 
 def test_filtration_walk_builds_no_built_matroid_per_step(monkeypatch):
     """The walk carries the maximal elements of its set: on B6|max it
-    builds one built matroid per `_interval` call and one as its base,
-    and none per step."""
+    builds one built matroid per `_interval_build` call and one as its
+    base, and none per step.  It builds one link per distinct climb key it
+    meets, fewer than the links it looks up."""
     import chowpoly.chow as chow
     from chowpoly.building import binary_filtration, g_min
 
     bm = built_from_matroid(make_boolean(6), "max")
     want = chow_polynomial(bm)
     steps = len(binary_filtration(bm, g_min(bm.lat)).added)
-    calls = {"BuiltMatroid": 0, "_interval": 0}
+    calls = {"BuiltMatroid": 0, "_interval_build": 0, "lookups": 0}
+    climb_keys = set()
     init = BuiltMatroid.__init__
-    interval = chow._interval
+    climb, build = chow._interval_climb, chow._interval_build
 
     def counting_init(self, *args, **kwargs):
         calls["BuiltMatroid"] += 1
         init(self, *args, **kwargs)
 
-    def counting_interval(*args):
-        calls["_interval"] += 1
-        return interval(*args)
+    def watched_climb(*args):
+        c = climb(*args)
+        climb_keys.add(chow._climb_key(c))
+        calls["lookups"] += 1
+        return c
+
+    def counting_build(*args):
+        calls["_interval_build"] += 1
+        return build(*args)
 
     monkeypatch.setattr(BuiltMatroid, "__init__", counting_init)
-    monkeypatch.setattr(chow, "_interval", counting_interval)
+    monkeypatch.setattr(chow, "_interval_climb", watched_climb)
+    monkeypatch.setattr(chow, "_interval_build", counting_build)
     assert chow_by_filtration(bm) == want
-    assert steps and calls["BuiltMatroid"] == calls["_interval"] + 1
+    assert steps and calls["BuiltMatroid"] == calls["_interval_build"] + 1
+    assert calls["_interval_build"] == len(climb_keys) < calls["lookups"], calls
 
 
 # A chordal building set on B5 whose walk stars one interval [J^g, g] with
@@ -309,9 +319,10 @@ _B5_TWO_LINKS_ON_ONE_INTERVAL = [
 
 @pytest.mark.parametrize("name", ["B6max", "U47max", "B5chordal"])
 def test_filtration_builds_each_link_once(name, monkeypatch):
-    """A local interval [J^g, g] with its induced set is built and counted
-    once per call, however many steps star it, and no lattice it builds is
-    rescanned for covers."""
+    """A local interval [J^g, g] with its induced set is climbed once per
+    step that stars it, and built and counted once per call for each
+    climb key, however many steps and links share that key; no lattice it
+    builds is rescanned for covers."""
     import chowpoly.chow as chow
     from chowpoly.building import binary_filtration, g_min
     from chowpoly.lattice import GeomLattice
@@ -343,22 +354,70 @@ def test_filtration_builds_each_link_once(name, monkeypatch):
         assert len({(j, g) for j, g, _ in keys}) < len(keys)
 
     want = chow_polynomial(bm)
-    calls = {"_interval": 0, "_build_covers": 0}
-    interval = chow._interval
+    calls = {"_interval_build": 0, "_build_covers": 0}
+    climb_keys = {}  # climb key -> the bounds (J^g, g) it was met on
+    lookups = 0
+    climb, build = chow._interval_climb, chow._interval_build
     build_covers = GeomLattice._build_covers
 
-    def counting_interval(*args):
-        calls["_interval"] += 1
-        return interval(*args)
+    def watched_climb(lat, bset, bottom, top):
+        nonlocal lookups
+        c = climb(lat, bset, bottom, top)
+        climb_keys.setdefault(chow._climb_key(c), set()).add((bottom, top))
+        lookups += 1
+        return c
+
+    def counting_build(*args):
+        calls["_interval_build"] += 1
+        return build(*args)
 
     def counting_covers(self):
         calls["_build_covers"] += 1
         return build_covers(self)
 
-    monkeypatch.setattr(chow, "_interval", counting_interval)
+    monkeypatch.setattr(chow, "_interval_climb", watched_climb)
+    monkeypatch.setattr(chow, "_interval_build", counting_build)
     monkeypatch.setattr(GeomLattice, "_build_covers", counting_covers)
     assert chow_by_filtration(bm) == want
-    assert calls == {"_interval": len(keys), "_build_covers": 0}
+    assert lookups == total
+    assert calls == {"_interval_build": len(climb_keys), "_build_covers": 0}
+    assert len(climb_keys) <= len(keys) < total
+    if name == "B5chordal":
+        # the two induced sets on one [J^g, g] get two climb keys
+        per_bounds = {}
+        for bounds in climb_keys.values():
+            for jg in bounds:
+                per_bounds[jg] = per_bounds.get(jg, 0) + 1
+        assert max(per_bounds.values()) >= 2
+
+
+def test_filtration_matches_reference_walk():
+    """The walk keyed by climb returns the trace of the walk keyed by
+    (J^g, g, inducing members) (`oracles.chow_by_filtration_ref`) on every
+    corpus() instance the route answers, on B6|max, U(4,7)|max and the B5
+    chordal set, and raises the same error type where that one does."""
+    from chowpoly.corpus import corpus
+    from chowpoly.errors import MixedFactorStep, NoBinaryFiltration
+
+    cases = [(inst.name, inst.built) for inst in corpus()]
+    cases += [
+        ("B6max", built_from_matroid(make_boolean(6), "max")),
+        ("U47max", built_from_matroid(make_uniform(4, 7), "max")),
+        ("B5chordal", BuiltMatroid(
+            lattice_of_flats(make_boolean(5)), _B5_TWO_LINKS_ON_ONE_INTERVAL
+        )),
+    ]
+    answered = 0
+    for name, bm in cases:
+        try:
+            want = oracles.chow_by_filtration_ref(bm, trace=True)
+        except (NoBinaryFiltration, MixedFactorStep) as exc:
+            with pytest.raises(type(exc)):
+                chow_by_filtration(bm, trace=True)
+            continue
+        assert chow_by_filtration(bm, trace=True) == want, name
+        answered += 1
+    assert answered > len(cases) // 2
 
 
 def test_add_row_ranks_random_integer_matrices():
@@ -379,7 +438,7 @@ def test_add_row_ranks_random_integer_matrices():
             _add_row(pivots, {k: v for k, v in enumerate(r) if v})
         assert len(pivots) == oracles.fraction_rank(rows), rows
         for lead, piv in pivots.items():
-            assert lead == min(piv) and piv[lead] > 0
+            assert lead == max(piv) and piv[lead] > 0
             leads.add(piv[lead])
     assert 1 in leads and leads - {1}
 
