@@ -32,8 +32,8 @@ climbed.  The memo gets the same entries and hits as a recursion in the
 given order (proof in `chow_by_deletion`).
 
 chow_by_filtration starts from the built matroid its filtration validated
-(bm itself when it takes no step), carries the maximal elements along the
-walk, and counts each local interval once per key of its climb
+on the minimal set (`Filtration.base`, built even when the walk takes no
+step), carries the maximal elements along the walk, and counts each local interval once per key of its climb
 (`_climb_key`), which fixes the link up to the order of its elements, so
 a link is built only when its key is new to the call.
 
@@ -258,9 +258,9 @@ def chow_by_filtration(bm, trace=False):
     With trace=True returns (h, intermediates) where intermediates holds the
     series after every step including the starting value.
 
-    The base is the built matroid the filtration validated, or bm itself
-    when the walk takes no step, so FY reads a G-factor table already
-    built.  A local interval [J^g, g] with its induced set is counted once
+    The base is the built matroid the filtration validated on the minimal
+    set, `BuiltMatroid(lat, small, bm.order)`, also when the walk takes no
+    step, so FY reads a G-factor table already built.  A local interval [J^g, g] with its induced set is counted once
     per key of its climb (`_climb_key` of `_interval_climb`), in a dict
     local to the call, and built only when that key is new.  The key fixes
     the series:

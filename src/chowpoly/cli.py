@@ -38,6 +38,7 @@ from .chow import (
     gamma_by_descents_factored,
     toric_hilbert_oracle,
 )
+from .corpus import corpus
 from .errors import (
     ChowpolyError,
     JoinClosureViolation,
@@ -257,70 +258,66 @@ def load_spec(path):
         return json.load(fh)
 
 
+def _read_instance(args):
+    """The built matroid of `--spec`, or None for a `--corpus` run, which
+    takes each corpus instance through the same code."""
+    return None if args.corpus else parse_instance(load_spec(args.spec))
+
+
 # ---------------------------------------------------------------------------
 # chow
 
 
+# The Chow-polynomial routes: name -> (function, the errors that mean the
+# route does not apply to the instance).
+_ROUTES = {
+    "fy": (chow_polynomial, ()),
+    "deletion": (chow_by_deletion, ()),
+    "filtration": (chow_by_filtration, (NoBinaryFiltration, MixedFactorStep)),
+    "oracle": (toric_hilbert_oracle, (TooLarge,)),
+}
+
+
 def _run_methods(bm, methods):
+    """(route -> polynomial, None where the route does not apply; whether
+    the routes that answered agree)."""
     per = {}
     for name in methods:
-        if name == "fy":
-            per[name] = chow_polynomial(bm)
-        elif name == "deletion":
-            per[name] = chow_by_deletion(bm)
-        elif name == "filtration":
-            try:
-                per[name] = chow_by_filtration(bm)
-            except (NoBinaryFiltration, MixedFactorStep):
-                per[name] = None
-        elif name == "oracle":
-            try:
-                per[name] = toric_hilbert_oracle(bm)
-            except TooLarge:
-                per[name] = None
-    return per
-
-
-def cmd_chow(args):
-    if args.corpus:
-        return _corpus_chow()
-    try:
-        bm = parse_instance(load_spec(args.spec))
-    except _INPUT_ERRORS as e:
-        return fail_invalid(f"{type(e).__name__}: {e}")
-    methods = (
-        ["fy", "deletion", "filtration", "oracle"]
-        if args.method == "all"
-        else [args.method]
-    )
-    per = _run_methods(bm, methods)
-    if args.method != "all" and per.get(args.method) is None:
-        return fail_invalid(f"method {args.method!r} is not applicable to this instance")
+        fn, inapplicable = _ROUTES[name]
+        try:
+            per[name] = fn(bm)
+        except inapplicable:
+            per[name] = None
     got = [v for v in per.values() if v is not None]
-    agree = all(v == got[0] for v in got)
-    emit({"chow": got[0] if agree else None, "methods_agree": agree, "per_method": per})
+    return per, all(v == got[0] for v in got)
+
+
+def cmd_chow(args, bm):
+    if bm is None:
+        return _corpus(_chow_row, "agree")
+    methods = list(_ROUTES) if args.method == "all" else [args.method]
+    per, agree = _run_methods(bm, methods)
+    if args.method != "all" and per[args.method] is None:
+        return fail_invalid(f"method {args.method!r} is not applicable to this instance")
+    chow = per[methods[0]] if agree else None  # fy, or the lone route, answered
+    emit({"chow": chow, "methods_agree": agree, "per_method": per})
     return EXIT_OK if agree else EXIT_FAIL
 
 
-def _corpus_rows(fn):
-    from .corpus import corpus
+def _chow_row(inst):
+    per, agree = _run_methods(inst.built, _ROUTES)
+    return {
+        "name": inst.name,
+        "agree": agree,
+        "methods": {k: (v is not None) for k, v in per.items()},
+    }
 
-    return [fn(inst) for inst in corpus()]
 
-
-def _corpus_chow():
-    def one(inst):
-        per = _run_methods(inst.built, ["fy", "deletion", "filtration", "oracle"])
-        got = [v for v in per.values() if v is not None]
-        ok = all(v == got[0] for v in got)
-        return {
-            "name": inst.name,
-            "agree": ok,
-            "methods": {k: (v is not None) for k, v in per.items()},
-        }
-
-    rows = _corpus_rows(one)
-    all_ok = all(r["agree"] for r in rows)
+def _corpus(row, ok_key):
+    """Emit one row per corpus instance and exit 0 when every row's ok_key
+    holds, else 3."""
+    rows = [row(inst) for inst in corpus()]
+    all_ok = all(r[ok_key] for r in rows)
     emit({"all_ok": all_ok, "rows": rows})
     return EXIT_OK if all_ok else EXIT_FAIL
 
@@ -361,71 +358,63 @@ def _complex_payload(bm):
     }
 
 
-def cmd_gamma(args):
-    if args.corpus:
-        return _corpus_gamma()
-    try:
-        bm = parse_instance(load_spec(args.spec))
-    except _INPUT_ERRORS as e:
-        return fail_invalid(f"{type(e).__name__}: {e}")
+def _gamma(bm, with_descents, with_complex):
+    """H, γ, completeness and γ-positivity of one instance; with_descents
+    adds the descent formula and whether it equals γ, with_complex the
+    Γ-complex."""
     h = chow_polynomial(bm)
     gam = list(gamma_expansion(h))
-    complete = is_complete(bm)
     out = {
         "chow": h,
         "gamma": gam,
         "gamma_positive": is_gamma_positive(h),
-        "complete": complete,
+        "complete": is_complete(bm),
     }
-    code = EXIT_OK
-    if args.with_descents:
+    if with_descents:
         desc = gamma_by_descents_factored(bm)
         out["descent_formula"] = list(desc)
         out["match"] = desc == gam
-        if complete and not out["match"]:
-            code = EXIT_FAIL
-    if args.with_complex:
+    if with_complex:
         out["complex"] = _complex_payload(bm)
+    return out
+
+
+def cmd_gamma(args, bm):
+    if bm is None:
+        return _corpus(_gamma_row, "ok")
+    out = _gamma(bm, args.with_descents, args.with_complex)
     emit(out)
-    return code
+    # the descent formula equals γ on every complete instance
+    return EXIT_FAIL if out["complete"] and out.get("match") is False else EXIT_OK
 
 
-def _corpus_gamma():
-    def one(inst):
-        bm = inst.built
-        h = chow_polynomial(bm)
-        gam = list(gamma_expansion(h))
-        complete = is_complete(bm)
-        row = {
-            "name": inst.name,
-            "complete": complete,
-            "gamma_positive": is_gamma_positive(h),
-        }
-        ok = True
-        reps = None
-        if complete:
-            match = gamma_by_descents_factored(bm) == gam
-            row["descent_match"] = match
-            f, reps = gamma_fvector(bm)
-            cok = all(r.downward_closed for r in reps) and f == gam
-            row["complex_ok"] = cok
-            ok = row["gamma_positive"] and match and cok
-        else:
-            row["descent_match"] = None
-            row["complex_ok"] = None
-        if inst.bset_kind == "max":
-            rep = reps[0] if reps else gamma_complex(bm)  # G_max is irreducible
-            row["balanced"] = balanced_check(bm, rep.complex)
-            ok = ok and row["balanced"]
-        else:
-            row["balanced"] = None
-        row["ok"] = ok
-        return row
-
-    rows = _corpus_rows(one)
-    all_ok = all(r["ok"] for r in rows)
-    emit({"all_ok": all_ok, "rows": rows})
-    return EXIT_OK if all_ok else EXIT_FAIL
+def _gamma_row(inst):
+    """A complete instance passes when γ is positive, the descent formula
+    equals γ and the Γ-complex is downward closed with f-vector γ (padded
+    with zeros); a G_max instance, complete and irreducible in every order,
+    also needs a balanced Γ-complex."""
+    complete = is_complete(inst.built)
+    out = _gamma(inst.built, complete, complete)
+    row = {
+        "name": inst.name,
+        "complete": complete,
+        "gamma_positive": out["gamma_positive"],
+        "descent_match": None,
+        "complex_ok": None,
+        "balanced": None,
+    }
+    ok = True
+    if complete:
+        gam, cx = out["gamma"], out["complex"]
+        f = cx["f_vector"] + [0] * (len(gam) - len(cx["f_vector"]))
+        row["descent_match"] = out["match"]
+        row["complex_ok"] = cx["downward_closed"] and f == gam
+        ok = row["gamma_positive"] and row["descent_match"] and row["complex_ok"]
+    if inst.bset_kind == "max":
+        row["balanced"] = out["complex"]["balanced"]
+        ok = ok and row["balanced"]
+    row["ok"] = ok
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -440,100 +429,73 @@ def _pair_witness(e):
     return masks_to_arrays(e.args[0])
 
 
-# A failed check's exception type -> (error name, witness serializer).
+# A failed check's exception type -> its witness serializer; the error is
+# reported by the type's name.
 _WITNESSES = {
-    MissingIrreducible: ("MissingIrreducible", _flat_witness),
-    JoinClosureViolation: ("JoinClosureViolation", _pair_witness),
-    NotUpwardClosed: ("NotUpwardClosed", _pair_witness),
-    NotMeetClosed: ("NotMeetClosed", _pair_witness),
-    NotAFlat: ("NotAFlat", str),
+    MissingIrreducible: _flat_witness,
+    JoinClosureViolation: _pair_witness,
+    NotUpwardClosed: _pair_witness,
+    NotMeetClosed: _pair_witness,
+    NotAFlat: str,
 }
 
 
-def _check_failed(what, e):
-    name, witness = _WITNESSES[type(e)]
-    emit({"check": what, "ok": False, "error": name, "witness": witness(e)})
-    return EXIT_FAIL
+def _check_input(args):
+    """What `check --what` reads: for building-set the lattice and the set,
+    which the check validates itself to report its witness; otherwise the
+    built matroid and, for modular-cut, the cut (None when the spec has
+    none)."""
+    doc = load_spec(args.spec)
+    if args.what == "building-set":
+        m, bdesc, order = _spec_parts(doc)
+        if isinstance(bdesc, frozenset):
+            return lattice_of_flats(m), bdesc
+        bm = _built(doc, m, bdesc, order)
+        return bm.lat, bm.bset
+    bm = parse_instance(doc)
+    if args.what != "modular-cut" or "cut" not in doc:
+        return bm, None
+    return bm, frozenset(_mask_of(ix, bm.lat.n) for ix in doc["cut"])
 
 
-def cmd_check(args):
-    try:
-        doc = load_spec(args.spec)
-    except _INPUT_ERRORS as e:
-        return fail_invalid(f"{type(e).__name__}: {e}")
-    what = args.what
-
-    if what == "building-set":
-        try:
-            m, bdesc, order = _spec_parts(doc)
-            if isinstance(bdesc, frozenset):
-                # validated below, to report its witness
-                lat, bset = lattice_of_flats(m), bdesc
-            else:
-                bm = _built(doc, m, bdesc, order)
-                lat, bset = bm.lat, bm.bset
-        except _INPUT_ERRORS as e:
-            return fail_invalid(f"{type(e).__name__}: {e}")
-        try:
-            validate_building_set(lat, bset)
-        except tuple(_WITNESSES) as e:
-            return _check_failed(what, e)
-        emit({"check": what, "ok": True, "witness": None})
-        return EXIT_OK
-
-    try:
-        bm = parse_instance(doc)
-    except _INPUT_ERRORS as e:
-        return fail_invalid(f"{type(e).__name__}: {e}")
-
+def cmd_check(args, inp):
+    """Emit the check's verdict and witness (None when it holds); a failed
+    validation also names its error, and a valid modular cut reports its
+    kind."""
+    what, extra = args.what, {}
     if what == "complete":
-        w = complete_witness(bm)
-        if w is None:
-            emit({"check": what, "ok": True, "witness": None})
-            return EXIT_OK
-        witness = {"element": mask_to_indices(w[0]), "missing": mask_to_indices(w[1])}
-        emit({"check": what, "ok": False, "witness": witness})
-        return EXIT_FAIL
-
-    if what == "flag":
-        w = flag_nonface_witness(bm)
-        if w is None:
-            emit({"check": what, "ok": True, "witness": None})
-            return EXIT_OK
-        emit({"check": what, "ok": False, "witness": masks_to_arrays(w)})
-        return EXIT_FAIL
-
-    if what == "modular-cut":
-        if "cut" not in doc:
-            return fail_invalid("modular-cut check needs a 'cut' key in the spec")
+        w = complete_witness(inp[0])
+        witness = None if w is None else {
+            "element": mask_to_indices(w[0]), "missing": mask_to_indices(w[1])
+        }
+    elif what == "flag":
+        w = flag_nonface_witness(inp[0])
+        witness = None if w is None else masks_to_arrays(w)
+    elif what == "modular-cut" and inp[1] is None:
+        return fail_invalid("modular-cut check needs a 'cut' key in the spec")
+    else:
         try:
-            cut = frozenset(_mask_of(ix, bm.lat.n) for ix in doc["cut"])
-        except _INPUT_ERRORS as e:
-            return fail_invalid(str(e))
-        try:
-            mc = validate_modular_cut(bm.lat, cut)
+            if what == "building-set":
+                validate_building_set(*inp)
+            else:
+                bm, cut = inp
+                mc = validate_modular_cut(bm.lat, cut)
+                extra = {"proper": mc.proper, "nonempty": mc.nonempty,
+                         "atom_free": mc.atom_free}
+            witness = None
         except tuple(_WITNESSES) as e:
-            return _check_failed(what, e)
-        emit(
-            {
-                "check": what,
-                "ok": True,
-                "witness": None,
-                "proper": mc.proper,
-                "nonempty": mc.nonempty,
-                "atom_free": mc.atom_free,
-            }
-        )
-        return EXIT_OK
-
-    return fail_invalid(f"unknown check {what!r}")
+            witness = _WITNESSES[type(e)](e)
+            extra = {"error": type(e).__name__}
+    ok = witness is None
+    emit({"check": what, "ok": ok, "witness": witness, **extra})
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
 # m0n
 
 
-def cmd_m0n(args):
+def cmd_m0n(args, _):
     n_top = args.n
     if not (2 <= n_top <= 10):
         return fail_invalid("--n must be between 2 and 10")
@@ -578,20 +540,16 @@ def main(argv=None):
 
     p = sub.add_parser("chow", help="Chow polynomial by one or all methods")
     p.add_argument("--spec", default="-", help="instance JSON file, - for stdin")
-    p.add_argument(
-        "--method",
-        default="all",
-        choices=["fy", "deletion", "filtration", "oracle", "all"],
-    )
+    p.add_argument("--method", default="all", choices=[*_ROUTES, "all"])
     p.add_argument("--corpus", action="store_true", help="run the built-in corpus")
-    p.set_defaults(fn=cmd_chow)
+    p.set_defaults(fn=cmd_chow, read=_read_instance)
 
     p = sub.add_parser("gamma", help="gamma vector and related certificates")
     p.add_argument("--spec", default="-", help="instance JSON file, - for stdin")
     p.add_argument("--with-descents", action="store_true")
     p.add_argument("--with-complex", action="store_true")
     p.add_argument("--corpus", action="store_true", help="run the built-in corpus")
-    p.set_defaults(fn=cmd_gamma)
+    p.set_defaults(fn=cmd_gamma, read=_read_instance)
 
     p = sub.add_parser("check", help="validate structures with witnesses")
     p.add_argument("--spec", default="-", help="instance JSON file, - for stdin")
@@ -600,14 +558,18 @@ def main(argv=None):
         required=True,
         choices=["building-set", "complete", "flag", "modular-cut"],
     )
-    p.set_defaults(fn=cmd_check)
+    p.set_defaults(fn=cmd_check, read=_check_input)
 
     p = sub.add_parser("m0n", help="moduli-space Poincare/gamma table")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=cmd_m0n)
+    p.set_defaults(fn=cmd_m0n, read=lambda args: None)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        inp = args.read(args)
+    except _INPUT_ERRORS as e:
+        return fail_invalid(f"{type(e).__name__}: {e}")
+    return args.fn(args, inp)
 
 
 if __name__ == "__main__":

@@ -135,53 +135,23 @@ def _close_joins(lat, s):
 @functools.cache
 def corpus():
     """The full deterministic instance list (built lazily, then cached)."""
-    out = []
-
-    for n in range(1, 7):
-        for r in range(1, n + 1):
-            m = make_uniform(r, n)
-            for kind in ("min", "max"):
-                out.append(
-                    CorpusInstance(
-                        f"uniform({r},{n})|{kind}",
-                        "uniform",
-                        kind,
-                        built_from_matroid(m, kind),
-                    )
-                )
-
-    for n in range(1, 6):
-        m = make_boolean(n)
-        for kind in ("min", "max"):
-            out.append(
-                CorpusInstance(
-                    f"boolean({n})|{kind}", "boolean", kind, built_from_matroid(m, kind)
-                )
-            )
-
-    for n in range(2, 6):
-        m = make_partition(n)
-        for kind in ("min", "max"):
-            out.append(
-                CorpusInstance(
-                    f"partition({n})|{kind}",
-                    "partition",
-                    kind,
-                    built_from_matroid(m, kind),
-                )
-            )
-
-    for gi, (nv, edges) in enumerate(ATLAS_GRAPHS):
-        m = make_graphic(edges)
-        for kind in ("min", "max"):
-            out.append(
-                CorpusInstance(
-                    f"graphic{gi}(v{nv},e{len(edges)})|{kind}",
-                    "graphic",
-                    kind,
-                    built_from_matroid(m, kind),
-                )
-            )
+    # (name, family, matroid) of each host taken with G_min and G_max
+    hosts = [
+        (f"uniform({r},{n})", "uniform", make_uniform(r, n))
+        for n in range(1, 7)
+        for r in range(1, n + 1)
+    ]
+    hosts += [(f"boolean({n})", "boolean", make_boolean(n)) for n in range(1, 6)]
+    hosts += [(f"partition({n})", "partition", make_partition(n)) for n in range(2, 6)]
+    hosts += [
+        (f"graphic{gi}(v{nv},e{len(edges)})", "graphic", make_graphic(edges))
+        for gi, (nv, edges) in enumerate(ATLAS_GRAPHS)
+    ]
+    out = [
+        CorpusInstance(f"{name}|{kind}", family, kind, built_from_matroid(m, kind))
+        for name, family, m in hosts
+        for kind in ("min", "max")
+    ]
 
     for n in range(2, 5):
         lat = lattice_of_flats(make_boolean(n))
@@ -196,27 +166,20 @@ def corpus():
             )
 
     rng = random.Random(RANDOM_SEED)
-    hosts = [
-        ("uniform(3,4)", make_uniform(3, 4)),
-        ("boolean(3)", make_boolean(3)),
-        ("uniform(3,5)", make_uniform(3, 5)),
-        ("uniform(3,6)", make_uniform(3, 6)),
-        ("uniform(4,5)", make_uniform(4, 5)),
-        ("uniform(4,6)", make_uniform(4, 6)),
-        ("boolean(4)", make_boolean(4)),
-        ("boolean(5)", make_boolean(5)),
-        ("partition(4)", make_partition(4)),
-        ("partition(5)", make_partition(5)),
+    by_name = {name: (family, m) for name, family, m in hosts}
+    pool = [
+        (name, by_name[name][0], lattice_of_flats(by_name[name][1]))
+        for name in (
+            "uniform(3,4)", "boolean(3)", "uniform(3,5)", "uniform(3,6)",
+            "uniform(4,5)", "uniform(4,6)", "boolean(4)", "boolean(5)",
+            "partition(4)", "partition(5)",
+        )
     ]
-    lats = [(name, lattice_of_flats(m)) for name, m in hosts]
     for i in range(N_RANDOM):
-        name, lat = lats[i % len(lats)]
-        n_extra = rng.randint(1, 4)
-        bset = _random_building_set(lat, rng, n_extra)
+        name, family, lat = pool[i % len(pool)]
+        bset = _random_building_set(lat, rng, rng.randint(1, 4))
         out.append(
-            CorpusInstance(
-                f"{name}|rand{i}", name.split("(")[0], "random", BuiltMatroid(lat, bset)
-            )
+            CorpusInstance(f"{name}|rand{i}", family, "random", BuiltMatroid(lat, bset))
         )
 
     return out

@@ -13,11 +13,13 @@ oracles.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
+from math import comb
 
 from .building import (
     BuiltMatroid,
     _interval,
+    is_complete,
     restrict,
     tl_chain,
 )
@@ -30,6 +32,7 @@ from .errors import (
     RankNotOne,
 )
 from .lattice import bits
+from .polynomials import pmul
 
 
 def is_nested(bm, s):
@@ -283,6 +286,7 @@ def compose(bm, s, local_sets):
     local interval to an iterable of global flats inside that interval's
     building set."""
     s = frozenset(s) - set(bm.maxg)
+    _require_nested(bm, s)
     shat = _shat(bm.lat, bm.maxg, s)
     out = set(s)
     for g in shat:
@@ -509,8 +513,6 @@ def gamma_complex(bm):
     γ-vector; on incomplete input this still computes, with the defects
     reported in the result instead of raised.
     """
-    from .building import is_complete
-
     if not bm.irreducible:
         raise NotIrreducible("the Γ-complex needs an irreducible built matroid")
     lat = bm.lat
@@ -526,12 +528,7 @@ def gamma_complex(bm):
     for _, d in stable_descent_sets(bm):
         faces.add(d)
         counts[len(d)] = counts.get(len(d), 0) + 1
-    violations = []
-    for f in faces:
-        for k in range(len(f)):
-            for sub in combinations(sorted(f), k):
-                if frozenset(sub) not in faces:
-                    violations.append((tuple(sorted(f)), sub))
+    violations = _closure_violations(faces)
     used = set().union(*faces) if faces else set()
     return GammaComplexReport(
         complex=SimplicialComplex(vertices=vertices, faces=frozenset(faces)),
@@ -544,6 +541,20 @@ def gamma_complex(bm):
     )
 
 
+def _closure_violations(faces):
+    """The pairs (face, face - v) of a family of faces whose second member
+    is no face.  A family is downward closed, every subset of a face a
+    face, iff there are none: a proper subset s of a face f lies in f - v
+    for each v of f outside s, a smaller face, so by induction on |f| it
+    is a face."""
+    return [
+        (tuple(sorted(f)), tuple(sorted(f - {v})))
+        for f in faces
+        for v in f
+        if f - {v} not in faces
+    ]
+
+
 def gamma_fvector(bm):
     """f-vector of the Γ-complex as a coefficient list, together with the
     per-factor reports.
@@ -551,8 +562,6 @@ def gamma_fvector(bm):
     Irreducible input gives one report; reducible input factors into the
     maximal building-set elements (the complex of a direct sum is the join of
     the factor complexes, so the f-polynomial is the product)."""
-    from .polynomials import pmul
-
     if bm.irreducible:
         reps = [gamma_complex(bm)]
     else:
@@ -589,8 +598,6 @@ def complex_stats(c):
         if k:
             f[k] += 1
     h = [0] * (d + 1)
-    from math import comb
-
     for i, fi in enumerate(f):
         # f_i (y-1)^(d-i) contributes to y^(d-j)
         for j in range(i, d + 1):

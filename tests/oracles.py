@@ -1164,6 +1164,18 @@ def flag_nonface_witness_ref(bm):
         del grow
 
 
+def downward_closed_by_subsets(faces):
+    """Downward closure by definition: every subset of every face is a
+    face."""
+    faces = set(faces)
+    return all(
+        frozenset(sub) in faces
+        for f in faces
+        for k in range(len(f))
+        for sub in combinations(f, k)
+    )
+
+
 def flag_by_cliques(faces):
     """Flagness by search: every clique of the 1-skeleton is a face."""
     faces = set(faces)

@@ -535,6 +535,51 @@ def test_flats_spec_round_trips_the_corpus_hosts(capsys, tmp_path):
             assert got[0] == got[1], (family, kind, cmd)
 
 
+def test_spec_and_corpus_agree_on_every_corpus_instance(capsys, tmp_path):
+    """Each `corpus()` instance, written as a spec (its lattice as a `flats`
+    spec, its building set and order listed), gives on `chow --method all`
+    the agreement and answered routes of its `chow --corpus` row, and on
+    `gamma --with-descents --with-complex` the completeness, γ-positivity
+    and descent match of its `gamma --corpus` row."""
+    from chowpoly.corpus import corpus
+
+    rows = {}
+    for cmd in ("chow", "gamma"):
+        code, out = run(capsys, [cmd, "--corpus"])
+        assert code == 0
+        rows[cmd] = json.loads(out)["rows"]
+    for inst, crow, grow in zip(corpus(), rows["chow"], rows["gamma"], strict=True):
+        assert crow["name"] == grow["name"] == inst.name
+        bm = inst.built
+        doc = {
+            "matroid": {
+                "type": "flats",
+                "n": bm.lat.n,
+                "flats": [cli.mask_to_indices(f) for f in bm.lat.flats],
+            },
+            "building_set": cli.masks_to_arrays(bm.bset),
+            "order": list(bm.order),
+        }
+        spec = spec_arg(tmp_path, doc)
+        code, out = run(capsys, ["chow", "--method", "all", "--spec", spec])
+        chow = json.loads(out)
+        assert code == 0, inst.name
+        assert chow["methods_agree"] == crow["agree"], inst.name
+        answered = {k: v is not None for k, v in chow["per_method"].items()}
+        assert answered == crow["methods"], inst.name
+        code, out = run(
+            capsys, ["gamma", "--with-descents", "--with-complex", "--spec", spec]
+        )
+        gamma = json.loads(out)
+        assert code == 0, inst.name
+        got = (
+            gamma["complete"],
+            gamma["gamma_positive"],
+            gamma["match"] if gamma["complete"] else None,
+        )
+        assert got == (grow["complete"], grow["gamma_positive"], grow["descent_match"])
+
+
 SPEC_COMMANDS = [
     ["chow"],
     ["gamma", "--with-descents", "--with-complex"],

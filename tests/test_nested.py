@@ -662,6 +662,8 @@ def test_nested_input_errors_are_typed():
     with pytest.raises(BadParameters):
         completion(b3, {0b001, 0b010})  # two atoms joining into G
     with pytest.raises(BadParameters):
+        compose(b3, {0b011, 0b110}, {})  # two meeting lines joining into G
+    with pytest.raises(BadParameters):
         link_decomposition(b3, {0b001, 0b010})
     with pytest.raises(BadParameters):
         descent_set(b3, {0b001, 0b1000})
@@ -671,7 +673,8 @@ def test_nested_input_errors_are_typed_under_optimize():
     code = (
         "from chowpoly import built_from_matroid, make_boolean, make_uniform\n"
         "from chowpoly.building import delete_element, tl_chain\n"
-        "from chowpoly.nested import completion, is_nested, link_decomposition\n"
+        "from chowpoly.nested import completion, compose, is_nested,"
+        " link_decomposition\n"
         "def kind(fn, *a):\n"
         "    try:\n"
         "        fn(*a)\n"
@@ -683,7 +686,7 @@ def test_nested_input_errors_are_typed_under_optimize():
         "print(kind(is_nested, bm, {0b1000}), kind(completion, bm, {1, 2}),"
         " kind(link_decomposition, bm, {1, 2}), kind(delete_element, bm, 3),"
         " kind(delete_element, bm, -1), kind(tl_chain, bm, 0b011, 0b101),"
-        " kind(tl_chain, um, 0b1, 0b111))\n"
+        " kind(tl_chain, um, 0b1, 0b111), kind(compose, bm, {3, 6}, {}))\n"
     )
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     proc = subprocess.run(
@@ -694,7 +697,7 @@ def test_nested_input_errors_are_typed_under_optimize():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["BadParameters"] * 7
+    assert proc.stdout.split() == ["BadParameters"] * 8
 
 
 def test_stable_counts_b3():
@@ -835,6 +838,28 @@ def test_flag_test_by_masks_matches_clique_search():
         assert flag == oracles.flag_by_cliques(faces), sorted(map(sorted, faces))
         verdicts[flag] += 1
     assert verdicts[True] and verdicts[False]
+
+
+def test_closure_test_by_one_vertex_matches_all_subsets():
+    """gamma_complex decides downward closure by dropping one vertex at a
+    time; the verdict is the all-subsets definition's on every family of
+    nonempty subsets of {1, 2, 3, 4}, with and without the empty face.  The
+    closed ones are the 168 down-sets of the Boolean lattice on four
+    elements (the Dedekind number M(4)): 167 with the empty face, and the
+    empty family."""
+    from chowpoly.nested import _closure_violations
+
+    subsets = [
+        frozenset(c) for k in range(1, 5) for c in combinations((1, 2, 3, 4), k)
+    ]
+    verdicts = Counter()
+    for pick in range(1 << len(subsets)):
+        family = {c for i, c in enumerate(subsets) if pick >> i & 1}
+        for faces in (family, family | {frozenset()}):
+            closed = not _closure_violations(faces)
+            assert closed == oracles.downward_closed_by_subsets(faces), faces
+            verdicts[closed] += 1
+    assert verdicts == Counter({True: 168, False: (2 << len(subsets)) - 168})
 
 
 @pytest.mark.parametrize(
