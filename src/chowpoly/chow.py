@@ -28,8 +28,10 @@ new element, are then also in the order of their earliest.  Every memo key
 is therefore an identity key, and an interval's is read off the climb of
 `building._interval_climb` before the interval is built, so an interval is
 built only when its key misses the memo, and one of rank 1 is not even
-climbed.  The memo gets the same entries and hits as a recursion in the
-given order (proof in `chow_by_deletion`).
+climbed.  The deletion chain M ⊃ M ∖ e ⊃ … is a loop that keeps only the
+current minor and its deletion alive, and fills the memo from the end of
+the chain by suffix sums.  The memo gets the same keys and values as a
+recursion in the given order (proof in `chow_by_deletion`).
 
 chow_by_filtration starts from the built matroid its filtration validated
 on the minimal set (`Filtration.base`, built even when the walk takes no
@@ -164,8 +166,8 @@ def chow_by_deletion(bm):
     identity key, and that of an interval is read off its climb
     (`_climb_key`) before the interval is built.
 
-    The memo gets the entries and the hits it got when the recursion ran
-    in the given order.  The key of a built matroid X is the identity key
+    The memo gets the keys and values it got when the recursion ran in
+    the given order.  The key of a built matroid X is the identity key
     of its relabeled copy X' (`BuiltMatroid.key`), and each minor the
     recursion takes of X' is the relabeled copy of the matching minor of
     X, so the two have one key:
@@ -175,10 +177,13 @@ def chow_by_deletion(bm):
       the order of their earliest elements in X's order, and the matching
       interval of X' in the order of their least elements, which are the
       places of those earliest elements.
-    The recursions thus meet the same keys with the same values, and each
-    key is computed on its first visit and hit on every later one.  Only
-    the order in which S_e is visited can differ, which a sum and a memo
-    of the subtrees' keys do not see.
+    The two routes thus meet the same keys with the same values.  They
+    need not meet them in one order: `_deletion` adds up the S_e terms of
+    a minor before it moves down the chain, where the recursion moved down
+    first, so a key that the recursion found in the memo may be computed
+    here, and the other way round.  Which keys hit, and which intervals
+    get built, can therefore differ; the keys stored and their values
+    cannot, since a key's value is H of its minor.
 
     An interval of rank 1 has H = [1] and one maximal element, and is
     neither climbed nor looked up.  Any other is climbed, and built only
@@ -193,28 +198,47 @@ def chow_by_deletion(bm):
 
 def _deletion(bm, key):
     """`chow_by_deletion` of bm, of the identity order and more than one
-    element, whose memo key is key."""
-    h = _DELETION_MEMO.get(key)
-    if h is not None:
-        return list(h)
-    lat = bm.lat
-    e = bm.n - 1
-    ebit = 1 << e
-    atom_e = lat.flats[lat.atom_of_elem[e]]
-    bmd = delete_element(bm, e)
-    out = [1] if bmd.n == 1 else _deletion(bmd, bmd.key())
-    for f in sorted(bm.bset):
-        if not f & ebit or f == atom_e:
-            continue
-        fd = f & ~ebit  # drop_bit(f, e), e being the last element
-        if not lat.is_flat(fd):
-            continue  # e not a coloop in f
-        h, local_bset = _interval_series(bmd, 0, fd)
-        term = pmul(trange(1, len(maximal(local_bset))), h)
-        if f != lat.full:
-            term = pmul(term, _interval_series(bm, f, lat.full)[0])
-        out = padd(out, term)
-    _DELETION_MEMO[key] = tuple(out)
+    element, whose memo key is key.
+
+    A loop down the deletion chain bm ⊃ bm ∖ e ⊃ …: it adds up the S_e
+    terms of the current minor while only that minor and its deletion are
+    alive, moves to the deletion, and stops at one element or at a memo
+    hit.  H of a minor is then the sum of its terms and those of every
+    minor after it, so the memo is filled from the end of the chain by
+    suffix sums, with the keys and values of the recursion that recursed
+    into the deletion first."""
+    chain = []  # (key, sum of the S_e terms) of each minor left to store
+    while True:
+        h = _DELETION_MEMO.get(key)
+        if h is not None:
+            out = list(h)
+            break
+        lat = bm.lat
+        e = bm.n - 1
+        ebit = 1 << e
+        atom_e = lat.flats[lat.atom_of_elem[e]]
+        bmd = delete_element(bm, e)
+        terms = []
+        for f in sorted(bm.bset):
+            if not f & ebit or f == atom_e:
+                continue
+            fd = f & ~ebit  # drop_bit(f, e), e being the last element
+            if not lat.is_flat(fd):
+                continue  # e not a coloop in f
+            h, local_bset = _interval_series(bmd, 0, fd)
+            term = pmul(trange(1, len(maximal(local_bset))), h)
+            if f != lat.full:
+                term = pmul(term, _interval_series(bm, f, lat.full)[0])
+            terms = padd(terms, term)
+        chain.append((key, terms))
+        bm = bmd
+        if bm.n == 1:
+            out = [1]
+            break
+        key = bm.key()
+    for key, terms in reversed(chain):
+        out = padd(out, terms)
+        _DELETION_MEMO[key] = tuple(out)
     return out
 
 
@@ -499,7 +523,7 @@ def psi_fibers(bm):
         s = completion(bm, supp)
         deg = sum(a for _, a in m)
         fibers.setdefault(s, []).append(deg)
-    stables = dict(stable_descent_sets(bm))
+    stables = {frozenset(f): d for f, d in stable_descent_sets(bm)}
     for s in fibers:
         if s not in stables:
             raise FiberMismatch(("unstable image", sorted(s)))

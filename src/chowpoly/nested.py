@@ -5,8 +5,11 @@ size >= 2 has join outside the building set; `is_nested` decides it by a
 polynomial forest test, and `nested_subsets` is the one walk over nested
 subsets.  Maximal nested sets (facets) are enumerated by a tree recursion
 through rank-1 local intervals, and the stable facets by the same recursion,
-pruned as it goes.  The children a facet can give g are read off the lower
-covers of g, one G-factor set per cover, with no search and no join.  The
+pruned as it goes.  Both give a facet as one tuple of its flats, in the
+pre-order of its forest, so a stable facet is the same tuple in both
+lists; descent sets, the Γ-complex's faces, are frozensets.  The children
+a facet can give g are read off the lower covers of g, one G-factor set
+per cover, with no search and no join.  The
 antichain scan, the pruned child-antichain search, the brute-force subset
 filter and the filter of every facet by its descent data live in the test
 oracles.
@@ -156,7 +159,8 @@ def _child_table(bm, g):
 
 def _subtree_facets(bm, g, memo):
     """All saturated nested subtrees below g (g excluded), each a tuple of
-    its members; memo keeps them per root for one enumeration only."""
+    its members in pre-order; memo keeps them per root for one
+    enumeration only."""
     if g not in memo:
         out = memo[g] = []
         for children, _ in _child_table(bm, g):
@@ -176,6 +180,12 @@ def maximal_nested_sets(bm):
     elements stripped); for irreducible bm each facet has rank(M)-1 elements.
     Reducible inputs are handled per maximal element and recombined.
 
+    Each facet is a tuple of its flats in the pre-order of its forest: a
+    member, then the subtrees of its children, the children in the row
+    order of `_child_table`; the trees of a reducible input follow each
+    other in the order of bm.maxg.  The list is cached, and for
+    irreducible bm it is the top's list of `_subtree_facets`.
+
     Every set built is nested, so none is re-checked.  Take an antichain A
     of size >= 2 in a facet, and p the lowest tree node (or the top flat)
     with elements of A under two of its children, c1 and c2.  The children
@@ -187,7 +197,10 @@ def maximal_nested_sets(bm):
     if "facets" not in cache:
         memo = {}
         parts = [_subtree_facets(bm, m, memo) for m in bm.maxg]
-        cache["facets"] = [frozenset(sum(combo, ())) for combo in product(*parts)]
+        if len(parts) == 1:
+            cache["facets"] = parts[0]  # the list itself: a copy would double it
+        else:
+            cache["facets"] = [sum(combo, ()) for combo in product(*parts)]
     return cache["facets"]
 
 
@@ -419,7 +432,9 @@ def _descent_data(bm, s):
 
 def stable_descent_sets(bm):
     """(facet, descent set) for every stable facet, each once, in the order
-    the recursion below builds them.
+    the recursion below builds them.  The facet is the tuple that
+    `maximal_nested_sets` lists for it, read off the tree in the same
+    pre-order; the descent set is a frozenset.
 
     A facet is a tree: the children of g are the maximal facet elements
     below it, one antichain of `_child_table(bm, g)`, which also fixes λ(g).
@@ -434,7 +449,7 @@ def stable_descent_sets(bm):
     stable and every stable subtree is built, once, so no unstable facet is
     listed.  A subtree is the node (g, g is a descent, child subtrees),
     which shares its children with every other subtree built on them; each
-    stable facet is read off its tree once, at the end.
+    stable facet is read off its tree once, at the end, in pre-order.
 
     The pairs are cached, so the descent formula, the Γ-complex and the
     ψ-fibers share one recursion.  The result is the cached tuple itself."""
@@ -464,14 +479,14 @@ def stable_descent_sets(bm):
         pairs = []
         for _, _, combo in trees:
             flats, descents = [], []
-            stack = list(combo)
+            stack = list(reversed(combo))
             while stack:
                 g, desc, sub = stack.pop()
                 flats.append(g)
                 if desc:
                     descents.append(g)
-                stack.extend(sub)
-            pairs.append((frozenset(flats), frozenset(descents)))
+                stack.extend(reversed(sub))
+            pairs.append((tuple(flats), frozenset(descents)))
         cache["stable"] = tuple(pairs)
     return cache["stable"]
 

@@ -1,6 +1,8 @@
 """Conversions between the package's bitmask world and the oracles'
-frozenset world, plus a few instance builders shared across test modules."""
+frozenset world, plus a few instance builders and a tracemalloc probe
+shared across test modules."""
 
+import tracemalloc
 from functools import cache
 
 from chowpoly import (
@@ -13,6 +15,19 @@ from chowpoly import (
     make_uniform,
 )
 from chowpoly.lattice import bits, lattice_of_flats
+
+
+def traced_peak(fn):
+    """(live, peak) bytes under tracemalloc for a call of fn: what is still
+    allocated when it returns, its result included, and the most that was
+    allocated at once during the call."""
+    tracemalloc.start()
+    try:
+        result = fn()  # held while live is read, so that live counts it
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return live, peak
 
 
 def mask_of(elems):

@@ -14,7 +14,7 @@ from itertools import combinations
 import pytest
 
 import oracles
-from helpers import b4_flag_built, mask_of, masks_of, set_of, sets_of
+from helpers import b4_flag_built, mask_of, masks_of, set_of, sets_of, traced_peak
 
 from chowpoly.building import BuiltMatroid, flag_nonface_witness, g_min, is_complete
 from chowpoly.chow import fy_monomials, psi_fiber_of
@@ -248,11 +248,11 @@ def test_facet_goldens():
 
 
 def test_facets_match_the_frozenset_union_enumerator():
-    """The tuple-carrying enumerator returns the list of the one that built
-    a frozenset per subtree (`oracles.maximal_nested_sets_ref`), element
-    for element and in its order, on every corpus instance, the reducible
-    ones (several maximal elements, some of them atoms) included, and on
-    Π6|min, B5|max, U(4,7)|max and U(5,11)|max."""
+    """The tuple-carrying enumerator lists, as sets, the facets of the one
+    that built a frozenset per subtree (`oracles.maximal_nested_sets_ref`),
+    element for element and in its order, on every corpus instance, the
+    reducible ones (several maximal elements, some of them atoms)
+    included, and on Π6|min, B5|max, U(4,7)|max and U(5,11)|max."""
     from chowpoly.corpus import corpus
 
     cases = [inst.built for inst in corpus()] + [
@@ -263,7 +263,8 @@ def test_facets_match_the_frozenset_union_enumerator():
     ]
     kinds = Counter()
     for bm in cases:
-        assert maximal_nested_sets(bm) == oracles.maximal_nested_sets_ref(bm), bm
+        got = [frozenset(s) for s in maximal_nested_sets(bm)]
+        assert got == oracles.maximal_nested_sets_ref(bm), bm
         lat = bm.lat
         kinds["reducible"] += not bm.irreducible
         kinds["atom top"] += any(lat.rank_of(m) == 1 for m in bm.maxg)
@@ -273,22 +274,16 @@ def test_facets_match_the_frozenset_union_enumerator():
 def test_facet_enumeration_peak_memory_stays_near_its_result():
     """On U(5,11)|max the traced peak while the facets are listed is at
     most twice what stays live after the call: subtrees are carried as
-    tuples, and each facet is one frozenset.  The enumerator that built a
-    frozenset per subtree peaked at 4.3 times."""
-    import tracemalloc
-
+    tuples, and the facets are the top's list of them, with no copy.  The
+    enumerator that built a frozenset per subtree peaked at 4.3 times, and
+    a copy of the top's list would peak at about 2.2 times."""
     from chowpoly.nested import _child_table
 
     bm = built_from_matroid(make_uniform(5, 11), "max")
     for g in bm.bset:
         _child_table(bm, g)
-    tracemalloc.start()
-    try:
-        facets = maximal_nested_sets(bm)
-        live, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(facets) == 7920
+    live, peak = traced_peak(lambda: maximal_nested_sets(bm))
+    assert len(maximal_nested_sets(bm)) == 7920  # the cached list
     assert peak <= 2 * live, (peak, live)
 
 
@@ -640,6 +635,41 @@ def test_stable_descent_sets_match_facet_filter_reference():
         assert set(got) == set(oracles.stable_descent_sets_ref(bm)), name
         pairs += len(got)
     assert pairs > 2000
+
+
+def test_one_facet_one_tuple():
+    """Every facet is one tuple, in the pre-order of its forest: each
+    member comes after its parent (the least member above it), and every
+    member listed between the two lies under that parent.  No two facets
+    give one tuple, and each stable facet is the same tuple in the facet
+    list as in `stable_descent_sets`.  Every irreducible corpus instance,
+    in its own order and reversed, and Π6|min."""
+    from chowpoly.corpus import corpus
+
+    cases = []
+    for inst in corpus():
+        bm = inst.built
+        if bm.irreducible:
+            reversed_ = type(bm)(bm.lat, bm.bset, tuple(reversed(bm.order)))
+            cases += [(inst.name, bm), (inst.name + " reversed", reversed_)]
+    cases.append(("Pi6|min", built_from_matroid(make_partition(6), "min")))
+    stables = 0
+    for name, bm in cases:
+        facets = maximal_nested_sets(bm)
+        assert len({frozenset(s) for s in facets}) == len(facets), name
+        for s in facets:
+            at = {g: i for i, g in enumerate(s)}
+            for g in s:
+                above = [h for h in s if h != g and g & ~h == 0]
+                if above:  # a chain, so its least member has the fewest bits
+                    p = min(above, key=int.bit_count)
+                    assert at[p] < at[g], (name, s)
+                    assert all(h & ~p == 0 for h in s[at[p] : at[g]]), (name, s)
+        listed = set(facets)
+        for s, _ in stable_descent_sets(bm):
+            assert s in listed, (name, s)
+            stables += 1
+    assert stables == 1451 + 1499 + 84  # own orders, reversed, Π6|min
 
 
 def test_descent_error_raises():
