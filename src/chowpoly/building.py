@@ -153,31 +153,11 @@ class BuiltMatroid:
 
     def relabeled(self):
         """This built matroid with element order[i] renamed i, so that its
-        order is the identity: one remap of the flats, the building set
-        and covers_up.  Ranks are kept, each rank is sorted again by the
-        new masks, and each cover list by the new indices, as
-        `GeomLattice._build_covers` yields them, so the new lattice is
-        read off through `GeomLattice._derived` with no rescan."""
-        lat, pos = self.lat, self.pos
-        new = []
-        for f in lat.flats:
-            mask = 0
-            for e in bits(f):
-                mask |= 1 << pos[e]
-            new.append(mask)
-        ranks = lat.ranks
-        perm = sorted(range(len(new)), key=lambda i: (ranks[i], new[i]))
-        at = [0] * len(perm)
-        for k, i in enumerate(perm):
-            at[i] = k
-        sub = GeomLattice._derived(
-            self.n,
-            [new[i] for i in perm],
-            [ranks[i] for i in perm],
-            [sorted(at[j] for j in lat.covers_up[i]) for i in perm],
-        )
-        bset = frozenset(new[lat.idx[g]] for g in self.bset)
-        return BuiltMatroid(sub, bset, validate=False)
+        order is the identity: `_interval_build` of the climb of [0, 1̂]
+        with each element labelled by its position in the order."""
+        lat = self.lat
+        climb = _interval_climb(lat, self.bset, 0, lat.full, self.pos)
+        return _interval_build(lat, self.order, climb)[0]
 
     def __eq__(self, other):
         return (
@@ -207,7 +187,8 @@ def _interval(lat, bset, order, bottom, top):
       that each one takes in.
 
     Restriction is [0, F], contraction [F, 1̂], a local interval of a nested
-    set [J^g, g], and simplification [0, 1̂] of a non-simple lattice.
+    set [J^g, g], and simplification [0, 1̂] of a non-simple lattice;
+    `BuiltMatroid.relabeled` builds [0, 1̂] with labels of its own.
     Returns (built, to_local), where to_local maps every flat of the
     interval to its local mask.
 
@@ -234,19 +215,25 @@ def _interval(lat, bset, order, bottom, top):
     return _interval_build(lat, order, _interval_climb(lat, bset, bottom, top))
 
 
-def _interval_climb(lat, bset, bottom, top):
+def _interval_climb(lat, bset, bottom, top, label=None):
     """The first half of `_interval`: (n, label, local, reached,
     local_bset), with n the number of new elements, label the new label of
     each element of top ∖ bottom, local the local mask of each flat of the
     interval by lattice index, reached those indices as the climb met
-    them, bottom first, and local_bset the induced set as local masks."""
+    them, bottom first, and local_bset the induced set as local masks.
+
+    A caller may hand over its own label, a bijection from the covers of
+    bottom below top onto 0..n-1 that labels each cover's elements alike;
+    `BuiltMatroid.relabeled` labels the elements of a simple lattice by
+    their positions in its order."""
     flats, covers_up = lat.flats, lat.covers_up
     ib = lat.idx[bottom]
     parts = sorted(
         (flats[j] & ~bottom for j in covers_up[ib] if flats[j] & ~top == 0),
         key=lambda d: d & -d,
     )
-    label = {e: k for k, d in enumerate(parts) for e in bits(d)}
+    if label is None:
+        label = {e: k for k, d in enumerate(parts) for e in bits(d)}
     local = {ib: 0}  # index of a flat of the interval -> its local mask
     reached = [ib]
     for i in reached:  # grows as it goes: a breadth-first climb from bottom
@@ -466,7 +453,16 @@ def complete_witness(bm):
     """The first building-set element (by mask) whose bottom chain leaves
     the set, with the first flat of that chain outside it, or None if the
     built matroid is complete."""
-    for g in sorted(bm.bset):
+    return _complete_witness(bm, sorted(bm.bset))
+
+
+def _complete_witness(bm, members):
+    """`complete_witness` over members, building-set elements in mask
+    order.  For the members below a maximal element m it decides the
+    restriction [0, m]: a bottom chain of bm below m is that of the
+    restriction, whose order is bm.order restricted to m, and it leaves
+    the induced set where it leaves bm.bset."""
+    for g in members:
         for x in tl_chain(bm, 0, g)[1:]:
             if x not in bm.bset:
                 return g, x

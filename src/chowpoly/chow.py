@@ -39,6 +39,11 @@ step), carries the maximal elements along the walk, and counts each local interv
 (`_climb_key`), which fixes the link up to the order of its elements, so
 a link is built only when its key is new to the call.
 
+gamma_by_descents_factored multiplies, over the maximal building-set
+elements m, the descent polynomials of the stable pairs below m
+(`nested._stable_pairs`), read in place; gamma_by_descents is its one
+factor on irreducible input.
+
 toric_hilbert_oracle stays in integers.  The linear forms are e_i - e_b0
 with b0 the least element of i's block of max G, so each pairs with a ray
 as 0 or +-1.  Face monomials of degree d extend those of degree d - 1 by
@@ -78,9 +83,9 @@ from .errors import (
 from .lattice import bits, maximal
 from .nested import (
     _link_bounds,
+    _stable_pairs,
     completion,
     descent_set,
-    factor_restrictions,
     is_nested,
     nested_subsets,
     stable_descent_sets,
@@ -476,29 +481,28 @@ def _add_row(pivots, row):
 def gamma_by_descents(bm):
     """Sum of t^des over stable maximal nested sets, padded to the canonical
     γ-vector length floor(deg/2)+1 with deg = rank - 1.  Equals the
-    γ-expansion of the Chow polynomial exactly when bm is complete."""
+    γ-expansion of the Chow polynomial exactly when bm is complete.  It is
+    `gamma_by_descents_factored` of the one maximal element, the top flat."""
     if not bm.irreducible:
         raise NotIrreducible("the descent formula needs an irreducible built matroid")
-    out = [0] * ((bm.rank - 1) // 2 + 1)
-    for _, d in stable_descent_sets(bm):
-        out[len(d)] += 1
-    return out
+    return gamma_by_descents_factored(bm)
 
 
 def gamma_by_descents_factored(bm):
-    """Descent formula extended to reducible built matroids: apply it to the
-    restriction to each maximal building-set element and multiply (a direct
-    sum's stable facets are tuples of factor stable facets, descents add).
-    Padded to the canonical γ length for deg = rank - |max G|."""
+    """Descent formula extended to reducible built matroids: the product,
+    over the maximal building-set elements m, of the sum of t^des over the
+    stable pairs below m (`nested._stable_pairs`, the pairs of the
+    restriction [0, m]); a direct sum's stable facets are tuples of factor
+    stable facets, and descents add.  Padded to the canonical γ length for
+    deg = rank - |max G|."""
     out = [1]
-    if bm.irreducible:
-        out = gamma_by_descents(bm)
-    else:
-        for factor in factor_restrictions(bm):
-            out = pmul(out, gamma_by_descents(factor))
+    for m in bm.maxg:
+        counts = [0] * ((bm.lat.rank_of(m) - 1) // 2 + 1)
+        for _, d in _stable_pairs(bm, m):
+            counts[len(d)] += 1
+        out = pmul(out, counts)
     want = (bm.rank - len(bm.maxg)) // 2 + 1
-    out = list(out) + [0] * (want - len(out))
-    return out
+    return out + [0] * (want - len(out))
 
 
 def _expected_fiber(des, rank):

@@ -69,7 +69,7 @@ from .lattice import (
     validate_modular_cut,
     validate_rank_axioms,
 )
-from .nested import balanced_check, complex_stats, gamma_complex, gamma_fvector
+from .nested import balanced_check, gamma_fvector
 from .polynomials import (
     gamma_expansion,
     is_gamma_positive,
@@ -333,16 +333,17 @@ def _dense_counts(counts):
 
 
 def _complex_payload(bm):
+    """The Γ-complex of bm: `gamma_fvector`'s f-vector, padded to γ's
+    length, and its reports; irreducible input also lists the complex."""
+    f, reps = gamma_fvector(bm)
     if not bm.irreducible:
-        f, reps = gamma_fvector(bm)
         return {
             "factored": True,
             "f_vector": f,
             "complete": all(r.complete for r in reps),
             "downward_closed": all(r.downward_closed for r in reps),
         }
-    rep = gamma_complex(bm)
-    f, _, _, _ = complex_stats(rep.complex)
+    (rep,) = reps
     return {
         "factored": False,
         "vertices": masks_to_arrays(rep.complex.vertices),
@@ -350,7 +351,7 @@ def _complex_payload(bm):
             masks_to_arrays(face)
             for face in sorted(rep.complex.faces, key=lambda s: (len(s), sorted(s)))
         ],
-        "f_vector": list(f),
+        "f_vector": f,
         "complete": rep.complete,
         "downward_closed": rep.downward_closed,
         "balanced": balanced_check(bm, rep.complex),
@@ -391,8 +392,8 @@ def cmd_gamma(args, bm):
 def _gamma_row(inst):
     """A complete instance passes when γ is positive, the descent formula
     equals γ and the Γ-complex is downward closed with f-vector γ (padded
-    with zeros); a G_max instance, complete and irreducible in every order,
-    also needs a balanced Γ-complex."""
+    with zeros by `gamma_fvector`); a G_max instance, complete and
+    irreducible in every order, also needs a balanced Γ-complex."""
     complete = is_complete(inst.built)
     out = _gamma(inst.built, complete, complete)
     row = {
@@ -406,9 +407,8 @@ def _gamma_row(inst):
     ok = True
     if complete:
         gam, cx = out["gamma"], out["complex"]
-        f = cx["f_vector"] + [0] * (len(gam) - len(cx["f_vector"]))
         row["descent_match"] = out["match"]
-        row["complex_ok"] = cx["downward_closed"] and f == gam
+        row["complex_ok"] = cx["downward_closed"] and cx["f_vector"] == gam
         ok = row["gamma_positive"] and row["descent_match"] and row["complex_ok"]
     if inst.bset_kind == "max":
         row["balanced"] = out["complex"]["balanced"]

@@ -207,29 +207,23 @@ class GeomLattice:
 
     def _build_covers(self):
         self.covers_up = [[] for _ in self.flats]
+        flats = self.flats
         for r in range(self.rk):
             # a cover of f contains all of f: scan those through f's rarest element
             uppers = self.by_rank[r + 1]
             through = [[] for _ in range(self.n)]
             for j in uppers:
-                for e in bits(self.flats[j]):
+                for e in bits(flats[j]):
                     through[e].append(j)
             for i in self.by_rank[r]:
-                f = reached = self.flats[i]
-                for j in min((through[e] for e in bits(f)), key=len, default=uppers):
-                    g = self.flats[j]
-                    if f & ~g:
-                        continue
-                    if g & ~f & reached:
-                        e = next(bits(g & ~f & reached))
-                        raise InvalidMatroid(
-                            f"element {e} above flat {f:b} in two covers"
-                        )
-                    self.covers_up[i].append(j)
-                    reached |= g
-                if reached != self.full:
-                    e = next(bits(self.full & ~reached))
-                    raise InvalidMatroid(f"no cover of flat {f:b} through element {e}")
+                f = flats[i]
+                ups = [
+                    j
+                    for j in min((through[e] for e in bits(f)), key=len, default=uppers)
+                    if f & ~flats[j] == 0
+                ]
+                _check_covers(f, [flats[j] for j in ups], self.full)
+                self.covers_up[i] = ups
 
     # -- basic queries ------------------------------------------------------
 
@@ -437,7 +431,8 @@ def lattice_of_flats(m):
 def _check_covers(f, ups, full):
     """Raise InvalidMatroid unless ups, the covers of the flat f, each
     strictly contain f inside the ground set full, are disjoint beyond f
-    and have union full: the cover checks of `GeomLattice._build_covers`."""
+    and have union full: the cover checks of `GeomLattice._build_covers`
+    and of `lattice_of_flats`."""
     reached = f
     for g in ups:
         if f & ~g or g == f or g & ~full:

@@ -9,10 +9,16 @@ pruned as it goes.  Both give a facet as one tuple of its flats, in the
 pre-order of its forest, so a stable facet is the same tuple in both
 lists; descent sets, the Γ-complex's faces, are frozensets.  The children
 a facet can give g are read off the lower covers of g, one G-factor set
-per cover, with no search and no join.  The
-antichain scan, the pruned child-antichain search, the brute-force subset
-filter and the filter of every facet by its descent data live in the test
-oracles.
+per cover, with no search and no join.
+
+A reducible built matroid is handled in place, one maximal building-set
+element m at a time: the facets, the stable pairs and the Γ-complex below
+m are those of the restriction [0, m], in the flats of bm, because the
+walks read only the flats below m and compare positions in bm.order.  No
+restricted copy is built.  The antichain scan, the pruned child-antichain
+search, the brute-force subset filter, the filter of every facet by its
+descent data and the route through one restricted copy per maximal
+element live in the test oracles.
 """
 
 from dataclasses import dataclass
@@ -21,9 +27,8 @@ from math import comb
 
 from .building import (
     BuiltMatroid,
+    _complete_witness,
     _interval,
-    is_complete,
-    restrict,
     tl_chain,
 )
 from .errors import (
@@ -431,10 +436,19 @@ def _descent_data(bm, s):
 
 
 def stable_descent_sets(bm):
-    """(facet, descent set) for every stable facet, each once, in the order
-    the recursion below builds them.  The facet is the tuple that
-    `maximal_nested_sets` lists for it, read off the tree in the same
-    pre-order; the descent set is a frozenset.
+    """(facet, descent set) for every stable facet, each once: `_stable_pairs`
+    below the top flat.  The result is the cached tuple itself."""
+    if not bm.irreducible:
+        raise NotIrreducible("descents need an irreducible built matroid")
+    return _stable_pairs(bm, bm.lat.full)
+
+
+def _stable_pairs(bm, m):
+    """(facet, descent set) for every stable facet of the interval [0, m]
+    of a maximal building-set element m, each once, in the order the
+    recursion below builds them.  The facet is the tuple that
+    `maximal_nested_sets` lists for it below m, read off the tree in the
+    same pre-order; the descent set is a frozenset.
 
     A facet is a tree: the children of g are the maximal facet elements
     below it, one antichain of `_child_table(bm, g)`, which also fixes λ(g).
@@ -444,19 +458,21 @@ def stable_descent_sets(bm):
     the tree of `_subtree_facets` with the state (g, p) and returns the
     stable subtrees below g, memoised on (g, p).  Under a descent it drops
     every choice of subtrees whose roots are all descents: a double, or a
-    bottom when there are no children.  The top flat, which is never a
+    bottom when there are no children.  The root m, which is never a
     descent, starts with p past every position.  Every subtree it keeps is
     stable and every stable subtree is built, once, so no unstable facet is
     listed.  A subtree is the node (g, g is a descent, child subtrees),
     which shares its children with every other subtree built on them; each
     stable facet is read off its tree once, at the end, in pre-order.
 
-    The pairs are cached, so the descent formula, the Γ-complex and the
-    ψ-fibers share one recursion.  The result is the cached tuple itself."""
-    if not bm.irreducible:
-        raise NotIrreducible("descents need an irreducible built matroid")
+    The walk reads only the flats below m and compares positions in
+    bm.order, whose restriction to m is the order of the restriction
+    [0, m]: its pairs are those of that restriction, in the flats of bm,
+    with no restricted copy built.  The pairs are cached per m, so the
+    descent formula, the Γ-complex and the ψ-fibers share one recursion."""
     cache = bm._nested_cache
-    if "stable" not in cache:
+    key = "stable", m
+    if key not in cache:
         memo = {}
 
         def go(g, p):
@@ -472,8 +488,7 @@ def stable_descent_sets(bm):
             return memo[g, p]
 
         try:
-            (top,) = bm.maxg
-            trees = go(top, bm.n)
+            trees = go(m, bm.n)
         finally:
             del go  # go refers to itself; without this the cycle keeps bm alive
         pairs = []
@@ -487,22 +502,12 @@ def stable_descent_sets(bm):
                     descents.append(g)
                 stack.extend(reversed(sub))
             pairs.append((tuple(flats), frozenset(descents)))
-        cache["stable"] = tuple(pairs)
-    return cache["stable"]
+        cache[key] = tuple(pairs)
+    return cache[key]
 
 
 def stable_maximal_nested_sets(bm):
     return [s for s, _ in stable_descent_sets(bm)]
-
-
-def factor_restrictions(bm):
-    """restrict(bm, g) for every maximal building-set element g, cached next
-    to the facets, so that the descent formula and the Γ-complex of a
-    reducible input share one descent pass per factor."""
-    cache = bm._nested_cache
-    if "factors" not in cache:
-        cache["factors"] = tuple(restrict(bm, g) for g in bm.maxg)
-    return cache["factors"]
 
 
 # ---------------------------------------------------------------------------
@@ -526,28 +531,34 @@ def gamma_complex(bm):
 
     Complete instances yield a downward-closed complex whose f-vector is the
     γ-vector; on incomplete input this still computes, with the defects
-    reported in the result instead of raised.
+    reported in the result instead of raised.  It is `_gamma_report` below
+    the top flat.
     """
     if not bm.irreducible:
         raise NotIrreducible("the Γ-complex needs an irreducible built matroid")
+    return _gamma_report(bm, bm.lat.full)
+
+
+def _gamma_report(bm, m):
+    """The Γ-complex of the interval [0, m] of a maximal building-set
+    element m, in the flats of bm: its members, its bottom chain and its
+    stable pairs are those of bm below m."""
     lat = bm.lat
-    complete = is_complete(bm)
-    chain0 = set(tl_chain(bm, 0, lat.full)[1:])
+    members = sorted(g for g in bm.bset if g & ~m == 0)
+    chain0 = set(tl_chain(bm, 0, m)[1:])
     vertices = tuple(
-        sorted(
-            g for g in bm.bset if g not in chain0 and lat.rank_of(g) != 1
-        )
+        g for g in members if g not in chain0 and lat.rank_of(g) != 1
     )
     counts = {}
     faces = set()
-    for _, d in stable_descent_sets(bm):
+    for _, d in _stable_pairs(bm, m):
         faces.add(d)
         counts[len(d)] = counts.get(len(d), 0) + 1
     violations = _closure_violations(faces)
     used = set().union(*faces) if faces else set()
     return GammaComplexReport(
         complex=SimplicialComplex(vertices=vertices, faces=frozenset(faces)),
-        complete=complete,
+        complete=_complete_witness(bm, members) is None,
         downward_closed=not violations,
         closure_violations=violations,
         unused_vertices=tuple(sorted(set(vertices) - used)),
@@ -574,13 +585,11 @@ def gamma_fvector(bm):
     """f-vector of the Γ-complex as a coefficient list, together with the
     per-factor reports.
 
-    Irreducible input gives one report; reducible input factors into the
-    maximal building-set elements (the complex of a direct sum is the join of
-    the factor complexes, so the f-polynomial is the product)."""
-    if bm.irreducible:
-        reps = [gamma_complex(bm)]
-    else:
-        reps = [gamma_complex(f) for f in factor_restrictions(bm)]
+    One report per maximal building-set element m, `_gamma_report(bm, m)`:
+    irreducible input gives one, and the complex of a direct sum is the
+    join of the factor complexes, so the f-polynomial is the product.  The
+    f-vector is padded with zeros to the γ length (rank - |max G|)//2 + 1."""
+    reps = [_gamma_report(bm, m) for m in bm.maxg]
     out = [1]
     for rep in reps:
         out = pmul(out, list(complex_stats(rep.complex)[0]))

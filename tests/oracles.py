@@ -595,6 +595,44 @@ def stable_descent_sets_ref(bm):
     return tuple(pairs)
 
 
+def _restrictions_to_maxg(bm):
+    """`building.restrict(bm, m)` for every maximal building-set element m:
+    each a standalone built matroid with its own lattice, G-factor table
+    and child table."""
+    from chowpoly.building import restrict
+
+    return [restrict(bm, m) for m in bm.maxg]
+
+
+def gamma_by_descents_by_restriction(bm):
+    """`chow.gamma_by_descents_factored` by the route it replaced: the
+    descent formula of each restricted copy `_restrictions_to_maxg`,
+    multiplied, padded to the γ length (rank - |max G|)//2 + 1."""
+    from chowpoly.chow import gamma_by_descents
+    from chowpoly.polynomials import pmul
+
+    out = [1]
+    for factor in _restrictions_to_maxg(bm):
+        out = pmul(out, gamma_by_descents(factor))
+    want = (bm.rank - len(bm.maxg)) // 2 + 1
+    return out + [0] * (want - len(out))
+
+
+def gamma_fvector_by_restriction(bm):
+    """`nested.gamma_fvector` by the route it replaced: (f, reports) with
+    one `gamma_complex` report per restricted copy, in the local flats of
+    that copy, and f the product of their f-vectors, padded as γ is."""
+    from chowpoly.nested import complex_stats, gamma_complex
+    from chowpoly.polynomials import pmul
+
+    reps = [gamma_complex(factor) for factor in _restrictions_to_maxg(bm)]
+    out = [1]
+    for rep in reps:
+        out = pmul(out, list(complex_stats(rep.complex)[0]))
+    want = (bm.rank - len(bm.maxg)) // 2 + 1
+    return out + [0] * (want - len(out)), reps
+
+
 def descents_have_rank1_local(bm, descents):
     """Whether the descent set, viewed as a nested set, has a local interval
     of rank 1.

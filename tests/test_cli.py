@@ -615,6 +615,25 @@ def test_modular_cut_that_is_not_a_list_exits_2(capsys, tmp_path):
     assert capsys.readouterr().out == ""
 
 
+def test_complex_f_vector_has_the_length_of_gamma(capsys, tmp_path):
+    """`gamma --with-complex` pads the Γ-complex f-vector with zeros to the
+    length of γ, for irreducible and reducible input alike: on every corpus
+    instance, and through the CLI on U(3,4)|min, whose Γ-complex is the
+    empty face alone next to γ = [1, -1]."""
+    from chowpoly.corpus import corpus
+
+    for inst in corpus():
+        out = cli._gamma(inst.built, False, True)
+        assert len(out["complex"]["f_vector"]) == len(out["gamma"]), inst.name
+    doc = {"matroid": {"type": "uniform", "r": 3, "n": 4}, "building_set": "min"}
+    code, out = run(
+        capsys, ["gamma", "--with-complex", "--spec", spec_arg(tmp_path, doc)]
+    )
+    got = json.loads(out)
+    assert code == 0 and got["gamma"] == [1, -1]
+    assert got["complex"]["f_vector"] == [1, 0] and got["complex"]["faces"] == [[]]
+
+
 def test_gamma_corpus_matrix(capsys):
     code, out = run(capsys, ["gamma", "--corpus"])
     assert code == 0

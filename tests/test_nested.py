@@ -558,8 +558,11 @@ def test_descent_set_matches_join_loop_reference():
 
 def test_stable_pairs_are_built_once_per_built_matroid(monkeypatch):
     """The descent formula, the Γ-complex and the ψ-fibers share one build
-    of the stable pairs per built matroid, and none of them lists the
-    facets."""
+    of the stable pairs per maximal element of a built matroid, and none of
+    them lists the facets.  On a direct sum they read the pairs below each
+    maximal element in place, and build no interval."""
+    import chowpoly.building as building
+    import chowpoly.chow as chow
     import chowpoly.nested as nested
     from chowpoly.chow import (
         gamma_by_descents,
@@ -588,7 +591,7 @@ def test_stable_pairs_are_built_once_per_built_matroid(monkeypatch):
     rep = gamma_complex(bm)
     psi_fibers(bm)
     stable = stable_maximal_nested_sets(bm)
-    assert bm._nested_cache.filled["stable"] == 1
+    assert bm._nested_cache.filled["stable", bm.lat.full] == 1
     assert "facets" not in bm._nested_cache.filled
     assert sorted(rep.descent_counts.items()) == list(enumerate(gamma))
     stable.clear()  # callers get a fresh list, not the cache
@@ -599,13 +602,23 @@ def test_stable_pairs_are_built_once_per_built_matroid(monkeypatch):
     blocks = (0b000111, 0b111000)
     bset = frozenset(f for f in b6.flats if f and any(f & ~b == 0 for b in blocks))
     red = BuiltMatroid(b6, bset)
+    builds = Counter()
+    interval_build = building._interval_build
+
+    def counting_build(*args):
+        builds["_interval_build"] += 1
+        return interval_build(*args)
+
+    monkeypatch.setattr(building, "_interval_build", counting_build)
+    monkeypatch.setattr(chow, "_interval_build", counting_build)
     gamma_by_descents_factored(red)
-    gamma_fvector(red)
-    factors = nested.factor_restrictions(red)
-    assert red._nested_cache.filled["factors"] == 1
-    assert [f._nested_cache.filled["stable"] for f in factors] == [1, 1]
-    assert not any("facets" in f._nested_cache.filled for f in factors)
-    assert [len(stable_descent_sets(f)) for f in factors] == [3, 3]
+    f, reps = gamma_fvector(red)
+    assert builds["_interval_build"] == 0
+    assert red.maxg == blocks
+    assert [red._nested_cache.filled["stable", m] for m in blocks] == [1, 1]
+    assert "facets" not in red._nested_cache.filled
+    assert [len(nested._stable_pairs(red, m)) for m in blocks] == [3, 3]
+    assert [len(r.complex.faces) for r in reps] == [3, 3] and f == [1, 4, 4]
 
 
 def test_stable_descent_sets_match_facet_filter_reference():
@@ -766,6 +779,55 @@ def test_gamma_complex_rank_two():
 def test_gamma_complex_requires_irreducible():
     with pytest.raises(NotIrreducible):
         gamma_complex(built_from_matroid(make_boolean(3), "min"))
+
+
+def test_direct_sums_match_the_restriction_route():
+    """The descent formula and the Γ-complex of a reducible built matroid,
+    read below each maximal element in place, against one restricted copy
+    per maximal element (`oracles.gamma_fvector_by_restriction`): every
+    reducible corpus instance and Π4 ⊕ Π4 (two disjoint K4s) with G_min
+    and G_max, each in its own order, reversed and in three seeded orders.
+    The reports agree on completeness and closure, and their complexes are
+    equal once each flat below m is renumbered as its restriction
+    renumbers it."""
+    from chowpoly.chow import gamma_by_descents_factored
+    from chowpoly.corpus import corpus
+    from chowpoly.families import braid_edges, make_graphic
+
+    k4 = braid_edges(4)
+    two_k4 = make_graphic(k4 + [(a + 4, b + 4) for a, b in k4])
+    bases = [inst.built for inst in corpus() if not inst.built.irreducible]
+    bases += [built_from_matroid(two_k4, kind) for kind in ("min", "max")]
+    cases = []
+    for bm in bases:
+        orders = [bm.order, tuple(reversed(bm.order))]
+        for seed in range(3):
+            order = list(bm.order)
+            random.Random(seed).shuffle(order)
+            orders.append(tuple(order))
+        cases += [BuiltMatroid(bm.lat, bm.bset, order) for order in orders]
+    assert len(cases) == 305
+    for bm in cases:
+        where = (sorted(bm.bset), bm.order)
+        assert gamma_by_descents_factored(
+            bm
+        ) == oracles.gamma_by_descents_by_restriction(bm), where
+        f, reps = gamma_fvector(bm)
+        f_ref, reps_ref = oracles.gamma_fvector_by_restriction(bm)
+        assert f == f_ref, where
+        for m, rep, ref in zip(bm.maxg, reps, reps_ref, strict=True):
+            assert (rep.complete, rep.downward_closed) == (
+                ref.complete,
+                ref.downward_closed,
+            ), where
+            emap = oracles._compress_map(m)
+            local = {g: oracles._remap_mask(g, emap) for g in bm.bset if g & ~m == 0}
+            verts = rep.complex.vertices
+            used = set().union(*rep.complex.faces)
+            assert set(verts) | used <= local.keys(), where  # bm's flats below m
+            assert {local[v] for v in verts} == set(ref.complex.vertices), where
+            faces = {frozenset(local[g] for g in face) for face in rep.complex.faces}
+            assert faces == set(ref.complex.faces), where
 
 
 def test_gamma_fvector_factored():
