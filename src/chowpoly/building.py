@@ -621,7 +621,7 @@ def _removal_chain(bm, small, pick):
     pick returns None or (g, `_removable(lat, cur, g)`), whose tops are the
     factors of g in cur minus g.  Only small, which is caller input, is
     validated, as the built matroid `Filtration.base`: pick returns only
-    elements `_removable` accepts, so by the proof in `is_removable` every
+    elements `_removable` accepts, so by the proof in `_removable` every
     set of the chain is a building set."""
     lat = bm.lat
     small = frozenset(small)
@@ -644,8 +644,24 @@ def _removal_chain(bm, small, pick):
 
 def _removable(lat, bset, g):
     """The maximal elements of bset strictly below g, as a tuple, when bset
-    minus g is still a building set, and None otherwise.  bset is a
-    building set that contains g (criterion and proof in `is_removable`)."""
+    minus g is still a building set, and None otherwise.
+
+    Requires bset to be a building set that contains g.  Then g is
+    removable iff the maximal elements of bset strictly below g are
+    pairwise disjoint and split g, the test of `lattice.splits` (the local
+    criterion of Feichtner–Kozlov).  Removing g keeps every irreducible
+    flat iff g is reducible, and keeps join-closure iff those maximal
+    elements are disjoint:
+    - a pair a, b of bset − {g} that breaks join-closure has a ∨ b = g,
+      because bset is join-closed;
+    - if the maximal elements below g are disjoint, two meeting elements
+      below g lie under one of them, m, and join inside [0, m]: no such pair;
+    - if two of them, m1 and m2, meet, then m1 ∨ m2 is in bset, ≤ g and
+      strictly above both, so it is g by maximality: removing g breaks them.
+    With disjoint maximal elements, g is reducible iff they split g.  If
+    they split g, g is their direct sum (`_g_factor_table`).  If g is
+    reducible, bset − {g} is a building set by the above, and its
+    G-factors of g, which are those maximal elements, split g."""
     # Descending size: an element is maximal below g iff no earlier maximal
     # element contains it.  Disjoint maximal elements make `union` an exact
     # test for meeting one of them.
@@ -664,29 +680,6 @@ def _removable(lat, bset, g):
     return tuple(tops) if splits(lat, lat.idx[g], tops) else None
 
 
-def is_removable(bm, g):
-    """Whether bset minus g is still a building set.
-
-    Requires bm.bset to be a building set.  Then g is removable iff the
-    maximal elements of bm.bset strictly below g are pairwise disjoint and
-    split g, the test of `lattice.splits` (the local criterion of
-    Feichtner–Kozlov).  Removing g keeps every irreducible flat iff g is
-    reducible, and keeps join-closure iff those maximal elements are
-    disjoint:
-    - a pair a, b of bset − {g} that breaks join-closure has a ∨ b = g,
-      because bset is join-closed;
-    - if the maximal elements below g are disjoint, two meeting elements
-      below g lie under one of them, m, and join inside [0, m]: no such pair;
-    - if two of them, m1 and m2, meet, then m1 ∨ m2 is in bset, ≤ g and
-      strictly above both, so it is g by maximality: removing g breaks them.
-    With disjoint maximal elements, g is reducible iff they split g.  If
-    they split g, g is their direct sum (`_g_factor_table`).  If g is
-    reducible, bset − {g} is a building set by the above, and its
-    G-factors of g, which are those maximal elements, split g.
-    """
-    return g in bm.bset and _removable(bm.lat, bm.bset, g) is not None
-
-
 def binary_filtration(bm, small):
     """Binary filtration from small up to bm.bset (requires bm flag, as
     `flag_nonface_witness` decides it from the G-factor table).
@@ -694,7 +687,7 @@ def binary_filtration(bm, small):
     Greedily removes a lattice-maximal removable element (smallest mask on
     ties); raises NotFlag if bm is not flag and Stuck if the greedy jams.
 
-    A candidate g is removable by the criterion of `is_removable`; each
+    A candidate g is removable by the criterion of `_removable`; each
     removal keeps the current set a building set, which is the criterion's
     precondition.
 

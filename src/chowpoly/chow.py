@@ -19,7 +19,7 @@ elements of a nested set are exactly the G-factors of their join
 one bottom-up pass over the lattice of flats.  For G_max this is the
 recursion of Ferroni–Matherne–Schulte–Vecchi.  The enumeration of supports
 survives only in fy_monomials and psi_fiber_of, which the Ψ-fibers need;
-both walk `nested.nested_subsets`.
+both walk `nested.nested_subsets`, psi_fiber_of over s ∪ max G only.
 
 chow_by_deletion relabels its input once, element order[i] becoming i, so
 that every minor of the recursion has the identity order: the deleted
@@ -39,10 +39,12 @@ step), carries the maximal elements along the walk, and counts each local interv
 (`_climb_key`), which fixes the link up to the order of its elements, so
 a link is built only when its key is new to the call.
 
-gamma_by_descents_factored multiplies, over the maximal building-set
-elements m, the descent polynomials of the stable pairs below m
-(`nested._stable_pairs`), read in place; gamma_by_descents is its one
-factor on irreducible input.
+gamma_by_descents multiplies, over the maximal building-set elements m,
+the descent polynomials of the stable pairs below m
+(`nested._stable_pairs`), read in place.  The Ψ-fibers of a direct sum
+need no case of their own either: completion and the descent data read
+ŝ = s ∪ max G, and a fiber over a stable facet with d descents generates
+t^d (1+t)^(k-2d) with k = rank - |max G|.
 
 toric_hilbert_oracle stays in integers.  The linear forms are e_i - e_b0
 with b0 the least element of i's block of max G, so each pairs with a ray
@@ -75,7 +77,6 @@ from .errors import (
     NoBinaryFiltration,
     NotComplete,
     NotFlag,
-    NotIrreducible,
     NotMaximal,
     Stuck,
     TooLarge,
@@ -479,22 +480,14 @@ def _add_row(pivots, row):
 
 
 def gamma_by_descents(bm):
-    """Sum of t^des over stable maximal nested sets, padded to the canonical
-    γ-vector length floor(deg/2)+1 with deg = rank - 1.  Equals the
-    γ-expansion of the Chow polynomial exactly when bm is complete.  It is
-    `gamma_by_descents_factored` of the one maximal element, the top flat."""
-    if not bm.irreducible:
-        raise NotIrreducible("the descent formula needs an irreducible built matroid")
-    return gamma_by_descents_factored(bm)
-
-
-def gamma_by_descents_factored(bm):
-    """Descent formula extended to reducible built matroids: the product,
-    over the maximal building-set elements m, of the sum of t^des over the
-    stable pairs below m (`nested._stable_pairs`, the pairs of the
-    restriction [0, m]); a direct sum's stable facets are tuples of factor
-    stable facets, and descents add.  Padded to the canonical γ length for
-    deg = rank - |max G|."""
+    """The descent formula: the product, over the maximal building-set
+    elements m, of the sum of t^des over the stable pairs below m
+    (`nested._stable_pairs`, the pairs of the restriction [0, m]), padded to
+    the canonical γ length floor(deg/2)+1 with deg = rank - |max G|.  A
+    direct sum's stable facets are tuples of factor stable facets, and
+    descents add, so this is the sum of t^des over `stable_descent_sets`.
+    Equals the γ-expansion of the Chow polynomial exactly when bm is
+    complete."""
     out = [1]
     for m in bm.maxg:
         counts = [0] * ((bm.lat.rank_of(m) - 1) // 2 + 1)
@@ -505,54 +498,67 @@ def gamma_by_descents_factored(bm):
     return out + [0] * (want - len(out))
 
 
-def _expected_fiber(des, rank):
-    return pmul([0] * des + [1], binom_poly(rank - 1 - 2 * des))
+# The name the benchmark imports; there is one descent formula.
+gamma_by_descents_factored = gamma_by_descents
 
 
-def _require_irreducible_complete(bm):
-    if not bm.irreducible:
-        raise NotIrreducible("ψ-fibers need an irreducible built matroid")
+def _expected_fiber(des, k):
+    return pmul([0] * des + [1], binom_poly(k - 2 * des))
+
+
+def _require_complete(bm):
     if not is_complete(bm):
         raise NotComplete("ψ-fibers need a complete built matroid")
 
 
+def _checked_fiber(bm, s, des, degs):
+    """The polynomial of the fiber over the stable facet s, from the degrees
+    of its monomials, checked to be t^des (1+t)^(k-2 des) with k = rank -
+    |max G|, the degree of the Chow polynomial."""
+    poly = [0] * (max(degs, default=0) + 1)
+    for d in degs:
+        poly[d] += 1
+    poly = normalize(poly)
+    expected = _expected_fiber(des, bm.rank - len(bm.maxg))
+    if poly != expected:
+        raise FiberMismatch((sorted(s), poly, expected))
+    return poly
+
+
 def psi_fibers(bm):
     """Group FY monomials by the completion of their support; the fiber of
-    each stable facet must generate exactly t^des (1+t)^(rank-1-2 des)."""
-    _require_irreducible_complete(bm)
+    each stable facet must generate exactly t^des (1+t)^(k-2 des), with
+    k = rank - |max G|.
+
+    A direct sum needs no case of its own: its FY monomials are products of
+    one monomial below each maximal element m, completion fills in each
+    local interval below its own m, and its stable facets and descents are
+    those of the factors side by side (`stable_descent_sets`), so the
+    fibers are products of the factor fibers and the exponents add."""
+    _require_complete(bm)
     maxset = set(bm.maxg)
     fibers = {}
     for m in fy_monomials(bm):
-        supp = frozenset(f for f, _ in m) - maxset
-        s = completion(bm, supp)
-        deg = sum(a for _, a in m)
-        fibers.setdefault(s, []).append(deg)
+        s = completion(bm, frozenset(f for f, _ in m) - maxset)
+        fibers.setdefault(s, []).append(sum(a for _, a in m))
     stables = {frozenset(f): d for f, d in stable_descent_sets(bm)}
     for s in fibers:
         if s not in stables:
             raise FiberMismatch(("unstable image", sorted(s)))
-    out = {}
-    for s, descents in stables.items():
-        degs = fibers.get(s, [])
-        poly = [0] * (max(degs, default=0) + 1)
-        for d in degs:
-            poly[d] += 1
-        poly = normalize(poly)
-        expected = _expected_fiber(len(descents), bm.rank)
-        if poly != expected:
-            raise FiberMismatch((sorted(s), poly, expected))
-        out[s] = poly
-    return out
+    return {
+        s: _checked_fiber(bm, s, len(d), fibers.get(s, []))
+        for s, d in stables.items()
+    }
 
 
 def psi_fiber_of(bm, s):
-    """The fiber of a single stable facet without enumerating all of FY:
-    fiber supports live inside s plus the top flat, because s is the
-    completion of its own descent set.  The supports are walked by
-    `nested_subsets` over s plus the top flat and kept when they complete
-    to s."""
-    _require_irreducible_complete(bm)
-    s = frozenset(s) - set(bm.maxg)
+    """The fiber of a single stable facet without enumerating all of FY.
+    Completion only adds flats, so a support that completes to s lies in
+    s ∪ max G.  The supports are walked by `nested_subsets` over s ∪ max G
+    and kept when they complete to s; s is checked by `descent_set`."""
+    _require_complete(bm)
+    maxset = set(bm.maxg)
+    s = frozenset(s) - maxset
     if not s <= bm.bset:
         raise BadParameters(f"{sorted(s - bm.bset)} not in the building set")
     try:
@@ -564,16 +570,9 @@ def psi_fiber_of(bm, s):
     if completion(bm, dd.descents) != s:
         raise BadParameters(f"{sorted(s)} is not the completion of its descents")
     monomials = []
-    for supp, gaps in nested_subsets(bm, s | {bm.lat.full}, 2):
-        if completion(bm, frozenset(supp) - set(bm.maxg)) == s:
+    for supp, gaps in nested_subsets(bm, s | maxset, 2):
+        if completion(bm, frozenset(supp) - maxset) == s:
             for expos in product(*(range(1, g) for g in gaps)):
                 monomials.append(tuple(zip(supp, expos)))
-    degs = sorted(sum(a for _, a in m) for m in monomials)
-    poly = [0] * (max(degs, default=0) + 1)
-    for d in degs:
-        poly[d] += 1
-    poly = normalize(poly)
-    expected = _expected_fiber(dd.des, bm.rank)
-    if poly != expected:
-        raise FiberMismatch((sorted(s), poly, expected))
-    return monomials, poly
+    degs = [sum(a for _, a in m) for m in monomials]
+    return monomials, _checked_fiber(bm, s, dd.des, degs)

@@ -35,7 +35,7 @@ from .chow import (
     chow_by_deletion,
     chow_by_filtration,
     chow_polynomial,
-    gamma_by_descents_factored,
+    gamma_by_descents,
     toric_hilbert_oracle,
 )
 from .corpus import corpus
@@ -372,7 +372,7 @@ def _gamma(bm, with_descents, with_complex):
         "complete": is_complete(bm),
     }
     if with_descents:
-        desc = gamma_by_descents_factored(bm)
+        desc = gamma_by_descents(bm)
         out["descent_formula"] = list(desc)
         out["match"] = desc == gam
     if with_complex:

@@ -15,7 +15,12 @@ A reducible built matroid is handled in place, one maximal building-set
 element m at a time: the facets, the stable pairs and the Γ-complex below
 m are those of the restriction [0, m], in the flats of bm, because the
 walks read only the flats below m and compare positions in bm.order.  No
-restricted copy is built.  The antichain scan, the pruned child-antichain
+restricted copy is built.  Every function that takes a nested set s reads
+ŝ = s ∪ max G, so completion and the descent data of a direct sum are
+those of its factors side by side, and a facet has rank - |max G|
+members.  Only `gamma_complex` refuses a direct sum, because its one
+report is one complex; `gamma_fvector` gives one report per maximal
+element.  The antichain scan, the pruned child-antichain
 search, the brute-force subset filter, the filter of every facet by its
 descent data and the route through one restricted copy per maximal
 element live in the test oracles.
@@ -325,10 +330,12 @@ def compose(bm, s, local_sets):
 
 
 def completion(bm, s):
-    """Saturate a nested set into a facet: every local interval is filled in
-    with its order-least chain and the chain's new factors are adjoined."""
-    if not bm.irreducible:
-        raise NotIrreducible("completion needs an irreducible built matroid")
+    """Saturate a nested set into a facet: the local interval of every g in
+    ŝ = s ∪ max G is filled in with its order-least chain and the chain's
+    new factors are adjoined.  The intervals below a maximal element m are
+    those of the restriction [0, m], so a direct sum's completion is that
+    of each factor side by side: rk m - 1 members below each m, and
+    rank - |max G| in all."""
     s = frozenset(s) - set(bm.maxg)
     _require_nested(bm, s)
     shat = _shat(bm.lat, bm.maxg, s)
@@ -339,7 +346,7 @@ def completion(bm, s):
         for prev, h in zip(chain, chain[1:]):
             out.add(new_factor(bm, h, prev))
     result = frozenset(out) - set(bm.maxg)
-    assert len(result) == bm.rank - 1, "completion must be a facet"
+    assert len(result) == bm.rank - len(bm.maxg), "completion must be a facet"
     assert is_nested(bm, result)
     return result
 
@@ -379,19 +386,18 @@ def lambda_label(bm, s, g):
 
 
 def descent_set(bm, s):
-    """Descent data of a maximal nested set (an N-facet).
+    """Descent data of a maximal nested set (an N-facet), which has
+    rank - |max G| members.
 
     Every element of s is descent-eligible; the parent of an element with no
-    s-element above it is the top flat, which itself is never a descent.
-    The elements of ŝ above g form a chain (two incomparable ones would meet
-    in g, so their join would be in G), so the parent of g is the first
-    element after g in rank order that contains g, and J^g is the join of
-    the children of g.
+    s-element above it is the maximal element of G above it, which itself
+    is never a descent.  The elements of ŝ above g form a chain (two
+    incomparable ones would meet in g, so their join would be in G), so the
+    parent of g is the first element after g in rank order that contains g,
+    and J^g is the join of the children of g.
     """
-    if not bm.irreducible:
-        raise NotIrreducible("descents need an irreducible built matroid")
     s = frozenset(s) - set(bm.maxg)
-    if len(s) != bm.rank - 1 or not is_nested(bm, s):
+    if len(s) != bm.rank - len(bm.maxg) or not is_nested(bm, s):
         raise NotMaximal(sorted(s))
     return _descent_data(bm, s)
 
@@ -399,13 +405,14 @@ def descent_set(bm, s):
 def _descent_data(bm, s):
     """`descent_set` on a facet known to be one, with no checks."""
     lat = bm.lat
-    shat = _shat(bm.lat, bm.maxg, s)  # s in rank order, then the top flat
+    shat = _shat(bm.lat, bm.maxg, s)  # s and max G, in rank order
     parents = {}
     children = {g: [] for g in shat}
-    for i, g in enumerate(shat[:-1]):
-        p = next(h for h in shat[i + 1 :] if g & ~h == 0)
-        parents[g] = p
-        children[p].append(g)
+    for i, g in enumerate(shat):
+        if g in s:  # a maximal element has no parent
+            p = next(h for h in shat[i + 1 :] if g & ~h == 0)
+            parents[g] = p
+            children[p].append(g)
     lambdas = {}
     for g in shat:
         j = 0
@@ -436,11 +443,21 @@ def _descent_data(bm, s):
 
 
 def stable_descent_sets(bm):
-    """(facet, descent set) for every stable facet, each once: `_stable_pairs`
-    below the top flat.  The result is the cached tuple itself."""
-    if not bm.irreducible:
-        raise NotIrreducible("descents need an irreducible built matroid")
-    return _stable_pairs(bm, bm.lat.full)
+    """(facet, descent set) for every stable facet, each once: the product,
+    over the maximal elements m of G in the order of bm.maxg, of
+    `_stable_pairs(bm, m)`.  A facet of a direct sum is the concatenation
+    of one facet below each m, as in `maximal_nested_sets`, so a stable
+    facet is the same tuple in both lists.  Its descent set is the union
+    of theirs, because the parents, and so the descents, of the members
+    below m are read below m; it is stable iff every part is.  For
+    irreducible bm the result is the cached tuple itself."""
+    parts = [_stable_pairs(bm, m) for m in bm.maxg]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(
+        (sum((f for f, _ in combo), ()), frozenset().union(*(d for _, d in combo)))
+        for combo in product(*parts)
+    )
 
 
 def _stable_pairs(bm, m):

@@ -24,7 +24,7 @@ from chowpoly.chow import (
     psi_fibers,
     toric_hilbert_oracle,
 )
-from chowpoly.errors import BadParameters, NotComplete, NotIrreducible, TooLarge
+from chowpoly.errors import BadParameters, NotComplete, TooLarge
 from chowpoly.families import (
     augmented_built_matroid,
     built_from_matroid,
@@ -611,12 +611,14 @@ def test_psi_fiber_of_matches_global():
 
 
 def test_psi_fibers_reject_reducible_and_incomplete():
+    """Incomplete input is refused; a reducible complete one answers: B3|min
+    is three atoms, whose one facet is empty and whose fiber is 1."""
     reducible = built_from_matroid(make_boolean(3), "min")
     incomplete = built_from_matroid(make_uniform(3, 4), "min")
     assert incomplete.irreducible and not is_complete(incomplete)
+    assert psi_fibers(reducible) == {frozenset(): [1]}
+    assert psi_fiber_of(reducible, frozenset()) == ([()], [1])
     for fn in (psi_fibers, lambda bm: psi_fiber_of(bm, frozenset())):
-        with pytest.raises(NotIrreducible):
-            fn(reducible)
         with pytest.raises(NotComplete):
             fn(incomplete)
 
@@ -645,6 +647,7 @@ def test_psi_errors_are_typed_under_optimize():
         "        fn(*a)\n"
         "    except Exception as e:\n"
         "        return type(e).__name__\n"
+        "    return 'none'\n"
         "bm = built_from_matroid(make_boolean(3), 'max')\n"
         "stable = set(stable_maximal_nested_sets(bm))\n"
         "unstable = next(s for s in maximal_nested_sets(bm) if s not in stable)\n"
@@ -661,7 +664,7 @@ def test_psi_errors_are_typed_under_optimize():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["NotComplete", "NotIrreducible", "BadParameters"]
+    assert proc.stdout.split() == ["NotComplete", "none", "BadParameters"]
 
 
 def test_augmented_u23():

@@ -489,8 +489,10 @@ def test_completion_golden_and_invariants():
             dd = descent_set(bm, s)
             if dd.stable:
                 assert completion(bm, dd.descents) == frozenset(s)
-    with pytest.raises(NotIrreducible):
-        completion(built_from_matroid(make_boolean(3), "min"), frozenset())
+    # a direct sum: B3|min is three atoms, whose one facet is empty
+    assert completion(built_from_matroid(make_boolean(3), "min"), {0b001}) == (
+        frozenset()
+    )
 
 
 def test_descent_set_matches_oracle():
@@ -687,8 +689,10 @@ def test_one_facet_one_tuple():
 
 def test_descent_error_raises():
     red = built_from_matroid(make_boolean(3), "min")
-    with pytest.raises(NotIrreducible):
-        descent_set(red, frozenset())
+    dd = descent_set(red, frozenset())  # a direct sum's empty facet
+    assert (dd.descents, dd.stable) == (frozenset(), True)
+    with pytest.raises(NotMaximal):
+        descent_set(red, {0b011})  # too big: the facet of B3|min is empty
     b3 = built_from_matroid(make_boolean(3), "max")
     with pytest.raises(NotMaximal):
         descent_set(b3, {0b001})  # too small
@@ -781,16 +785,10 @@ def test_gamma_complex_requires_irreducible():
         gamma_complex(built_from_matroid(make_boolean(3), "min"))
 
 
-def test_direct_sums_match_the_restriction_route():
-    """The descent formula and the Γ-complex of a reducible built matroid,
-    read below each maximal element in place, against one restricted copy
-    per maximal element (`oracles.gamma_fvector_by_restriction`): every
-    reducible corpus instance and Π4 ⊕ Π4 (two disjoint K4s) with G_min
-    and G_max, each in its own order, reversed and in three seeded orders.
-    The reports agree on completeness and closure, and their complexes are
-    equal once each flat below m is renumbered as its restriction
-    renumbers it."""
-    from chowpoly.chow import gamma_by_descents_factored
+def _direct_sum_cases():
+    """Every reducible corpus instance and Π4 ⊕ Π4 (two disjoint K4s) with
+    G_min and G_max, each in its own order, reversed and in three seeded
+    orders."""
     from chowpoly.corpus import corpus
     from chowpoly.families import braid_edges, make_graphic
 
@@ -807,7 +805,19 @@ def test_direct_sums_match_the_restriction_route():
             orders.append(tuple(order))
         cases += [BuiltMatroid(bm.lat, bm.bset, order) for order in orders]
     assert len(cases) == 305
-    for bm in cases:
+    return cases
+
+
+def test_direct_sums_match_the_restriction_route():
+    """The descent formula and the Γ-complex of a reducible built matroid,
+    read below each maximal element in place, against one restricted copy
+    per maximal element (`oracles.gamma_fvector_by_restriction`), on
+    `_direct_sum_cases`.  The reports agree on completeness and closure,
+    and their complexes are equal once each flat below m is renumbered as
+    its restriction renumbers it."""
+    from chowpoly.chow import gamma_by_descents_factored
+
+    for bm in _direct_sum_cases():
         where = (sorted(bm.bset), bm.order)
         assert gamma_by_descents_factored(
             bm
@@ -828,6 +838,53 @@ def test_direct_sums_match_the_restriction_route():
             assert {local[v] for v in verts} == set(ref.complex.vertices), where
             faces = {frozenset(local[g] for g in face) for face in rep.complex.faces}
             assert faces == set(ref.complex.faces), where
+
+
+def test_direct_sums_through_psi_and_descents():
+    """ψ-fibers, completion and descent data of a direct sum read
+    ŝ = s ∪ max G, with no refusal: on every complete case of
+    `_direct_sum_cases`, the fibers are keyed by the stable facets, each is
+    t^d (1+t)^(rank - |max G| - 2d), they sum to the Chow polynomial, and
+    `psi_fiber_of` builds each one alone (each of about forty spread over
+    the stable facets where there are more: Π4 ⊕ Π4 |max has 1192, and
+    one call takes milliseconds).  `descent_set` on every facet finds
+    exactly the stable pairs of `stable_descent_sets`, the product of the
+    pairs below each maximal element, with the same tuples."""
+    from chowpoly.chow import chow_polynomial, psi_fibers
+    from chowpoly.polynomials import binom_poly, padd, pmul
+
+    checked = fibers_seen = built_alone = 0
+    for bm in _direct_sum_cases():
+        if not is_complete(bm):
+            continue
+        where = (sorted(bm.bset), bm.order)
+        k = bm.rank - len(bm.maxg)
+        pairs = stable_descent_sets(bm)
+        found = []
+        for s in maximal_nested_sets(bm):
+            dd = descent_set(bm, s)
+            assert len(s) == k, where
+            if dd.stable:
+                found.append((s, dd.descents))
+        assert len(found) == len(pairs) and set(found) == set(pairs), where
+        fibers = psi_fibers(bm)
+        assert list(fibers) == [
+            frozenset(s) for s in stable_maximal_nested_sets(bm)
+        ], where
+        total = []
+        stride = len(pairs) // 40 + 1
+        for i, (s, d) in enumerate(pairs):
+            s = frozenset(s)
+            want = pmul([0] * len(d) + [1], binom_poly(k - 2 * len(d)))
+            assert fibers[s] == want, where
+            if i % stride == 0:
+                assert psi_fiber_of(bm, s)[1] == want, where
+                built_alone += 1
+            total = padd(total, fibers[s])
+            fibers_seen += 1
+        assert total == chow_polynomial(bm), where
+        checked += 1
+    assert (checked, fibers_seen, built_alone) == (268, 6355, 595)
 
 
 def test_gamma_fvector_factored():

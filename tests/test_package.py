@@ -1,5 +1,7 @@
-"""The package's public surface: every exported name resolves, once; and
-every `assert` left in its source is a known invariant."""
+"""The package's public surface: every exported name resolves, once;
+every `assert` left in its source is a known invariant; and every
+definition in its source is reached from the CLI, the benchmark or the
+exported names."""
 
 import ast
 from collections import Counter
@@ -48,3 +50,53 @@ def test_every_assert_in_the_source_is_an_allowlisted_invariant():
     for path in sorted(Path(chowpoly.__file__).parent.glob("*.py")):
         walk(path.stem, ast.parse(path.read_text()), [])
     assert found == Counter(ASSERT_ALLOWLIST)
+
+
+def _mentions(node):
+    """The names a piece of code mentions: bare names, attributes and
+    imported names."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rsplit(".", 1)[-1])
+    return out
+
+
+def test_every_definition_is_reached():
+    """Every top-level function, class and assigned name in the package is
+    reached from `cli.main`, from a name the benchmark scripts use, or from
+    `chowpoly.__all__`.  A definition is reached when a reached one
+    mentions its name, in any module, so the walk errs towards reaching:
+    what it flags is called by nothing but the tests."""
+    src = Path(chowpoly.__file__).parent
+    defs = {}  # (module, name) -> the defining statement
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[path.stem, node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                assign = isinstance(node, ast.Assign)
+                for target in node.targets if assign else [node.target]:
+                    for n in ast.walk(target):
+                        if isinstance(n, ast.Name) and not n.id.startswith("__"):
+                            defs[path.stem, n.id] = node
+    by_name = {}
+    for module, name in defs:
+        by_name.setdefault(name, []).append((module, name))
+    bench = src.parent.parent / "bench"
+    assert bench.is_dir(), bench
+    names = set(chowpoly.__all__)
+    for path in sorted(bench.glob("*.py")):
+        names |= _mentions(ast.parse(path.read_text()))
+    todo = [("cli", "main")] + [key for n in names for key in by_name.get(n, [])]
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key not in reached:
+            reached.add(key)
+            todo += [k for n in _mentions(defs[key]) for k in by_name.get(n, [])]
+    assert sorted(set(defs) - reached) == []
