@@ -17,7 +17,11 @@ elements of a nested set are exactly the G-factors of their join
     H = sum over F of P(F),
 
 one bottom-up pass over the lattice of flats.  For G_max this is the
-recursion of Ferroni–Matherne–Schulte–Vecchi.  The enumeration of supports
+recursion of Ferroni–Matherne–Schulte–Vecchi.  The pass runs on integers,
+each polynomial packed as its value at t = 2^W with W read off a bound on
+the number of FY monomials (Kronecker substitution), and H is unpacked
+once at the end; the proof that nothing carries is in chow_polynomial.
+The other routes keep coefficient lists.  The enumeration of supports
 survives only in fy_monomials and psi_fiber_of, which the Ψ-fibers need;
 both walk `nested.nested_subsets`, psi_fiber_of over s ∪ max G only.
 
@@ -124,29 +128,64 @@ def chow_polynomial(bm):
     element, so P(g) = Q(g) for g in G.  Flats are visited in (rank, mask)
     order, so every P a flat needs is already known.  factors_G(F) is a row
     of the G-factor table (`BuiltMatroid.factors`).
+
+    The recursion runs on integers: every polynomial is its value at
+    t = X = 2^W (`_pack_width`), so a sum or product of polynomials is one
+    int operation, and H is read off in base X at the end.  Evaluation at
+    X is a ring homomorphism Z[t] -> Z, so the int is H(X) exactly whatever
+    the sizes on the way, and its base-X digits are the coefficients of H
+    as soon as each of them lies in [0, X).  They are counts, so they are
+    at least 0, and each is at most H(1), the number of FY monomials:
+
+    - a support is a nested set in which each member g has a gap, rk g
+      minus the rank of the join of the members below it, of at least 2,
+      with an exponent in 1..gap - 1;
+    - ranks add over the G-factors of a join, so the gaps of a support add
+      up to the rank of its join, at most rk: it has at most rk members,
+      and every exponent is below rk;
+    - listing a monomial's (member, exponent) pairs in a fixed order and
+      padding with blanks to rk slots is one to one, and each slot holds
+      one of at most |G| * (rk - 1) + 1 values.
+
+    So H(1) <= ((|G| + 1) * rk)^rk < 2^W.
     """
     lat, bset = bm.lat, bm.bset
-    p = {0: [1]}
-    out = [1]
+    w = _pack_width(bm)
+    x = 1 << w
+    ranges = [0, 0]  # ranges[gap] = X + ... + X^(gap-1), trange(1, gap - 1)
+    for gap in range(2, lat.rk + 1):
+        ranges.append(ranges[-1] * x + x)
+    p = {0: 1}
+    out = 1
     for f, r in zip(lat.flats[1:], lat.ranks[1:]):
         if f in bset:
-            by_gap = [[] for _ in range(r + 1)]
+            by_gap = [0] * (r + 1)
             for e, re in zip(lat.flats, lat.ranks):
                 if re > r - 2:
                     break
                 if e & ~f == 0:
-                    by_gap[r - re] = padd(by_gap[r - re], p[e])
-            poly = []
+                    by_gap[r - re] += p[e]
+            poly = 0
             for gap in range(2, r + 1):
-                if by_gap[gap]:
-                    poly = padd(poly, pmul(by_gap[gap], trange(1, gap - 1)))
+                poly += by_gap[gap] * ranges[gap]
         else:
-            poly = [1]
+            poly = 1
             for g in bm.factors(f):
-                poly = pmul(poly, p[g])
+                poly *= p[g]
         p[f] = poly
-        out = padd(out, poly)
-    return out
+        out += poly
+    coeffs = []
+    while out:
+        coeffs.append(out & (x - 1))
+        out >>= w
+    return coeffs
+
+
+def _pack_width(bm):
+    """W with every coefficient of H(M, G) below 2^W: the bit length of
+    ((|G| + 1) * rk)^rk, a bound on H(1) (`chow_polynomial`)."""
+    rk = bm.lat.rk
+    return (((len(bm.bset) + 1) * rk) ** rk).bit_length()
 
 
 # ---------------------------------------------------------------------------

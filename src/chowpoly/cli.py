@@ -55,6 +55,7 @@ from .families import (
     built_from_matroid,
     chordal_building_sets,
     m0n_gamma,
+    m0n_poincare_keel,
     make_boolean,
     make_graphic,
     make_partition,
@@ -504,7 +505,7 @@ def cmd_m0n(args, _):
     for n in range(2, n_top + 1):
         bm = built_from_matroid(make_partition(n), "min")
         h = chow_polynomial(bm)
-        if chow_by_deletion(bm) != h:
+        if chow_by_deletion(bm) != h or m0n_poincare_keel(n) != h:
             agree = False
         gam = list(gamma_expansion(h))
         trees = m0n_gamma(n)

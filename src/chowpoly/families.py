@@ -1,8 +1,9 @@
 """Standard matroid families, the augmented built matroid, chordal building
-sets on Boolean matroids, and the stable-tree model for M0,n+1 γ-vectors.
+sets on Boolean matroids, the stable-tree model for M0,n+1 γ-vectors, and
+Keel's recursion for its Poincaré polynomials.
 """
 
-from itertools import combinations
+from math import comb
 
 from .building import BuiltMatroid, simplify_built
 from .errors import BadParameters
@@ -196,44 +197,54 @@ def chordal_building_sets(n):
     """All building sets on B_n closed under taking prefixes (initial
     segments of each member); these are exactly the ones complete for the
     natural order.  Enumerated by a forest walk with join-closure
-    obligations propagated forward."""
+    obligations propagated forward.
+
+    The walk decides the nodes (subsets of two or more elements) in
+    (size, mask) order and keeps the nodes taken and the nodes owed as int
+    masks over the node indices.  A node can be taken when its prefix (the
+    node less its largest element) is an atom or has been taken; taking it
+    owes the union with every taken node it overlaps without containment,
+    and that union has more than two elements, so it is a later node."""
     if not (2 <= n <= 5):
         raise BadParameters(f"chordal_building_sets({n})")
-    atoms = [1 << i for i in range(n)]
-    nodes = []
-    for k in range(2, n + 1):
-        for c in combinations(range(n), k):
-            nodes.append(sum(1 << i for i in c))
+    atoms = frozenset(1 << i for i in range(n))
+    nodes = [s for s in range(1 << n) if popcount(s) >= 2]
     nodes.sort(key=lambda s: (popcount(s), s))
-    prefix = {}
+    index = {s: i for i, s in enumerate(nodes)}
+    need = []  # node -> bit of its prefix node, 0 when the prefix is an atom
+    clash = []  # node -> [(bit of an earlier node it overlaps, bit of their union)]
     for s in nodes:
-        top = max(bits(s))
-        prefix[s] = s & ~(1 << top)  # drop the largest element
-    node_set = set(nodes)
+        pre = s & ~(1 << (s.bit_length() - 1))  # drop the largest element
+        need.append(1 << index[pre] if pre in index else 0)
+        clash.append(
+            [
+                (1 << index[t], 1 << index[t | s])
+                for t in nodes[: index[s]]
+                if t & s and t & ~s and s & ~t
+            ]
+        )
     out = []
 
-    def go(i, included, obligations):
+    def go(i, taken, owed):
         if i == len(nodes):
-            if not obligations:
-                out.append(frozenset(atoms) | included)
+            if not owed:
+                out.append(atoms | {nodes[k] for k in bits(taken)})
             return
-        s = nodes[i]
-        must = s in obligations
-        can = popcount(prefix[s]) < 2 or prefix[s] in included
+        bit = 1 << i
+        must = owed & bit
+        can = not need[i] or taken & need[i]
         if must and not can:
             return
         if not must:
-            go(i + 1, included, obligations)
+            go(i + 1, taken, owed)
         if can:
-            new_obl = set(obligations) - {s}
-            for t in included:
-                if t & s and not (t & ~s == 0 or s & ~t == 0):
-                    u = t | s
-                    assert u in node_set
-                    new_obl.add(u)
-            go(i + 1, included | {s}, frozenset(new_obl))
+            new_owed = owed & ~bit
+            for tbit, ubit in clash[i]:
+                if taken & tbit:
+                    new_owed |= ubit
+            go(i + 1, taken | bit, new_owed)
 
-    go(0, frozenset(), frozenset())
+    go(0, 0, 0)
     return sorted(out, key=lambda g: (len(g), sorted(g)))
 
 
@@ -251,46 +262,78 @@ def m0n_gamma(n):
     are leaves, a double when it has internal children and all of them are
     descents.  A tree is stable when it has neither.
 
-    One recursion over (leaf set S, parent label p) counts them: it returns
-    the descent polynomials of the subtrees on S with no bottom or double,
-    all of them and those whose root is a descent.  Proof: every binary tree
-    on S is a root over exactly one split S = A ⊔ B with min S ∈ A and one
-    tree on each part.  The root's label is max(min A, min B) = min B, so it
-    is a descent iff min B > p.  Each part's descents, bottoms and doubles,
-    its root's included, depend only on its tree and on its parent label
-    min B; whether the root is a bottom or a double depends only on whether
-    it is a descent and on which internal children are descents.  So a
-    split contributes the product of its internal children's polynomials,
-    and if the root is a descent, t times that product minus the product of
-    the children's descent polynomials: the combinations dropped are the
-    doubles, or the bottom when both products are empty.  The root starts
-    with p = n + 1, above every label, so it is never a descent.
+    One recursion over (k, m) counts them: it gives the descent polynomials
+    of the subtrees with no bottom or double on a leaf set S of k leaves
+    under a parent label p, of which m leaves lie below p, all of them and
+    those whose root is a descent.  Proof:
+    - every binary tree on S is a root over exactly one split S = A ⊔ B
+      with min S ∈ A and one tree on each part.  The root's label is
+      max(min A, min B) = min B, so it is a descent iff min B > p;
+    - each part's descents, bottoms and doubles, its root's included,
+      depend only on its tree and on its parent label min B; whether the
+      root is a bottom or a double depends only on whether it is a descent
+      and on which internal children are descents.  So a split
+      contributes the product of its internal children's polynomials, and
+      if the root is a descent, t times that product minus the product of
+      the children's descent polynomials: the combinations dropped are the
+      doubles, or the bottom when both products are empty;
+    - the polynomials depend on S and p only through the order type of S
+      against p, that is through (k, m): the tree data compare labels,
+      which are leaves of S, with each other and with p, and relabelling
+      S ∪ {p} in order keeps every comparison;
+    - a split is fixed, up to that order type, by the rank i >= 2 of min B
+      in S and the number j of the k - i leaves above min B that go to A.
+      The C(k - i, j) splits with one (i, j) have children of one order
+      type each: A holds the i - 1 leaves below min B and j more, so it is
+      (i - 1 + j, i - 1), and B, whose parent label is its own least leaf,
+      is (k - i - j + 1, 0).  The root is a descent iff min B > p, iff
+      i > m;
+    - the root has p = n + 1, above every leaf, so the top call is (n, n),
+      and its root is never a descent.
+    That is O(n^2) states, filled in order of k, each over O(n^2) splits.
     """
     if not (2 <= n <= 10):
         raise BadParameters(f"m0n_gamma({n})")
-    memo = {}  # (S as a mask with leaf i at bit i, p) -> (all, descent)
-
-    def go(s, p):
-        if (s, p) not in memo:
-            rest = s & (s - 1)  # S without its least leaf, which stays in A
+    table = {}  # (k, m) -> (all, descent), for k >= 2
+    for k in range(2, n + 1):
+        for m in range(k + 1):
             every, desc = [], []
-            b = rest
-            while b:
-                label = (b & -b).bit_length() - 1
-                prod, prod_desc = [1], [1]
-                for part in (s ^ b, b):
-                    if part & (part - 1):  # an internal child
-                        sub, sub_desc = go(part, label)
-                        prod, prod_desc = pmul(prod, sub), pmul(prod_desc, sub_desc)
-                if label > p:
-                    prod = [0, *padd(prod, [-c for c in prod_desc])]
-                    desc = padd(desc, prod)
-                every = padd(every, prod)
-                b = (b - 1) & rest
-            memo[s, p] = every, desc
-        return memo[s, p]
+            for i in range(2, k + 1):
+                for j in range(k - i + 1):
+                    prod, prod_desc = [1], [1]
+                    for part in ((i - 1 + j, i - 1), (k - i - j + 1, 0)):
+                        if part[0] >= 2:  # an internal child
+                            sub, sub_desc = table[part]
+                            prod, prod_desc = pmul(prod, sub), pmul(prod_desc, sub_desc)
+                    if i > m:
+                        prod = [0, *padd(prod, [-c for c in prod_desc])]
+                    term = [comb(k - i, j) * c for c in prod]
+                    if i > m:
+                        desc = padd(desc, term)
+                    every = padd(every, term)
+            table[k, m] = every, desc
+    return table[n, n][0]
 
-    try:
-        return go(((1 << n) - 1) << 1, n + 1)[0]
-    finally:
-        del go  # go refers to itself; without this the cycle keeps memo alive
+
+def m0n_poincare_keel(n):
+    """The Poincaré polynomial of M0,n+1 by Keel's recursion (Keel 1992),
+    with P_m that of M0,m:
+
+        P_3 = 1,
+        P_(m+1) = (1+q) P_m + (q/2) * sum over j = 2..m-2 of
+                  C(m, j) * P_(j+1) * P_(m-j+1).
+
+    Row n of the table is P_(n+1).  The sum is halved exactly: its terms j
+    and m - j are equal, and when j = m - j the coefficient C(m, m/2) is
+    even.
+    """
+    if n < 2:
+        raise BadParameters(f"m0n_poincare_keel({n})")
+    p = {3: [1]}
+    for m in range(3, n + 1):
+        twice = []
+        for j in range(2, m - 1):
+            term = pmul([comb(m, j)], pmul(p[j + 1], p[m - j + 1]))
+            twice = padd(twice, term)
+        p[m + 1] = padd(pmul([1, 1], p[m]), [0, *(c // 2 for c in twice)])
+    return p[n + 1]

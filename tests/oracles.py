@@ -408,6 +408,36 @@ def chow_poly(n, rank, g, flats):
     return out
 
 
+def chow_polynomial_by_lists(bm):
+    """The FY recursion of `chow.chow_polynomial` on coefficient lists: the
+    same P(F), by-gap sums and Q(g), each a list, added and multiplied by
+    `padd` and `pmul`, with no packing into integers."""
+    from chowpoly.polynomials import padd, pmul, trange
+
+    lat, bset = bm.lat, bm.bset
+    p = {0: [1]}
+    out = [1]
+    for f, r in zip(lat.flats[1:], lat.ranks[1:]):
+        if f in bset:
+            by_gap = [[] for _ in range(r + 1)]
+            for e, re in zip(lat.flats, lat.ranks):
+                if re > r - 2:
+                    break
+                if e & ~f == 0:
+                    by_gap[r - re] = padd(by_gap[r - re], p[e])
+            poly = []
+            for gap in range(2, r + 1):
+                if by_gap[gap]:
+                    poly = padd(poly, pmul(by_gap[gap], trange(1, gap - 1)))
+        else:
+            poly = [1]
+            for g in bm.factors(f):
+                poly = pmul(poly, p[g])
+        p[f] = poly
+        out = padd(out, poly)
+    return out
+
+
 def fy_support_count(bm):
     """H(M,G) by walking every FY support of a package BuiltMatroid.
 
@@ -1473,3 +1503,35 @@ if __name__ == "__main__":
     assert not is_real_rooted_oracle([1, 1, 1])
     assert len(binary_trees([1, 2, 3, 4])) == 15
     print("oracle smoke ok")
+
+
+def m0n_gamma_by_leaf_sets(n):
+    """The stable-tree count of `families.m0n_gamma` by its recursion over
+    (leaf set S, parent label p), S a mask with leaf i at bit i: 2^n * n
+    states, where the package recurses on the order type (|S|, number of
+    leaves below p)."""
+    from chowpoly.polynomials import padd, pmul
+
+    memo = {}  # (S, p) -> (all, descent)
+
+    def go(s, p):
+        if (s, p) not in memo:
+            rest = s & (s - 1)  # S without its least leaf, which stays in A
+            every, desc = [], []
+            b = rest
+            while b:
+                label = (b & -b).bit_length() - 1
+                prod, prod_desc = [1], [1]
+                for part in (s ^ b, b):
+                    if part & (part - 1):  # an internal child
+                        sub, sub_desc = go(part, label)
+                        prod, prod_desc = pmul(prod, sub), pmul(prod_desc, sub_desc)
+                if label > p:
+                    prod = [0, *padd(prod, [-c for c in prod_desc])]
+                    desc = padd(desc, prod)
+                every = padd(every, prod)
+                b = (b - 1) & rest
+            memo[s, p] = every, desc
+        return memo[s, p]
+
+    return go(((1 << n) - 1) << 1, n + 1)[0]

@@ -13,6 +13,7 @@ from helpers import b4_flag_built, mask_of, set_of, traced_peak
 from chowpoly.building import BuiltMatroid, extend, is_complete
 from chowpoly.nested import maximal_nested_sets, stable_maximal_nested_sets
 from chowpoly.chow import (
+    _pack_width,
     _toric_dims,
     chow_by_deletion,
     chow_by_filtration,
@@ -504,6 +505,29 @@ def test_chow_dp_matches_support_enumeration():
     ]
     for name, bm in cases:
         assert chow_polynomial(bm) == oracles.fy_support_count(bm), name
+
+
+def test_packed_fy_matches_the_list_recursion():
+    """The FY recursion on integers at t = 2^W equals the same recursion on
+    coefficient lists, and every coefficient of H lies below 2^W, so the
+    packing never carries."""
+    from chowpoly.corpus import corpus
+
+    cases = [(inst.name, inst.built) for inst in corpus()]
+    cases += [
+        (f"Pi{n}min", built_from_matroid(make_partition(n), "min"))
+        for n in range(2, 9)
+    ]
+    cases += [
+        ("B6max", built_from_matroid(make_boolean(6), "max")),
+        ("B8max", built_from_matroid(make_boolean(8), "max")),
+        ("U47max", built_from_matroid(make_uniform(4, 7), "max")),
+        ("U511max", built_from_matroid(make_uniform(5, 11), "max")),
+    ]
+    for name, bm in cases:
+        want = oracles.chow_polynomial_by_lists(bm)
+        assert chow_polynomial(bm) == want, name
+        assert max(want) < 1 << _pack_width(bm), name
 
 
 def test_toric_agrees_and_guards():

@@ -257,6 +257,21 @@ def test_m0n_table(capsys):
     assert all(r["kruskal_katona"] for r in doc["rows"])
 
 
+def test_m0n_fails_when_keel_disagrees(capsys, monkeypatch):
+    """Keel's recursion is a third count of each row: off by one in its
+    linear coefficient, the table no longer agrees and `m0n` exits 3."""
+    from chowpoly.families import m0n_poincare_keel
+
+    def off_by_one(n):
+        p = m0n_poincare_keel(n)
+        return [p[0], p[1] + 1, *p[2:]] if n >= 3 else p
+
+    monkeypatch.setattr(cli, "m0n_poincare_keel", off_by_one)
+    code, out = run(capsys, ["m0n", "--n", "4"])
+    assert code == 3
+    assert json.loads(out)["agree"] is False
+
+
 def test_stdin_spec(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(U33_MAX)))
     code, out = run(capsys, ["chow", "--spec", "-"])

@@ -19,6 +19,7 @@ from chowpoly.families import (
     built_from_matroid,
     chordal_building_sets,
     m0n_gamma,
+    m0n_poincare_keel,
     make_boolean,
     make_graphic,
     make_partition,
@@ -173,6 +174,23 @@ def test_m0n_gamma_matches_keel_b2():
         gam = m0n_gamma(n) + [0, 0]
         assert gam[0] == 1, n
         assert gam[1] == 2**n - comb(n + 1, 2) - n + 1, n
+
+
+def test_m0n_gamma_matches_the_leaf_set_recursion():
+    """The recursion over order types (|S|, leaves below the parent label)
+    equals the one over leaf sets and parent labels."""
+    for n in range(2, 11):
+        assert m0n_gamma(n) == oracles.m0n_gamma_by_leaf_sets(n), n
+
+
+def test_keel_recursion_matches_fy():
+    """Keel's recursion gives the Poincaré polynomial of M0,n+1, the FY
+    count on Π_n with its minimal building set."""
+    for n in range(2, 9):
+        bm = built_from_matroid(make_partition(n), "min")
+        assert m0n_poincare_keel(n) == chow_polynomial(bm), n
+    with pytest.raises(BadParameters):
+        m0n_poincare_keel(1)
 
 
 def test_augmented_goldens():

@@ -26,7 +26,6 @@ def test_every_exported_name_resolves_once():
 # only as an invariant.
 ASSERT_ALLOWLIST = {
     ("building", "tl_chain"): 1,
-    ("families", "chordal_building_sets.go"): 1,
     ("nested", "compose"): 1,
     ("nested", "completion"): 2,
     ("polynomials", "gamma_expansion"): 1,
