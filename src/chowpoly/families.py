@@ -5,7 +5,13 @@ Keel's recursion for its Poincaré polynomials.
 
 from math import comb
 
-from .building import BuiltMatroid, simplify_built
+from .building import (
+    BuiltMatroid,
+    g_max,
+    g_min,
+    simplify_built,
+    validate_building_set,
+)
 from .errors import BadParameters
 from .lattice import Matroid, bits, lattice_of_flats, popcount
 from .polynomials import padd, pmul
@@ -26,7 +32,7 @@ def make_boolean(n):
     return Matroid(n, popcount, lambda s: s)
 
 
-def make_graphic(edges, n_vertices=None):
+def make_graphic(edges):
     """Cycle matroid of a multigraph given as a list of vertex pairs; loops
     are rejected (the matroid must be loopless).
 
@@ -48,8 +54,6 @@ def make_graphic(edges, n_vertices=None):
     if not edges or any(len(e) != 2 or e[0] == e[1] for e in edges):
         raise BadParameters(f"graphic({edges})")
     verts = sorted({v for e in edges for v in e})
-    if n_vertices is not None and n_vertices < len(verts):
-        raise BadParameters("n_vertices smaller than the support")
     vid = {v: i for i, v in enumerate(verts)}
     ends = [(vid[a], vid[b]) for a, b in edges]
 
@@ -131,8 +135,6 @@ def built_from_matroid(m, bset="min", order=None):
     """Lattice + building set in one step; non-simple matroids are simplified
     after the building set is validated (elements collapse onto atoms, order
     positions follow the earliest element)."""
-    from .building import g_max, g_min, validate_building_set
-
     lat = lattice_of_flats(m)
     if bset == "min":
         chosen = g_min(lat)

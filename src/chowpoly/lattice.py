@@ -5,14 +5,10 @@ int and subset tests are bitwise.  A lattice is fully materialized: flats,
 ranks and the upper covers ``covers_up`` of every flat.  The covers of a flat
 F partition E ∖ F, so joins and closures climb them, one cover per step.
 Where the covers come from, and where a rescan finds and checks them:
-- `lattice_of_flats` on a matroid with a closure or cover oracle of its own
-  (the uniform, Boolean and graphic families, and the `flats` spec, whose
-  oracles read a validated lattice) records them in its BFS and checks
+- `lattice_of_flats`, on any matroid, records them in its BFS and checks
   each flat's list as it goes; no rescan;
-- `lattice_of_flats` on a matroid that closes by rank calls (the
-  `rank-table` spec, the augmented matroid), and a `GeomLattice` built
-  from a list of flats (the `flats` spec, `extend`, `truncate`): the
-  rescan of `GeomLattice.__init__`;
+- a `GeomLattice` built from a list of flats (the `flats` spec, `extend`,
+  `truncate`): the rescan of `GeomLattice.__init__`;
 - a deletion or an interval of a lattice takes them over from that lattice.
 """
 
@@ -370,31 +366,27 @@ def lattice_of_flats(m):
     (rank, mask) order, and each cover list is sorted to index order, as
     the rescan yields it.
 
-    Where validation runs:
-    - A matroid with a closure or cover oracle of its own (the uniform,
-      Boolean and graphic families of `chowpoly.families`, and the `flats`
-      spec of the CLI, whose oracles read the lattice its flat axioms were
-      checked on) keeps the covers the pass records and goes to
-      `GeomLattice._derived`, with no rescan.  Per flat, the pass checks
-      what the rescan checks of a cover list: each cover strictly contains
-      F, the covers are disjoint beyond F and their union is E.  It also
-      checks that no flat is met at two ranks.  A faulty oracle so raises
-      InvalidMatroid with a witness.
-      What only the rescan sees, a flat of rank r + 1 above F that is
-      missing from F's list, cannot arise from a matroid closure (above).
-      The pass's dict of the flats met, with each rank replaced by the
-      flat's index, becomes the lattice's idx.
-    - A matroid that closes by rank calls (the `rank-table` spec of the
-      CLI, whose rank axioms are checked on every subset, the augmented
-      matroid and a bare rank oracle) keeps the rescan through
-      `GeomLattice.__init__`, and the pass only collects flats and ranks.
+    Where validation runs: every matroid keeps the covers the pass records
+    and goes to `GeomLattice._derived`, with no rescan, whether it brings a
+    closure or cover oracle of its own (the uniform, Boolean and graphic
+    families of `chowpoly.families`, and the `flats` spec of the CLI, whose
+    oracles read the lattice its flat axioms were checked on) or closes by
+    rank calls (the `rank-table` spec of the CLI, whose rank axioms are
+    checked on every subset first, the augmented matroid and a bare rank
+    oracle).  Per flat, the pass checks what the rescan checks of a cover
+    list: each cover strictly contains F, the covers are disjoint beyond F
+    and their union is E.  It also checks that no flat is met at two
+    ranks.  A faulty oracle so raises InvalidMatroid with a witness.
+    What only the rescan sees, a flat of rank r + 1 above F that is
+    missing from F's list, cannot arise from a matroid closure (above).
+    The pass's dict of the flats met, with each rank replaced by the
+    flat's index, becomes the lattice's idx.
     """
     if m.n == 0:
         raise InvalidMatroid("empty ground set")
     if m.closure(0) != 0:
         raise InvalidMatroid(f"loops present: {m.closure(0):b}")
     full = (1 << m.n) - 1
-    rescan = m._closure_fn is None and m._covers_fn is None  # closes by rank
     seen = {0: 0}  # flat -> the rank it was first met at
     flats, ranks, covers_up = [0], [0], []
     level, r = [0], 0
@@ -402,27 +394,22 @@ def lattice_of_flats(m):
         nxt, found = [], []
         for f in level:
             ups = m.covers(f)
-            if not rescan:
-                _check_covers(f, ups, full)
-                found.append(ups)
+            _check_covers(f, ups, full)
+            found.append(ups)
             for g in ups:
                 s = seen.get(g)
                 if s is None:
                     seen[g] = r + 1
                     nxt.append(g)
-                elif s != r + 1 and not rescan:
+                elif s != r + 1:
                     raise InvalidMatroid(f"flat {g:b} met at ranks {s} and {r + 1}")
         nxt.sort()
         base = len(flats)
         flats += nxt
         ranks += [r + 1] * len(nxt)
-        if not rescan:
-            pos = {g: base + k for k, g in enumerate(nxt)}
-            covers_up += [sorted(pos[g] for g in ups) for ups in found]
+        pos = {g: base + k for k, g in enumerate(nxt)}
+        covers_up += [sorted(pos[g] for g in ups) for ups in found]
         level, r = nxt, r + 1
-    if rescan:
-        del seen
-        return GeomLattice(m.n, zip(flats, ranks))
     for i, f in enumerate(flats):
         seen[f] = i  # the BFS dict becomes the lattice's idx
     return GeomLattice._derived(m.n, flats, ranks, covers_up, seen)

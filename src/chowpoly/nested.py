@@ -193,8 +193,8 @@ def maximal_nested_sets(bm):
     Each facet is a tuple of its flats in the pre-order of its forest: a
     member, then the subtrees of its children, the children in the row
     order of `_child_table`; the trees of a reducible input follow each
-    other in the order of bm.maxg.  The list is cached, and for
-    irreducible bm it is the top's list of `_subtree_facets`.
+    other in the order of bm.maxg.  For irreducible bm the list is the
+    top's list of `_subtree_facets`, with no copy.
 
     Every set built is nested, so none is re-checked.  Take an antichain A
     of size >= 2 in a facet, and p the lowest tree node (or the top flat)
@@ -203,15 +203,11 @@ def maximal_nested_sets(bm):
     g in G below their join lies under one child (Feichtner–Kozlov 2004,
     Prop. 2.8); if ∨A were such a g, that child would meet the disjoint c1
     and c2, which is impossible.  So ∨A is not in G."""
-    cache = bm._nested_cache
-    if "facets" not in cache:
-        memo = {}
-        parts = [_subtree_facets(bm, m, memo) for m in bm.maxg]
-        if len(parts) == 1:
-            cache["facets"] = parts[0]  # the list itself: a copy would double it
-        else:
-            cache["facets"] = [sum(combo, ()) for combo in product(*parts)]
-    return cache["facets"]
+    memo = {}
+    parts = [_subtree_facets(bm, m, memo) for m in bm.maxg]
+    if len(parts) == 1:
+        return parts[0]  # the list itself: a copy would double it
+    return [sum(combo, ()) for combo in product(*parts)]
 
 
 def nested_complex(bm, variant="cN"):

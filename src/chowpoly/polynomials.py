@@ -1,5 +1,6 @@
-"""Exact integer polynomial helpers: γ-expansion, Sturm real-rootedness,
-Kruskal-Katona cascade, and h/g-vector diagnostics.
+"""Exact integer polynomial helpers: γ-expansion, real-rootedness from one
+Sturm sequence of p itself (no squarefree pass), Kruskal-Katona cascade,
+and h/g-vector diagnostics.
 
 Polynomials are lists of ints, ascending degree, trailing zeros trimmed.
 """
@@ -122,28 +123,22 @@ def is_log_concave(p):
 
 
 # ---------------------------------------------------------------------------
-# exact real-rootedness via Sturm chains over Fraction
+# exact real-rootedness from one Sturm sequence over Fraction
 
 
-def _fdiv(a, b):
-    """Polynomial division over Fraction: returns (quotient, remainder)."""
+def _rem(a, b):
+    """The remainder of a on division by the nonzero b, over Fraction,
+    trimmed."""
     a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        k = len(a) - len(b)
+    while len(a) >= len(b):
         c = a[-1] / b[-1]
-        q[k] = c
+        k = len(a) - len(b)
         for i, bc in enumerate(b):
             a[i + k] -= c * bc
         a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
+        while a and a[-1] == 0:
+            a.pop()
+    return a
 
 
 def _deriv(p):
@@ -160,46 +155,36 @@ def _sign_variations_at_inf(chain, sign):
         if sign < 0 and (len(p) - 1) % 2 == 1:
             s = -s
         signs.append(s)
-    var = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    return var
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def is_real_rooted(p):
-    """All complex roots real, checked exactly: the squarefree part must have
-    as many distinct real roots (Sturm count over the whole line) as its
-    degree."""
+    """All complex roots real, checked exactly on the Sturm sequence of p.
+
+    The sequence is p_0 = p, p_1 = p′ and p_(i+1) = −rem(p_(i−1), p_i), down
+    to its last nonzero term g.  Up to signs it is Euclid's on p and p′, so
+    g is gcd(p, p′) up to a constant, and deg p − deg g counts the distinct
+    complex roots of p.  Each p_i is g·q_i, and the q_i obey the same
+    recursion from q_0 = p/g and q_1 = p′/g, so they are a Sturm sequence
+    of the squarefree q_0:
+    - consecutive q_i are coprime, and q_(i−1) = −q_(i+1) where q_i = 0;
+    - at a root x of p of multiplicity m, p = (t − x)^m·u with u(x) ≠ 0,
+      and g has the factor (t − x)^(m−1) exactly, so
+      q_0·q_1 = p·p′/g² = (t − x)·(m·u² + (t − x)·u·u′)/(g/(t − x)^(m−1))²
+      has the sign of t − x near x.
+    Sturm's theorem then counts the distinct real roots of q_0, which are
+    those of p, as the sign changes of the q_i at −∞ less those at +∞.
+    Multiplying every term by g keeps each sign change where g ≠ 0, so at
+    ±∞, and the count is read off the p_i.  So p is real-rooted iff the
+    count is deg p − deg g; roots at 0 and repeated roots need no pass of
+    their own."""
     p = normalize(p)
-    if len(p) <= 1:
-        return True
-    # factor out roots at zero
-    while p and p[0] == 0:
-        p = p[1:]
-    if len(p) <= 1:
-        return True
-    # squarefree part p / gcd(p, p')
-    a = [Fraction(c) for c in p]
-    b = [Fraction(c) for c in _deriv(p)]
-    x, y = a, b
-    while y:
-        _, r = _fdiv(x, y)
-        x, y = y, r
-    gcd = x
-    sf, rem = _fdiv(a, gcd)
-    assert not rem
-    sf = [c for c in sf]
-    while sf and sf[-1] == 0:
-        sf.pop()
-    deg = len(sf) - 1
-    if deg <= 1:
-        return True
-    chain = [sf, _deriv(sf)]
-    while True:
-        _, r = _fdiv(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
+    chain = [p, _deriv(p)]
+    while chain[-1]:
+        chain.append([-c for c in _rem(chain[-2], chain[-1])])
+    chain.pop()
     roots = _sign_variations_at_inf(chain, -1) - _sign_variations_at_inf(chain, +1)
-    return roots == deg
+    return roots == len(p) - len(chain[-1])
 
 
 def poly_diagnostics(p):

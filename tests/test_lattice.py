@@ -444,11 +444,22 @@ def test_closure_oracles_match_rank_closure():
 def test_lattice_of_flats_covers_equal_a_rescan():
     """The covers the BFS records are, list for list, those the validating
     constructor's rescan finds on the same flats and ranks: on every host
-    lattice of corpus(), on Π8, U(5,11) and B8."""
+    lattice of corpus() and its rank-only copy, which closes by rank calls,
+    on Π8, U(5,11) and B8, on a `rank-table` spec, and on the augmented
+    lattices of U(3,5) and Π5."""
+    from chowpoly.cli import parse_matroid
+    from chowpoly.families import augmented_built_matroid
+
     hosts = _corpus_hosts()
+    hosts += [Matroid(m.n, m._rank_fn) for m in hosts]
     hosts += [make_partition(8), make_uniform(5, 11), make_boolean(8)]
-    for m in hosts:
-        lat = lattice_of_flats(m)
+    ranks = [min(2, popcount(s)) for s in range(16)]
+    hosts.append(parse_matroid({"type": "rank-table", "n": 4, "ranks": ranks}))
+    lattices = [lattice_of_flats(m) for m in hosts]
+    lattices += [
+        augmented_built_matroid(m).lat for m in (make_uniform(3, 5), make_partition(5))
+    ]
+    for lat in lattices:
         fresh = GeomLattice(lat.n, zip(lat.flats, lat.ranks))
         assert (lat.flats, lat.ranks) == (fresh.flats, fresh.ranks)
         assert lat.covers_up == fresh.covers_up
@@ -497,9 +508,10 @@ def test_graphic_covers_match_the_closure_loop_on_multigraphs(edges):
         assert m.covers(f) == plain.covers(f), f
 
 
-def test_only_rank_closures_are_rescanned(monkeypatch):
-    """A family lattice keeps the covers of its BFS, and a `rank-table`
-    matroid, which closes by rank calls, takes the one rescan."""
+def test_no_matroid_is_rescanned(monkeypatch):
+    """`lattice_of_flats` keeps the covers of its BFS on every matroid, a
+    `rank-table` one, which closes by rank calls, included; only a lattice
+    built from a list of flats takes the rescan."""
     from chowpoly.cli import parse_matroid
 
     calls = [0]
@@ -512,9 +524,10 @@ def test_only_rank_closures_are_rescanned(monkeypatch):
     monkeypatch.setattr(GeomLattice, "_build_covers", counting)
     for m in _corpus_hosts() + [make_partition(7)]:
         lattice_of_flats(m)
-    assert calls == [0]
     ranks = [min(2, popcount(s)) for s in range(16)]
-    lattice_of_flats(parse_matroid({"type": "rank-table", "n": 4, "ranks": ranks}))
+    lat = lattice_of_flats(parse_matroid({"type": "rank-table", "n": 4, "ranks": ranks}))
+    assert calls == [0]
+    GeomLattice(lat.n, zip(lat.flats, lat.ranks))
     assert calls == [1]
 
 

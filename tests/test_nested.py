@@ -283,7 +283,7 @@ def test_facet_enumeration_peak_memory_stays_near_its_result():
     for g in bm.bset:
         _child_table(bm, g)
     live, peak = traced_peak(lambda: maximal_nested_sets(bm))
-    assert len(maximal_nested_sets(bm)) == 7920  # the cached list
+    assert len(maximal_nested_sets(bm)) == 7920
     assert peak <= 2 * live, (peak, live)
 
 

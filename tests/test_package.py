@@ -29,7 +29,6 @@ ASSERT_ALLOWLIST = {
     ("nested", "compose"): 1,
     ("nested", "completion"): 2,
     ("polynomials", "gamma_expansion"): 1,
-    ("polynomials", "is_real_rooted"): 1,
     ("polynomials", "_macaulay_bound"): 1,
 }
 

@@ -1,6 +1,9 @@
 """Polynomial utilities: γ-expansion, real-rootedness, unimodality,
 Kruskal-Katona, cross-checked against the independent oracle implementations."""
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,6 +114,50 @@ def test_real_rooted_matches_oracle(p):
     if not normalize(p):
         return
     assert is_real_rooted(p) == oracles.is_real_rooted_oracle(p)
+
+
+def _root_products(seed, count):
+    """Seeded products of t − r over integer roots r, with repeats and
+    roots at 0, each alone and times t² + t + 1 (irreducible over ℝ), and
+    the square of each."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p = [1]
+        for r in rng.choices(range(-3, 4), k=rng.randint(1, 5)):
+            p = pmul(p, [-r, 1])
+        for q in (p, pmul(p, [1, 1, 1])):
+            out += [q, pmul(q, q)]
+    return out
+
+
+def test_real_rooted_matches_oracle_on_chow_polynomials_and_root_products():
+    """The one Sturm sequence of p against the oracle's squarefree pass: on
+    every corpus() Chow polynomial, Π2–Π8|min, B6, U(4,7) and U(5,11)|max,
+    and on products of linear factors with repeated roots and roots at 0,
+    where random coefficient lists rarely land."""
+    from chowpoly.chow import chow_polynomial
+    from chowpoly.corpus import corpus
+    from chowpoly.families import (
+        built_from_matroid,
+        make_boolean,
+        make_partition,
+        make_uniform,
+    )
+
+    built = [inst.built for inst in corpus()]
+    built += [built_from_matroid(make_partition(n), "min") for n in range(2, 9)]
+    built += [
+        built_from_matroid(m, "max")
+        for m in (make_boolean(6), make_uniform(4, 7), make_uniform(5, 11))
+    ]
+    polys = [chow_polynomial(bm) for bm in built] + _root_products(2801, 200)
+    verdicts = Counter()
+    for p in polys:
+        got = is_real_rooted(p)
+        assert got == oracles.is_real_rooted_oracle(p), p
+        verdicts[got] += 1
+    assert verdicts[True] > len(built) and verdicts[False] > 100
 
 
 def test_kruskal_katona():
