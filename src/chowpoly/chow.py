@@ -22,8 +22,9 @@ each polynomial packed as its value at t = 2^W with W read off a bound on
 the number of FY monomials (Kronecker substitution), and H is unpacked
 once at the end; the proof that nothing carries is in chow_polynomial.
 The other routes keep coefficient lists.  The enumeration of supports
-survives only in fy_monomials and psi_fiber_of, which the Ψ-fibers need;
-both walk `nested.nested_subsets`, psi_fiber_of over s ∪ max G only.
+survives only in fy_monomials, psi_fibers and psi_fiber_of, which the
+Ψ-fibers need; all three walk `nested.nested_subsets`, psi_fiber_of over
+s ∪ max G only, and psi_fibers completes each support once.
 
 chow_by_deletion relabels its input once, element order[i] becoming i, so
 that every minor of the recursion has the identity order: the deleted
@@ -39,9 +40,12 @@ recursion in the given order (proof in `chow_by_deletion`).
 
 chow_by_filtration starts from the built matroid its filtration validated
 on the minimal set (`Filtration.base`, built even when the walk takes no
-step), carries the maximal elements along the walk, and counts each local interval once per key of its climb
-(`_climb_key`), which fixes the link up to the order of its elements, so
-a link is built only when its key is new to the call.
+step) and carries the maximal elements along the walk.  A star step's
+local intervals are read off the step: (0, a1), (0, a2), (g, m) for the
+maximal m above g, and (0, m') for every other maximal m', with no join.
+Each local interval is counted once per key of its climb (`_climb_key`),
+which fixes the link up to the order of its elements, so a link is built
+only when its key is new to the call.
 
 gamma_by_descents multiplies, over the maximal building-set elements m,
 the descent polynomials of the stable pairs below m
@@ -87,7 +91,6 @@ from .errors import (
 )
 from .lattice import bits, maximal
 from .nested import (
-    _link_bounds,
     _stable_pairs,
     completion,
     descent_set,
@@ -323,7 +326,11 @@ def chow_by_filtration(bm, trace=False):
     recorded by the filtration: if both are maximal the series multiplies
     by (1+t) (subdivision inside the lineality space); if both are
     non-maximal it gains t * product of the local-interval series of A
-    (the star of the cone).
+    (the star of the cone).  The links of a star step are those of the
+    nested set {a1, a2} ∪ max G, read off the step with no join:
+    (0, a1), (0, a2), (g, m) for the maximal m above g, and (0, m') for
+    each other maximal m'.  Both factors lie under m (below), and J^m =
+    a1 ∨ a2 = g, since the factors of g partition it.
     With trace=True returns (h, intermediates) where intermediates holds the
     series after every step including the starting value.
 
@@ -380,9 +387,12 @@ def chow_by_filtration(bm, trace=False):
             maxg.difference_update(a)
             maxg.add(added)
         elif not any(in_max):
-            # the G-factors of a flat are nested, so the pair needs no check
+            a1, a2 = a
+            m = next(x for x in maxg if added & ~x == 0)
+            links = [(0, a1), (0, a2), (added, m)]
+            links += [(0, x) for x in maxg if x != m]
             star = [1]
-            for j, g in _link_bounds(lat, maxg, a):
+            for j, g in links:
                 climb = _interval_climb(lat, prev_bset, j, g)
                 key = _climb_key(climb)
                 series = link_series.get(key)
@@ -567,7 +577,9 @@ def _checked_fiber(bm, s, des, degs):
 def psi_fibers(bm):
     """Group FY monomials by the completion of their support; the fiber of
     each stable facet must generate exactly t^des (1+t)^(k-2 des), with
-    k = rank - |max G|.
+    k = rank - |max G|.  Each support of `nested_subsets` is completed
+    once, and the degrees of its monomials, the sums of their exponents,
+    join its fiber.
 
     A direct sum needs no case of its own: its FY monomials are products of
     one monomial below each maximal element m, completion fills in each
@@ -577,9 +589,10 @@ def psi_fibers(bm):
     _require_complete(bm)
     maxset = set(bm.maxg)
     fibers = {}
-    for m in fy_monomials(bm):
-        s = completion(bm, frozenset(f for f, _ in m) - maxset)
-        fibers.setdefault(s, []).append(sum(a for _, a in m))
+    for supp, gaps in nested_subsets(bm, bm.bset, 2):
+        s = completion(bm, frozenset(supp) - maxset)
+        degs = fibers.setdefault(s, [])
+        degs += map(sum, product(*(range(1, g) for g in gaps)))
     stables = {frozenset(f): d for f, d in stable_descent_sets(bm)}
     for s in fibers:
         if s not in stables:

@@ -73,7 +73,6 @@ from .lattice import (
 from .nested import balanced_check, gamma_fvector
 from .polynomials import (
     gamma_expansion,
-    is_gamma_positive,
     kruskal_katona_check,
 )
 
@@ -360,18 +359,22 @@ def _complex_payload(bm):
     }
 
 
-def _gamma(bm, with_descents, with_complex):
+def _gamma(bm, with_descents, with_complex, only_if_complete=False):
     """H, γ, completeness and γ-positivity of one instance; with_descents
     adds the descent formula and whether it equals γ, with_complex the
-    Γ-complex."""
+    Γ-complex, both only on a complete instance when only_if_complete.
+    H is palindromic, so γ exists and is positive iff its entries are."""
     h = chow_polynomial(bm)
     gam = list(gamma_expansion(h))
+    complete = is_complete(bm)
     out = {
         "chow": h,
         "gamma": gam,
-        "gamma_positive": is_gamma_positive(h),
-        "complete": is_complete(bm),
+        "gamma_positive": all(g >= 0 for g in gam),
+        "complete": complete,
     }
+    if only_if_complete and not complete:
+        with_descents = with_complex = False
     if with_descents:
         desc = gamma_by_descents(bm)
         out["descent_formula"] = list(desc)
@@ -395,8 +398,8 @@ def _gamma_row(inst):
     equals γ and the Γ-complex is downward closed with f-vector γ (padded
     with zeros by `gamma_fvector`); a G_max instance, complete and
     irreducible in every order, also needs a balanced Γ-complex."""
-    complete = is_complete(inst.built)
-    out = _gamma(inst.built, complete, complete)
+    out = _gamma(inst.built, True, True, only_if_complete=True)
+    complete = out["complete"]
     row = {
         "name": inst.name,
         "complete": complete,

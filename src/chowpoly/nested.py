@@ -1,15 +1,21 @@
 """Nested set complexes, descent statistics, completion, and the Γ-complex.
 
 A nested set is a frozenset of building-set flats in which every antichain of
-size >= 2 has join outside the building set; `is_nested` decides it by a
-polynomial forest test, and `nested_subsets` is the one walk over nested
+size >= 2 has join outside the building set.  One pass, `_forest`, finds
+the forest of a family (each member's children, the maximal members below
+it) and decides nestedness from it: two or more children must make up a
+flat whose G-factor row has that many entries.  So the join of the
+children of g, the bottom J^g of its local interval, is their union, read
+with no join.  `is_nested` and the readers of ŝ = s ∪ max G (the descent
+data, `completion`, `compose`, `link_decomposition`, `lambda_label`) take
+their forest from it, and `nested_subsets` is the one walk over nested
 subsets.  Maximal nested sets (facets) are enumerated by a tree recursion
-through rank-1 local intervals, and the stable facets by the same recursion,
-pruned as it goes.  Both give a facet as one tuple of its flats, in the
-pre-order of its forest, so a stable facet is the same tuple in both
-lists; descent sets, the Γ-complex's faces, are frozensets.  The children
-a facet can give g are read off the lower covers of g, one G-factor set
-per cover, with no search and no join.
+through rank-1 local intervals, and the stable facets by the same
+recursion, pruned as it goes.  Both give a facet as one tuple of its
+flats, in the pre-order of its forest, so a stable facet is the same tuple
+in both lists; descent sets, the Γ-complex's faces, are frozensets.  The
+children a facet can give g are read off the lower covers of g, one
+G-factor set per cover, with no search and no join.
 
 A reducible built matroid is handled in place, one maximal building-set
 element m at a time: the facets, the stable pairs and the Γ-complex below
@@ -49,50 +55,71 @@ from .polynomials import pmul
 
 
 def is_nested(bm, s):
-    """True iff every antichain of size >= 2 inside s joins outside bset.
+    """True iff every antichain of size >= 2 inside s joins outside bset,
+    decided by the forest test of `_forest`.
 
-    Raises BadParameters when s has flats outside the building set.
+    Raises BadParameters when s has flats outside the building set."""
+    return _forest(bm, _members(bm, s)) is not None
 
-    Decided by the forest criterion: s is nested iff every two members are
-    comparable or disjoint, and for each member, and for the roots, the
-    children C (the maximal members strictly below it, or the maximal
-    members of s) with |C| >= 2 are exactly the G-factors of their join.
-    - Necessary: two meeting incomparable members join inside G; and a
-      nested antichain is exactly the set of G-factors of its join
-      (Feichtner–Kozlov 2004, Prop. 2.8).
-    - Sufficient: the lowest-node argument of `maximal_nested_sets`; an
-      antichain A of s with elements under two children c1, c2 of its
-      lowest node joins below ∨C, so if ∨A were in G it would lie under one
-      factor, that is one child, which would meet the disjoint c1 and c2.
-    - The count: every child lies under one factor.  The factors are the
-      direct summands of ∨C, so ∨C is the join, factor by factor, of the
-      children under each.  A factor holding no child would leave ∨C short
-      of it, so equal counts give each factor one child, and a child
-      strictly below its factor would leave ∨C short as well."""
+
+def _members(bm, s):
+    """s as a set, raising BadParameters when it has flats outside the
+    building set."""
     s = set(s)
     outside = sorted(f for f in s if f not in bm.bset)
     if outside:
         raise BadParameters(f"{outside} not in the building set")
-    children = {}  # a member, or None for the roots -> its children
-    for x in s:
+    return s
+
+
+def _union(flats):
+    u = 0
+    for f in flats:
+        u |= f
+    return u
+
+
+def _forest(bm, members):
+    """The forest of a family of distinct building-set members, as a dict
+    from each member, in the order given, to its children, the maximal
+    members strictly below it; or None when the family is not nested.
+
+    The family is nested iff every two members are comparable or disjoint,
+    and every list C of two or more children, of a member or of the roots
+    (the maximal members), has a union that is a flat whose G-factor row
+    has |C| entries.  Then the union of a member's children is their join,
+    so it is J^g for the member g.
+    - An antichain A of G with |A| >= 2 is nested iff ∪A is a flat whose
+      row has |A| entries, and then the row is A (the first point of
+      `building.flag_nonface_witness`).
+    - Necessary: two meeting incomparable members join inside G, and the
+      children of a node are a nested antichain.
+    - Sufficient: take an antichain A of the family with |A| >= 2, and p
+      the lowest node (or the roots) with members of A under two of its
+      children c1, c2.  Then ∨A lies below ∪C, whose G-factors are the
+      children C, so if ∨A were in G it would lie under one child, which
+      would meet the disjoint c1 and c2.
+    The members above a member x meet each other in x, so they form a
+    chain, and x's parent is the least of them.  The test reads only
+    masks and the G-factor table, and makes no join."""
+    kids = {x: [] for x in members}
+    roots = []
+    for x in members:
         up = None  # the least of the members above x, which form a chain
-        for y in s:
+        for y in members:
             if x & y and x != y:
                 if x & ~y and y & ~x:
-                    return False  # meeting and incomparable
+                    return None  # meeting and incomparable
                 if x & ~y == 0 and (up is None or y & ~up == 0):
                     up = y
-        children.setdefault(up, []).append(x)
-    lat = bm.lat
-    for kids in children.values():
-        if len(kids) >= 2:
-            j = 0
-            for c in kids:
-                j = lat.join(j, c)
-            # a join in G is its own one factor; skip the scan for it
-            if j in bm.bset or len(bm.factors(j)) != len(kids):
-                return False
-    return True
+        (roots if up is None else kids[up]).append(x)
+    idx, table = bm.lat.idx, bm.factor_table()
+    for c in (roots, *kids.values()):
+        if len(c) >= 2:
+            i = idx.get(_union(c))
+            if i is None or len(table[i]) != len(c):
+                return None
+    return kids
 
 
 def nested_subsets(bm, verts, min_gap):
@@ -104,19 +131,22 @@ def nested_subsets(bm, verts, min_gap):
     A member's gap is fixed when it is placed, because every later vertex
     has at least its rank and so is not below it.  Dropping a member only
     shrinks the joins, so every prefix of an admissible subset is admissible
-    and extending each one by later vertices reaches them all."""
+    and extending each one by later vertices reaches them all.  The members
+    below v in a nested set are v's children and theirs, so their join is
+    their union (`_forest`); a union that is no flat means the extended set
+    is not nested, and a union that is a flat is the join."""
     lat = bm.lat
+    idx, ranks = lat.idx, lat.ranks
     verts = sorted(verts, key=lambda f: (lat.rank_of(f), f))
 
     def go(start, chosen, gaps):
         yield tuple(chosen), tuple(gaps)
         for i in range(start, len(verts)):
             v = verts[i]
-            j = 0
-            for u in chosen:
-                if u & ~v == 0:
-                    j = lat.join(j, u)
-            gap = lat.rank_of(v) - lat.rank_of(j)
+            k = idx.get(_union(u for u in chosen if u & ~v == 0))
+            if k is None:
+                continue
+            gap = lat.rank_of(v) - ranks[k]
             if gap >= min_gap and is_nested(bm, [*chosen, v]):
                 yield from go(i + 1, chosen + [v], gaps + [gap])
 
@@ -250,18 +280,6 @@ class LocalInterval:
     flat_map: dict
 
 
-def _shat(lat, maxg, s):
-    return sorted(set(s) | set(maxg), key=lambda f: (lat.rank_of(f), f))
-
-
-def _jbottom(lat, shat, g):
-    j = 0
-    for h in shat:
-        if h != g and h & ~g == 0:
-            j = lat.join(j, h)
-    return j
-
-
 def _local_interval(bm, j, g):
     built, to_local = _interval(bm.lat, bm.bset, bm.order, j, g)
     flat_map = {
@@ -270,24 +288,31 @@ def _local_interval(bm, j, g):
     return LocalInterval(bottom=j, top=g, built=built, flat_map=flat_map)
 
 
+def _shat_forest(bm, s):
+    """`_forest` of ŝ = s ∪ max G, its members in (rank, mask) order, or
+    None when s is not nested; raises BadParameters when s has flats
+    outside the building set.  ŝ is nested iff s is: the maximal elements
+    are the G-factors of the top flat, and every member of s lies under
+    one of them."""
+    lat = bm.lat
+    shat = _members(bm, s) | set(bm.maxg)
+    return _forest(bm, sorted(shat, key=lambda f: (lat.rank_of(f), f)))
+
+
 def _require_nested(bm, s):
-    if not is_nested(bm, s):
+    """`_shat_forest` of a nested set s, raising BadParameters otherwise.
+    J^g of a member g of ŝ is the union of its children."""
+    forest = _shat_forest(bm, s)
+    if forest is None:
         raise BadParameters(f"{sorted(s)} is not a nested set")
+    return forest
 
 
 def link_decomposition(bm, s):
-    """Local intervals of a nested set over s plus the maximal elements."""
-    _require_nested(bm, s)
-    return [_local_interval(bm, j, g) for j, g in _link_bounds(bm.lat, bm.maxg, s)]
-
-
-def _link_bounds(lat, maxg, s):
-    """The pairs (J^g, g) for g in ŝ, s plus the maximal elements maxg of
-    the building set, in rank order: the bounds of the local intervals of
-    a nested set s.  It reads only the lattice and maxg, so a walk that
-    carries its maximal elements needs no built matroid of its set."""
-    shat = _shat(lat, maxg, s)
-    return [(_jbottom(lat, shat, g), g) for g in shat]
+    """Local intervals [J^g, g] of a nested set s, for g in ŝ = s ∪ max G
+    in (rank, mask) order."""
+    forest = _require_nested(bm, s)
+    return [_local_interval(bm, _union(kids), g) for g, kids in forest.items()]
 
 
 def new_factor(bm, g, f):
@@ -305,14 +330,12 @@ def compose(bm, s, local_sets):
     local interval to an iterable of global flats inside that interval's
     building set."""
     s = frozenset(s) - set(bm.maxg)
-    _require_nested(bm, s)
-    shat = _shat(bm.lat, bm.maxg, s)
     out = set(s)
-    for g in shat:
+    for g, kids in _require_nested(bm, s).items():
         chosen = local_sets.get(g, ())
         if not chosen:
             continue
-        li = _local_interval(bm, _jbottom(bm.lat, shat, g), g)
+        li = _local_interval(bm, _union(kids), g)
         local = [li.flat_map.get(h) for h in chosen]
         if any(x is None for x in local):
             raise NotNestedLocal((g, tuple(chosen)))
@@ -333,12 +356,9 @@ def completion(bm, s):
     of each factor side by side: rk m - 1 members below each m, and
     rank - |max G| in all."""
     s = frozenset(s) - set(bm.maxg)
-    _require_nested(bm, s)
-    shat = _shat(bm.lat, bm.maxg, s)
     out = set(s)
-    for g in shat:
-        j = _jbottom(bm.lat, shat, g)
-        chain = tl_chain(bm, j, g)
+    for g, kids in _require_nested(bm, s).items():
+        chain = tl_chain(bm, _union(kids), g)
         for prev, h in zip(chain, chain[1:]):
             out.add(new_factor(bm, h, prev))
     result = frozenset(out) - set(bm.maxg)
@@ -370,12 +390,17 @@ def _least(bm, mask):
 
 
 def lambda_label(bm, s, g):
-    """The order-least ground element whose join with J^g gives g.
+    """The order-least ground element whose join with J^g gives g, for g in
+    ŝ = s ∪ max G of a nested set s.
 
     When g covers J^g, every element of g outside J^g joins J^g up to g, so
-    this is the order-least element of g minus J^g."""
+    this is the order-least element of g minus J^g.  Raises BadParameters
+    when s is not nested or g is not in ŝ."""
+    forest = _require_nested(bm, s)
+    if g not in forest:
+        raise BadParameters(f"{g} is not in s ∪ max G")
+    j = _union(forest[g])
     lat = bm.lat
-    j = _jbottom(bm.lat, _shat(bm.lat, bm.maxg, s), g)
     if lat.rank_of(g) - lat.rank_of(j) != 1:
         raise RankNotOne((j, g))
     return _least(bm, g & ~j)
@@ -387,45 +412,28 @@ def descent_set(bm, s):
 
     Every element of s is descent-eligible; the parent of an element with no
     s-element above it is the maximal element of G above it, which itself
-    is never a descent.  The elements of ŝ above g form a chain (two
-    incomparable ones would meet in g, so their join would be in G), so the
-    parent of g is the first element after g in rank order that contains g,
-    and J^g is the join of the children of g.
+    is never a descent.  Both come from one `_forest` of ŝ: the parent of g
+    is the member whose children hold it, and J^g is the union of the
+    children of g.  On a facet g covers J^g, so λ(g) is the order-least
+    element of g ∖ J^g.
     """
     s = frozenset(s) - set(bm.maxg)
-    if len(s) != bm.rank - len(bm.maxg) or not is_nested(bm, s):
+    forest = None
+    if len(s) == bm.rank - len(bm.maxg):
+        forest = _shat_forest(bm, s)
+    if forest is None:
         raise NotMaximal(sorted(s))
-    return _descent_data(bm, s)
-
-
-def _descent_data(bm, s):
-    """`descent_set` on a facet known to be one, with no checks."""
-    lat = bm.lat
-    shat = _shat(bm.lat, bm.maxg, s)  # s and max G, in rank order
-    parents = {}
-    children = {g: [] for g in shat}
-    for i, g in enumerate(shat):
-        if g in s:  # a maximal element has no parent
-            p = next(h for h in shat[i + 1 :] if g & ~h == 0)
-            parents[g] = p
-            children[p].append(g)
-    lambdas = {}
-    for g in shat:
-        j = 0
-        for c in children[g]:
-            j = lat.join(j, c)
-        if lat.rank_of(g) - lat.rank_of(j) != 1:
-            raise RankNotOne((j, g))
-        lambdas[g] = _least(bm, g & ~j)
+    parents = {c: g for g, kids in forest.items() for c in kids}
+    lambdas = {g: _least(bm, g & ~_union(kids)) for g, kids in forest.items()}
     pos = bm.pos
     descents = frozenset(
         g for g in s if pos[lambdas[g]] > pos[lambdas[parents[g]]]
     )
-    bottoms = frozenset(g for g in descents if not children[g])
+    bottoms = frozenset(g for g in descents if not forest[g])
     doubles = frozenset(
         g
         for g in descents
-        if children[g] and all(c in descents for c in children[g])
+        if forest[g] and all(c in descents for c in forest[g])
     )
     return DescentData(
         descents=descents,

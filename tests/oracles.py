@@ -615,11 +615,11 @@ def stable_descent_sets_ref(bm):
     facet of `maximal_nested_sets` is built and its descent data read once,
     and the unstable ones are dropped.  This was the package's own pass
     before the stable facets were listed by a pruned recursion."""
-    from chowpoly.nested import _descent_data, maximal_nested_sets
+    from chowpoly.nested import descent_set, maximal_nested_sets
 
     pairs = []
     for s in maximal_nested_sets(bm):
-        dd = _descent_data(bm, s)
+        dd = descent_set(bm, s)
         if dd.stable:
             pairs.append((s, dd.descents))
     return tuple(pairs)
@@ -1155,11 +1155,17 @@ def chow_by_filtration_ref(bm, trace=False):
     """`chow.chow_by_filtration` before it keyed link series by their climb:
     a local interval [J^g, g] is keyed by J^g, g and the members h of the
     current set with h <= g and h not <= J^g (a mask of lattice indices),
-    and built in full with `building._interval` on each new key."""
-    from chowpoly.building import _interval, binary_filtration, g_min
+    and built in full with `building._interval` on each new key.  The
+    bounds (J^g, g) of a star step are those of the nested set a ∪ max G
+    of the current set, J^g by the join loop of `_jbottom`."""
+    from chowpoly.building import (
+        BuiltMatroid,
+        _interval,
+        binary_filtration,
+        g_min,
+    )
     from chowpoly.chow import chow_polynomial
     from chowpoly.errors import MixedFactorStep, NoBinaryFiltration, NotFlag, Stuck
-    from chowpoly.nested import _link_bounds
     from chowpoly.polynomials import padd, pmul
 
     lat = bm.lat
@@ -1179,7 +1185,10 @@ def chow_by_filtration_ref(bm, trace=False):
             maxg.add(added)
         elif not any(in_max):
             star = [1]
-            for j, g in _link_bounds(lat, maxg, a):
+            prev = BuiltMatroid(lat, prev_bset, bm.order, validate=False)
+            shat = _shat(prev, a)
+            for g in shat:
+                j = _jbottom(prev, shat, g)
                 below = 0
                 for x in prev_bset:
                     if x & ~g == 0 and x & ~j:

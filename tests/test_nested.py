@@ -351,6 +351,45 @@ def test_facets_make_no_join(bm, monkeypatch):
     assert len(facets) == {11: 7920, 15: 945}[bm.n]
 
 
+def test_nested_layer_makes_no_join(monkeypatch):
+    """The nested layer reads J^g as the union of g's children in the
+    forest of `nested._forest`, so over the corpus the nestedness test (on
+    facets and on seeded random subsets), the descent data and λ-labels of
+    facets, the FY walk and the nested complex join no flats."""
+    from chowpoly.corpus import corpus
+    from chowpoly.lattice import GeomLattice
+
+    cases = [(i.built, maximal_nested_sets(i.built)[:40]) for i in corpus()]
+    joins = 0
+    join = GeomLattice.join
+
+    def counting_join(self, f, g):
+        nonlocal joins
+        joins += 1
+        return join(self, f, g)
+
+    monkeypatch.setattr(GeomLattice, "join", counting_join)
+    rng = random.Random(29)
+    calls = Counter()
+    for bm, facets in cases:
+        pool = sorted(bm.bset)
+        for _ in range(20):
+            s = rng.sample(pool, rng.randint(1, len(pool)))
+            calls["is_nested", is_nested(bm, s)] += 1
+        for s in facets:
+            calls["is_nested", is_nested(bm, s)] += 1
+            calls["descent_set", descent_set(bm, s).stable] += 1
+            for g in (*s, *bm.maxg):
+                lambda_label(bm, s, g)
+                calls["lambda_label"] += 1
+        calls["fy_monomials"] += sum(1 for _ in fy_monomials(bm))
+        calls["nested_complex"] += len(nested_complex(bm, "N").faces)
+    assert joins == 0
+    kinds = [(f, v) for f in ("is_nested", "descent_set") for v in (True, False)]
+    kinds += ["lambda_label", "fy_monomials", "nested_complex"]
+    assert all(calls[k] for k in kinds), calls
+
+
 def test_g_factor_table_is_taken_once_per_built_matroid(monkeypatch):
     """A validated built matroid keeps the table of its validating pass for
     the child tables; G_min takes none, as its table is the lattice's
@@ -714,6 +753,8 @@ def test_nested_input_errors_are_typed():
         link_decomposition(b3, {0b001, 0b010})
     with pytest.raises(BadParameters):
         descent_set(b3, {0b001, 0b1000})
+    with pytest.raises(BadParameters):
+        lambda_label(b3, {0b001, 0b010}, b3.lat.full)  # two atoms joining into G
 
 
 def test_nested_input_errors_are_typed_under_optimize():
@@ -721,7 +762,7 @@ def test_nested_input_errors_are_typed_under_optimize():
         "from chowpoly import built_from_matroid, make_boolean, make_uniform\n"
         "from chowpoly.building import delete_element, tl_chain\n"
         "from chowpoly.nested import completion, compose, is_nested,"
-        " link_decomposition\n"
+        " lambda_label, link_decomposition\n"
         "def kind(fn, *a):\n"
         "    try:\n"
         "        fn(*a)\n"
@@ -733,7 +774,8 @@ def test_nested_input_errors_are_typed_under_optimize():
         "print(kind(is_nested, bm, {0b1000}), kind(completion, bm, {1, 2}),"
         " kind(link_decomposition, bm, {1, 2}), kind(delete_element, bm, 3),"
         " kind(delete_element, bm, -1), kind(tl_chain, bm, 0b011, 0b101),"
-        " kind(tl_chain, um, 0b1, 0b111), kind(compose, bm, {3, 6}, {}))\n"
+        " kind(tl_chain, um, 0b1, 0b111), kind(compose, bm, {3, 6}, {}),"
+        " kind(lambda_label, bm, {1, 2}, 0b111))\n"
     )
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     proc = subprocess.run(
@@ -744,7 +786,7 @@ def test_nested_input_errors_are_typed_under_optimize():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["BadParameters"] * 8
+    assert proc.stdout.split() == ["BadParameters"] * 9
 
 
 def test_stable_counts_b3():
