@@ -452,17 +452,20 @@ def tl_chain(bm, f, g):
 def complete_witness(bm):
     """The first building-set element (by mask) whose bottom chain leaves
     the set, with the first flat of that chain outside it, or None if the
-    built matroid is complete."""
-    return _complete_witness(bm, sorted(bm.bset))
+    built matroid is complete: the one completeness pass of the package.
 
-
-def _complete_witness(bm, members):
-    """`complete_witness` over members, building-set elements in mask
-    order.  For the members below a maximal element m it decides the
-    restriction [0, m]: a bottom chain of bm below m is that of the
-    restriction, whose order is bm.order restricted to m, and it leaves
-    the induced set where it leaves bm.bset."""
-    for g in members:
+    A direct sum is complete iff each restriction [0, m] to a maximal
+    element m is, so one verdict serves every factor:
+    - every member g lies below a maximal element m, and below only one,
+      as the maximal elements, the G-factors of the top flat, are
+      disjoint;
+    - `tl_chain(bm, 0, g)` climbs only through flats below g, adding the
+      elements of g in bm.order, whose restriction to m is the order of
+      [0, m]: it is the bottom chain of g in the restriction, and it does
+      not depend on m;
+    - the induced set of [0, m] is the members of bm.bset below m, so the
+      chain leaves it where it leaves bm.bset."""
+    for g in sorted(bm.bset):
         for x in tl_chain(bm, 0, g)[1:]:
             if x not in bm.bset:
                 return g, x
@@ -606,40 +609,41 @@ def is_flag(bm):
 
 @dataclass
 class Filtration:
-    """A chain of building sets from small to big, one flat added per step."""
+    """A chain of building sets from small to big, one flat added per step:
+    the set before step i is base.bset plus added[:i]."""
 
-    bsets: list  # list of frozensets, len = steps + 1
     added: list  # flat added at each step
     factors: list  # its factors in the prior set, sorted by (rank, mask)
-    # bsets[0] as a validated built matroid, holding its G-factor table
-    base: BuiltMatroid = field(default=None, compare=False, repr=False)
+    # the small end as a validated built matroid, holding its G-factor table
+    base: BuiltMatroid = field(compare=False, repr=False)
 
 
 def _removal_chain(bm, small, pick):
     """Remove what pick(lat, cur, small) returns until small is left.
 
     pick returns None or (g, `_removable(lat, cur, g)`), whose tops are the
-    factors of g in cur minus g.  Only small, which is caller input, is
-    validated, as the built matroid `Filtration.base`: pick returns only
-    elements `_removable` accepts, so by the proof in `_removable` every
-    set of the chain is a building set."""
+    factors of g in cur minus g, and g is a member of cur - small, so cur
+    holds small all along and the loop ends when it has small's size.  Only
+    small, which is caller input, is validated, as the built matroid
+    `Filtration.base`: pick returns only elements `_removable` accepts, so
+    by the proof in `_removable` every set of the chain is a building
+    set."""
     lat = bm.lat
     small = frozenset(small)
     if not small <= bm.bset:
         raise NotContained(sorted(small - bm.bset))
     base = BuiltMatroid(lat, small, bm.order)
-    chain, added, factors = [bm.bset], [], []
+    added, factors = [], []
     cur = set(bm.bset)
-    while chain[-1] != small:
+    while len(cur) > len(small):
         step = pick(lat, cur, small)
         if step is None:
             raise Stuck(sorted(cur - small))
         g, tops = step
         cur.discard(g)
-        chain.append(frozenset(cur))
         added.append(g)
         factors.append(tuple(sorted(tops, key=lambda h: (lat.rank_of(h), h))))
-    return Filtration(chain[::-1], added[::-1], factors[::-1], base)
+    return Filtration(added[::-1], factors[::-1], base)
 
 
 def _removable(lat, bset, g):

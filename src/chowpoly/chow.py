@@ -336,10 +336,12 @@ def chow_by_filtration(bm, trace=False):
 
     The base is the built matroid the filtration validated on the minimal
     set, `BuiltMatroid(lat, small, bm.order)`, also when the walk takes no
-    step, so FY reads a G-factor table already built.  A local interval [J^g, g] with its induced set is counted once
-    per key of its climb (`_climb_key` of `_interval_climb`), in a dict
-    local to the call, and built only when that key is new.  The key fixes
-    the series:
+    step, so FY reads a G-factor table already built.  The set a step
+    climbs on is grown from the base's set, one added flat per step; the
+    filtration keeps only the steps.  A local interval [J^g, g] with its
+    induced set is counted once per key of its climb (`_climb_key` of
+    `_interval_climb`), in a dict local to the call, and built only when
+    that key is new.  The key fixes the series:
     - the climb labels the covers of J^g below g by their least new
       element, and gives each flat of [J^g, g] its local mask and the
       induced set {J^g ∨ h : h in the current set, h <= g, h not <= J^g}
@@ -380,7 +382,8 @@ def chow_by_filtration(bm, trace=False):
     steps = [list(h)]
     maxg = set(filt.base.maxg)  # the maximal elements of the current set
     link_series = {}  # `_climb_key` of a link -> its series
-    for prev_bset, added, a in zip(filt.bsets, filt.added, filt.factors):
+    cur = set(filt.base.bset)  # the set each step adds its flat to
+    for added, a in zip(filt.added, filt.factors):
         in_max = [f in maxg for f in a]
         if all(in_max):
             h = pmul(h, [1, 1])
@@ -393,7 +396,7 @@ def chow_by_filtration(bm, trace=False):
             links += [(0, x) for x in maxg if x != m]
             star = [1]
             for j, g in links:
-                climb = _interval_climb(lat, prev_bset, j, g)
+                climb = _interval_climb(lat, cur, j, g)
                 key = _climb_key(climb)
                 series = link_series.get(key)
                 if series is None:
@@ -403,6 +406,7 @@ def chow_by_filtration(bm, trace=False):
             h = padd(h, pmul([0, 1], star))
         else:
             raise MixedFactorStep((added, a))
+        cur.add(added)
         steps.append(list(h))
     if trace:
         return h, steps

@@ -81,8 +81,9 @@ EXIT_INVALID = 2
 EXIT_FAIL = 3
 
 # What reading and parsing an input can raise, each an EXIT_INVALID: a
-# missing file is an OSError, bad JSON a ValueError, a JSON number too large
-# for int() an OverflowError and deeply nested JSON a RecursionError.
+# missing file is an OSError, bad JSON or a spec number that is not a JSON
+# integer (`_spec_int`) a ValueError, an int too large for a machine word an
+# OverflowError and deeply nested JSON a RecursionError.
 _INPUT_ERRORS = (ChowpolyError, KeyError, OSError, OverflowError, RecursionError,
                  TypeError, ValueError)
 
@@ -112,10 +113,19 @@ def fail_invalid(msg):
 # instance parsing
 
 
+def _spec_int(x, name):
+    """x, a number of the spec named name, when it is a JSON integer; a
+    float, a string or a boolean raises ValueError rather than being read
+    as some nearby int."""
+    if type(x) is not int:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return x
+
+
 def _mask_of(indices, n):
     m = 0
     for i in indices:
-        if not (isinstance(i, int) and 0 <= i < n):
+        if not 0 <= _spec_int(i, "element index") < n:
             raise ValueError(f"element index {i!r} out of range 0..{n - 1}")
         m |= 1 << i
     return m
@@ -194,20 +204,20 @@ def _matroid_from_flats(n, flat_lists):
 def parse_matroid(d):
     kind = d["type"]
     if kind == "uniform":
-        return make_uniform(int(d["r"]), int(d["n"]))
+        return make_uniform(_spec_int(d["r"], "r"), _spec_int(d["n"], "n"))
     if kind == "boolean":
-        return make_boolean(int(d["n"]))
+        return make_boolean(_spec_int(d["n"], "n"))
     if kind == "graphic":
         return make_graphic([tuple(e) for e in d["edges"]])
     if kind == "partition":
-        return make_partition(int(d["n"]))
+        return make_partition(_spec_int(d["n"], "n"))
     if kind == "flats":
-        return _matroid_from_flats(int(d["n"]), d["flats"])
+        return _matroid_from_flats(_spec_int(d["n"], "n"), d["flats"])
     if kind == "rank-table":
-        n = int(d["n"])
+        n = _spec_int(d["n"], "n")
         if not (1 <= n <= 12):
             raise ValueError("rank-table supports 1 <= n <= 12")
-        ranks = [int(r) for r in d["ranks"]]
+        ranks = [_spec_int(r, "rank") for r in d["ranks"]]
         if len(ranks) != 1 << n:
             raise ValueError(f"rank table must have 2^{n} entries")
         m = Matroid(n, lambda s: ranks[s])
@@ -240,9 +250,8 @@ def _built(doc, m, bdesc, order):
     if isinstance(bdesc, dict) and bdesc.get("type") == "chordal":
         if doc["matroid"]["type"] != "boolean":
             raise ValueError("chordal building sets are indexed on boolean matroids")
-        n = int(doc["matroid"]["n"])
-        sets = chordal_building_sets(n)
-        k = int(bdesc["index"])
+        sets = chordal_building_sets(m.n)
+        k = _spec_int(bdesc["index"], "chordal index")
         if not (0 <= k < len(sets)):
             raise ValueError(f"chordal index {k} out of range 0..{len(sets) - 1}")
         return BuiltMatroid(lattice_of_flats(m), sets[k], order)
@@ -332,15 +341,17 @@ def _dense_counts(counts):
     return [counts.get(i, 0) for i in range(max(counts) + 1)]
 
 
-def _complex_payload(bm):
+def _complex_payload(bm, complete):
     """The Γ-complex of bm: `gamma_fvector`'s f-vector, padded to γ's
-    length, and its reports; irreducible input also lists the complex."""
+    length, and its reports; irreducible input also lists the complex.
+    complete is the instance's verdict (`building.complete_witness`), which
+    holds for a direct sum iff it holds for each factor."""
     f, reps = gamma_fvector(bm)
     if not bm.irreducible:
         return {
             "factored": True,
             "f_vector": f,
-            "complete": all(r.complete for r in reps),
+            "complete": complete,
             "downward_closed": all(r.downward_closed for r in reps),
         }
     (rep,) = reps
@@ -352,7 +363,7 @@ def _complex_payload(bm):
             for face in sorted(rep.complex.faces, key=lambda s: (len(s), sorted(s)))
         ],
         "f_vector": f,
-        "complete": rep.complete,
+        "complete": complete,
         "downward_closed": rep.downward_closed,
         "balanced": balanced_check(bm, rep.complex),
         "descent_counts": _dense_counts(rep.descent_counts),
@@ -380,7 +391,7 @@ def _gamma(bm, with_descents, with_complex, only_if_complete=False):
         out["descent_formula"] = list(desc)
         out["match"] = desc == gam
     if with_complex:
-        out["complex"] = _complex_payload(bm)
+        out["complex"] = _complex_payload(bm, complete)
     return out
 
 

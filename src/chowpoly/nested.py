@@ -26,22 +26,20 @@ restricted copy is built.  Every function that takes a nested set s reads
 those of its factors side by side, and a facet has rank - |max G|
 members.  Only `gamma_complex` refuses a direct sum, because its one
 report is one complex; `gamma_fvector` gives one report per maximal
-element.  The antichain scan, the pruned child-antichain
-search, the brute-force subset filter, the filter of every facet by its
-descent data and the route through one restricted copy per maximal
-element live in the test oracles.
+element.  No function here decides completeness: the Γ-reports hold
+the complex and its closure defects, and `building.complete_witness`
+gives the one verdict, which holds for a direct sum iff it holds below
+each m.  The antichain scan, the pruned child-antichain search, the
+brute-force subset filter, the filter of every facet by its descent
+data and the route through one restricted copy per maximal element live
+in the test oracles.
 """
 
 from dataclasses import dataclass
 from itertools import product
 from math import comb
 
-from .building import (
-    BuiltMatroid,
-    _complete_witness,
-    _interval,
-    tl_chain,
-)
+from .building import BuiltMatroid, _interval, tl_chain
 from .errors import (
     BadParameters,
     NotIrreducible,
@@ -378,8 +376,6 @@ class DescentData:
     bottoms: frozenset
     doubles: frozenset
     stable: bool
-    lambdas: dict
-    parents: dict
 
 
 def _least(bm, mask):
@@ -441,8 +437,6 @@ def descent_set(bm, s):
         bottoms=bottoms,
         doubles=doubles,
         stable=not bottoms and not doubles,
-        lambdas=lambdas,
-        parents=parents,
     )
 
 
@@ -538,7 +532,6 @@ def stable_maximal_nested_sets(bm):
 @dataclass
 class GammaComplexReport:
     complex: SimplicialComplex
-    complete: bool
     downward_closed: bool
     closure_violations: list
     unused_vertices: tuple
@@ -551,9 +544,12 @@ def gamma_complex(bm):
     building-set flats outside the bottom chain and the atoms.
 
     Complete instances yield a downward-closed complex whose f-vector is the
-    γ-vector; on incomplete input this still computes, with the defects
-    reported in the result instead of raised.  It is `_gamma_report` below
-    the top flat.
+    γ-vector; on incomplete input this still computes, and the report names
+    its defects instead of raising: the faces whose one-smaller subsets are
+    no faces, the vertices no face uses, and the face members that are no
+    vertices.  Completeness is not decided here: `building.is_complete`
+    decides it once for the instance.  It is `_gamma_report` below the top
+    flat.
     """
     if not bm.irreducible:
         raise NotIrreducible("the Γ-complex needs an irreducible built matroid")
@@ -565,10 +561,11 @@ def _gamma_report(bm, m):
     element m, in the flats of bm: its members, its bottom chain and its
     stable pairs are those of bm below m."""
     lat = bm.lat
-    members = sorted(g for g in bm.bset if g & ~m == 0)
     chain0 = set(tl_chain(bm, 0, m)[1:])
     vertices = tuple(
-        g for g in members if g not in chain0 and lat.rank_of(g) != 1
+        g
+        for g in sorted(bm.bset)
+        if g & ~m == 0 and g not in chain0 and lat.rank_of(g) != 1
     )
     counts = {}
     faces = set()
@@ -579,7 +576,6 @@ def _gamma_report(bm, m):
     used = set().union(*faces) if faces else set()
     return GammaComplexReport(
         complex=SimplicialComplex(vertices=vertices, faces=frozenset(faces)),
-        complete=_complete_witness(bm, members) is None,
         downward_closed=not violations,
         closure_violations=violations,
         unused_vertices=tuple(sorted(set(vertices) - used)),
@@ -613,7 +609,7 @@ def gamma_fvector(bm):
     reps = [_gamma_report(bm, m) for m in bm.maxg]
     out = [1]
     for rep in reps:
-        out = pmul(out, list(complex_stats(rep.complex)[0]))
+        out = pmul(out, _f_vector(rep.complex.faces))
     want = (bm.rank - len(bm.maxg)) // 2 + 1
     out = out + [0] * (want - len(out))
     return out, reps
@@ -635,19 +631,24 @@ def complex_stats(c):
     f is cardinality-indexed with f_0 = 1 for the empty face; h comes from the
     standard base change sum f_i (y-1)^(d-i) = sum h_i y^(d-i).
     """
-    sizes = [len(f) for f in c.faces]
-    d = max(sizes, default=0)
-    f = [0] * (d + 1)
-    f[0] = 1
-    for k in sizes:
-        if k:
-            f[k] += 1
+    f = _f_vector(c.faces)
+    d = len(f) - 1
     h = [0] * (d + 1)
     for i, fi in enumerate(f):
         # f_i (y-1)^(d-i) contributes to y^(d-j)
         for j in range(i, d + 1):
             h[j] += fi * comb(d - i, j - i) * (-1) ** (j - i)
     return tuple(f), tuple(h), _flag_by_masks(c.faces), d - 1
+
+
+def _f_vector(faces):
+    """The face counts by size, f[0] = 1 for the empty face, as a list as
+    long as the largest face plus one."""
+    f = [1] + [0] * max(map(len, faces), default=0)
+    for fc in faces:
+        if fc:
+            f[len(fc)] += 1
+    return f
 
 
 def _flag_by_masks(faces):

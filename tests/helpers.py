@@ -30,6 +30,17 @@ def traced_peak(fn):
     return live, peak
 
 
+def filtration_sets(filt):
+    """The building sets of a filtration's chain, small end first: the
+    base's set, then one added flat more per step."""
+    cur = filt.base.bset
+    out = [cur]
+    for g in filt.added:
+        cur = cur | {g}
+        out.append(cur)
+    return out
+
+
 def mask_of(elems):
     m = 0
     for e in elems:

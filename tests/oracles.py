@@ -605,8 +605,6 @@ def descent_data_by_join(bm, s):
         bottoms=bottoms,
         doubles=frozenset(doubles),
         stable=not bottoms and not doubles,
-        lambdas=lambdas,
-        parents=parents,
     )
 
 
@@ -820,6 +818,8 @@ def deletion_modular_cut(lat, e):
 def filtration(bm, small):
     """Filtration from small up to bm.bset removing minimal elements in
     reverse; every set of the chain is validated here."""
+    from helpers import filtration_sets
+
     from chowpoly.building import _removable, _removal_chain, validate_building_set
 
     def pick(lat, cur, small):
@@ -834,7 +834,7 @@ def filtration(bm, small):
         return None
 
     filt = _removal_chain(bm, small, pick)
-    for bset in filt.bsets:
+    for bset in filtration_sets(filt):
         assert validate_building_set(bm.lat, bset) == bset
     return filt
 
@@ -1167,6 +1167,7 @@ def chow_by_filtration_ref(bm, trace=False):
     from chowpoly.chow import chow_polynomial
     from chowpoly.errors import MixedFactorStep, NoBinaryFiltration, NotFlag, Stuck
     from chowpoly.polynomials import padd, pmul
+    from helpers import filtration_sets
 
     lat = bm.lat
     try:
@@ -1177,7 +1178,7 @@ def chow_by_filtration_ref(bm, trace=False):
     steps = [list(h)]
     maxg = set(filt.base.maxg)
     link_series = {}
-    for prev_bset, added, a in zip(filt.bsets, filt.added, filt.factors):
+    for prev_bset, added, a in zip(filtration_sets(filt), filt.added, filt.factors):
         in_max = [f in maxg for f in a]
         if all(in_max):
             h = pmul(h, [1, 1])

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import oracles
-from helpers import b4_flag_built, mask_of, set_of, traced_peak
+from helpers import b4_flag_built, filtration_sets, mask_of, set_of, traced_peak
 
 from chowpoly.building import BuiltMatroid, extend, is_complete
 from chowpoly.nested import maximal_nested_sets, stable_maximal_nested_sets
@@ -357,7 +357,7 @@ def test_filtration_builds_each_link_once(name, monkeypatch):
     lat = bm.lat
     keys, total = set(), 0
     filt = binary_filtration(bm, g_min(lat))
-    for prev_bset, a in zip(filt.bsets, filt.factors):
+    for prev_bset, a in zip(filtration_sets(filt), filt.factors):
         prev = BuiltMatroid(lat, prev_bset, bm.order, validate=False)
         if any(f in prev.maxg for f in a):
             continue

@@ -624,6 +624,38 @@ def test_unreadable_specs_exit_2(capsys, tmp_path, cmd, bad):
     assert err.startswith("error: ")
 
 
+# Specs whose numbers are no JSON integers; int() would truncate or coerce
+# each one into a valid instance.
+NON_INTEGER_SPECS = {
+    "n-float": {"matroid": {"type": "boolean", "n": 3.7}},
+    "n-string": {"matroid": {"type": "boolean", "n": "3"}},
+    "n-true": {"matroid": {"type": "boolean", "n": True}},
+    "r-float": {"matroid": {"type": "uniform", "r": 2.0, "n": 3}},
+    "rank-float": {"matroid": {"type": "rank-table", "n": 2, "ranks": [0, 1, 1, 1.9]}},
+    "rank-true": {"matroid": {"type": "rank-table", "n": 2, "ranks": [0, True, 1, 2]}},
+    "chordal-index-float": {
+        "matroid": {"type": "boolean", "n": 3},
+        "building_set": {"type": "chordal", "index": 2.9},
+    },
+    "member-true": {
+        "matroid": {"type": "boolean", "n": 2},
+        "building_set": [[0], [True]],
+    },
+}
+
+
+@pytest.mark.parametrize("bad", list(NON_INTEGER_SPECS))
+@pytest.mark.parametrize("cmd", SPEC_COMMANDS, ids=" ".join)
+def test_non_integer_spec_numbers_exit_2(capsys, tmp_path, cmd, bad):
+    """A float, a string or a boolean where the spec wants an integer is
+    invalid input: exit 2, nothing on stdout, and stderr names the field."""
+    spec = spec_arg(tmp_path, NON_INTEGER_SPECS[bad])
+    assert cli.main([*cmd, "--spec", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ValueError: ") and "must be an integer" in err
+
+
 def test_modular_cut_that_is_not_a_list_exits_2(capsys, tmp_path):
     spec = spec_arg(tmp_path, dict(U33_MAX, cut=5))
     assert cli.main(["check", "--what", "modular-cut", "--spec", spec]) == 2

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import mask_of, set_of, sets_of
+from helpers import filtration_sets, mask_of, set_of, sets_of
 
 from chowpoly.errors import (
     InvalidMatroid,
@@ -126,7 +126,7 @@ def _derived_lattices(bm):
         filt = binary_filtration(bm, g_min(bm.lat))
     except (NotFlag, Stuck):
         return out
-    for prev_bset, a in zip(filt.bsets, filt.factors):
+    for prev_bset, a in zip(filtration_sets(filt), filt.factors):
         prev = BuiltMatroid(bm.lat, prev_bset, bm.order, validate=False)
         if not any(f in prev.maxg for f in a):
             out += [link.built.lat for link in link_decomposition(prev, a)]

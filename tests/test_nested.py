@@ -16,7 +16,13 @@ import pytest
 import oracles
 from helpers import b4_flag_built, mask_of, masks_of, set_of, sets_of, traced_peak
 
-from chowpoly.building import BuiltMatroid, flag_nonface_witness, g_min, is_complete
+from chowpoly.building import (
+    BuiltMatroid,
+    flag_nonface_witness,
+    g_min,
+    is_complete,
+    restrict,
+)
 from chowpoly.chow import fy_monomials, psi_fiber_of
 from chowpoly.errors import (
     BadParameters,
@@ -390,6 +396,46 @@ def test_nested_layer_makes_no_join(monkeypatch):
     assert all(calls[k] for k in kinds), calls
 
 
+def test_completeness_is_decided_once_per_instance(monkeypatch, capsys):
+    """`building.complete_witness` is the one completeness pass: one
+    in-process `gamma --corpus` makes one per instance (229) and 2,722
+    bottom chains (527 passes and 4,922 chains when each Γ-report decided
+    [0, m] again), and over the corpus `gamma_complex` and `gamma_fvector`
+    decide none, taking one bottom chain per report."""
+    import chowpoly.building as building
+    import chowpoly.nested as nested
+    from chowpoly import cli
+    from chowpoly.corpus import corpus
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    witness = counted("complete_witness", building.complete_witness)
+    monkeypatch.setattr(building, "complete_witness", witness)
+    chain = counted("tl_chain", building.tl_chain)
+    monkeypatch.setattr(building, "tl_chain", chain)
+    monkeypatch.setattr(nested, "tl_chain", chain)
+    assert cli.main(["gamma", "--corpus"]) == 0
+    capsys.readouterr()
+    assert (calls["complete_witness"], calls["tl_chain"]) == (229, 2722)
+
+    calls.clear()
+    reports = 0
+    for inst in corpus():
+        bm = inst.built
+        if bm.irreducible:
+            gamma_complex(bm)
+            reports += 1
+        reports += len(gamma_fvector(bm)[1])
+    assert (calls["complete_witness"], calls["tl_chain"]) == (0, reports)
+
+
 def test_g_factor_table_is_taken_once_per_built_matroid(monkeypatch):
     """A validated built matroid keeps the table of its validating pass for
     the child tables; G_min takes none, as its table is the lattice's
@@ -585,7 +631,8 @@ def _descent_kernel_cases():
 
 
 def test_descent_set_matches_join_loop_reference():
-    """Every DescentData field equals the join-loop reference on every facet."""
+    """Every DescentData field equals the join-loop reference on every facet,
+    and so does λ of every member of ŝ = s ∪ max G (`lambda_label`)."""
     facets = 0
     for name, bm in _descent_kernel_cases():
         for s in maximal_nested_sets(bm):
@@ -593,6 +640,9 @@ def test_descent_set_matches_join_loop_reference():
                 name,
                 sorted(s),
             )
+            for g in (*s, *bm.maxg):
+                want = oracles.lambda_by_join(bm, s, g)
+                assert lambda_label(bm, s, g) == want, (name, sorted(s), g)
             facets += 1
     assert facets > 5000
 
@@ -798,8 +848,9 @@ def test_stable_counts_b3():
 
 
 def test_gamma_complex_b3max():
-    rep = gamma_complex(built_from_matroid(make_boolean(3), "max"))
-    assert rep.complete and rep.downward_closed
+    bm = built_from_matroid(make_boolean(3), "max")
+    rep = gamma_complex(bm)
+    assert is_complete(bm) and rep.downward_closed
     assert rep.complex.vertices == (5, 6)
     assert rep.complex.faces == {
         frozenset(),
@@ -810,9 +861,7 @@ def test_gamma_complex_b3max():
     assert list(f) == [1, 2]
     assert rep.descent_counts == {0: 1, 1: 2}
     assert not rep.unused_vertices and not rep.foreign_vertices
-    assert balanced_check(
-        built_from_matroid(make_boolean(3), "max"), rep.complex
-    )
+    assert balanced_check(bm, rep.complex)
 
 
 def test_gamma_complex_rank_two():
@@ -854,9 +903,11 @@ def test_direct_sums_match_the_restriction_route():
     """The descent formula and the Γ-complex of a reducible built matroid,
     read below each maximal element in place, against one restricted copy
     per maximal element (`oracles.gamma_fvector_by_restriction`), on
-    `_direct_sum_cases`.  The reports agree on completeness and closure,
-    and their complexes are equal once each flat below m is renumbered as
-    its restriction renumbers it."""
+    `_direct_sum_cases`.  The reports agree on closure, and their
+    complexes are equal once each flat below m is renumbered as its
+    restriction renumbers it.  The instance is complete iff every
+    restriction [0, m] is, the fact that lets `gamma` print one verdict
+    for a direct sum."""
     from chowpoly.chow import gamma_by_descents_factored
 
     for bm in _direct_sum_cases():
@@ -864,14 +915,14 @@ def test_direct_sums_match_the_restriction_route():
         assert gamma_by_descents_factored(
             bm
         ) == oracles.gamma_by_descents_by_restriction(bm), where
+        assert is_complete(bm) == all(
+            is_complete(restrict(bm, m)) for m in bm.maxg
+        ), where
         f, reps = gamma_fvector(bm)
         f_ref, reps_ref = oracles.gamma_fvector_by_restriction(bm)
         assert f == f_ref, where
         for m, rep, ref in zip(bm.maxg, reps, reps_ref, strict=True):
-            assert (rep.complete, rep.downward_closed) == (
-                ref.complete,
-                ref.downward_closed,
-            ), where
+            assert rep.downward_closed == ref.downward_closed, where
             emap = oracles._compress_map(m)
             local = {g: oracles._remap_mask(g, emap) for g in bm.bset if g & ~m == 0}
             verts = rep.complex.vertices
