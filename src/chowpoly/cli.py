@@ -97,7 +97,12 @@ def mask_to_indices(mask):
 
 
 def masks_to_arrays(masks):
-    return sorted((mask_to_indices(m) for m in masks), key=lambda a: (len(a), a))
+    """The index lists of masks in (length, list) order: sorted by list,
+    then stably by length, with no key built per list."""
+    arrays = [mask_to_indices(m) for m in masks]
+    arrays.sort()
+    arrays.sort(key=len)
+    return arrays
 
 
 def emit(obj):
@@ -120,6 +125,24 @@ def _spec_int(x, name):
     if type(x) is not int:
         raise ValueError(f"{name} must be an integer, got {x!r}")
     return x
+
+
+def _graphic_edges(edges):
+    """The edges of a graphic spec as pairs of vertex labels, when the
+    labels are all integers or all strings; any other label raises
+    ValueError naming its edge.  Python equality would make `true` and
+    `1.0` the vertex 1, and `sorted` cannot order mixed labels."""
+    edges = [tuple(e) for e in edges]
+    kind = None  # the type of the first label, which every label must have
+    for e in edges:
+        for v in e:
+            kind = kind or type(v)
+            if type(v) is not kind or kind not in (int, str):
+                raise ValueError(
+                    f"graphic vertex labels must be all integers or all "
+                    f"strings; edge {list(e)} has {v!r}"
+                )
+    return edges
 
 
 def _mask_of(indices, n):
@@ -208,7 +231,7 @@ def parse_matroid(d):
     if kind == "boolean":
         return make_boolean(_spec_int(d["n"], "n"))
     if kind == "graphic":
-        return make_graphic([tuple(e) for e in d["edges"]])
+        return make_graphic(_graphic_edges(d["edges"]))
     if kind == "partition":
         return make_partition(_spec_int(d["n"], "n"))
     if kind == "flats":

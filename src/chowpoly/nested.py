@@ -30,9 +30,9 @@ element.  No function here decides completeness: the Γ-reports hold
 the complex and its closure defects, and `building.complete_witness`
 gives the one verdict, which holds for a direct sum iff it holds below
 each m.  The antichain scan, the pruned child-antichain search, the
-brute-force subset filter, the filter of every facet by its descent
-data and the route through one restricted copy per maximal element live
-in the test oracles.
+rank-level scan for lower covers, the brute-force subset filter, the
+filter of every facet by its descent data and the route through one
+restricted copy per maximal element live in the test oracles.
 """
 
 from dataclasses import dataclass
@@ -160,10 +160,11 @@ def nested_subsets(bm, verts, min_gap):
 
 def _child_table(bm, g):
     """(children, position of λ(g)) for every way to saturate the tree
-    below g: the children are a nested antichain A under g with join of
-    rank rk g - 1, and λ(g) = least(g ∖ ∨A) is the label g has in every
-    facet where A are its children.  Cached per g, so the facets and the
-    stable lister share one table.
+    below a building-set member g: the children are a nested antichain A
+    under g with join of rank rk g - 1, and λ(g) = least(g ∖ ∨A) is the
+    label g has in every facet where A are its children.  The first call
+    fills the rows of every member at once, so the facets and the stable
+    lister share one table.
 
     The rows are read off the lower covers of g, one row per cover j: the
     G-factors of j, in (-rank, mask) order, and the least position in
@@ -171,46 +172,53 @@ def _child_table(bm, g):
     (Feichtner–Kozlov 2004, Prop. 2.8), so A is the factor set of ∨A, a
     lower cover of g; conversely the G-factors of a flat are a nested
     antichain with that flat as join.  So A ↦ ∨A is a bijection from the
-    child antichains onto the lower covers.  The G-factors of every flat
-    come from `BuiltMatroid.factor_table`.  The rows are sorted by their
-    (-rank, mask) key tuples, the order of a search that adds children in
-    (-rank, mask) order (`tests/oracles.py:nested_antichains_ref`)."""
-    table = bm._nested_cache.setdefault("children", {})
-    if g not in table:
-        tops = bm.factor_table()
+    child antichains onto the lower covers.  The lower covers of every
+    flat come from one pass that inverts `lat.covers_up`, with no scan of
+    a rank level, and the G-factors from `BuiltMatroid.factor_table`.
+    The rows are sorted by their (-rank, mask) key tuples, the order of a
+    search that adds children in (-rank, mask) order
+    (`tests/oracles.py:nested_antichains_ref`)."""
+    cache = bm._nested_cache
+    if "children" not in cache:
         lat = bm.lat
-        flats = lat.flats
-        pos = bm.pos
-
-        def key(f):
-            return -lat.rank_of(f), f
-
-        lower = [i for i in lat.by_rank[lat.rank_of(g) - 1] if not flats[i] & ~g]
-        rows = []
-        for i in lower:
-            lpos = min(pos[e] for e in bits(g & ~flats[i]))
-            rows.append((tuple(sorted(tops[i], key=key)), lpos))
-        rows.sort(key=lambda row: [key(f) for f in row[0]])
-        table[g] = rows
-    return table[g]
+        flats, ranks, idx = lat.flats, lat.ranks, lat.idx
+        tops, pos = bm.factor_table(), bm.pos
+        lower = [[] for _ in flats]
+        for i, ups in enumerate(lat.covers_up):
+            for j in ups:
+                lower[j].append(i)
+        key = {f: (-ranks[idx[f]], f) for f in bm.bset}.__getitem__
+        table = {}
+        for h in bm.bset:
+            rows = [
+                (tuple(sorted(tops[i], key=key)), pos[_least(bm, h & ~flats[i])])
+                for i in lower[idx[h]]
+            ]
+            rows.sort(key=lambda row: [*map(key, row[0])])
+            table[h] = rows
+        cache["children"] = table
+    return cache["children"][g]
 
 
 def _subtree_facets(bm, g, memo):
     """All saturated nested subtrees below g (g excluded), each a tuple of
-    its members in pre-order; memo keeps them per root for one
-    enumeration only."""
-    if g not in memo:
-        out = memo[g] = []
-        for children, _ in _child_table(bm, g):
-            branches = [
-                [(c, *below) for below in _subtree_facets(bm, c, memo)]
-                for c in children
-            ]
-            if len(branches) == 1:
-                out += branches[0]
-            else:
-                out.extend(sum(combo, ()) for combo in product(*branches))
-    return memo[g]
+    its members in pre-order.  memo keeps, for one enumeration only, the
+    subtrees rooted at each child c, the tuples (c, *below): each is built
+    once and shared by every row that has c as a child.  A row with one
+    child adds that list's tuples, and a row with two or more one
+    concatenation per choice of a subtree under each child."""
+    out = []
+    for children, _ in _child_table(bm, g):
+        branches = []
+        for c in children:
+            if c not in memo:
+                memo[c] = [(c, *below) for below in _subtree_facets(bm, c, memo)]
+            branches.append(memo[c])
+        if len(branches) == 1:
+            out += branches[0]
+        else:
+            out.extend(sum(combo, ()) for combo in product(*branches))
+    return out
 
 
 def maximal_nested_sets(bm):
@@ -221,8 +229,9 @@ def maximal_nested_sets(bm):
     Each facet is a tuple of its flats in the pre-order of its forest: a
     member, then the subtrees of its children, the children in the row
     order of `_child_table`; the trees of a reducible input follow each
-    other in the order of bm.maxg.  For irreducible bm the list is the
-    top's list of `_subtree_facets`, with no copy.
+    other in the order of bm.maxg.  One memo serves every maximal element,
+    so the subtrees rooted at each member are built once.  For irreducible
+    bm the list is the top's list of `_subtree_facets`, with no copy.
 
     Every set built is nested, so none is re-checked.  Take an antichain A
     of size >= 2 in a facet, and p the lowest tree node (or the top flat)
@@ -478,7 +487,14 @@ def _stable_pairs(bm, m):
     stable and every stable subtree is built, once, so no unstable facet is
     listed.  A subtree is the node (g, g is a descent, child subtrees),
     which shares its children with every other subtree built on them; each
-    stable facet is read off its tree once, at the end, in pre-order.
+    stable facet is read off its tree once, at the end, in pre-order, by
+    going down the first child of each node and saving its later siblings.
+    No flattened tuple is kept per state, so the memo holds only nodes.
+
+    A row with one child, which is every row of a maximal building set,
+    keeps each stable subtree of that child, except, under a descent, one
+    whose root is a descent, since g would be a double; the walk reads
+    that off the one child with no `product` and no `all`.
 
     The walk reads only the flats below m and compares positions in
     bm.order, whose restriction to m is the order of the restriction
@@ -495,6 +511,11 @@ def _stable_pairs(bm, m):
                 out = []
                 for children, lpos in _child_table(bm, g):
                     desc = lpos > p
+                    if len(children) == 1:
+                        for sub in go(children[0], lpos):
+                            if not (desc and sub[1]):  # else a double
+                                out.append((g, desc, (sub,)))
+                        continue
                     for combo in product(*[go(c, lpos) for c in children]):
                         if desc and all(sub[1] for sub in combo):
                             continue  # a double, or a bottom if no children
@@ -509,13 +530,16 @@ def _stable_pairs(bm, m):
         pairs = []
         for _, _, combo in trees:
             flats, descents = [], []
-            stack = list(reversed(combo))
+            stack = [combo]  # tuples of sibling nodes, the next one first
             while stack:
-                g, desc, sub = stack.pop()
-                flats.append(g)
-                if desc:
-                    descents.append(g)
-                stack.extend(reversed(sub))
+                sub = stack.pop()
+                while sub:  # down the first node, its later siblings saved
+                    if len(sub) > 1:
+                        stack.append(sub[1:])
+                    g, desc, sub = sub[0]
+                    flats.append(g)
+                    if desc:
+                        descents.append(g)
             pairs.append((tuple(flats), frozenset(descents)))
         cache[key] = tuple(pairs)
     return cache[key]

@@ -316,6 +316,83 @@ def _subtree_facets_ref(bm, g, memo):
     return memo[g]
 
 
+def child_table_scan_ref(bm, g, table):
+    """The rows of `nested._child_table(bm, g)`, in its order, by the scan
+    the package ran before it read the lower covers off `covers_up`: every
+    flat one rank below g is tested for lying under g.  table keeps the
+    rows per g, in place of the package's cache."""
+    from chowpoly.lattice import bits
+
+    if g not in table:
+        lat = bm.lat
+        flats, tops, pos = lat.flats, bm.factor_table(), bm.pos
+
+        def key(f):
+            return -lat.rank_of(f), f
+
+        rows = []
+        for i in lat.by_rank[lat.rank_of(g) - 1]:
+            if not flats[i] & ~g:
+                lpos = min(pos[e] for e in bits(g & ~flats[i]))
+                rows.append((tuple(sorted(tops[i], key=key)), lpos))
+        rows.sort(key=lambda row: [key(f) for f in row[0]])
+        table[g] = rows
+    return table[g]
+
+
+def maximal_nested_sets_per_parent_ref(bm):
+    """The facets of `nested.maximal_nested_sets`, tuples in its order, by
+    the enumerator that built the subtrees rooted at a child c again for
+    every parent row holding c, over `child_table_scan_ref`."""
+    memo, table = {}, {}
+
+    def below(g):
+        if g not in memo:
+            out = memo[g] = []
+            for children, _ in child_table_scan_ref(bm, g, table):
+                branches = [[(c, *b) for b in below(c)] for c in children]
+                if len(branches) == 1:
+                    out += branches[0]
+                else:
+                    out.extend(sum(combo, ()) for combo in product(*branches))
+        return memo[g]
+
+    parts = [below(m) for m in bm.maxg]
+    return [sum(combo, ()) for combo in product(*parts)]
+
+
+def stable_pairs_product_ref(bm, m):
+    """The pairs of `nested._stable_pairs(bm, m)`, in its order, by the
+    tree-node recursion that took every row, one child or more, through
+    `product` and `all`, over `child_table_scan_ref`."""
+    memo, table = {}, {}
+
+    def go(g, p):
+        if (g, p) not in memo:
+            out = []
+            for children, lpos in child_table_scan_ref(bm, g, table):
+                desc = lpos > p
+                for combo in product(*[go(c, lpos) for c in children]):
+                    if desc and all(sub[1] for sub in combo):
+                        continue
+                    out.append((g, desc, combo))
+            memo[g, p] = out
+        return memo[g, p]
+
+    pairs = []
+    for _, _, combo in go(m, bm.n):
+        flats, descents = [], []
+        stack = list(reversed(combo))
+        while stack:
+            g, desc, sub = stack.pop()
+            flats.append(g)
+            if desc:
+                descents.append(g)
+            stack.extend(reversed(sub))
+        pairs.append((tuple(flats), frozenset(descents)))
+    return tuple(pairs)
+
+
 def is_nested_family(n, rank, g, s):
     """Every antichain of size >= 2 inside s has join outside g."""
     s = list(s)

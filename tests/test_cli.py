@@ -656,6 +656,54 @@ def test_non_integer_spec_numbers_exit_2(capsys, tmp_path, cmd, bad):
     assert err.startswith("error: ValueError: ") and "must be an integer" in err
 
 
+# Graphic specs whose vertex labels are neither all integers nor all
+# strings, with the edge the error names.  Python equality makes `true` and
+# `1.0` the vertex 1, which would turn the triangle into a doubled edge 1-2.
+BAD_GRAPHIC_LABELS = {
+    "true": ([[0, 1], [1, 2], [True, 2]], "[True, 2]"),
+    "float": ([[0, 1], [1, 2], [1.0, 2]], "[1.0, 2]"),
+    "null": ([[None, 1], [1, 2]], "[None, 1]"),
+    "int-and-string": ([[0, "a"]], "[0, 'a']"),
+    "across-edges": ([[0, 1], ["a", "b"]], "['a', 'b']"),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_GRAPHIC_LABELS))
+@pytest.mark.parametrize("cmd", [["chow", "--method", "fy"], ["gamma"]], ids=" ".join)
+def test_graphic_labels_that_are_not_all_ints_or_all_strings_exit_2(
+    capsys, tmp_path, cmd, bad
+):
+    """A graphic vertex label that is a boolean, a float or null, or a mix
+    of integers and strings, is invalid input: exit 2, nothing on stdout,
+    and stderr names the edge."""
+    edges, named = BAD_GRAPHIC_LABELS[bad]
+    doc = {"matroid": {"type": "graphic", "edges": edges}, "building_set": "min"}
+    assert cli.main([*cmd, "--spec", spec_arg(tmp_path, doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ValueError: graphic vertex labels") and named in err
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [[0, 1], [1, 2], [0, 2]],
+        [["a", "b"], ["b", "c"], ["a", "c"]],
+        [[5, 7], [7, 9], [5, 9]],
+    ],
+    ids=["ints", "strings", "sparse-ints"],
+)
+def test_graphic_int_and_string_labels_answer(capsys, tmp_path, edges):
+    """Integer and string labels name the vertices of the triangle alike."""
+    doc = {"matroid": {"type": "graphic", "edges": edges}, "building_set": "min"}
+    spec = spec_arg(tmp_path, doc)
+    code, out = run(capsys, ["chow", "--method", "fy", "--spec", spec])
+    assert (code, out) == (
+        0,
+        '{"chow":[1,1],"methods_agree":true,"per_method":{"fy":[1,1]}}\n',
+    )
+
+
 def test_modular_cut_that_is_not_a_list_exits_2(capsys, tmp_path):
     spec = spec_arg(tmp_path, dict(U33_MAX, cut=5))
     assert cli.main(["check", "--what", "modular-cut", "--spec", spec]) == 2

@@ -712,6 +712,110 @@ def test_stable_pairs_are_built_once_per_built_matroid(monkeypatch):
     assert [len(r.complex.faces) for r in reps] == [3, 3] and f == [1, 4, 4]
 
 
+def _orders():
+    """Built matroids for the order-exact tests: every `corpus()` member in
+    its own order and reversed; B6|max, U(4,7)|max and U(5,11)|max in three
+    seeded orders; Π6|min and Π7|min."""
+    from chowpoly.corpus import corpus
+
+    cases = []
+    for inst in corpus():
+        bm = inst.built
+        reversed_ = type(bm)(bm.lat, bm.bset, tuple(reversed(bm.order)))
+        cases += [(inst.name, bm), (inst.name + " reversed", reversed_)]
+    for name, m in (
+        ("B6|max", make_boolean(6)),
+        ("U(4,7)|max", make_uniform(4, 7)),
+        ("U(5,11)|max", make_uniform(5, 11)),
+    ):
+        bm = built_from_matroid(m, "max")
+        for seed in (1, 2, 3):
+            order = list(bm.order)
+            random.Random(seed).shuffle(order)
+            cases.append((f"{name} seed {seed}", type(bm)(bm.lat, bm.bset, order)))
+    cases += [
+        ("Pi6|min", built_from_matroid(make_partition(6), "min")),
+        ("Pi7|min", built_from_matroid(make_partition(7), "min")),
+    ]
+    return cases
+
+
+def test_child_tables_equal_the_rank_level_scan():
+    """The rows read off the inverted covers are those of the scan of the
+    rank level below g (`oracles.child_table_scan_ref`), in its order, for
+    every building-set member of every order-exact case."""
+    from chowpoly.nested import _child_table
+
+    rows = 0
+    for name, bm in _orders():
+        table = {}
+        for g in bm.bset:
+            want = oracles.child_table_scan_ref(bm, g, table)
+            assert _child_table(bm, g) == want, (name, g)
+            rows += len(want)
+    assert rows > 20000
+
+
+def test_facets_equal_the_per_parent_enumerator():
+    """`maximal_nested_sets` lists the tuples of the enumerator that built
+    the subtrees under a child again for every parent row
+    (`oracles.maximal_nested_sets_per_parent_ref`), in its order, on every
+    order-exact case."""
+    facets = 0
+    for name, bm in _orders():
+        got = maximal_nested_sets(bm)
+        assert got == oracles.maximal_nested_sets_per_parent_ref(bm), name
+        facets += len(got)
+    assert facets > 40000
+
+
+def test_stable_pairs_equal_the_product_recursion():
+    """`_stable_pairs` lists the pairs of the recursion that took every row
+    through `product` (`oracles.stable_pairs_product_ref`), in its order,
+    below every maximal element of every order-exact case."""
+    from chowpoly.nested import _stable_pairs
+
+    pairs = 0
+    for name, bm in _orders():
+        for m in bm.maxg:
+            got = _stable_pairs(bm, m)
+            assert got == oracles.stable_pairs_product_ref(bm, m), (name, m)
+            pairs += len(got)
+    assert pairs > 10000
+
+
+def test_child_tables_read_no_rank_level(monkeypatch):
+    """Building every child table of U(5,11)|max reads the lower covers off
+    `covers_up` and never touches `lat.by_rank`: one row per cover below a
+    member, 2,266 in all."""
+    from chowpoly.nested import _child_table
+
+    bm = built_from_matroid(make_uniform(5, 11), "max")
+    bm.factor_table()
+    monkeypatch.delattr(bm.lat, "by_rank")
+    rows = sum(len(_child_table(bm, g)) for g in bm.bset)
+    assert rows == sum(map(len, bm.lat.covers_up)) == 2266
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="the bound was measured on Python 3.11"
+)
+def test_stable_lister_peak_memory_on_b8_max():
+    """With the child tables filled, the traced peak of
+    `stable_descent_sets` on B8|max stays at most 7.0 MB on Python 3.11:
+    the stable trees share their nodes and each facet is flattened once, at
+    the end.  A variant that stored a flattened tuple per memo state peaked
+    at about 8.2 MB."""
+    from chowpoly.nested import _child_table
+
+    bm = built_from_matroid(make_boolean(8), "max")
+    for g in bm.bset:
+        _child_table(bm, g)
+    live, peak = traced_peak(lambda: stable_descent_sets(bm))
+    assert len(stable_descent_sets(bm)) == 7281
+    assert peak <= 7_000_000, (peak, live)
+
+
 def test_stable_descent_sets_match_facet_filter_reference():
     """The pruned recursion lists the same (facet, descent set) pairs as
     filtering every facet by its descent data, and no facet twice: every
