@@ -570,22 +570,12 @@ def _flag_by_factor_table(bm):
     """Whether the nested set complex of bm is flag, read off the G-factor
     table in one pass by the criterion proved in `flag_nonface_witness`.
 
-    The nested pairs are int bitmasks over the members, one per member,
-    read off the rows of length 2, so the pass makes no join.  A set that
-    is not a building set has no table and gets the error of
-    `validate_building_set`."""
+    The nested pairs of incomparable members come from `_disjoint_nested`,
+    so the pass makes no join."""
     lat = bm.lat
-    table = bm.factor_table()
-    if table is None:
-        validate_building_set(lat, bm.bset)
     members = list(bm.bset)
-    bit = {g: 1 << k for k, g in enumerate(members)}
-    nested_with = dict.fromkeys(members, 0)
-    for row in table:
-        if len(row) == 2:
-            a, b = row
-            nested_with[a] |= bit[b]
-            nested_with[b] |= bit[a]
+    nested_with = _disjoint_nested(bm, members)
+    table = bm.factor_table()
     for f, row in zip(lat.flats, table):
         if len(row) < 2:
             continue
@@ -597,6 +587,31 @@ def _flag_by_factor_table(bm):
             if i is None or len(table[i]) != len(row) + 1:
                 return False
     return True
+
+
+def _disjoint_nested(bm, members):
+    """The nested pairs of disjoint members, as a dict from each member to
+    the int bitmask, over positions in members, of the members disjoint
+    from it and nested with it.
+
+    Two disjoint members a and b are nested iff a ∪ b is a flat whose
+    G-factor row has 2 entries, and that row is then (a, b) (the first
+    point of `flag_nonface_witness`), so the pairs are read off the rows
+    of length 2 with no join.  Two incomparable members that meet are
+    never nested.  A set that is not a building set has no table and gets
+    the error of `validate_building_set`."""
+    table = bm.factor_table()
+    if table is None:
+        validate_building_set(bm.lat, bm.bset)
+    bit = {g: 1 << k for k, g in enumerate(members)}
+    nested_with = dict.fromkeys(members, 0)
+    for row in table:
+        if len(row) == 2:
+            a, b = row
+            if a in bit and b in bit:
+                nested_with[a] |= bit[b]
+                nested_with[b] |= bit[a]
+    return nested_with
 
 
 def is_flag(bm):

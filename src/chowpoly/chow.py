@@ -57,13 +57,17 @@ t^d (1+t)^(k-2d) with k = rank - |max G|.
 toric_hilbert_oracle stays in integers.  The linear forms are e_i - e_b0
 with b0 the least element of i's block of max G, so each pairs with a ray
 as 0 or +-1.  Face monomials of degree d extend those of degree d - 1 by
-one ray, checked by is_nested once per new support.  A row pivots on its
-greatest column (`_add_row`): the monomials are listed by extending the
-previous degree, so a row's last column is nearly always one that no
-earlier row reached, and the matrix is close to triangular from the
-right.  Pivot rows are kept primitive with a positive pivot entry.  That
-entry is nearly always 1, and then a row is reduced in place, row <- row
-- b*pivot; otherwise the update is fraction-free, row <- a*row - b*pivot,
+one ray, which must be nested with every ray of the support: one bitmask
+test against the ray's nested pairs, read off the G-factor rows of length
+2 once per call.  A flag complex is the clique complex of its edges, so on
+a flag set that test is the face test; on any other set a support that
+passes it goes on to is_nested once.  A row pivots on its greatest
+column (`_add_row`): the monomials are listed by extending the previous
+degree, so a row's last column is nearly always one that no earlier row
+reached, and the matrix is close to triangular from the right.  Pivot
+rows are kept primitive with a positive pivot entry.  That entry is
+nearly always 1, and then a row is reduced in place, row <- row -
+b*pivot; otherwise the update is fraction-free, row <- a*row - b*pivot,
 then division by the gcd.
 """
 
@@ -71,6 +75,8 @@ from itertools import product
 from math import gcd
 
 from .building import (
+    _disjoint_nested,
+    _flag_by_factor_table,
     _interval_build,
     _interval_climb,
     binary_filtration,
@@ -437,12 +443,31 @@ def _toric_dims(bm):
 
     A degree-d monomial is a nondecreasing tuple of ray indices, kept as
     (key, last index, support mask) with key = sum of (top+1)**index.  It
-    extends a degree-(d-1) one by a ray at or after its last; a ray new to
-    the support must keep it nested, which is_nested decides once per
-    support.  Rows stay integral and are reduced by `_add_row`, which
-    pivots on a row's greatest column: in place, row <- row - b*pivot,
-    against a pivot that leads with 1, which is nearly every one, and
-    otherwise row <- a*row - b*pivot, divided by the gcd of the entries.
+    extends a degree-(d-1) one by a ray r at or after its last, and the
+    new support s = supp ∪ {r} must be nested.  supp is nested, so it is
+    pairwise nested, and s is pairwise nested iff supp & ~pairs[r] == 0,
+    where pairs[r] is the mask of the rays nested with r (`_ray_pairs`,
+    built once per call).  When the nested set complex of G is flag
+    (`building._flag_by_factor_table`, once per call), that mask test is
+    the whole face test, with no is_nested call:
+    - a flag complex is the clique complex of its edges: a set of vertices
+      is a face iff every two of its members form an edge, here iff the
+      set is pairwise nested;
+    - the faces made of rays are the subcomplex induced on the rays, whose
+      edges are the complex's edges between rays, and an induced
+      subcomplex of a flag complex is flag: a pairwise nested set of rays
+      is a face of the complex, so a face of the subcomplex;
+    - two rays a and b are nested iff they are comparable, or disjoint
+      with a ∪ b a flat whose G-factor row has 2 entries (the first point
+      of `building.flag_nonface_witness`); two incomparable rays that meet
+      join inside G.
+    On a set that is not flag, a support that passes the mask test goes on
+    to is_nested, once per support, and the verdicts are kept in face.
+
+    Rows stay integral and are reduced by `_add_row`, which pivots on a
+    row's greatest column: in place, row <- row - b*pivot, against a pivot
+    that leads with 1, which is nearly every one, and otherwise
+    row <- a*row - b*pivot, divided by the gcd of the entries.
     Both are invertible over Q, so each degree's rank is the rank over Q.
     A row's greatest column is nearly always a monomial no earlier row
     reached, because the monomials extend the previous degree's in order,
@@ -457,18 +482,23 @@ def _toric_dims(bm):
         for i in rest:
             signs = [(g >> i & 1) - (g >> b0 & 1) for g in rays]
             pairings.append([(r, c) for r, c in enumerate(signs) if c])
-    face = {0: True}
+    pairs = _ray_pairs(bm, rays)
+    face = None if _flag_by_factor_table(bm) else {}
     prev = [(0, 0, 0)]
     dims = [1]  # the empty monomial; no relations in degree 0
     for _ in range(top):
         mons = []
         for key, last, supp in prev:
             for r in range(last, len(rays)):
+                if supp & ~pairs[r]:
+                    continue
                 s = supp | 1 << r
-                if s not in face:
-                    face[s] = is_nested(bm, [rays[i] for i in bits(s)])
-                if face[s]:
-                    mons.append((key + powers[r], r, s))
+                if face is not None:
+                    if s not in face:
+                        face[s] = is_nested(bm, [rays[i] for i in bits(s)])
+                    if not face[s]:
+                        continue
+                mons.append((key + powers[r], r, s))
         index = {key: i for i, (key, _, _) in enumerate(mons)}
         pivots = {}
         for key, _, _ in prev:
@@ -482,6 +512,21 @@ def _toric_dims(bm):
         dims.append(len(mons) - len(pivots))
         prev = mons
     return normalize(dims)
+
+
+def _ray_pairs(bm, rays):
+    """For each ray, the int bitmask over positions in rays of the rays
+    nested with it: those comparable with it, itself included, and the
+    disjoint ones of `building._disjoint_nested` (proof in `_toric_dims`)."""
+    disjoint = _disjoint_nested(bm, rays)
+    pairs = []
+    for g in rays:
+        mask = disjoint[g]
+        for k, h in enumerate(rays):
+            if g & h in (g, h):
+                mask |= 1 << k
+        pairs.append(mask)
+    return pairs
 
 
 def _add_row(pivots, row):

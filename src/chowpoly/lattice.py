@@ -516,7 +516,8 @@ def delete_lattice(lat, e):
     order of sets without e.
 
     When e is the last element, drop_bit(f ∖ e, e) is f ∖ e, so the new
-    flats are the sets f ∖ e as they are and proj only clears bit e.
+    flats are the sets f ∖ e as they are, proj only clears bit e, and pos,
+    each set's place in the new order, is the new lattice's idx.
     """
     bit = 1 << e
     last = e == lat.n - 1
@@ -550,5 +551,6 @@ def delete_lattice(lat, e):
         order if last else [drop(m) for m in order],
         [ranks[first[m]] for m in order],
         new_covers,
+        pos if last else None,
     )
     return sub, drop

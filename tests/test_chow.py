@@ -4,16 +4,27 @@ descent formula, and the ψ-fiber decomposition."""
 import os
 import subprocess
 import sys
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
 import oracles
-from helpers import b4_flag_built, filtration_sets, mask_of, set_of, traced_peak
+from helpers import (
+    UNIVERSE_HOSTS,
+    b4_flag_built,
+    filtration_sets,
+    mask_of,
+    set_of,
+    traced_peak,
+    universe,
+)
 
 from chowpoly.building import BuiltMatroid, extend, is_complete
 from chowpoly.nested import maximal_nested_sets, stable_maximal_nested_sets
 from chowpoly.chow import (
     _pack_width,
+    _ray_pairs,
     _toric_dims,
     chow_by_deletion,
     chow_by_filtration,
@@ -554,6 +565,65 @@ def test_toric_oracle_matches_fraction_reference_on_corpus():
             assert got.value.args == exc.args, inst.name
         else:
             assert toric_hilbert_oracle(inst.built) == want, inst.name
+
+
+def test_toric_oracle_calls_is_nested_only_off_flag_sets(monkeypatch):
+    """`_toric_dims` tests a new support against the nested-pair mask of
+    its new ray, and that is the whole face test on a flag set: over the
+    corpus the oracle calls is_nested on none of the 159 flag instances it
+    answers, and on the 22 others only for pairwise nested supports."""
+    from chowpoly import chow
+    from chowpoly.building import is_flag
+    from chowpoly.corpus import corpus
+    from chowpoly.nested import is_nested
+
+    asked = []
+
+    def counting_is_nested(bm, s):
+        asked.append(s)
+        return is_nested(bm, s)
+
+    monkeypatch.setattr(chow, "is_nested", counting_is_nested)
+    answered = Counter()
+    calls = Counter()
+    for inst in corpus():
+        bm = inst.built
+        asked.clear()
+        try:
+            toric_hilbert_oracle(bm)
+        except TooLarge:
+            assert not asked, inst.name
+            continue
+        flag = is_flag(bm)
+        answered[flag] += 1
+        calls[flag] += len(asked)
+        for s in asked:
+            pairs = combinations(s, 2)
+            assert all(oracles.is_nested_ref(bm, p) for p in pairs), inst.name
+    assert (answered[True], answered[False]) == (159, 22)
+    assert (calls[True], calls[False]) == (0, 872)
+
+
+def test_ray_pair_masks_equal_the_antichain_scan():
+    """The nested-pair masks of the toric oracle (`chow._ray_pairs`) hold
+    exactly the pairs of rays that the antichain scan finds nested, on
+    every corpus instance with at most 12 rays and on every building set
+    of B4, U(3,5) and Π4, 786 of whose 1452 sets are not flag."""
+    from chowpoly.building import is_flag
+    from chowpoly.corpus import corpus
+
+    sets = [inst.built for inst in corpus()]
+    sets = [bm for bm in sets if len(bm.bset) - len(bm.maxg) <= 12]
+    universes = [bm for host in UNIVERSE_HOSTS.values() for bm in universe(host)]
+    assert len(universes) == 1452
+    assert sum(not is_flag(bm) for bm in universes) == 786
+    for bm in sets + universes:
+        rays = sorted(bm.bset - set(bm.maxg))
+        want = [
+            sum(1 << k for k, h in enumerate(rays) if oracles.is_nested_ref(bm, [g, h]))
+            for g in rays
+        ]
+        assert _ray_pairs(bm, rays) == want, sorted(bm.bset)
 
 
 def test_toric_elimination_beyond_the_cutoff():

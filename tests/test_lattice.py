@@ -135,8 +135,9 @@ def _derived_lattices(bm):
 
 def test_derived_covers_match_a_rescan():
     """Intervals, deletions and relabeled copies take their covers from the
-    parent lattice; they are, list for list, what the validating
-    constructor's rescan gives on the same flats."""
+    parent lattice, and a deletion of the last element its flat index too;
+    they are, list for list, what the validating constructor's rescan gives
+    on the same flats."""
     from chowpoly.corpus import corpus
 
     cases = [(inst.name, inst.built) for inst in corpus()]
@@ -152,6 +153,7 @@ def test_derived_covers_match_a_rescan():
             assert lat.flats == fresh.flats and lat.ranks == fresh.ranks, name
             assert lat.covers_up == fresh.covers_up, name
             assert lat.atom_of_elem == fresh.atom_of_elem, name
+            assert lat.idx == fresh.idx, name
             seen += 1
     assert seen > 10000
 
