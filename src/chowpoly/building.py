@@ -125,11 +125,13 @@ class BuiltMatroid:
 
     def factor_table(self):
         """The G-factors of every flat, indexed like lat.flats
-        (`_g_factor_table`): the table its validation returned, or one
-        pass on first use for a built matroid that was not validated."""
+        (`_g_factor_table`): the table its validation returned, or the same
+        validation on first use for a built matroid that was not
+        validated, so a set that is not a building set gets the typed
+        error of `validate_building_set`."""
         cache = self._nested_cache
         if "tops" not in cache:
-            cache["tops"] = _g_factor_table(self.lat, self.bset)
+            cache["tops"] = _validated_g_factor_table(self.lat, self.bset)
         return cache["tops"]
 
     def factors(self, f):
@@ -598,11 +600,8 @@ def _disjoint_nested(bm, members):
     G-factor row has 2 entries, and that row is then (a, b) (the first
     point of `flag_nonface_witness`), so the pairs are read off the rows
     of length 2 with no join.  Two incomparable members that meet are
-    never nested.  A set that is not a building set has no table and gets
-    the error of `validate_building_set`."""
+    never nested."""
     table = bm.factor_table()
-    if table is None:
-        validate_building_set(bm.lat, bm.bset)
     bit = {g: 1 << k for k, g in enumerate(members)}
     nested_with = dict.fromkeys(members, 0)
     for row in table:

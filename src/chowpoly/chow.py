@@ -60,15 +60,16 @@ as 0 or +-1.  Face monomials of degree d extend those of degree d - 1 by
 one ray, which must be nested with every ray of the support: one bitmask
 test against the ray's nested pairs, read off the G-factor rows of length
 2 once per call.  A flag complex is the clique complex of its edges, so on
-a flag set that test is the face test; on any other set a support that
-passes it goes on to is_nested once.  A row pivots on its greatest
-column (`_add_row`): the monomials are listed by extending the previous
-degree, so a row's last column is nearly always one that no earlier row
-reached, and the matrix is close to triangular from the right.  Pivot
-rows are kept primitive with a positive pivot entry.  That entry is
-nearly always 1, and then a row is reduced in place, row <- row -
-b*pivot; otherwise the update is fraction-free, row <- a*row - b*pivot,
-then division by the gcd.
+a flag set that test is the face test.  On any other set each monomial
+carries the roots of its support, and a new ray that passes the mask
+test is placed on them (`nested._place`), which decides the face.  A row
+pivots on its greatest column (`_add_row`): the monomials are listed by
+extending the previous degree, so a row's last column is nearly always
+one that no earlier row reached, and the matrix is close to triangular
+from the right.  Pivot rows are kept primitive with a positive pivot
+entry.  That entry is nearly always 1; against any other pivot a row is
+first scaled by it.  Then the row is reduced in place, row <- row -
+b*pivot, and a scaled row is divided by the gcd of its entries.
 """
 
 from itertools import product
@@ -97,10 +98,10 @@ from .errors import (
 )
 from .lattice import bits, maximal
 from .nested import (
+    _place,
     _stable_pairs,
     completion,
     descent_set,
-    is_nested,
     nested_subsets,
     stable_descent_sets,
 )
@@ -442,14 +443,14 @@ def _toric_dims(bm):
     Their pairings with the rays are 0 or +-1, computed once per (form, ray).
 
     A degree-d monomial is a nondecreasing tuple of ray indices, kept as
-    (key, last index, support mask) with key = sum of (top+1)**index.  It
-    extends a degree-(d-1) one by a ray r at or after its last, and the
-    new support s = supp ∪ {r} must be nested.  supp is nested, so it is
-    pairwise nested, and s is pairwise nested iff supp & ~pairs[r] == 0,
-    where pairs[r] is the mask of the rays nested with r (`_ray_pairs`,
-    built once per call).  When the nested set complex of G is flag
-    (`building._flag_by_factor_table`, once per call), that mask test is
-    the whole face test, with no is_nested call:
+    (key, last index, support mask, roots) with key = sum of
+    (top+1)**index.  It extends a degree-(d-1) one by a ray r at or after
+    its last, and the new support s = supp ∪ {r} must be nested.  supp is
+    nested, so it is pairwise nested, and s is pairwise nested iff
+    supp & ~pairs[r] == 0, where pairs[r] is the mask of the rays nested
+    with r (`_ray_pairs`, built once per call).  When the nested set
+    complex of G is flag (`building._flag_by_factor_table`, once per
+    call), that mask test is the whole face test, and roots stays empty:
     - a flag complex is the clique complex of its edges: a set of vertices
       is a face iff every two of its members form an edge, here iff the
       set is pairwise nested;
@@ -461,14 +462,20 @@ def _toric_dims(bm):
       with a ∪ b a flat whose G-factor row has 2 entries (the first point
       of `building.flag_nonface_witness`); two incomparable rays that meet
       join inside G.
-    On a set that is not flag, a support that passes the mask test goes on
-    to is_nested, once per support, and the verdicts are kept in face.
+    On a set that is not flag, roots holds the maximal rays of supp, in
+    the order they were placed, and a new ray r that passes the mask test
+    is placed on them (`nested._place`), which decides whether s is nested
+    and gives the roots of s.  The rays are sorted by mask, and a flat
+    that contains another has the greater mask, so no ray of supp contains
+    r, as `_place` asks.  A ray r already in supp leaves the support and
+    its roots as they are.
 
     Rows stay integral and are reduced by `_add_row`, which pivots on a
-    row's greatest column: in place, row <- row - b*pivot, against a pivot
-    that leads with 1, which is nearly every one, and otherwise
-    row <- a*row - b*pivot, divided by the gcd of the entries.
-    Both are invertible over Q, so each degree's rank is the rank over Q.
+    row's greatest column: row <- row - b*pivot, in place, after scaling
+    the row by a, the pivot's leading entry, when that is not 1 (nearly
+    every pivot leads with 1), and then dividing a scaled row by the gcd
+    of its entries.  Both steps are invertible over Q, so each degree's
+    rank is the rank over Q.
     A row's greatest column is nearly always a monomial no earlier row
     reached, because the monomials extend the previous degree's in order,
     so most rows become pivots after few steps.
@@ -483,25 +490,26 @@ def _toric_dims(bm):
             signs = [(g >> i & 1) - (g >> b0 & 1) for g in rays]
             pairings.append([(r, c) for r, c in enumerate(signs) if c])
     pairs = _ray_pairs(bm, rays)
-    face = None if _flag_by_factor_table(bm) else {}
-    prev = [(0, 0, 0)]
+    flag = _flag_by_factor_table(bm)
+    idx, table = bm.lat.idx, bm.factor_table()
+    prev = [(0, 0, 0, [])]
     dims = [1]  # the empty monomial; no relations in degree 0
     for _ in range(top):
         mons = []
-        for key, last, supp in prev:
+        for key, last, supp, roots in prev:
             for r in range(last, len(rays)):
                 if supp & ~pairs[r]:
                     continue
-                s = supp | 1 << r
-                if face is not None:
-                    if s not in face:
-                        face[s] = is_nested(bm, [rays[i] for i in bits(s)])
-                    if not face[s]:
+                up = roots
+                if not (flag or supp >> r & 1):
+                    placed = _place(idx, table, roots, rays[r])
+                    if placed is None:
                         continue
-                mons.append((key + powers[r], r, s))
-        index = {key: i for i, (key, _, _) in enumerate(mons)}
+                    up = placed[1]
+                mons.append((key + powers[r], r, supp | 1 << r, up))
+        index = {mon[0]: i for i, mon in enumerate(mons)}
         pivots = {}
-        for key, _, _ in prev:
+        for key, *_ in prev:
             for pairing in pairings:
                 row = {}  # distinct rays give distinct monomials of mu
                 for r, c in pairing:
@@ -536,10 +544,10 @@ def _add_row(pivots, row):
     Rows are dicts from column to nonzero int, and pivots maps each pivot
     row's leading (greatest) column to the row.  Every pivot row is
     primitive with a positive leading entry.  Against a pivot whose leading
-    entry is 1 the row is reduced in place, row <- row - b*pivot with b the
-    row's leading entry.  Against any other it becomes a*row - b*pivot,
-    with a the pivot's leading entry, divided by the gcd of its entries.
-    Both are invertible row operations over Q, so the number of pivots is
+    entry a is not 1 the row is first scaled by a.  Then it is reduced in
+    place, row <- row - b*pivot with b the row's leading entry before the
+    scaling, and a scaled row is divided by the gcd of its entries.  These
+    are invertible row operations over Q, so the number of pivots is
     the rank over Q of the rows added; that holds for any choice of pivot
     column, and the greatest is the one the monomial order makes cheap
     (`_toric_dims`).  row is consumed.
@@ -556,21 +564,17 @@ def _add_row(pivots, row):
             pivots[lead] = row
             return
         a, b = piv[lead], row[lead]
-        if a == 1:
-            for k, v in piv.items():
-                x = row.get(k, 0) - b * v
-                if x:
-                    row[k] = x
-                else:
-                    del row[k]
-        else:
+        if a != 1:
             row = {k: a * v for k, v in row.items()}
-            for k, v in piv.items():
-                row[k] = row.get(k, 0) - b * v
-            row = {k: v for k, v in row.items() if v}
+        for k, v in piv.items():
+            x = row.get(k, 0) - b * v
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+        if a != 1 and row:
             div = gcd(*row.values())
-            if div > 1:
-                row = {k: v // div for k, v in row.items()}
+            row = {k: v // div for k, v in row.items()}
 
 
 # ---------------------------------------------------------------------------

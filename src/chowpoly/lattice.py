@@ -286,11 +286,6 @@ class GeomLattice:
             raise NotAFlat(f"{f:b} is not a flat")
         return self.factor_table()[i]
 
-    def interval_factors(self, f):
-        """Connected components of [0, f]: f as a disjoint union of
-        irreducible flats with additive ranks (sorted by (rank, mask))."""
-        return sorted(self._factor_row(f), key=lambda g: (self.rank_of(g), g))
-
     def is_irreducible(self, f):
         return len(self._factor_row(f)) == 1
 

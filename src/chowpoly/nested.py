@@ -1,21 +1,26 @@
 """Nested set complexes, descent statistics, completion, and the Γ-complex.
 
 A nested set is a frozenset of building-set flats in which every antichain of
-size >= 2 has join outside the building set.  One pass, `_forest`, finds
-the forest of a family (each member's children, the maximal members below
-it) and decides nestedness from it: two or more children must make up a
-flat whose G-factor row has that many entries.  So the join of the
-children of g, the bottom J^g of its local interval, is their union, read
-with no join.  `is_nested` and the readers of ŝ = s ∪ max G (the descent
-data, `completion`, `compose`, `link_decomposition`, `lambda_label`) take
-their forest from it, and `nested_subsets` is the one walk over nested
-subsets.  Maximal nested sets (facets) are enumerated by a tree recursion
-through rank-1 local intervals, and the stable facets by the same
-recursion, pruned as it goes.  Both give a facet as one tuple of its
-flats, in the pre-order of its forest, so a stable facet is the same tuple
-in both lists; descent sets, the Γ-complex's faces, are frozensets.  The
-children a facet can give g are read off the lower covers of g, one
-G-factor set per cover, with no search and no join.
+size >= 2 has join outside the building set.  One rule, `_place`, decides
+whether a nested family stays nested when it grows by a flat v that no
+member contains, from the family's roots (its maximal members) alone:
+v's children are the roots below v, and the new roots, the others and
+v, must make up a flat whose G-factor row has one entry per new root.
+`_forest`, the forest of a family (each member's children, the
+maximal members below it), is the fold of `_place` over the members in
+(rank, mask) order.  So the join of the children of g, the bottom J^g of
+its local interval, is their union, read with no join.  `is_nested` and
+the readers of ŝ = s ∪ max G (the descent data, `completion`, `compose`,
+`link_decomposition`, `lambda_label`) take their forest from it, and
+`nested_subsets`, the one walk over nested subsets, carries the roots of
+each subset and places each new vertex on them.  Maximal nested sets
+(facets) are enumerated by a tree recursion through rank-1 local
+intervals, and the stable facets by the same recursion, pruned as it
+goes.  Both give a facet as one tuple of its flats, in the pre-order of
+its forest, so a stable facet is the same tuple in both lists; descent
+sets, the Γ-complex's faces, are frozensets.  The children a facet can
+give g are read off the lower covers of g, one G-factor set per cover,
+with no search and no join.
 
 A reducible built matroid is handled in place, one maximal building-set
 element m at a time: the facets, the stable pairs and the Γ-complex below
@@ -77,10 +82,50 @@ def _union(flats):
     return u
 
 
+def _place(idx, table, roots, v):
+    """(v's children, the new roots) when the building-set member v joins a
+    nested family with the roots (maximal members) roots, none of whose
+    members contains v; or None when the family with v is not nested.
+    idx and table are `lat.idx` and the G-factor table.  The children are
+    the roots below v, and the new roots those not below v followed by v,
+    each list in the order of roots.
+
+    The family with v is nested iff the union of the new roots is a flat
+    whose G-factor row has one entry per new root.  Only if: the new roots
+    are an antichain of the family with v, so nested when it is, and a
+    nested antichain passes (the first point of
+    `building.flag_nonface_witness`); v alone has the row (v,).  If: the
+    criterion of `_forest` holds on the family with v.
+    - The new roots are an antichain of G, since no root contains v.  Each
+      lies under one G-factor of their union U, and each factor, a part of
+      U, holds at least one.  With as many factors as new roots, each
+      factor holds exactly one, which is all of it: the factors of U are
+      the new roots, and these are disjoint.
+    - So a member x that meets v lies below v: x does not contain v, and
+      x's root meets v, which the new roots besides v do not, so that root
+      lies below v, and x with it.  Two members of the family were
+      comparable or disjoint already.
+    - By the same argument the members below v lie under roots below v,
+      so v's children are the roots below v.  They are a sub-antichain of
+      the nested roots, so they pass.  v is below no member, so no other
+      child list changes, and the roots become the new roots, which pass.
+    """
+    kids, up = [], []
+    for r in roots:
+        (up if r & ~v else kids).append(r)
+    up.append(v)
+    i = idx.get(_union(up))
+    if i is None or len(table[i]) != len(up):
+        return None
+    return kids, up
+
+
 def _forest(bm, members):
     """The forest of a family of distinct building-set members, as a dict
-    from each member, in the order given, to its children, the maximal
-    members strictly below it; or None when the family is not nested.
+    from each member, in (rank, mask) order, to its children, the maximal
+    members strictly below it, in that order; or None when the family is
+    not nested.  It is the fold of `_place` over the members in that
+    order, in which no member contains a later one.
 
     The family is nested iff every two members are comparable or disjoint,
     and every list C of two or more children, of a member or of the roots
@@ -97,26 +142,17 @@ def _forest(bm, members):
       children c1, c2.  Then ∨A lies below ∪C, whose G-factors are the
       children C, so if ∨A were in G it would lie under one child, which
       would meet the disjoint c1 and c2.
-    The members above a member x meet each other in x, so they form a
-    chain, and x's parent is the least of them.  The test reads only
-    masks and the G-factor table, and makes no join."""
-    kids = {x: [] for x in members}
-    roots = []
-    for x in members:
-        up = None  # the least of the members above x, which form a chain
-        for y in members:
-            if x & y and x != y:
-                if x & ~y and y & ~x:
-                    return None  # meeting and incomparable
-                if x & ~y == 0 and (up is None or y & ~up == 0):
-                    up = y
-        (roots if up is None else kids[up]).append(x)
+    By `_place`, a prefix of the fold is nested iff every placement so
+    far passed, and a member's children, all placed before it, are fixed
+    when it is placed.  The test reads only masks and the G-factor table,
+    and makes no join."""
     idx, table = bm.lat.idx, bm.factor_table()
-    for c in (roots, *kids.values()):
-        if len(c) >= 2:
-            i = idx.get(_union(c))
-            if i is None or len(table[i]) != len(c):
-                return None
+    kids, roots = {}, []
+    for v in sorted(members, key=lambda f: (bm.lat.rank_of(f), f)):
+        placed = _place(idx, table, roots, v)
+        if placed is None:
+            return None
+        kids[v], roots = placed
     return kids
 
 
@@ -129,27 +165,31 @@ def nested_subsets(bm, verts, min_gap):
     A member's gap is fixed when it is placed, because every later vertex
     has at least its rank and so is not below it.  Dropping a member only
     shrinks the joins, so every prefix of an admissible subset is admissible
-    and extending each one by later vertices reaches them all.  The members
-    below v in a nested set are v's children and theirs, so their join is
-    their union (`_forest`); a union that is no flat means the extended set
-    is not nested, and a union that is a flat is the join."""
-    lat = bm.lat
-    idx, ranks = lat.idx, lat.ranks
-    verts = sorted(verts, key=lambda f: (lat.rank_of(f), f))
+    and extending each one by later vertices reaches them all.  The walk
+    carries the roots of the chosen set and places each later vertex v on
+    them (`_place`), which decides whether the set stays nested and gives
+    v's children.  The members below v are its children and theirs, so
+    their join is the join of the children, whose G-factors are the
+    children (Feichtner–Kozlov 2004, Prop. 2.8); ranks add over G-factors
+    (`lattice._g_factor_table`), so the gap is rk v minus the sum of the
+    children's ranks."""
+    idx, table = bm.lat.idx, bm.factor_table()
+    rank = {f: bm.lat.rank_of(f) for f in verts}
+    verts = sorted(rank, key=lambda f: (rank[f], f))
 
-    def go(start, chosen, gaps):
+    def go(start, roots, chosen, gaps):
         yield tuple(chosen), tuple(gaps)
         for i in range(start, len(verts)):
             v = verts[i]
-            k = idx.get(_union(u for u in chosen if u & ~v == 0))
-            if k is None:
+            placed = _place(idx, table, roots, v)
+            if placed is None:
                 continue
-            gap = lat.rank_of(v) - ranks[k]
-            if gap >= min_gap and is_nested(bm, [*chosen, v]):
-                yield from go(i + 1, chosen + [v], gaps + [gap])
+            gap = rank[v] - sum(rank[c] for c in placed[0])
+            if gap >= min_gap:
+                yield from go(i + 1, placed[1], chosen + [v], gaps + [gap])
 
     try:
-        yield from go(0, [], [])
+        yield from go(0, [], [], [])
     finally:
         del go  # go refers to itself; without this the cycle keeps bm alive
 
@@ -295,21 +335,12 @@ def _local_interval(bm, j, g):
     return LocalInterval(bottom=j, top=g, built=built, flat_map=flat_map)
 
 
-def _shat_forest(bm, s):
-    """`_forest` of ŝ = s ∪ max G, its members in (rank, mask) order, or
-    None when s is not nested; raises BadParameters when s has flats
-    outside the building set.  ŝ is nested iff s is: the maximal elements
-    are the G-factors of the top flat, and every member of s lies under
-    one of them."""
-    lat = bm.lat
-    shat = _members(bm, s) | set(bm.maxg)
-    return _forest(bm, sorted(shat, key=lambda f: (lat.rank_of(f), f)))
-
-
 def _require_nested(bm, s):
-    """`_shat_forest` of a nested set s, raising BadParameters otherwise.
-    J^g of a member g of ŝ is the union of its children."""
-    forest = _shat_forest(bm, s)
+    """`_forest` of ŝ = s ∪ max G for a nested set s, raising BadParameters
+    otherwise.  ŝ is nested iff s is: the maximal elements are the
+    G-factors of the top flat, and every member of s lies under one of
+    them.  J^g of a member g of ŝ is the union of its children."""
+    forest = _forest(bm, _members(bm, s) | set(bm.maxg))
     if forest is None:
         raise BadParameters(f"{sorted(s)} is not a nested set")
     return forest
@@ -425,7 +456,7 @@ def descent_set(bm, s):
     s = frozenset(s) - set(bm.maxg)
     forest = None
     if len(s) == bm.rank - len(bm.maxg):
-        forest = _shat_forest(bm, s)
+        forest = _forest(bm, _members(bm, s) | set(bm.maxg))
     if forest is None:
         raise NotMaximal(sorted(s))
     parents = {c: g for g, kids in forest.items() for c in kids}

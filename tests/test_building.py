@@ -73,6 +73,7 @@ from chowpoly.nested import (
     balanced_check,
     gamma_complex,
     gamma_fvector,
+    is_nested,
     link_decomposition,
     maximal_nested_sets,
 )
@@ -536,14 +537,25 @@ def test_flag_pass_makes_no_join(name, monkeypatch):
 )
 def test_flag_witness_on_a_set_that_is_not_building(lat, bset, error):
     """An unvalidated built matroid whose set is not a building set has no
-    G-factor table; flagness raises the typed validation error."""
+    G-factor table: reading it raises the typed validation error, and so
+    do flagness and every route that reads the table."""
     bm = BuiltMatroid(lat, bset, validate=False)
-    assert bm.factor_table() is None
+    with pytest.raises(error):
+        bm.factor_table()
     with pytest.raises(ChowpolyError) as info:
         flag_nonface_witness(bm)
     assert type(info.value) is error
     with pytest.raises(error):
         binary_filtration(bm, g_min(lat))
+    for call in (
+        chow_polynomial,
+        maximal_nested_sets,
+        toric_hilbert_oracle,
+        lambda bm: is_nested(bm, [1]),
+    ):
+        with pytest.raises(ChowpolyError) as info:
+            call(bm)
+        assert type(info.value) is error
 
 
 def test_filtration_min_to_max_b3():

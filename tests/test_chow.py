@@ -567,41 +567,49 @@ def test_toric_oracle_matches_fraction_reference_on_corpus():
             assert toric_hilbert_oracle(inst.built) == want, inst.name
 
 
-def test_toric_oracle_calls_is_nested_only_off_flag_sets(monkeypatch):
+def test_toric_oracle_places_rays_only_off_flag_sets(monkeypatch):
     """`_toric_dims` tests a new support against the nested-pair mask of
     its new ray, and that is the whole face test on a flag set: over the
-    corpus the oracle calls is_nested on none of the 159 flag instances it
-    answers, and on the 22 others only for pairwise nested supports."""
-    from chowpoly import chow
+    corpus the oracle places no ray (`nested._place`) on the 159 flag
+    instances it answers.  On the 22 others it places each new ray of a
+    support that passes the mask test on the support's roots, so the
+    roots and the ray are pairwise nested; it makes no `is_nested` or
+    `_forest` call."""
+    from chowpoly import chow, nested
     from chowpoly.building import is_flag
     from chowpoly.corpus import corpus
-    from chowpoly.nested import is_nested
 
-    asked = []
+    placed = []
+    place = nested._place
 
-    def counting_is_nested(bm, s):
-        asked.append(s)
-        return is_nested(bm, s)
+    def counting_place(idx, table, roots, v):
+        placed.append([*roots, v])
+        return place(idx, table, roots, v)
 
-    monkeypatch.setattr(chow, "is_nested", counting_is_nested)
+    def refuse(*args):
+        raise AssertionError("the oracle decides faces by placing rays")
+
+    monkeypatch.setattr(chow, "_place", counting_place)
+    monkeypatch.setattr(nested, "_forest", refuse)
+    monkeypatch.setattr(nested, "is_nested", refuse)
     answered = Counter()
     calls = Counter()
     for inst in corpus():
         bm = inst.built
-        asked.clear()
+        placed.clear()
         try:
             toric_hilbert_oracle(bm)
         except TooLarge:
-            assert not asked, inst.name
+            assert not placed, inst.name
             continue
         flag = is_flag(bm)
         answered[flag] += 1
-        calls[flag] += len(asked)
-        for s in asked:
+        calls[flag] += len(placed)
+        for s in placed:
             pairs = combinations(s, 2)
             assert all(oracles.is_nested_ref(bm, p) for p in pairs), inst.name
     assert (answered[True], answered[False]) == (159, 22)
-    assert (calls[True], calls[False]) == (0, 872)
+    assert (calls[True], calls[False]) == (0, 1292)
 
 
 def test_ray_pair_masks_equal_the_antichain_scan():

@@ -201,6 +201,63 @@ def test_nested_subset_walks_give_the_same_sets(name):
     assert got == WALKS_BEFORE[name]
 
 
+def test_nested_subset_walk_makes_no_forest_or_is_nested_call(monkeypatch):
+    """`nested_subsets` decides each extension by placing the new vertex
+    on the roots it carries: over every corpus instance, the walks at gap
+    1 and gap 2 over G call neither `_forest` nor `is_nested`."""
+    from chowpoly import nested
+    from chowpoly.corpus import corpus
+
+    def refuse(*args):
+        raise AssertionError("the walk places each vertex on its roots")
+
+    monkeypatch.setattr(nested, "_forest", refuse)
+    monkeypatch.setattr(nested, "is_nested", refuse)
+    sets = Counter()
+    for inst in corpus():
+        bm = inst.built
+        for gap in (1, 2):
+            sets[gap] += sum(1 for _ in nested_subsets(bm, bm.bset, gap))
+    assert sets[1] > sets[2] > 0
+
+
+def test_place_matches_antichain_scan_on_walk_extensions():
+    """`nested._place` against the antichain scan, `oracles.is_nested_ref`:
+    every family the gap-1 walk yields on each corpus instance with at
+    most 16 members, and the first 30 on every other, extended by each
+    member of G that no member of the family contains.  When the extension
+    is nested, the children are the maximal members below v and the new
+    roots the maximal members of the extension, both in the family's
+    order with v last."""
+    from chowpoly.corpus import corpus
+    from chowpoly.nested import _place
+
+    def tops(family):  # the maximal members, in the family's order
+        return [g for g in family if all(g == h or g & ~h for h in family)]
+
+    verdicts = Counter()
+    for inst in corpus():
+        bm = inst.built
+        idx, table = bm.lat.idx, bm.factor_table()
+        walk = nested_subsets(bm, bm.bset, 1)
+        if len(bm.bset) > 16:
+            walk = [next(walk) for _ in range(30)]
+        for fam, _ in walk:
+            roots = tops(fam)
+            for v in sorted(bm.bset):
+                if any(v & ~g == 0 for g in fam):
+                    continue
+                got = _place(idx, table, roots, v)
+                want = oracles.is_nested_ref(bm, [*fam, v])
+                assert (got is not None) == want, (inst.name, fam, v)
+                if want:
+                    below = [g for g in fam if g & ~v == 0]
+                    forest = tops(below), tops([*fam, v])
+                    assert got == forest, (inst.name, fam, v)
+                verdicts[want] += 1
+    assert verdicts == Counter({False: 32960, True: 15069})
+
+
 @pytest.mark.parametrize("name,bm", _cases(), ids=[c[0] for c in _cases()])
 def test_nested_complex_matches_oracle(name, bm):
     lat = bm.lat

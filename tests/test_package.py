@@ -51,27 +51,44 @@ def test_every_assert_in_the_source_is_an_allowlisted_invariant():
 
 
 def _mentions(node):
-    """The names a piece of code mentions: bare names, attributes and
-    imported names."""
-    out = set()
-    for n in ast.walk(node):
+    """The names a piece of code mentions, as (names, attributes): bare
+    names and imported names, and the attributes it reads.  A class's
+    own mentions leave out the bodies of its methods, except dunders."""
+    if isinstance(node, ast.ClassDef):
+        parts = [n for n in node.body if _method_name(n) is None]
+        parts += node.bases + node.decorator_list
+    else:
+        parts = [node]
+    names, attrs = set(), set()
+    for n in (n for part in parts for n in ast.walk(part)):
         if isinstance(n, ast.Name):
-            out.add(n.id)
+            names.add(n.id)
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            attrs.add(n.attr)
         elif isinstance(n, ast.alias):
-            out.add(n.name.rsplit(".", 1)[-1])
-    return out
+            names.add(n.name.rsplit(".", 1)[-1])
+    return names, attrs
+
+
+def _method_name(node):
+    """The name of a method that is not a dunder, or None."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if not (node.name.startswith("__") and node.name.endswith("__")):
+            return node.name
+    return None
 
 
 def test_every_definition_is_reached():
-    """Every top-level function, class and assigned name in the package is
-    reached from `cli.main`, from a name the benchmark scripts use, or from
-    `chowpoly.__all__`.  A definition is reached when a reached one
-    mentions its name, in any module, so the walk errs towards reaching:
-    what it flags is called by nothing but the tests."""
+    """Every top-level function, class and assigned name in the package,
+    and every method but the dunders, is reached from `cli.main`, from a
+    name the benchmark scripts use, or from `chowpoly.__all__`.  A
+    top-level definition is reached when a reached one mentions its name,
+    in any module, and a method when a reached one reads its name as an
+    attribute, on any object, so the walk errs towards reaching: what it
+    flags is called by nothing but the tests.  A class reaches its
+    dunders with itself."""
     src = Path(chowpoly.__file__).parent
-    defs = {}  # (module, name) -> the defining statement
+    defs = {}  # (module, name or Class.method) -> the defining statement
     for path in sorted(src.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -82,19 +99,32 @@ def test_every_definition_is_reached():
                     for n in ast.walk(target):
                         if isinstance(n, ast.Name) and not n.id.startswith("__"):
                             defs[path.stem, n.id] = node
-    by_name = {}
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    name = _method_name(item)
+                    if name is not None:
+                        defs[path.stem, f"{node.name}.{name}"] = item
+    by_name, by_attr = {}, {}  # a top-level name / a method name -> keys
     for module, name in defs:
-        by_name.setdefault(name, []).append((module, name))
+        cls, _, method = name.rpartition(".")
+        (by_attr if cls else by_name).setdefault(method, []).append((module, name))
     bench = src.parent.parent / "bench"
     assert bench.is_dir(), bench
-    names = set(chowpoly.__all__)
+    names, attrs = set(chowpoly.__all__), set()
     for path in sorted(bench.glob("*.py")):
-        names |= _mentions(ast.parse(path.read_text()))
-    todo = [("cli", "main")] + [key for n in names for key in by_name.get(n, [])]
+        more_names, more_attrs = _mentions(ast.parse(path.read_text()))
+        names |= more_names
+        attrs |= more_attrs
+
+    def reaches(names, attrs):
+        keys = [key for n in names | attrs for key in by_name.get(n, [])]
+        return keys + [key for a in attrs for key in by_attr.get(a, [])]
+
+    todo = [("cli", "main"), *reaches(names, attrs)]
     reached = set()
     while todo:
         key = todo.pop()
         if key not in reached:
             reached.add(key)
-            todo += [k for n in _mentions(defs[key]) for k in by_name.get(n, [])]
+            todo += reaches(*_mentions(defs[key]))
     assert sorted(set(defs) - reached) == []
