@@ -703,39 +703,56 @@ def binary_filtration(bm, small):
     `flag_nonface_witness` decides it from the G-factor table).
 
     Greedily removes a lattice-maximal removable element (smallest mask on
-    ties); raises NotFlag if bm is not flag and Stuck if the greedy jams.
+    ties); raises NotFlag if bm is not flag and Stuck if the greedy jams,
+    or, with the step (flat, factors) as witness, if a step is not binary.
 
     A candidate g is removable by the criterion of `_removable`; each
     removal keeps the current set a building set, which is the criterion's
     precondition.
 
     `_removable(lat, cur, f)` reads only the members of cur strictly below
-    f, so a verdict stays valid until one of those is removed.  The
-    verdicts are kept in a dict local to the call, and removing g drops
-    only those of g and of the flats strictly above it.  The picks, and so
-    the chain and its errors, are those of rescanning every candidate at
-    every step.
+    f, so a verdict stays valid until one of those is removed.  The greedy
+    keeps, between steps, the members of cur - small, the removable ones
+    with their tops, and the stale ones: removing g makes stale only the
+    flats strictly above g, and only those are asked again.  The pick is
+    the least removable mask with no removable mask strictly above it,
+    which is min(maximal(removable)); a strict superset is a larger
+    integer, so only the masks after it in ascending order can lie above
+    it.  The picks, and so the chain and its errors, are those of
+    rescanning every candidate at every step.
     """
     witness = flag_nonface_witness(bm)
     if witness is not None:
         raise NotFlag(witness)
-    verdicts = {}  # a flat of cur - small -> `_removable` of it now
+    small = frozenset(small)
+    rest = set(bm.bset - small)  # cur - small
+    stale = list(rest)  # the members of rest with no verdict now
+    cand = {}  # a removable member of rest -> its `_removable` tops
 
     def pick(lat, cur, small):
-        for f in cur - small:
-            if f not in verdicts:
-                verdicts[f] = _removable(lat, cur, f)
-        cand = [f for f, tops in verdicts.items() if tops is not None]
+        nonlocal stale
+        for f in stale:
+            tops = _removable(lat, cur, f)
+            if tops is not None:
+                cand[f] = tops
         if not cand:
             return None
-        g = min(maximal(cand))
-        tops = verdicts[g]
+        order = sorted(cand)
+        g = next(
+            g
+            for i, g in enumerate(order)
+            if not any(g & ~h == 0 for h in order[i + 1 :])
+        )
+        tops = cand.pop(g)
         # _removal_chain removes g before it asks again
-        for f in [f for f in verdicts if g & ~f == 0]:
-            del verdicts[f]
+        rest.discard(g)
+        stale = [f for f in rest if g & ~f == 0]
+        for f in stale:
+            cand.pop(f, None)
         return g, tops
 
     filt = _removal_chain(bm, small, pick)
-    if any(len(tops) != 2 for tops in filt.factors):
-        raise Stuck("non-binary step in greedy filtration")
+    for g, tops in zip(filt.added, filt.factors):
+        if len(tops) != 2:
+            raise Stuck((g, tops))
     return filt

@@ -43,9 +43,11 @@ on the minimal set (`Filtration.base`, built even when the walk takes no
 step) and carries the maximal elements along the walk.  A star step's
 local intervals are read off the step: (0, a1), (0, a2), (g, m) for the
 maximal m above g, and (0, m') for every other maximal m', with no join.
-Each local interval is counted once per key of its climb (`_climb_key`),
-which fixes the link up to the order of its elements, so a link is built
-only when its key is new to the call.
+The top of each is in its induced set, so a link of rank 1 has series 1
+and one of rank 2 has series 1 + t, read off the ranks with no climb.  A
+link of rank 3 or more is counted once per key of its climb
+(`_climb_key`), which fixes the link up to the order of its elements, so
+a link is built only when its key is new to the call.
 
 gamma_by_descents multiplies, over the maximal building-set elements m,
 the descent polynomials of the stable pairs below m
@@ -341,14 +343,23 @@ def chow_by_filtration(bm, trace=False):
     With trace=True returns (h, intermediates) where intermediates holds the
     series after every step including the starting value.
 
+    A link of rank at most 2 needs no lattice.  The top of every link
+    lies in the current set: a1 and a2 are members (the factors of the
+    added flat), and so are g and every maximal m'.  The induced set of
+    [j, top] holds j ∨ top = top.  A link of rank 1 has series 1.  In a
+    link of rank 2 an FY support is a nested set of members with gap at
+    least 2 each; an atom has gap 1, so the only nonempty support is
+    {top}, with exponent 1, and the series is 1 + t.  The walk reads the
+    gap off lat.ranks, and only a link of rank 3 or more is climbed.
+
     The base is the built matroid the filtration validated on the minimal
     set, `BuiltMatroid(lat, small, bm.order)`, also when the walk takes no
     step, so FY reads a G-factor table already built.  The set a step
     climbs on is grown from the base's set, one added flat per step; the
-    filtration keeps only the steps.  A local interval [J^g, g] with its
-    induced set is counted once per key of its climb (`_climb_key` of
-    `_interval_climb`), in a dict local to the call, and built only when
-    that key is new.  The key fixes the series:
+    filtration keeps only the steps.  A local interval [J^g, g] of rank 3
+    or more with its induced set is counted once per key of its climb
+    (`_climb_key` of `_interval_climb`), in a dict local to the call, and
+    built only when that key is new.  The key fixes the series:
     - the climb labels the covers of J^g below g by their least new
       element, and gives each flat of [J^g, g] its local mask and the
       induced set {J^g ∨ h : h in the current set, h <= g, h not <= J^g}
@@ -381,10 +392,11 @@ def chow_by_filtration(bm, trace=False):
       is not g, in the current one, strictly above the maximal m1.
     """
     lat = bm.lat
+    ranks, idx = lat.ranks, lat.idx
     try:
         filt = binary_filtration(bm, g_min(lat))
     except (NotFlag, Stuck) as exc:
-        raise NoBinaryFiltration(str(exc)) from exc
+        raise NoBinaryFiltration(exc.args[0]) from exc
     h = chow_polynomial(filt.base)
     steps = [list(h)]
     maxg = set(filt.base.maxg)  # the maximal elements of the current set
@@ -403,6 +415,11 @@ def chow_by_filtration(bm, trace=False):
             links += [(0, x) for x in maxg if x != m]
             star = [1]
             for j, g in links:
+                gap = ranks[idx[g]] - ranks[idx[j]]
+                if gap == 2:
+                    star = pmul(star, [1, 1])
+                if gap <= 2:
+                    continue
                 climb = _interval_climb(lat, cur, j, g)
                 key = _climb_key(climb)
                 series = link_series.get(key)

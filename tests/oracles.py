@@ -230,8 +230,9 @@ def binary_filtration_rescan_ref(bm, small):
         return g, verdicts[g]
 
     filt = _removal_chain(bm, small, pick)
-    if any(len(tops) != 2 for tops in filt.factors):
-        raise Stuck("non-binary step in greedy filtration")
+    for g, tops in zip(filt.added, filt.factors):
+        if len(tops) != 2:
+            raise Stuck((g, tops))
     return filt
 
 
@@ -1250,7 +1251,7 @@ def chow_by_filtration_ref(bm, trace=False):
     try:
         filt = binary_filtration(bm, g_min(lat))
     except (NotFlag, Stuck) as exc:
-        raise NoBinaryFiltration(str(exc)) from exc
+        raise NoBinaryFiltration(exc.args[0]) from exc
     h = chow_polynomial(filt.base)
     steps = [list(h)]
     maxg = set(filt.base.maxg)

@@ -648,14 +648,14 @@ def _filtration_or_error(filtrate, bm):
     try:
         filt = filtrate(bm, g_min(bm.lat))
     except ChowpolyError as exc:
-        return type(exc)
+        return type(exc), exc.args
     return (filtration_sets(filt), filt.added, filt.factors)
 
 
 def test_binary_filtration_matches_rescan_reference():
-    """Keeping the removability verdicts across steps picks what rescanning
-    every candidate picks: the same chain, or the same error type, on every
-    corpus instance and on B6|max."""
+    """Keeping the removable candidates across steps picks what rescanning
+    every candidate picks: the same chain, or the same error type and
+    witness, on every corpus instance and on B6|max."""
     from chowpoly.corpus import corpus
 
     cases = [inst.built for inst in corpus()]
@@ -665,8 +665,25 @@ def test_binary_filtration_matches_rescan_reference():
         got = _filtration_or_error(binary_filtration, bm)
         want = _filtration_or_error(oracles.binary_filtration_rescan_ref, bm)
         assert got == want, bm
-        outcomes[got if isinstance(got, type) else "chain"] += 1
+        outcomes[got[0] if isinstance(got[0], type) else "chain"] += 1
     assert outcomes == {"chain": 207, NotFlag: 23}
+
+
+def test_non_binary_step_is_stuck_with_its_step(monkeypatch):
+    """A greedy step that adds a flat with more than two factors raises
+    Stuck with that (flat, factors) as its witness.  The step is reached
+    on a set that is not flag, with the flagness check turned off: on B4
+    with {1, 2, 4, 8, 7, 15} the greedy removes 15, factors (8, 7), and
+    then 7, factors (1, 2, 4)."""
+    import chowpoly.building as building
+    from chowpoly.errors import Stuck
+
+    bm = BuiltMatroid(lattice_of_flats(make_boolean(4)), {1, 2, 4, 8, 7, 15})
+    monkeypatch.setattr(building, "flag_nonface_witness", lambda bm: None)
+    for filtrate in (binary_filtration, oracles.binary_filtration_rescan_ref):
+        with pytest.raises(Stuck) as info:
+            filtrate(bm, g_min(bm.lat))
+        assert info.value.args == ((7, (1, 2, 4)),)
 
 
 @pytest.mark.parametrize("name", ["B6max", "U(4,7)max"])

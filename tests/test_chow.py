@@ -307,14 +307,14 @@ def test_filtration_walk_builds_no_built_matroid_per_step(monkeypatch):
     """The walk carries the maximal elements of its set: on B6|max it
     builds one built matroid per `_interval_build` call and one as its
     base, and none per step.  It builds one link per distinct climb key it
-    meets, fewer than the links it looks up."""
+    meets, fewer than the links of rank 3 or more that it climbs."""
     import chowpoly.chow as chow
     from chowpoly.building import binary_filtration, g_min
 
     bm = built_from_matroid(make_boolean(6), "max")
     want = chow_polynomial(bm)
     steps = len(binary_filtration(bm, g_min(bm.lat)).added)
-    calls = {"BuiltMatroid": 0, "_interval_build": 0, "lookups": 0}
+    calls = {"BuiltMatroid": 0, "_interval_build": 0, "climbs": 0}
     climb_keys = set()
     init = BuiltMatroid.__init__
     climb, build = chow._interval_climb, chow._interval_build
@@ -326,7 +326,7 @@ def test_filtration_walk_builds_no_built_matroid_per_step(monkeypatch):
     def watched_climb(*args):
         c = climb(*args)
         climb_keys.add(chow._climb_key(c))
-        calls["lookups"] += 1
+        calls["climbs"] += 1
         return c
 
     def counting_build(*args):
@@ -338,7 +338,7 @@ def test_filtration_walk_builds_no_built_matroid_per_step(monkeypatch):
     monkeypatch.setattr(chow, "_interval_build", counting_build)
     assert chow_by_filtration(bm) == want
     assert steps and calls["BuiltMatroid"] == calls["_interval_build"] + 1
-    assert calls["_interval_build"] == len(climb_keys) < calls["lookups"], calls
+    assert calls["_interval_build"] == len(climb_keys) < calls["climbs"], calls
 
 
 # A chordal building set on B5 whose walk stars one interval [J^g, g] with
@@ -348,54 +348,75 @@ _B5_TWO_LINKS_ON_ONE_INTERVAL = [
 ]
 
 
+def _walk_case(name):
+    if name == "B6max":
+        return built_from_matroid(make_boolean(6), "max")
+    if name == "U47max":
+        return built_from_matroid(make_uniform(4, 7), "max")
+    lat = lattice_of_flats(make_boolean(5))
+    return BuiltMatroid(lat, _B5_TWO_LINKS_ON_ONE_INTERVAL)
+
+
+def _starred_links(bm):
+    """(current set, J^g, g) for every link the filtration walk stars, step
+    by step: the bounds of the nested set a ∪ max G of the step's current
+    set, J^g by the join loop of `oracles._jbottom`.  Stops at a step with
+    mixed factors, where the walk raises; raises what `binary_filtration`
+    raises."""
+    from chowpoly.building import binary_filtration, g_min
+
+    lat = bm.lat
+    links = []
+    filt = binary_filtration(bm, g_min(lat))
+    for prev_bset, a in zip(filtration_sets(filt), filt.factors):
+        prev = BuiltMatroid(lat, prev_bset, bm.order, validate=False)
+        in_max = [f in prev.maxg for f in a]
+        if all(in_max):
+            continue
+        if any(in_max):
+            break
+        shat = oracles._shat(prev, a)
+        links += [(prev_bset, oracles._jbottom(prev, shat, g), g) for g in shat]
+    return links
+
+
 @pytest.mark.parametrize("name", ["B6max", "U47max", "B5chordal"])
 def test_filtration_builds_each_link_once(name, monkeypatch):
-    """A local interval [J^g, g] with its induced set is climbed once per
+    """No link of rank 1 or 2 is climbed or built.  A local interval
+    [J^g, g] of rank 3 or more with its induced set is climbed once per
     step that stars it, and built and counted once per call for each
     climb key, however many steps and links share that key; no lattice it
     builds is rescanned for covers."""
     import chowpoly.chow as chow
-    from chowpoly.building import binary_filtration, g_min
     from chowpoly.lattice import GeomLattice
 
-    if name == "B6max":
-        bm = built_from_matroid(make_boolean(6), "max")
-    elif name == "U47max":
-        bm = built_from_matroid(make_uniform(4, 7), "max")
-    else:
-        lat = lattice_of_flats(make_boolean(5))
-        bm = BuiltMatroid(lat, _B5_TWO_LINKS_ON_ONE_INTERVAL)
+    bm = _walk_case(name)
     lat = bm.lat
-    keys, total = set(), 0
-    filt = binary_filtration(bm, g_min(lat))
-    for prev_bset, a in zip(filtration_sets(filt), filt.factors):
-        prev = BuiltMatroid(lat, prev_bset, bm.order, validate=False)
-        if any(f in prev.maxg for f in a):
-            continue
-        shat = oracles._shat(prev, a)
-        for g in shat:
-            j = oracles._jbottom(prev, shat, g)
-            induced = frozenset(
-                lat.join(j, h) for h in prev_bset if h & ~g == 0 and h & ~j
-            )
-            keys.add((j, g, induced))
-            total += 1
-    assert len(keys) < total
+    links = _starred_links(bm)
+    keys = set()
+    big = Counter()  # (J^g, g) of a starred link of rank >= 3 -> its stars
+    for prev_bset, j, g in links:
+        induced = frozenset(
+            lat.join(j, h) for h in prev_bset if h & ~g == 0 and h & ~j
+        )
+        keys.add((j, g, induced))
+        if lat.rank_of(g) - lat.rank_of(j) >= 3:
+            big[j, g] += 1
+    assert len(keys) < len(links)
     if name == "B5chordal":
         assert len({(j, g) for j, g, _ in keys}) < len(keys)
 
     want = chow_polynomial(bm)
     calls = {"_interval_build": 0, "_build_covers": 0}
     climb_keys = {}  # climb key -> the bounds (J^g, g) it was met on
-    lookups = 0
+    climbed = Counter()  # bounds (J^g, g) -> climbs on them
     climb, build = chow._interval_climb, chow._interval_build
     build_covers = GeomLattice._build_covers
 
     def watched_climb(lat, bset, bottom, top):
-        nonlocal lookups
         c = climb(lat, bset, bottom, top)
         climb_keys.setdefault(chow._climb_key(c), set()).add((bottom, top))
-        lookups += 1
+        climbed[bottom, top] += 1
         return c
 
     def counting_build(*args):
@@ -410,16 +431,85 @@ def test_filtration_builds_each_link_once(name, monkeypatch):
     monkeypatch.setattr(chow, "_interval_build", counting_build)
     monkeypatch.setattr(GeomLattice, "_build_covers", counting_covers)
     assert chow_by_filtration(bm) == want
-    assert lookups == total
+    assert climbed == big
     assert calls == {"_interval_build": len(climb_keys), "_build_covers": 0}
-    assert len(climb_keys) <= len(keys) < total
+    # on U(4,7)|max every starred link has rank 1 or 2: nothing is climbed
+    assert len(climb_keys) <= sum(big.values())
+    assert (not big) == (name == "U47max")
     if name == "B5chordal":
         # the two induced sets on one [J^g, g] get two climb keys
-        per_bounds = {}
-        for bounds in climb_keys.values():
-            for jg in bounds:
-                per_bounds[jg] = per_bounds.get(jg, 0) + 1
+        per_bounds = Counter(jg for bounds in climb_keys.values() for jg in bounds)
         assert max(per_bounds.values()) >= 2
+
+
+def test_filtration_links_below_rank_3_in_closed_form(monkeypatch):
+    """The top of every link the walk stars lies in the link's induced
+    set, and a link of rank 1 or 2 has series 1 or 1 + t, the closed form
+    the walk counts it by: checked on every link starred over corpus(),
+    B6|max, U(4,7)|max and the B5 chordal set.  Over corpus() the walk
+    climbs just the 108 starred links of rank 3 or more, of 2,676
+    starred, and builds at most 18 links."""
+    import chowpoly.chow as chow
+    from chowpoly.building import _interval_build, _interval_climb
+    from chowpoly.corpus import corpus
+    from chowpoly.errors import MixedFactorStep, NoBinaryFiltration, NotFlag
+
+    corpus_cases = [inst.built for inst in corpus()]
+    cases = corpus_cases + [_walk_case(n) for n in ("B6max", "U47max", "B5chordal")]
+    starred = Counter()  # over corpus(): "all" and "big" (rank >= 3) links
+    for k, bm in enumerate(cases):
+        try:
+            links = _starred_links(bm)
+        except NotFlag:
+            continue
+        lat = bm.lat
+        for prev_bset, j, g in links:
+            climb = _interval_climb(lat, prev_bset, j, g)
+            assert (1 << climb[0]) - 1 in climb[4], (j, g)
+            gap = lat.rank_of(g) - lat.rank_of(j)
+            if gap <= 2:
+                link = _interval_build(lat, bm.order, climb)[0]
+                assert chow_polynomial(link) == [1] * gap, (j, g)
+            if k < len(corpus_cases):
+                starred["all"] += 1
+                starred["big"] += gap >= 3
+
+    calls = Counter()
+    climb, build = chow._interval_climb, chow._interval_build
+
+    def counting_climb(*args):
+        calls["climb"] += 1
+        return climb(*args)
+
+    def counting_build(*args):
+        calls["build"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(chow, "_interval_climb", counting_climb)
+    monkeypatch.setattr(chow, "_interval_build", counting_build)
+    for bm in corpus_cases:
+        try:
+            chow_by_filtration(bm)
+        except (NoBinaryFiltration, MixedFactorStep):
+            pass
+    assert starred == {"all": 2676, "big": 108}
+    assert calls["climb"] == starred["big"]
+    assert calls["build"] <= 18
+
+
+def test_filtration_refusal_keeps_its_witness():
+    """Off a flag set the walk's refusal carries the non-face that
+    `flag_nonface_witness` found, not its string: U(3,4)|min."""
+    from chowpoly.building import flag_nonface_witness
+    from chowpoly.errors import NoBinaryFiltration
+
+    bm = built_from_matroid(make_uniform(3, 4), "min")
+    witness = flag_nonface_witness(bm)
+    assert witness == [1, 2, 4]
+    for walk in (chow_by_filtration, oracles.chow_by_filtration_ref):
+        with pytest.raises(NoBinaryFiltration) as info:
+            walk(bm)
+        assert info.value.args == (witness,)
 
 
 def test_filtration_matches_reference_walk():
