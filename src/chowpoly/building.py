@@ -311,46 +311,52 @@ def contract(bm, f):
 
 
 def delete_element(bm, e):
-    """Single-element deletion (bit e dropped, higher bits shifted down).
+    """Single-element deletion (bit e dropped, higher bits shifted down):
+    the lattice of `delete_lattice` and the set of `_deleted_bset`."""
+    if type(e) is not int or not 0 <= e < bm.n:
+        raise BadParameters(f"element {e!r} outside 0..{bm.n - 1}")
+    sub, drop = delete_lattice(bm.lat, e)
+    kept = _deleted_bset(bm.bset, e, bm.lat.idx)
+    # dropping the last element shifts no bit: f ∖ e is already its mask
+    bset = kept if e == bm.n - 1 else frozenset(map(drop, kept))
+    order = tuple(x if x < e else x - 1 for x in bm.order if x != e)
+    return BuiltMatroid(sub, bset, order, validate=False)
 
-    The deleted building set G∖e is the set of nonzero flats F′ of M∖e with
-    cl_M(F′) in G.  The flats of M∖e are the sets f ∖ e of the flats f of
-    M, so G∖e is read off G with no closure:
 
-        G∖e = {drop(f ∖ e) : f ∈ G, f ∖ e ≠ 0, and not (e ∈ f and f ∖ e
+def _deleted_bset(bset, e, flats):
+    """The deleted building set G∖e, its masks with bit e clear and not
+    shifted, given G = bset and flats, a container of the flats of M.
+
+    G∖e is the set of nonzero flats F′ of M∖e with cl_M(F′) in G.  The
+    flats of M∖e are the sets f ∖ e of the flats f of M, so G∖e is read off
+    G with no closure:
+
+        G∖e = {f ∖ e : f ∈ G, f ∖ e ≠ 0, and not (e ∈ f and f ∖ e
         is a flat of M)}.
 
     - cl_M(f ∖ e) is f unless e is a coloop of M|f: for e ∉ f, f ∖ e = f;
       for e ∈ f, cl_M(f ∖ e) lies between f ∖ e and f, so it is f ∖ e when
       that is a flat of M and f otherwise.
     - So for f in the right-hand side, cl_M(f ∖ e) = f lies in G, and
-      drop(f ∖ e) lies in G∖e.  Conversely, for F′ in G∖e, f = cl_M(F′)
-      lies in G with f ∖ e = F′ ≠ 0, and f is not F′ + e with F′ a flat,
-      since F′ would then be its own closure.
+      f ∖ e lies in G∖e.  Conversely, for F′ in G∖e, f = cl_M(F′) lies in
+      G with f ∖ e = F′ ≠ 0, and f is not F′ + e with F′ a flat, since F′
+      would then be its own closure.
 
-    The result is not validated, because it cannot fail when G is a
-    building set of the simple lattice of M (the BuiltMatroid invariant):
-    - M∖e is simple and the new order permutes its elements;
+    The result needs no validation when G is a building set of the simple
+    lattice of M (the BuiltMatroid invariant):
+    - M∖e is simple, and the order `delete_element` gives it permutes its
+      elements;
     - if F′ is irreducible in M∖e, then M|F′ is connected, and so is
       cl_M(F′), which adds at most e, spanned by F′: cl_M(F′) lies in G;
     - if F′ and H′ in G∖e meet, then cl_M(F′) and cl_M(H′) in G meet, and
       cl_M(cl_{M∖e}(F′ ∪ H′)) = cl_M(F′ ∪ H′) = cl_M(F′) ∨ cl_M(H′) lies
       in G, so the join of F′ and H′ in M∖e lies in G∖e.
-    """
-    if type(e) is not int or not 0 <= e < bm.n:
-        raise BadParameters(f"element {e!r} outside 0..{bm.n - 1}")
-    lat = bm.lat
-    sub, drop = delete_lattice(lat, e)
+    `delete_element` and each step of the deletion chain of
+    `chow.chow_by_deletion` take G∖e from here."""
     bit = 1 << e
-    kept = (
-        f & ~bit
-        for f in bm.bset
-        if f & ~bit and not (f & bit and lat.is_flat(f & ~bit))
+    return frozenset(
+        f & ~bit for f in bset if f & ~bit and not (f & bit and f & ~bit in flats)
     )
-    # dropping the last element shifts no bit: f ∖ e is already its mask
-    bset = frozenset(kept if e == bm.n - 1 else map(drop, kept))
-    order = tuple(x if x < e else x - 1 for x in bm.order if x != e)
-    return BuiltMatroid(sub, bset, order, validate=False)
 
 
 def _collar(lat, cutset):

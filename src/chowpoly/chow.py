@@ -33,10 +33,13 @@ new element, are then also in the order of their earliest.  Every memo key
 is therefore an identity key, and an interval's is read off the climb of
 `building._interval_climb` before the interval is built, so an interval is
 built only when its key misses the memo, and one of rank 1 is not even
-climbed.  The deletion chain M ⊃ M ∖ e ⊃ … is a loop that keeps only the
-current minor and its deletion alive, and fills the memo from the end of
-the chain by suffix sums.  The memo gets the same keys and values as a
-recursion in the given order (proof in `chow_by_deletion`).
+climbed.  The deletion chain M ⊃ M ∖ e ⊃ … runs on one lattice, that of
+its first minor: the minor M|{0..k-1} is the set of live flats of that
+lattice, those spanned by their trace on {0..k-1}
+(`lattice.LiveLattice`), so no step builds a lattice.  The chain is a loop
+that fills the memo from the end by suffix sums, and the memo gets the
+same keys and values as a recursion in the given order (proof in
+`chow_by_deletion`).
 
 chow_by_filtration starts from the built matroid its filtration validated
 on the minimal set (`Filtration.base`, built even when the walk takes no
@@ -78,12 +81,12 @@ from itertools import product
 from math import gcd
 
 from .building import (
+    _deleted_bset,
     _disjoint_nested,
     _flag_by_factor_table,
     _interval_build,
     _interval_climb,
     binary_filtration,
-    delete_element,
     g_min,
     is_complete,
 )
@@ -98,7 +101,7 @@ from .errors import (
     Stuck,
     TooLarge,
 )
-from .lattice import bits, maximal
+from .lattice import LiveLattice, bits, deletion_index, maximal
 from .nested import (
     _place,
     _stable_pairs,
@@ -209,19 +212,48 @@ def chow_by_deletion(bm):
     * H(M/F), with e the order-greatest element and S_e the building-set flats
     in which e is a coloop, except the atom of e.
 
-    e is a coloop of M|F iff F ∖ e is a flat of M (`delete_element`), and
+    e is a coloop of M|F iff F ∖ e is a flat of M (`_deleted_bset`), and
     n_F, the number of (G-e)-factors of F ∖ e, is that of maximal elements
     of the restriction to F ∖ e: no closure and no factor scan.
 
     A built matroid whose order is not the identity is relabeled once
     (`BuiltMatroid.relabeled`), element order[i] becoming i, and the
     recursion runs on the copy.  There every minor has the identity order:
-    e is n - 1, which `delete_element` drops with no shift, leaving the
-    order 0..n-2, and `_interval` labels the covers of its bottom by their
-    least new element, which is also their earliest in the identity
-    order, so the local order is the identity.  So every memo key is an
-    identity key, and that of an interval is read off its climb
-    (`_climb_key`) before the interval is built.
+    e is n - 1, which deleting drops with no shift, leaving the order
+    0..n-2, and `_interval` labels the covers of its bottom by their least
+    new element, which is also their earliest in the identity order, so
+    the local order is the identity.  So every memo key is an identity
+    key, and that of an interval is read off its climb (`_climb_key`)
+    before the interval is built.
+
+    The deletion chain runs on the lattice of its first minor M, the root
+    (`_minors`).  Each minor is M_k = M|{0..k-1}, and with K = {0..k-1}
+    its flats are the traces F ∩ K of the flats F of M.  A trace t is the
+    trace of one flat that it spans, cl_M(t), the live flat of t; the
+    others above t hold elements outside K.  So:
+    - t -> cl_M(t) is a bijection from the flats of M_k onto the live
+      flats, with inverse F -> F ∩ K, and both keep inclusion; it keeps
+      rank, since t spans cl_M(t);
+    - a cover of M_k, two flats with inclusion and ranks one apart, is
+      thus a cover in M between two live flats, and every such cover is
+      one of M_k.  A climb walks M's covers_up and keeps to live flats (the -1 of
+      `LiveLattice.flats`), so it meets exactly the covers of M_k;
+    - the join of t and t′ in M_k is cl_M(t ∪ t′) ∩ K, and cl_M(t ∪ t′) is
+      the join in M of their live flats, which is live;
+    - with e = k - 1, the map from each flat of M_(k-1) to the index of
+      its live flat is `lattice.deletion_index` of that of M_k: the flat
+      cl_(M_k)(t ∖ e) of M_k, t or t ∖ e, has the live flat cl_M(t ∖ e);
+    - G_(k-1) is `_deleted_bset` of G_k with the flats of M_k, the set of
+      `delete_element`, whose masks need no shift for the last element.
+      So the key (k - 1, sorted traces, sorted G_(k-1)) is that of
+      `delete_element` of the last element of M_k;
+    - the restriction [0, f ∖ e] of M_(k-1), with f ∖ e a flat of M_k, is
+      that of M_k with the same induced set: its flats are the flats of
+      M_k below f ∖ e, which lacks e, and a member g ⊆ f ∖ e of G_(k-1)
+      is a flat of M_k, its own closure, so it lies in G_k, and the other
+      way round.  So every climb of the step for M_k runs on M_k.
+    No minor of the chain gets a lattice of its own, and an interval gets
+    one only when its key misses the memo (`_interval_build`).
 
     The memo gets the keys and values it got when the recursion ran in
     the given order.  The key of a built matroid X is the identity key
@@ -257,61 +289,67 @@ def _deletion(bm, key):
     """`chow_by_deletion` of bm, of the identity order and more than one
     element, whose memo key is key.
 
-    A loop down the deletion chain bm ⊃ bm ∖ e ⊃ …: it adds up the S_e
-    terms of the current minor while only that minor and its deletion are
-    alive, moves to the deletion, and stops at one element or at a memo
-    hit.  H of a minor is then the sum of its terms and those of every
-    minor after it, so the memo is filled from the end of the chain by
-    suffix sums, with the keys and values of the recursion that recursed
-    into the deletion first."""
+    A loop down the deletion chain of `_minors`: it adds up the S_e terms
+    of the current minor, moves to the next, and stops at one element or
+    at a memo hit.  H of a minor is then the sum of its terms and those of
+    every minor after it, so the memo is filled from the end of the chain
+    by suffix sums, with the keys and values of the recursion that
+    recursed into the deletion first."""
     chain = []  # (key, sum of the S_e terms) of each minor left to store
-    while True:
+    out = [1]  # H of the one-element minor that ends the chain
+    for lat, bset in _minors(bm):
+        if chain:  # past the first minor, whose key the caller gave
+            key = (lat.n, tuple(sorted(lat.idx)), tuple(sorted(bset)))
         h = _DELETION_MEMO.get(key)
         if h is not None:
             out = list(h)
             break
-        lat = bm.lat
-        e = bm.n - 1
-        ebit = 1 << e
-        atom_e = lat.flats[lat.atom_of_elem[e]]
-        bmd = delete_element(bm, e)
+        ebit = 1 << (lat.n - 1)
         terms = []
-        for f in sorted(bm.bset):
-            if not f & ebit or f == atom_e:
-                continue
-            fd = f & ~ebit  # drop_bit(f, e), e being the last element
-            if not lat.is_flat(fd):
-                continue  # e not a coloop in f
-            h, local_bset = _interval_series(bmd, 0, fd)
+        for f in sorted(bset):
+            fd = f & ~ebit
+            if f == fd or not fd or fd not in lat.idx:
+                continue  # e not in f, f the atom {e}, or e not a coloop in f
+            h, local_bset = _interval_series(lat, bset, 0, fd)
             term = pmul(trange(1, len(maximal(local_bset))), h)
             if f != lat.full:
-                term = pmul(term, _interval_series(bm, f, lat.full)[0])
+                term = pmul(term, _interval_series(lat, bset, f, lat.full)[0])
             terms = padd(terms, term)
         chain.append((key, terms))
-        bm = bmd
-        if bm.n == 1:
-            out = [1]
-            break
-        key = bm.key()
     for key, terms in reversed(chain):
         out = padd(out, terms)
         _DELETION_MEMO[key] = tuple(out)
     return out
 
 
-def _interval_series(bm, bottom, top):
-    """(H, induced set) of the interval [bottom, top] of bm, whose order is
-    the identity; the interval is built only when its key misses the
-    memo, and a rank-1 interval, whose set is its one atom, is not
-    climbed.  H may be the memo's tuple, so it is only read."""
-    lat = bm.lat
+def _minors(bm):
+    """The deletion chain of bm, of the identity order, down to two
+    elements: (lattice, building set) of each minor M|{0..k-1}, k = n, n-1,
+    …, 2.  The first lattice is bm's own, and each later one the
+    `LiveLattice` of bm's lattice on the first k elements, whose index
+    map and set each step takes from the last one's by the rules of
+    `delete_element` (proof in `chow_by_deletion`)."""
+    root, idx, bset = bm.lat, bm.lat.idx, bm.bset
+    yield root, bset
+    for k in range(bm.n - 1, 1, -1):  # to M|{0..k-1}: delete element k
+        bset = _deleted_bset(bset, k, idx)
+        idx = deletion_index(idx, k)
+        yield LiveLattice(root, idx, k), bset
+
+
+def _interval_series(lat, bset, bottom, top):
+    """(H, induced set) of the interval [bottom, top] of a lattice of the
+    identity order with the building set bset; the interval is built only
+    when its key misses the memo, and a rank-1 interval, whose set is its
+    one atom, is not climbed.  H may be the memo's tuple, so it is only
+    read."""
     if lat.ranks[lat.idx[top]] - lat.ranks[lat.idx[bottom]] == 1:
         return (1,), (1,)
-    climb = _interval_climb(lat, bm.bset, bottom, top)
+    climb = _interval_climb(lat, bset, bottom, top)
     key = _climb_key(climb)
     h = _DELETION_MEMO.get(key)
     if h is None:
-        h = _deletion(_interval_build(lat, bm.order, climb)[0], key)
+        h = _deletion(_interval_build(lat, range(lat.n), climb)[0], key)
     return h, climb[4]
 
 

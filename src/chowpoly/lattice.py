@@ -9,7 +9,8 @@ Where the covers come from, and where a rescan finds and checks them:
   each flat's list as it goes; no rescan;
 - a `GeomLattice` built from a list of flats (the `flats` spec, `extend`,
   `truncate`): the rescan of `GeomLattice.__init__`;
-- a deletion or an interval of a lattice takes them over from that lattice.
+- a deletion or an interval of a lattice takes them over from that lattice,
+  and a `LiveLattice` walks that lattice's own.
 """
 
 from dataclasses import dataclass
@@ -481,16 +482,65 @@ def drop_bit(mask, e):
     return mask & ((1 << e) - 1) | (mask >> (e + 1)) << e
 
 
+def deletion_index(idx, e):
+    """The index map of M∖e read off that of M, with no closure: each flat
+    f ∖ e of M∖e, a mask over the elements of M with bit e clear, to the
+    index of cl_M(f ∖ e), given idx, the map from each flat of M to its
+    index.
+
+    The flats of M∖e are the sets f ∖ e of the flats f of M, and
+    cl_M(f ∖ e) is f ∖ e when that is itself a flat of M and f otherwise:
+    for e ∉ f, f ∖ e = f, and for e ∈ f, cl_M(f ∖ e) lies between f ∖ e
+    and f.  So f ∖ e takes the index of f, except where e ∈ f and f ∖ e
+    is a flat of M, which keeps its own.  The flats of M may be
+    traces themselves, each keyed to its flat in a larger lattice, as in
+    `LiveLattice`: the rule reads only which keys are flats.  In (rank,
+    mask) order, cl_M(f ∖ e) is the first flat f of M that gives f ∖ e
+    (`delete_lattice`)."""
+    bit = 1 << e
+    return {t & ~bit: i for t, i in idx.items() if not (t & bit and t & ~bit in idx)}
+
+
+class LiveLattice:
+    """The lattice of flats of M|{0..k-1}, read off the lattice lat of M
+    with no copy of its flats or covers.  Its flats are the traces
+    F ∩ {0..k-1} of the live flats F of lat, those that their trace spans,
+    and idx maps each trace to its live flat's index in lat (built by
+    `deletion_index`, one element at a time).  The map from trace to live
+    flat keeps order and rank, so a cover between two live flats of lat is
+    a cover of M|{0..k-1}, and every cover of M|{0..k-1} is one of these
+    (proof in `chow.chow_by_deletion`).
+
+    It offers what `building._interval_climb` and `building._interval_build`
+    read of a lattice, indexed like lat: flats holds the trace of each
+    live flat and -1 for every other flat, and -1 & ~top is never 0, so a
+    climb that keeps below its top steps over the flats that are not live;
+    ranks and covers_up are those of lat; and join climbs lat and takes
+    the trace, since the join in lat of two live flats is live."""
+
+    def __init__(self, lat, idx, k):
+        self.lat = lat
+        self.n = k
+        self.full = (1 << k) - 1
+        self.idx = idx
+        self.ranks, self.covers_up = lat.ranks, lat.covers_up
+        self.flats = [-1] * len(lat.flats)
+        for t, i in idx.items():
+            self.flats[i] = t
+
+    def join(self, f, g):
+        return self.lat._climb(self.idx[f], g) & self.full
+
+
 def delete_lattice(lat, e):
     """Lattice of the single-element deletion, plus the flat projection map.
 
     Returns (new_lattice, proj) where proj maps an old flat mask to the new
     mask over 0..n-2 (bit e removed, higher bits shifted down).
 
-    The flats of M∖e are the sets f ∖ e, of rank rk cl_M(f ∖ e), which is
-    rk f unless f ∖ e is itself a flat of M (`building.delete_element`).
-    That flat comes no later in (rank, mask) order, so the first source f
-    met for each f ∖ e has its rank, and no closure is taken.
+    The flats of M∖e are the sets f ∖ e, each of the rank of cl_M(f ∖ e),
+    whose index `deletion_index` gives: its first source f in (rank, mask)
+    order, with no closure taken.
 
     The covers of f ∖ e in M∖e are the sets g ∖ e for g covering that
     first source f in M, less f ∖ e itself (met when g = f + e), so no
@@ -527,13 +577,10 @@ def delete_lattice(lat, e):
             return drop_bit(mask, e)
 
     flats, ranks, covers_up = lat.flats, lat.ranks, lat.covers_up
-    first = {}  # f ∖ e -> index of its first source f
+    first = deletion_index(lat.idx, e)  # f ∖ e -> index of its first source f
     by_rank = [[] for _ in range(lat.rk + 1)]  # the sets f ∖ e by their rank
-    for i, f in enumerate(flats):
-        m = f & ~bit
-        if m not in first:
-            first[m] = i
-            by_rank[ranks[i]].append(m)
+    for m, i in first.items():
+        by_rank[ranks[i]].append(m)
     order = [m for level in by_rank for m in sorted(level)]
     pos = {m: k for k, m in enumerate(order)}
     at = [pos[f & ~bit] for f in flats]  # old index -> index of f ∖ e

@@ -189,6 +189,15 @@ def _deletion_cases():
         yield BuiltMatroid(bm.lat, bm.bset, bm.order[::-1], validate=False)
 
 
+def _deletion_cases_and_pi7():
+    """`_deletion_cases`, then Π7|min in its own order and the reversed
+    one."""
+    yield from _deletion_cases()
+    bm = built_from_matroid(make_partition(7), "min")
+    yield bm
+    yield BuiltMatroid(bm.lat, bm.bset, bm.order[::-1], validate=False)
+
+
 def test_deletion_memo_key_matches_reference():
     """`BuiltMatroid.key`, the deletion memo key, is the tuple of the
     bit-by-bit relabeling, on every instance of `_deletion_cases`, and a
@@ -206,15 +215,17 @@ def test_deletion_memo_key_matches_reference():
 
 
 def test_deletion_memo_matches_reference_recursion(monkeypatch):
-    """The route, which relabels once at entry and looks intervals up
-    before it builds them, returns the H of the recursion in the given
-    order (`oracles.chow_by_deletion_ref`) and leaves the same memo, keys
-    and values, after every instance of `_deletion_cases`."""
+    """The route, which relabels once at entry, looks intervals up before
+    it builds them and runs each deletion chain on one lattice, returns
+    the H of the recursion in the given order
+    (`oracles.chow_by_deletion_ref`) and leaves the same memo, keys and
+    values, after every instance of `_deletion_cases` and Π7|min in both
+    orders."""
     import chowpoly.chow as chow
 
     monkeypatch.setattr(chow, "_DELETION_MEMO", {})
     ref_memo = {}
-    for bm in _deletion_cases():
+    for bm in _deletion_cases_and_pi7():
         assert chow_by_deletion(bm) == oracles.chow_by_deletion_ref(bm, ref_memo)
         assert chow._DELETION_MEMO == ref_memo, bm.order
     assert len(ref_memo) > 100
@@ -233,7 +244,7 @@ def test_deletion_builds_only_the_intervals_it_misses(monkeypatch):
     built = {}  # id -> the interval, kept alive so that no id is reused
 
     def checked_climb(lat, bset, bottom, top):
-        assert lat.rank_of(top) - lat.rank_of(bottom) >= 2
+        assert lat.ranks[lat.idx[top]] - lat.ranks[lat.idx[bottom]] >= 2
         c = climb(lat, bset, bottom, top)
         minor = _interval_build(lat, tuple(range(lat.n)), c)[0]
         key = chow._climb_key(c)
@@ -264,12 +275,108 @@ def test_deletion_builds_only_the_intervals_it_misses(monkeypatch):
     assert 0 < counts["misses"] < counts["climbs"], counts
 
 
+def test_deletion_builds_no_lattice_per_minor(monkeypatch):
+    """Over `_deletion_cases` and Π7|min from an empty memo, the route
+    takes no `delete_lattice`: each deletion chain runs on the lattice of
+    its first minor.  The only lattices it makes are those of the
+    intervals whose key misses the memo and of the relabeled copies, one
+    `GeomLattice._derived` each."""
+    import chowpoly.building as building
+    import chowpoly.chow as chow
+    import chowpoly.lattice as lattice
+    from chowpoly.lattice import GeomLattice
+
+    cases = list(_deletion_cases_and_pi7())  # their lattices are not counted
+    counts = Counter()
+    derived, delete = GeomLattice._derived, lattice.delete_lattice
+    climb, relabeled = chow._interval_climb, BuiltMatroid.relabeled
+
+    def counted_derived(cls, *args):
+        counts["derived"] += 1
+        return derived.__func__(cls, *args)
+
+    def counted_delete(*args):
+        counts["delete_lattice"] += 1
+        return delete(*args)
+
+    def counted_climb(*args):
+        c = climb(*args)
+        counts["misses"] += chow._climb_key(c) not in chow._DELETION_MEMO
+        return c
+
+    def counted_relabeled(self):
+        counts["relabels"] += 1
+        return relabeled(self)
+
+    monkeypatch.setattr(GeomLattice, "_derived", classmethod(counted_derived))
+    monkeypatch.setattr(lattice, "delete_lattice", counted_delete)
+    monkeypatch.setattr(building, "delete_lattice", counted_delete)
+    monkeypatch.setattr(chow, "_interval_climb", counted_climb)
+    monkeypatch.setattr(BuiltMatroid, "relabeled", counted_relabeled)
+    monkeypatch.setattr(chow, "_DELETION_MEMO", {})
+    for bm in cases:
+        assert chow_by_deletion(bm) == chow_polynomial(bm)
+    assert counts["delete_lattice"] == 0
+    assert counts["derived"] == counts["misses"] + counts["relabels"], counts
+    assert counts["misses"] > 0 and counts["relabels"] > 0, counts
+
+
+def test_live_minors_equal_repeated_deletion():
+    """Every minor of a deletion chain is read off the lattice of its first
+    minor (`chow._minors`).  On every corpus() instance relabeled to the
+    identity order, at every k, the live traces and their ranks are the
+    flats and ranks of the minor that n − k deletions of the last element
+    leave (`delete_element`), the live covers of each live flat are its
+    covers there, list for list, every climb of the route's kinds, [0, F]
+    and [F, 1̂] for each member F, meets the same flats with the same local
+    masks and induced set, and the building set is that minor's."""
+    from chowpoly.building import _interval_climb, delete_element
+    from chowpoly.chow import _minors
+    from chowpoly.corpus import corpus
+
+    def climbed(lat, climb):
+        n, label, local, reached, local_bset = climb
+        return n, label, {lat.flats[i]: local[i] for i in reached}, local_bset
+
+    minors = 0
+    for inst in corpus():
+        bm = inst.built
+        if bm.n == 1:
+            continue  # `chow_by_deletion` answers [1] with no chain
+        if bm.order != tuple(range(bm.n)):
+            bm = bm.relabeled()
+        minor = bm
+        for lat, bset in _minors(bm):
+            want = minor.lat
+            assert lat.n == want.n and lat.full == want.full
+            live = sorted((lat.ranks[i], t) for t, i in lat.idx.items())
+            assert live == list(zip(want.ranks, want.flats)), inst.name
+            for t, i in lat.idx.items():
+                assert lat.flats[i] == t
+                ups = [lat.flats[j] for j in lat.covers_up[i]]
+                ups = sorted(u for u in ups if u != -1)  # -1: not live
+                assert ups == sorted(want.covers(t)), (inst.name, t)
+            assert bset == minor.bset, inst.name
+            for f in [0, *sorted(bset)]:
+                for bottom, top in ((0, f), (f, lat.full)):
+                    if bottom != top:
+                        got = _interval_climb(lat, bset, bottom, top)
+                        ref = _interval_climb(want, minor.bset, bottom, top)
+                        assert climbed(lat, got) == climbed(want, ref)
+            minor = delete_element(minor, minor.n - 1)
+            minors += 1
+        assert minor.n == 1, inst.name
+    assert minors > 500, minors
+
+
 def test_deletion_peak_memory_stays_near_its_memo(monkeypatch):
     """On Π8|min from an empty memo, the traced peak of the deletion route
-    is at most three times what stays live after it, the memo: the route
-    walks the deletion chain as a loop, with only the current minor and
-    its deletion alive.  The recursion that held every minor of the chain
-    at once peaked at 6.8 times (10.8 MB against 1.6 MB)."""
+    is at most 1.5 times what stays live after it, the memo: the route
+    walks each deletion chain as a loop on the lattice of its first minor,
+    and keeps no lattice per minor, only the current minor's map from
+    trace to live flat (1.71 MB against 1.61 MB on Python 3.11).  The loop that built a lattice per minor
+    peaked at 1.6 times (2.61 MB), and the recursion that held every minor
+    of the chain at once at 6.8 times (10.8 MB)."""
     import chowpoly.chow as chow
 
     bm = built_from_matroid(make_partition(8), "min")
@@ -278,7 +385,7 @@ def test_deletion_peak_memory_stays_near_its_memo(monkeypatch):
     live, peak = traced_peak(lambda: chow_by_deletion(bm))
     assert chow_by_deletion(bm) == want
     assert len(chow._DELETION_MEMO) == 47
-    assert peak <= 3 * live, (peak, live)
+    assert peak <= 1.5 * live, (peak, live)
 
 
 def test_filtration_validates_its_base_in_one_table_pass(monkeypatch):
