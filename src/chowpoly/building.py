@@ -128,7 +128,17 @@ class BuiltMatroid:
         (`_g_factor_table`): the table its validation returned, or the same
         validation on first use for a built matroid that was not
         validated, so a set that is not a building set gets the typed
-        error of `validate_building_set`."""
+        error of `validate_building_set`.  An interval or a relabeled copy
+        holds the table its build read off the rows of its climb
+        (`_interval_build`).
+
+        The order of the entries within a row is not fixed, for a built
+        copy's rows follow those it was read off, and no reader depends
+        on it: `nested._child_table` sorts a row, `chow.chow_polynomial`
+        multiplies over it, `nested._place`, `nested._forest`,
+        `_flag_by_factor_table` and the climbs read its length or count
+        its entries, `_disjoint_nested` takes a row of two as an unordered
+        pair, and `nested.new_factor` tests membership."""
         cache = self._nested_cache
         if "tops" not in cache:
             cache["tops"] = _validated_g_factor_table(self.lat, self.bset)
@@ -156,9 +166,10 @@ class BuiltMatroid:
     def relabeled(self):
         """This built matroid with element order[i] renamed i, so that its
         order is the identity: `_interval_build` of the climb of [0, 1̂]
-        with each element labelled by its position in the order."""
+        with each element labelled by its position in the order, which
+        carries the G-factor table into the copy."""
         lat = self.lat
-        climb = _interval_climb(lat, self.bset, 0, lat.full, self.pos)
+        climb = _interval_climb(lat, self.factor_table(), 0, lat.full, self.pos)
         return _interval_build(lat, self.order, climb)[0]
 
     def __eq__(self, other):
@@ -175,15 +186,17 @@ class BuiltMatroid:
         return f"BuiltMatroid(n={self.n}, rank={self.rank}, |G|={len(self.bset)})"
 
 
-def _interval(lat, bset, order, bottom, top):
+def _interval(lat, rows, order, bottom, top):
     """The interval [bottom, top] of lat with its induced building set, as a
     standalone BuiltMatroid; the one relabeling rule of this package.
+    rows is the G-factor table of a building set G of lat, indexed like
+    lat.flats (`BuiltMatroid.factor_table`).
 
     - The new elements are the covers of bottom below top, labelled in the
       order of their least new ground element.
     - A flat F of the interval becomes the set of covers below it, with rank
       rk F - rk bottom.
-    - An element g of bset below top and not below bottom becomes
+    - An element g of G below top and not below bottom becomes
       bottom ∨ g.
     - The new order lists the covers by the earliest element, in `order`,
       that each one takes in.
@@ -206,23 +219,41 @@ def _interval(lat, bset, order, bottom, top):
     is simple (one label per cover of bottom), the local order permutes the
     labels, and for a building set G, {bottom ∨ g : g ∈ G, g ≤ top, g ≰
     bottom} is a building set of [bottom, top] (Feichtner–Kozlov 2004,
-    Prop. 2.8).  Only simplification gets a set not yet validated, and its
-    callers validate it.
+    Prop. 2.8), whose G-factor table the build reads off rows.
 
     It is `_interval_build` of `_interval_climb`.  The climb finds the local
     masks and the induced set, which fix the memo key of the result when
     order is the identity (`chow.chow_by_deletion`); the build makes the
-    lattice, to_local and the order.
+    lattice, to_local, the order and the G-factor table.
     """
-    return _interval_build(lat, order, _interval_climb(lat, bset, bottom, top))
+    return _interval_build(lat, order, _interval_climb(lat, rows, bottom, top))
 
 
-def _interval_climb(lat, bset, bottom, top, label=None):
+def _interval_climb(lat, rows, bottom, top, label=None):
     """The first half of `_interval`: (n, label, local, reached,
-    local_bset), with n the number of new elements, label the new label of
-    each element of top ∖ bottom, local the local mask of each flat of the
-    interval by lattice index, reached those indices as the climb met
-    them, bottom first, and local_bset the induced set as local masks.
+    local_bset, rows), with n the number of new elements, label the new
+    label of each element of top ∖ bottom, local the local mask of each
+    flat of the interval by lattice index, reached those indices as the
+    climb met them, bottom first, local_bset the induced set as local
+    masks, and rows as given, for `_interval_build`.
+
+    rows is the G-factor row of every flat of lat by lattice index: each
+    member g of G has the row (g,), and any other flat the maximal members
+    below it, its G-factors, which split it as a direct sum
+    (`lattice._g_factor_table`).  On a `lattice.LiveLattice` the rows are
+    those of its root lattice, and an entry x stands for its trace
+    x ∩ lat.full.
+
+    The induced set is read off the rows with no join: a flat h of the
+    interval lies in {bottom ∨ g : g ∈ G, g ≤ top, g ≰ bottom} iff exactly
+    one entry of its row is not below bottom.  Let h = h₁ ⊕ … ⊕ h_m, the
+    h_i its G-factors.  Then [0, h] ≅ ∏ [0, h_i], and a member g ≤ h lies
+    under one factor h_j, so the join bottom ∨ g is taken factor by factor
+    and keeps bottom ∩ h_i in every factor i ≠ j.  It is h only if every
+    h_i with i ≠ j lies below bottom, and h_j does not, as g ≰ bottom.
+    Conversely, if h_j alone is not below bottom, then bottom ∨ h_j = h,
+    with h_j ∈ G, h_j ≤ h ≤ top.  With bottom = 0 the rule gives the
+    members below top, the flats whose row is the flat alone.
 
     A caller may hand over its own label, a bijection from the covers of
     bottom below top onto 0..n-1 that labels each cover's elements alike;
@@ -247,20 +278,35 @@ def _interval_climb(lat, bset, bottom, top, label=None):
                     up |= 1 << label[e]
                 local[j] = up
                 reached.append(j)
-    local_bset = frozenset(
-        local[lat.idx[g if bottom & ~g == 0 else lat.join(bottom, g)]]
-        for g in bset
-        if g & ~top == 0 and g & ~bottom
-    )
-    return len(parts), label, local, reached, local_bset
+    outside = lat.full & ~bottom
+    local_bset = []
+    for i in reached[1:]:  # bottom's entries all lie below it
+        row = rows[i]
+        if len(row) == 1 or len([x for x in row if x & outside]) == 1:
+            local_bset.append(local[i])
+    return len(parts), label, local, reached, frozenset(local_bset), rows
 
 
 def _interval_build(lat, order, climb):
     """The second half of `_interval`: (built, to_local) from a climb of
-    lat and the order of lat's elements."""
-    n, label, local, reached, local_bset = climb
-    flats, ranks, covers_up = lat.flats, lat.ranks, lat.covers_up
-    rb = ranks[reached[0]]
+    lat and the order of lat's elements.  The built matroid holds its
+    G-factor table, read off the climb's rows with no pass.
+
+    For a flat h of the interval with G-factors h_1..h_m, its factors in
+    the induced set are bottom ∨ h_j for each h_j ≰ bottom, and in a
+    direct sum bottom ∨ h_j is the set bottom ∪ h_j, taken factor by
+    factor as in `_interval_climb`.  These lie in the induced set and are
+    disjoint beyond bottom, their ranks over bottom add up to rk h − rk
+    bottom (the factors h_j ≤ bottom add nothing), and a member
+    bottom ∨ g ≤ h, with g under the factor h_j, lies under bottom ∪ h_j.
+    So they split h in the interval and are its maximal members, and a
+    member h has the one entry h.  On a `lattice.LiveLattice` the set is bottom ∪
+    (h_j ∩ lat.full), a flat of M|{0..k-1} (proof in
+    `chow.chow_by_deletion`)."""
+    n, label, local, reached, local_bset, rows = climb
+    flats, ranks, covers_up, idx = lat.flats, lat.ranks, lat.covers_up, lat.idx
+    bottom, rb = flats[reached[0]], ranks[reached[0]]
+    outside = lat.full & ~bottom
     reached = sorted(reached, key=lambda i: (ranks[i], local[i]))
     pos = {i: k for k, i in enumerate(reached)}
     sub = GeomLattice._derived(
@@ -271,7 +317,12 @@ def _interval_build(lat, order, climb):
     )
     to_local = {flats[i]: local[i] for i in reached}
     local_order = tuple(dict.fromkeys(label[e] for e in order if e in label))
-    return BuiltMatroid(sub, local_bset, local_order, validate=False), to_local
+    built = BuiltMatroid(sub, local_bset, local_order, validate=False)
+    built._nested_cache["tops"] = [
+        tuple(local[idx[bottom | (x & outside)]] for x in rows[i] if x & outside)
+        for i in reached
+    ]
+    return built, to_local
 
 
 def simplify_built(lat, bset, order):
@@ -279,16 +330,17 @@ def simplify_built(lat, bset, order):
     are the atoms of lat.
 
     Returns (BuiltMatroid, elem_map) where elem_map sends an old element to
-    its new label.  If lat is already simple this is just a relabeling by
-    identity (the same lattice object is reused).  The result is not
-    validated.
+    its new label.  bset is validated on lat, raising as
+    `validate_building_set` does, and the interval is built from the
+    G-factor table of that validation, which the result holds.  If lat
+    is already simple this is just a relabeling by identity (the same
+    lattice object is reused).
     """
-    _check_order(order, lat.n)
     if lat.simple():
-        return BuiltMatroid(lat, bset, order, validate=False), {
-            e: e for e in range(lat.n)
-        }
-    bm, to_local = _interval(lat, bset, order, 0, lat.full)
+        return BuiltMatroid(lat, bset, order), {e: e for e in range(lat.n)}
+    table = _validated_g_factor_table(lat, frozenset(bset))
+    _check_order(order, lat.n)
+    bm, to_local = _interval(lat, table, order, 0, lat.full)
     elem_map = {
         e: to_local[lat.flats[lat.atom_of_elem[e]]].bit_length() - 1
         for e in range(lat.n)
@@ -300,14 +352,14 @@ def restrict(bm, f):
     """Restriction to the interval [0, f] with the induced building set."""
     if not bm.lat.is_flat(f):
         raise NotAFlat(f"{f:b} is not a flat")
-    return _interval(bm.lat, bm.bset, bm.order, 0, f)[0]
+    return _interval(bm.lat, bm.factor_table(), bm.order, 0, f)[0]
 
 
 def contract(bm, f):
     """Contraction at a flat, simplified: the interval [f, 1̂]."""
     if not bm.lat.is_flat(f):
         raise NotAFlat(f"{f:b} is not a flat")
-    return _interval(bm.lat, bm.bset, bm.order, f, bm.lat.full)[0]
+    return _interval(bm.lat, bm.factor_table(), bm.order, f, bm.lat.full)[0]
 
 
 def delete_element(bm, e):
@@ -428,9 +480,7 @@ def truncate(bm, cut):
     ]
     sub = GeomLattice(lat.n, flats)
     bset = frozenset(g for g in bm.bset if g not in collar)
-    out, _ = simplify_built(sub, bset, bm.order)
-    validate_building_set(out.lat, out.bset)
-    return out
+    return simplify_built(sub, bset, bm.order)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,14 @@ built only when its key misses the memo, and one of rank 1 is not even
 climbed.  The deletion chain M ⊃ M ∖ e ⊃ … runs on one lattice, that of
 its first minor: the minor M|{0..k-1} is the set of live flats of that
 lattice, those spanned by their trace on {0..k-1}
-(`lattice.LiveLattice`), so no step builds a lattice.  The chain is a loop
-that fills the memo from the end by suffix sums, and the memo gets the
-same keys and values as a recursion in the given order (proof in
-`chow_by_deletion`).
+(`lattice.LiveLattice`), so no step builds a lattice, and a minor's view
+is made only once its key has missed.  A climb takes no join: it reads
+the induced set off the G-factor rows of the flats it reaches, and every
+minor of a chain reads the rows of the chain's first built matroid, cut
+down to its elements; an interval built on a miss takes its own rows
+from the climb.  The chain is a loop that fills the memo from the end by
+suffix sums, and the memo gets the same keys and values as a recursion
+in the given order (proof in `chow_by_deletion`).
 
 chow_by_filtration starts from the built matroid its filtration validated
 on the minimal set (`Filtration.base`, built even when the walk takes no
@@ -50,7 +54,10 @@ The top of each is in its induced set, so a link of rank 1 has series 1
 and one of rank 2 has series 1 + t, read off the ranks with no climb.  A
 link of rank 3 or more is counted once per key of its climb
 (`_climb_key`), which fixes the link up to the order of its elements, so
-a link is built only when its key is new to the call.
+a link is built only when its key is new to the call.  The climbs read
+the G-factor rows of the current set, each made from the base's table
+when first asked for and brought up to date as flats are added
+(`_GrownRows`).
 
 gamma_by_descents multiplies, over the maximal building-set elements m,
 the descent polynomials of the stable pairs below m
@@ -77,6 +84,7 @@ first scaled by it.  Then the row is reduced in place, row <- row -
 b*pivot, and a scaled row is divided by the gcd of its entries.
 """
 
+from bisect import bisect_left
 from itertools import product
 from math import gcd
 
@@ -101,7 +109,7 @@ from .errors import (
     Stuck,
     TooLarge,
 )
-from .lattice import LiveLattice, bits, deletion_index, maximal
+from .lattice import LiveLattice, bits, deletion_index
 from .nested import (
     _place,
     _stable_pairs,
@@ -213,8 +221,10 @@ def chow_by_deletion(bm):
     in which e is a coloop, except the atom of e.
 
     e is a coloop of M|F iff F ∖ e is a flat of M (`_deleted_bset`), and
-    n_F, the number of (G-e)-factors of F ∖ e, is that of maximal elements
-    of the restriction to F ∖ e: no closure and no factor scan.
+    n_F, the number of (G-e)-factors of F ∖ e, is the length of the
+    G-factor row of F ∖ e in the minor whose S_e terms are summed (the
+    restriction to F ∖ e is the same there, below): no closure and no
+    factor scan.
 
     A built matroid whose order is not the identity is relabeled once
     (`BuiltMatroid.relabeled`), element order[i] becoming i, and the
@@ -236,10 +246,21 @@ def chow_by_deletion(bm):
       rank, since t spans cl_M(t);
     - a cover of M_k, two flats with inclusion and ranks one apart, is
       thus a cover in M between two live flats, and every such cover is
-      one of M_k.  A climb walks M's covers_up and keeps to live flats (the -1 of
-      `LiveLattice.flats`), so it meets exactly the covers of M_k;
-    - the join of t and t′ in M_k is cl_M(t ∪ t′) ∩ K, and cl_M(t ∪ t′) is
-      the join in M of their live flats, which is live;
+      one of M_k.  A climb walks M's covers_up and keeps to live flats
+      (the -1 of `LiveLattice.flats`), so it meets exactly the covers of
+      M_k;
+    - the G_k-factors of a trace t are the traces of the G-factors of its
+      live flat F, so every minor reads M's G-factor table
+      (`BuiltMatroid.factor_table`), indexed like `LiveLattice`, with each
+      entry cut down to K, and none needs a table of its own.  G_k is the
+      set of traces of the live members of G (`_deleted_bset`, one step
+      at a time).  The G-factors F_i of F are live: rk F = Σ rk F_i ≥
+      Σ rk(F_i ∩ K) ≥ rk(F ∩ K) = rk F, so rk(F_i ∩ K) = rk F_i.  Their
+      traces are thus members of G_k, disjoint, with union t and ranks
+      adding up to rk t, and a member t′ ≤ t of G_k has its live flat, a
+      member of G, below F, so under some F_i, and t′ ≤ F_i ∩ K.  So the
+      traces of the F_i are the maximal members of G_k below t, its
+      G_k-factors, and t alone when t is a member;
     - with e = k - 1, the map from each flat of M_(k-1) to the index of
       its live flat is `lattice.deletion_index` of that of M_k: the flat
       cl_(M_k)(t ∖ e) of M_k, t or t ∖ e, has the live flat cl_M(t ∖ e);
@@ -252,8 +273,13 @@ def chow_by_deletion(bm):
       M_k below f ∖ e, which lacks e, and a member g ⊆ f ∖ e of G_(k-1)
       is a flat of M_k, its own closure, so it lies in G_k, and the other
       way round.  So every climb of the step for M_k runs on M_k.
-    No minor of the chain gets a lattice of its own, and an interval gets
-    one only when its key misses the memo (`_interval_build`).
+    No minor of the chain gets a lattice or a G-factor table of its own,
+    and an interval gets a lattice only when its key misses the memo
+    (`_interval_build`), with a table read off the rows of the climb
+    (proof in `building._interval_build`).  So no climb of the route
+    takes a join: the induced set of each interval is read off the rows
+    (`building._interval_climb`), and an interval's table is carried
+    into the chain run on it, as is that of a relabeled copy.
 
     The memo gets the keys and values it got when the recursion ran in
     the given order.  The key of a built matroid X is the identity key
@@ -274,10 +300,9 @@ def chow_by_deletion(bm):
     get built, can therefore differ; the keys stored and their values
     cannot, since a key's value is H of its minor.
 
-    An interval of rank 1 has H = [1] and one maximal element, and is
-    neither climbed nor looked up.  Any other is climbed, and built only
-    when its key misses the memo; on a hit, n_F is the number of maximal
-    elements of the induced set the climb found."""
+    An interval of rank 1 has H = [1], and is neither climbed nor looked
+    up.  Any other is climbed, and built only when its key misses the
+    memo."""
     if bm.n == 1:
         return [1]
     if bm.order != tuple(range(bm.n)):
@@ -294,26 +319,29 @@ def _deletion(bm, key):
     at a memo hit.  H of a minor is then the sum of its terms and those of
     every minor after it, so the memo is filled from the end of the chain
     by suffix sums, with the keys and values of the recursion that
-    recursed into the deletion first."""
+    recursed into the deletion first.  A minor past the first gets its
+    `LiveLattice` only once its key has missed.  Every climb reads the
+    G-factor rows of bm (`BuiltMatroid.factor_table`), which serve every
+    minor of the chain."""
+    root, rows = bm.lat, bm.factor_table()
     chain = []  # (key, sum of the S_e terms) of each minor left to store
     out = [1]  # H of the one-element minor that ends the chain
-    for lat, bset in _minors(bm):
-        if chain:  # past the first minor, whose key the caller gave
-            key = (lat.n, tuple(sorted(lat.idx)), tuple(sorted(bset)))
+    for key, idx, bset in _minors(bm, key):
         h = _DELETION_MEMO.get(key)
         if h is not None:
             out = list(h)
             break
+        lat = LiveLattice(root, idx, key[0]) if chain else root
         ebit = 1 << (lat.n - 1)
         terms = []
         for f in sorted(bset):
             fd = f & ~ebit
-            if f == fd or not fd or fd not in lat.idx:
+            if f == fd or not fd or fd not in idx:
                 continue  # e not in f, f the atom {e}, or e not a coloop in f
-            h, local_bset = _interval_series(lat, bset, 0, fd)
-            term = pmul(trange(1, len(maximal(local_bset))), h)
+            n_f = len(rows[idx[fd]])  # the G-factors of f ∖ e
+            term = pmul(trange(1, n_f), _interval_series(lat, rows, 0, fd))
             if f != lat.full:
-                term = pmul(term, _interval_series(lat, bset, f, lat.full)[0])
+                term = pmul(term, _interval_series(lat, rows, f, lat.full))
             terms = padd(terms, term)
         chain.append((key, terms))
     for key, terms in reversed(chain):
@@ -322,42 +350,58 @@ def _deletion(bm, key):
     return out
 
 
-def _minors(bm):
-    """The deletion chain of bm, of the identity order, down to two
-    elements: (lattice, building set) of each minor M|{0..k-1}, k = n, n-1,
-    …, 2.  The first lattice is bm's own, and each later one the
-    `LiveLattice` of bm's lattice on the first k elements, whose index
-    map and set each step takes from the last one's by the rules of
-    `delete_element` (proof in `chow_by_deletion`)."""
-    root, idx, bset = bm.lat, bm.lat.idx, bm.bset
-    yield root, bset
+def _minors(bm, key):
+    """The deletion chain of bm, of the identity order and with the memo
+    key key, down to two elements: (key, index map, building set) of each
+    minor M|{0..k-1}, k = n, n-1, …, 2.  The first index map is that of
+    bm's lattice, and each later one maps the traces on {0..k-1} to their
+    live flats in it; it and the set are taken from the last ones by the
+    rules of `delete_element` (proof in `chow_by_deletion`).
+
+    The map is updated in place, so a minor's map is read before the next
+    one is asked for.  The traces are kept sorted for the key, and those
+    that hold the deleted element k are the ones from 1 << k on, so a step
+    touches only those (`deletion_index`) and merges the traces that took
+    their indices back into the sorted list.  The map is copied once it
+    holds under three quarters of the keys it had when last copied, as a
+    dict does not shrink when keys leave it."""
+    root, bset = bm.lat, bm.bset
+    yield key, root.idx, bset
+    idx, traces = dict(root.idx), sorted(root.flats)
+    copied = len(idx)
     for k in range(bm.n - 1, 1, -1):  # to M|{0..k-1}: delete element k
         bset = _deleted_bset(bset, k, idx)
-        idx = deletion_index(idx, k)
-        yield LiveLattice(root, idx, k), bset
+        cut = bisect_left(traces, 1 << k)
+        moved = deletion_index(idx, k, traces[cut:])
+        if 4 * len(idx) < 3 * copied:
+            idx = dict(idx)
+            copied = len(idx)
+        del traces[cut:]
+        traces += moved
+        traces.sort()  # two sorted runs: one merge
+        yield (k, tuple(traces), tuple(sorted(bset))), idx, bset
 
 
-def _interval_series(lat, bset, bottom, top):
-    """(H, induced set) of the interval [bottom, top] of a lattice of the
-    identity order with the building set bset; the interval is built only
-    when its key misses the memo, and a rank-1 interval, whose set is its
-    one atom, is not climbed.  H may be the memo's tuple, so it is only
-    read."""
+def _interval_series(lat, rows, bottom, top):
+    """H of the interval [bottom, top] of a lattice of the identity order
+    with the G-factor rows rows; the interval is built only when its key
+    misses the memo, and a rank-1 interval, whose H is 1, is not climbed.
+    H may be the memo's tuple, so it is only read."""
     if lat.ranks[lat.idx[top]] - lat.ranks[lat.idx[bottom]] == 1:
-        return (1,), (1,)
-    climb = _interval_climb(lat, bset, bottom, top)
+        return (1,)
+    climb = _interval_climb(lat, rows, bottom, top)
     key = _climb_key(climb)
     h = _DELETION_MEMO.get(key)
     if h is None:
         h = _deletion(_interval_build(lat, range(lat.n), climb)[0], key)
-    return h, climb[4]
+    return h
 
 
 def _climb_key(climb):
     """`BuiltMatroid.key` of `_interval_build` of the climb in the identity
     order, where the local order is the identity: the sorted local masks
     and the sorted induced set."""
-    n, _, local, _, local_bset = climb
+    n, _, local, _, local_bset, _ = climb
     return (n, tuple(sorted(local.values())), tuple(sorted(local_bset)))
 
 
@@ -393,11 +437,12 @@ def chow_by_filtration(bm, trace=False):
     The base is the built matroid the filtration validated on the minimal
     set, `BuiltMatroid(lat, small, bm.order)`, also when the walk takes no
     step, so FY reads a G-factor table already built.  The set a step
-    climbs on is grown from the base's set, one added flat per step; the
-    filtration keeps only the steps.  A local interval [J^g, g] of rank 3
-    or more with its induced set is counted once per key of its climb
-    (`_climb_key` of `_interval_climb`), in a dict local to the call, and
-    built only when that key is new.  The key fixes the series:
+    climbs on is the base's set with the flats added so far, and the
+    climbs read its G-factor rows, grown from the base's table
+    (`_GrownRows`); the filtration keeps only the steps.  A local
+    interval [J^g, g] of rank 3 or more with its induced set is counted
+    once per key of its climb (`_climb_key` of `_interval_climb`), in a
+    dict local to the call, and built only when that key is new.  The key fixes the series:
     - the climb labels the covers of J^g below g by their least new
       element, and gives each flat of [J^g, g] its local mask and the
       induced set {J^g ∨ h : h in the current set, h <= g, h not <= J^g}
@@ -439,7 +484,7 @@ def chow_by_filtration(bm, trace=False):
     steps = [list(h)]
     maxg = set(filt.base.maxg)  # the maximal elements of the current set
     link_series = {}  # `_climb_key` of a link -> its series
-    cur = set(filt.base.bset)  # the set each step adds its flat to
+    rows = _GrownRows(lat.flats, filt.base.factor_table())
     for added, a in zip(filt.added, filt.factors):
         in_max = [f in maxg for f in a]
         if all(in_max):
@@ -458,7 +503,7 @@ def chow_by_filtration(bm, trace=False):
                     star = pmul(star, [1, 1])
                 if gap <= 2:
                     continue
-                climb = _interval_climb(lat, cur, j, g)
+                climb = _interval_climb(lat, rows, j, g)
                 key = _climb_key(climb)
                 series = link_series.get(key)
                 if series is None:
@@ -468,11 +513,40 @@ def chow_by_filtration(bm, trace=False):
             h = padd(h, pmul([0, 1], star))
         else:
             raise MixedFactorStep((added, a))
-        cur.add(added)
+        rows.added.append(added)
         steps.append(list(h))
     if trace:
         return h, steps
     return h
+
+
+class _GrownRows:
+    """The G-factor rows, by lattice index, of the set a filtration walk
+    climbs on, base ∪ added, with base the G-factor table of the walk's
+    base set and added the flats it has added so far, one per step.  A
+    row is made when it is first asked for and brought up to date when it
+    is asked for again after more flats were added, so a flat's row folds
+    in each added flat once.
+
+    The row of h is the maximal members of the set below h, h included:
+    h alone when h is a member, and otherwise its G-factors.  With no flat
+    added it is h's base row.  Adding a flat a ≤ h leaves it as it is when
+    a lies below an entry, and otherwise puts a in place of the entries
+    below a; this is also how a = h itself comes in."""
+
+    def __init__(self, flats, base):
+        self.flats, self.base, self.added = flats, base, []
+        self.rows = {}  # lattice index -> (its row, added flats folded in)
+
+    def __getitem__(self, i):
+        row, seen = self.rows.get(i) or (self.base[i], 0)
+        if seen < len(self.added):
+            f = self.flats[i]
+            for a in self.added[seen:]:
+                if a & ~f == 0 and all(a & ~x for x in row):
+                    row = (*(x for x in row if x & ~a), a)
+            self.rows[i] = row, len(self.added)
+        return row
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from .building import (
     g_max,
     g_min,
     simplify_built,
-    validate_building_set,
 )
 from .errors import BadParameters
 from .lattice import Matroid, bits, lattice_of_flats, popcount
@@ -144,10 +143,8 @@ def built_from_matroid(m, bset="min", order=None):
         chosen = frozenset(bset)
     if lat.simple():
         return BuiltMatroid(lat, chosen, order)
-    validate_building_set(lat, chosen)
     order = tuple(order) if order is not None else tuple(range(lat.n))
-    bm, _ = simplify_built(lat, chosen, order)
-    return bm
+    return simplify_built(lat, chosen, order)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -482,30 +482,41 @@ def drop_bit(mask, e):
     return mask & ((1 << e) - 1) | (mask >> (e + 1)) << e
 
 
-def deletion_index(idx, e):
-    """The index map of M∖e read off that of M, with no closure: each flat
-    f ∖ e of M∖e, a mask over the elements of M with bit e clear, to the
-    index of cl_M(f ∖ e), given idx, the map from each flat of M to its
-    index.
+def deletion_index(idx, e, held):
+    """Turn idx, the map from each flat of M to its index, into the index
+    map of M∖e in place, with no closure: each flat f ∖ e of M∖e, a mask
+    over the elements of M with bit e clear, to the index of cl_M(f ∖ e).
+    held lists the keys of idx that hold e, and only those are touched.
+    Returns the keys t ∖ e that took the index of a held t, in the order
+    of held.
 
     The flats of M∖e are the sets f ∖ e of the flats f of M, and
     cl_M(f ∖ e) is f ∖ e when that is itself a flat of M and f otherwise:
     for e ∉ f, f ∖ e = f, and for e ∈ f, cl_M(f ∖ e) lies between f ∖ e
-    and f.  So f ∖ e takes the index of f, except where e ∈ f and f ∖ e
-    is a flat of M, which keeps its own.  The flats of M may be
-    traces themselves, each keyed to its flat in a larger lattice, as in
-    `LiveLattice`: the rule reads only which keys are flats.  In (rank,
-    mask) order, cl_M(f ∖ e) is the first flat f of M that gives f ∖ e
-    (`delete_lattice`)."""
+    and f.  So a key without e keeps its index, and a held key t leaves
+    the map, its index going to t ∖ e unless t ∖ e is a flat of M, which
+    keeps its own.  All held keys leave before any t ∖ e comes in, so the
+    test of t ∖ e reads the keys without e, the flats of M among the sets
+    t ∖ e, and a key added on the way is t′ ∖ e for another held t′, not
+    t ∖ e.  The flats of M may be traces themselves, each keyed to its
+    flat in a larger lattice, as in `LiveLattice`: the rule reads only
+    which keys are flats.  In (rank, mask) order, cl_M(f ∖ e) is the first
+    flat f of M that gives f ∖ e (`delete_lattice`)."""
     bit = 1 << e
-    return {t & ~bit: i for t, i in idx.items() if not (t & bit and t & ~bit in idx)}
+    popped = [idx.pop(t) for t in held]
+    moved = []
+    for t, i in zip(held, popped):
+        if t ^ bit not in idx:
+            idx[t ^ bit] = i
+            moved.append(t ^ bit)
+    return moved
 
 
 class LiveLattice:
     """The lattice of flats of M|{0..k-1}, read off the lattice lat of M
-    with no copy of its flats or covers.  Its flats are the traces
-    F ∩ {0..k-1} of the live flats F of lat, those that their trace spans,
-    and idx maps each trace to its live flat's index in lat (built by
+    with no copy of its covers.  Its flats are the traces F ∩ {0..k-1} of
+    the live flats F of lat, those that their trace spans, and idx maps
+    each trace to its live flat's index in lat (built by
     `deletion_index`, one element at a time).  The map from trace to live
     flat keeps order and rank, so a cover between two live flats of lat is
     a cover of M|{0..k-1}, and every cover of M|{0..k-1} is one of these
@@ -515,11 +526,9 @@ class LiveLattice:
     read of a lattice, indexed like lat: flats holds the trace of each
     live flat and -1 for every other flat, and -1 & ~top is never 0, so a
     climb that keeps below its top steps over the flats that are not live;
-    ranks and covers_up are those of lat; and join climbs lat and takes
-    the trace, since the join in lat of two live flats is live."""
+    ranks and covers_up are those of lat."""
 
     def __init__(self, lat, idx, k):
-        self.lat = lat
         self.n = k
         self.full = (1 << k) - 1
         self.idx = idx
@@ -527,9 +536,6 @@ class LiveLattice:
         self.flats = [-1] * len(lat.flats)
         for t, i in idx.items():
             self.flats[i] = t
-
-    def join(self, f, g):
-        return self.lat._climb(self.idx[f], g) & self.full
 
 
 def delete_lattice(lat, e):
@@ -577,7 +583,8 @@ def delete_lattice(lat, e):
             return drop_bit(mask, e)
 
     flats, ranks, covers_up = lat.flats, lat.ranks, lat.covers_up
-    first = deletion_index(lat.idx, e)  # f ∖ e -> index of its first source f
+    first = dict(lat.idx)  # becomes f ∖ e -> index of its first source f
+    deletion_index(first, e, [f for f in flats if f & bit])
     by_rank = [[] for _ in range(lat.rk + 1)]  # the sets f ∖ e by their rank
     for m, i in first.items():
         by_rank[ranks[i]].append(m)

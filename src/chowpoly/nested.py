@@ -328,7 +328,7 @@ class LocalInterval:
 
 
 def _local_interval(bm, j, g):
-    built, to_local = _interval(bm.lat, bm.bset, bm.order, j, g)
+    built, to_local = _interval(bm.lat, bm.factor_table(), bm.order, j, g)
     flat_map = {
         f: m for f, m in to_local.items() if m in built.bset or f in (j, g)
     }

@@ -1195,6 +1195,34 @@ def built_key_ref(bm):
     return (bm.n, flats, bset)
 
 
+def induced_set_by_joins_ref(lat, bset, bottom, top, local):
+    """The induced set of [bottom, top] by joins, the rule
+    `building._interval_climb` followed before it read G-factor rows:
+    {bottom ∨ g : g in bset, g <= top, g not <= bottom}, as the local
+    masks local gives each flat of the interval by lattice index.
+
+    lat is a `GeomLattice` or a `lattice.LiveLattice`, whose flats are
+    traces, -1 for a flat that is not live, and bset is a set of its
+    flats.  The join climbs the covers from bottom, each time to the live
+    cover that holds the lowest element of g still missing: the live
+    covers of a live flat are its covers in the minor, and they partition
+    the elements outside it."""
+    flats, covers_up = lat.flats, lat.covers_up
+
+    def join(f, g):
+        i = lat.idx[f]
+        rest = g & ~f
+        while rest:
+            low = rest & -rest
+            i = next(j for j in covers_up[i] if flats[j] != -1 and flats[j] & low)
+            rest &= ~flats[i]
+        return i
+
+    return frozenset(
+        local[join(bottom, g)] for g in bset if g & ~top == 0 and g & ~bottom
+    )
+
+
 def chow_by_deletion_ref(bm, memo):
     """`chow.chow_by_deletion` before it relabeled once at entry and looked
     minors up before building them: the recursion runs in bm's own order,
@@ -1275,7 +1303,7 @@ def chow_by_filtration_ref(bm, trace=False):
                 key = (j, g, below)
                 series = link_series.get(key)
                 if series is None:
-                    link = _interval(lat, prev_bset, bm.order, j, g)[0]
+                    link = _interval(lat, prev.factor_table(), bm.order, j, g)[0]
                     series = link_series[key] = chow_polynomial(link)
                 star = pmul(star, series)
             h = padd(h, pmul([0, 1], star))

@@ -42,6 +42,7 @@ from chowpoly.families import (
     built_from_matroid,
     chordal_building_sets,
     make_boolean,
+    make_graphic,
     make_partition,
     make_uniform,
 )
@@ -243,9 +244,9 @@ def test_deletion_builds_only_the_intervals_it_misses(monkeypatch):
     counts = {"climbs": 0, "misses": 0, "built": 0, "built_computed": 0}
     built = {}  # id -> the interval, kept alive so that no id is reused
 
-    def checked_climb(lat, bset, bottom, top):
+    def checked_climb(lat, rows, bottom, top):
         assert lat.ranks[lat.idx[top]] - lat.ranks[lat.idx[bottom]] >= 2
-        c = climb(lat, bset, bottom, top)
+        c = climb(lat, rows, bottom, top)
         minor = _interval_build(lat, tuple(range(lat.n)), c)[0]
         key = chow._climb_key(c)
         assert key == oracles.built_key_ref(minor)
@@ -329,13 +330,16 @@ def test_live_minors_equal_repeated_deletion():
     leave (`delete_element`), the live covers of each live flat are its
     covers there, list for list, every climb of the route's kinds, [0, F]
     and [F, 1̂] for each member F, meets the same flats with the same local
-    masks and induced set, and the building set is that minor's."""
+    masks and induced set, and the building set is that minor's.  The
+    key is that minor's `key()`, and the traces of the root's G-factor
+    row of each live flat are the G-factors of its trace there."""
     from chowpoly.building import _interval_climb, delete_element
     from chowpoly.chow import _minors
     from chowpoly.corpus import corpus
+    from chowpoly.lattice import LiveLattice
 
     def climbed(lat, climb):
-        n, label, local, reached, local_bset = climb
+        n, label, local, reached, local_bset, _ = climb
         return n, label, {lat.flats[i]: local[i] for i in reached}, local_bset
 
     minors = 0
@@ -346,8 +350,11 @@ def test_live_minors_equal_repeated_deletion():
         if bm.order != tuple(range(bm.n)):
             bm = bm.relabeled()
         minor = bm
-        for lat, bset in _minors(bm):
+        rows = bm.factor_table()
+        for key, idx, bset in _minors(bm, bm.key()):
+            lat = LiveLattice(bm.lat, idx, key[0]) if minor is not bm else bm.lat
             want = minor.lat
+            assert key == minor.key(), inst.name
             assert lat.n == want.n and lat.full == want.full
             live = sorted((lat.ranks[i], t) for t, i in lat.idx.items())
             assert live == list(zip(want.ranks, want.flats)), inst.name
@@ -356,12 +363,14 @@ def test_live_minors_equal_repeated_deletion():
                 ups = [lat.flats[j] for j in lat.covers_up[i]]
                 ups = sorted(u for u in ups if u != -1)  # -1: not live
                 assert ups == sorted(want.covers(t)), (inst.name, t)
+                traced = sorted(x & lat.full for x in rows[i])
+                assert traced == sorted(minor.factors(t)), (inst.name, t)
             assert bset == minor.bset, inst.name
             for f in [0, *sorted(bset)]:
                 for bottom, top in ((0, f), (f, lat.full)):
                     if bottom != top:
-                        got = _interval_climb(lat, bset, bottom, top)
-                        ref = _interval_climb(want, minor.bset, bottom, top)
+                        got = _interval_climb(lat, rows, bottom, top)
+                        ref = _interval_climb(want, minor.factor_table(), bottom, top)
                         assert climbed(lat, got) == climbed(want, ref)
             minor = delete_element(minor, minor.n - 1)
             minors += 1
@@ -369,14 +378,152 @@ def test_live_minors_equal_repeated_deletion():
     assert minors > 500, minors
 
 
+def test_deletion_takes_no_join(monkeypatch):
+    """Over `_deletion_cases` and Π7|min in both orders from an empty memo,
+    the route makes no join and no climb to a join or a closure
+    (`GeomLattice.join`, `GeomLattice._climb`): each climb reads its
+    induced set off the G-factor rows carried down the chain."""
+    import chowpoly.chow as chow
+    from chowpoly.lattice import GeomLattice
+
+    cases = list(_deletion_cases_and_pi7())
+    wants = [chow_polynomial(bm) for bm in cases]
+    calls = Counter()
+    join, climb = GeomLattice.join, GeomLattice._climb
+
+    def counted_join(self, f, g):
+        calls["join"] += 1
+        return join(self, f, g)
+
+    def counted_climb(self, i, mask):
+        calls["_climb"] += 1
+        return climb(self, i, mask)
+
+    monkeypatch.setattr(GeomLattice, "join", counted_join)
+    monkeypatch.setattr(GeomLattice, "_climb", counted_climb)
+    monkeypatch.setattr(chow, "_DELETION_MEMO", {})
+    for bm, want in zip(cases, wants):
+        assert chow_by_deletion(bm) == want
+    assert calls == {}, calls
+
+
+def test_induced_sets_by_rows_equal_joins(monkeypatch):
+    """Every climb that the deletion route makes over `_deletion_cases`
+    and Π7|min in both orders, and that the filtration walk makes over
+    corpus(), reads from its G-factor rows the induced set that joins give
+    (`oracles.induced_set_by_joins_ref`).  The set is taken apart from the
+    rows: on a minor of a deletion chain it is the traces of the live
+    members of the chain's first building set, and on a walk step G_min
+    with the flats added so far."""
+    import chowpoly.chow as chow
+    from chowpoly.building import g_min
+    from chowpoly.corpus import corpus
+    from chowpoly.errors import MixedFactorStep, NoBinaryFiltration
+
+    chains = {}  # id of a chain's covers_up -> (its first lattice, its set)
+    deletion, climb = chow._deletion, chow._interval_climb
+    counts = Counter()
+
+    def recorded_deletion(bm, key):
+        chains[id(bm.lat.covers_up)] = (bm.lat, bm.bset)
+        return deletion(bm, key)
+
+    def checked_climb(lat, rows, bottom, top):
+        c = climb(lat, rows, bottom, top)
+        if isinstance(rows, chow._GrownRows):
+            bset = g_min(lat) | set(rows.added)
+            counts["filtration"] += 1
+        else:
+            root, root_bset = chains[id(lat.covers_up)]
+            bset = {lat.flats[root.idx[g]] for g in root_bset} - {-1}
+            counts["deletion"] += 1
+        want = oracles.induced_set_by_joins_ref(lat, bset, bottom, top, c[2])
+        assert c[4] == want, (bottom, top)
+        return c
+
+    monkeypatch.setattr(chow, "_deletion", recorded_deletion)
+    monkeypatch.setattr(chow, "_interval_climb", checked_climb)
+    monkeypatch.setattr(chow, "_DELETION_MEMO", {})
+    for bm in _deletion_cases_and_pi7():
+        chow_by_deletion(bm)
+    for inst in corpus():
+        try:
+            chow_by_filtration(inst.built)
+        except (NoBinaryFiltration, MixedFactorStep):
+            pass
+    assert counts["deletion"] > 1000 and counts["filtration"] == 108, counts
+
+
+def test_built_intervals_carry_their_factor_tables(monkeypatch):
+    """Every interval that the deletion route and the filtration walk
+    build, every relabeled copy, every simplified copy, and every
+    restriction and contraction of a corpus() instance holds its G-factor
+    table from the build, and that table is, row by row as sets, a fresh
+    `_g_factor_table` of its own lattice and set.  No reader of a row
+    depends on the order of its entries."""
+    import chowpoly.chow as chow
+    from chowpoly.building import contract, g_max, g_min, restrict, simplify_built
+    from chowpoly.corpus import corpus
+    from chowpoly.errors import MixedFactorStep, NoBinaryFiltration
+    from chowpoly.lattice import _g_factor_table
+
+    seen = Counter()
+    results = []
+    build, relabeled = chow._interval_build, BuiltMatroid.relabeled
+
+    def kept_build(*args):
+        out = build(*args)
+        results.append(out[0])
+        seen["built"] += 1
+        return out
+
+    def kept_relabeled(self):
+        out = relabeled(self)
+        results.append(out)
+        seen["relabeled"] += 1
+        return out
+
+    monkeypatch.setattr(chow, "_interval_build", kept_build)
+    monkeypatch.setattr(BuiltMatroid, "relabeled", kept_relabeled)
+    monkeypatch.setattr(chow, "_DELETION_MEMO", {})
+    for bm in _deletion_cases_and_pi7():
+        chow_by_deletion(bm)
+    for inst in corpus():
+        try:
+            chow_by_filtration(inst.built)
+        except (NoBinaryFiltration, MixedFactorStep):
+            pass
+        for f in inst.built.lat.flats[1:]:
+            results += [restrict(inst.built, f), contract(inst.built, f)]
+    for edges in (
+        [(0, 1), (0, 1), (1, 2)],
+        [(0, 1), (1, 2), (0, 2), (0, 2), (2, 3), (2, 3), (1, 3)],
+        [(0, 1), (0, 1), (0, 1), (1, 2), (1, 2), (0, 2)],
+    ):
+        lat = lattice_of_flats(make_graphic(edges))
+        for bset in (g_min(lat), g_max(lat)):
+            for order in (tuple(range(lat.n)), tuple(reversed(range(lat.n)))):
+                results.append(simplify_built(lat, bset, order)[0])
+                seen["simplified"] += 1
+    for bm in results:
+        assert "tops" in bm._nested_cache
+        got = [set(row) for row in bm.factor_table()]
+        assert got == [set(row) for row in _g_factor_table(bm.lat, bm.bset)]
+    assert seen["built"] > 20 and seen["relabeled"] > 100, seen
+    assert seen["simplified"] == 12
+
+
 def test_deletion_peak_memory_stays_near_its_memo(monkeypatch):
     """On Π8|min from an empty memo, the traced peak of the deletion route
     is at most 1.5 times what stays live after it, the memo: the route
     walks each deletion chain as a loop on the lattice of its first minor,
     and keeps no lattice per minor, only the current minor's map from
-    trace to live flat (1.71 MB against 1.61 MB on Python 3.11).  The loop that built a lattice per minor
-    peaked at 1.6 times (2.61 MB), and the recursion that held every minor
-    of the chain at once at 6.8 times (10.8 MB)."""
+    trace to live flat, edited in place and copied once it has lost a
+    quarter of its keys (1.01 MB against 0.72 MB on Python 3.11; the memo's
+    keys share their ints with the lattice).  The map rebuilt at every
+    step peaked at 1.71 MB against 1.61 MB, the loop that built a lattice
+    per minor at 1.6 times (2.61 MB), and the recursion that held every
+    minor of the chain at once at 6.8 times (10.8 MB)."""
     import chowpoly.chow as chow
 
     bm = built_from_matroid(make_partition(8), "min")
@@ -520,8 +667,8 @@ def test_filtration_builds_each_link_once(name, monkeypatch):
     climb, build = chow._interval_climb, chow._interval_build
     build_covers = GeomLattice._build_covers
 
-    def watched_climb(lat, bset, bottom, top):
-        c = climb(lat, bset, bottom, top)
+    def watched_climb(lat, rows, bottom, top):
+        c = climb(lat, rows, bottom, top)
         climb_keys.setdefault(chow._climb_key(c), set()).add((bottom, top))
         climbed[bottom, top] += 1
         return c
@@ -560,6 +707,7 @@ def test_filtration_links_below_rank_3_in_closed_form(monkeypatch):
     from chowpoly.building import _interval_build, _interval_climb
     from chowpoly.corpus import corpus
     from chowpoly.errors import MixedFactorStep, NoBinaryFiltration, NotFlag
+    from chowpoly.lattice import _g_factor_table
 
     corpus_cases = [inst.built for inst in corpus()]
     cases = corpus_cases + [_walk_case(n) for n in ("B6max", "U47max", "B5chordal")]
@@ -571,7 +719,8 @@ def test_filtration_links_below_rank_3_in_closed_form(monkeypatch):
             continue
         lat = bm.lat
         for prev_bset, j, g in links:
-            climb = _interval_climb(lat, prev_bset, j, g)
+            rows = _g_factor_table(lat, frozenset(prev_bset))
+            climb = _interval_climb(lat, rows, j, g)
             assert (1 << climb[0]) - 1 in climb[4], (j, g)
             gap = lat.rank_of(g) - lat.rank_of(j)
             if gap <= 2:
