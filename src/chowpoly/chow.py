@@ -74,14 +74,17 @@ test against the ray's nested pairs, read off the G-factor rows of length
 2 once per call.  A flag complex is the clique complex of its edges, so on
 a flag set that test is the face test.  On any other set each monomial
 carries the roots of its support, and a new ray that passes the mask
-test is placed on them (`nested._place`), which decides the face.  A row
-pivots on its greatest column (`_add_row`): the monomials are listed by
-extending the previous degree, so a row's last column is nearly always
-one that no earlier row reached, and the matrix is close to triangular
-from the right.  Pivot rows are kept primitive with a positive pivot
-entry.  That entry is nearly always 1; against any other pivot a row is
-first scaled by it.  Then the row is reduced in place, row <- row -
-b*pivot, and a scaled row is divided by the gcd of its entries.
+test is placed on them (`nested._place`), which decides the face.  The
+relation rows theta_j*mu of a degree are added one form at a time, and a
+row pivots on its greatest column (`_add_row`), so the pivot leads of
+the previous degree are the leading monomials of the ideal of the forms
+added so far.  The row theta_j*mu is skipped when mu became a pivot lead
+while an earlier form's rows were added: a Koszul syzygy already spans
+it (Faugère's F5 criterion; proof in `_toric_dims`), and few of the rows
+left reduce to zero.  Pivot rows are kept primitive with a positive
+pivot entry.  That entry is nearly always 1; against any other pivot a
+row is first scaled by it.  Then the row is reduced in place, row <-
+row - b*pivot, and a scaled row is divided by the gcd of its entries.
 """
 
 from bisect import bisect_left
@@ -599,15 +602,43 @@ def _toric_dims(bm):
     r, as `_place` asks.  A ray r already in supp leaves the support and
     its roots as they are.
 
-    Rows stay integral and are reduced by `_add_row`, which pivots on a
-    row's greatest column: row <- row - b*pivot, in place, after scaling
-    the row by a, the pivot's leading entry, when that is not 1 (nearly
-    every pivot leads with 1), and then dividing a scaled row by the gcd
-    of its entries.  Both steps are invertible over Q, so each degree's
-    rank is the rank over Q.
-    A row's greatest column is nearly always a monomial no earlier row
-    reached, because the monomials extend the previous degree's in order,
-    so most rows become pivots after few steps.
+    The degree-d relations are the rows theta_j*mu, for theta_j a form and
+    mu a face monomial of degree d-1, written in the face ring, where
+    nonfaces vanish; the columns are the degree-d monomials in the order
+    they were made.  Rows stay integral and are reduced by `_add_row`,
+    which pivots on a row's greatest column: row <- row - b*pivot, in
+    place, after scaling the row by a, the pivot's leading entry, when
+    that is not 1 (nearly every pivot leads with 1), and then dividing a
+    scaled row by the gcd of its entries.  Both steps are invertible over
+    Q, so each degree's rank is the rank over Q.
+
+    The rows are added one form at a time, theta_0 first, and within a
+    form in the order of mu.  born[k] is the form whose row made column k
+    of the previous degree a pivot (len(pairings) when none did; the
+    empty monomial of degree 0 is no pivot), and the row theta_j*mu is
+    skipped when born[mu] < j.  That is Faugère's F5 criterion for the
+    Koszul syzygies theta_i*theta_j = theta_j*theta_i, and it leaves each
+    degree's rank as it is:
+    - `_add_row` never changes a stored pivot, and pivot leads are
+      distinct.  So once every row of theta_0 .. theta_(j-1) has been
+      added in degree d-1, the pivot leads are exactly the leading
+      (greatest) columns of the degree-(d-1) part of the ideal
+      (theta_0, ..., theta_(j-1)) of the face ring, and born[mu] < j says
+      that mu is one of them.
+    - Then g = a*mu + sum over nu < mu of c_nu*nu, with a != 0, lies in
+      that ideal, g = sum over i < j of theta_i*p_i, so
+      a*theta_j*mu = sum over i < j of theta_i*(theta_j*p_i)
+                     - sum over nu < mu of c_nu*theta_j*nu.
+      The first sum is made of rows of earlier forms (theta_j*p_i is a
+      combination of face monomials of degree d-1), and the second of
+      rows of theta_j at smaller columns.
+    - By induction in (form, column) order, every skipped row lies in the
+      span of the rows that are kept, so each degree's rank over Q is
+      unchanged.  This needs no regular sequence and no Cohen–Macaulay
+      hypothesis, so it holds on flag and non-flag sets alike.  The same
+      induction shows that the rows kept in degree d-1 span what all of
+      them span, so the leads recorded there are the true ones.
+    Few of the rows left reduce to zero.
     """
     rays = sorted(bm.bset - set(bm.maxg))
     top = bm.rank - len(bm.maxg)
@@ -622,7 +653,8 @@ def _toric_dims(bm):
     flag = _flag_by_factor_table(bm)
     idx, table = bm.lat.idx, bm.factor_table()
     prev = [(0, 0, 0, [])]
-    dims = [1]  # the empty monomial; no relations in degree 0
+    born = [len(pairings)]  # the empty monomial is no pivot
+    dims = [1]  # no relations in degree 0
     for _ in range(top):
         mons = []
         for key, last, supp, roots in prev:
@@ -638,16 +670,21 @@ def _toric_dims(bm):
                 mons.append((key + powers[r], r, supp | 1 << r, up))
         index = {mon[0]: i for i, mon in enumerate(mons)}
         pivots = {}
-        for key, *_ in prev:
-            for pairing in pairings:
+        born_here = [len(pairings)] * len(mons)
+        for j, pairing in enumerate(pairings):
+            for (key, *_), at in zip(prev, born):
+                if at < j:
+                    continue
                 row = {}  # distinct rays give distinct monomials of mu
                 for r, c in pairing:
                     i = index.get(key + powers[r])
                     if i is not None:
                         row[i] = c
-                _add_row(pivots, row)
+                lead = _add_row(pivots, row)
+                if lead is not None:
+                    born_here[lead] = j
         dims.append(len(mons) - len(pivots))
-        prev = mons
+        prev, born = mons, born_here
     return normalize(dims)
 
 
@@ -678,8 +715,9 @@ def _add_row(pivots, row):
     scaling, and a scaled row is divided by the gcd of its entries.  These
     are invertible row operations over Q, so the number of pivots is
     the rank over Q of the rows added; that holds for any choice of pivot
-    column, and the greatest is the one the monomial order makes cheap
-    (`_toric_dims`).  row is consumed.
+    column, and the greatest is the one whose pivots `_toric_dims` reads
+    as leading monomials.  row is consumed.  Returns the leading column of
+    the new pivot row, or None when the row reduces to zero.
     """
     while row:
         lead = max(row)
@@ -691,7 +729,7 @@ def _add_row(pivots, row):
             if div != 1:
                 row = {k: v // div for k, v in row.items()}
             pivots[lead] = row
-            return
+            return lead
         a, b = piv[lead], row[lead]
         if a != 1:
             row = {k: a * v for k, v in row.items()}
