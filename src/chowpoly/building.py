@@ -56,7 +56,7 @@ def validate_building_set(lat, s):
     Raises MissingIrreducible(F) or JoinClosureViolation((G, G')) on failure.
 
     One pass up the covers decides acceptance (`_g_factor_table`), and
-    G_min takes none once the lattice holds its factor table.  Only a
+    G_min takes none: its table is the lattice's factor table.  Only a
     rejected s pays for the scans that name the witness: the first
     irreducible flat missing from s, else the first meeting pair of members
     whose join leaves s, both in sorted order.
@@ -70,16 +70,17 @@ def _validated_g_factor_table(lat, s):
     """`_g_factor_table(lat, s)` for a frozenset s, raising as
     `validate_building_set` does unless s is a building set.
 
-    For s = G_min it is the lattice's own factor table, when the lattice
-    already holds it: both passes see the same rows of the lower covers in
-    (rank, mask) order, so their rows are equal tuple for tuple."""
+    For s = G_min it is the lattice's own factor table
+    (`GeomLattice.factor_table`), read off one lower cover per flat with
+    no `maximal`: the same rows as the pass, as sets, though not always in
+    the same order within a row."""
     for f in s:
         if not lat.is_flat(f):
             raise NotAFlat(f"{f:b} is not a flat")
         if f == 0:
             raise NotAFlat("the bottom flat cannot belong to a building set")
-    if lat._factors is not None and s == g_min(lat):
-        return lat._factors
+    if s == g_min(lat):
+        return lat.factor_table()
     table = _g_factor_table(lat, s)
     if table is None:
         for f in sorted(g_min(lat)):
@@ -128,12 +129,14 @@ class BuiltMatroid:
         (`_g_factor_table`): the table its validation returned, or the same
         validation on first use for a built matroid that was not
         validated, so a set that is not a building set gets the typed
-        error of `validate_building_set`.  An interval or a relabeled copy
-        holds the table its build read off the rows of its climb
-        (`_interval_build`).
+        error of `validate_building_set`.  For G_min that is the lattice's
+        own factor table (`GeomLattice.factor_table`).  An interval or a
+        relabeled copy holds the table its build read off the rows of its
+        climb (`_interval_build`).
 
         The order of the entries within a row is not fixed, for a built
-        copy's rows follow those it was read off, and no reader depends
+        copy's rows follow those it was read off, the lattice's table
+        lists them in another order than the pass, and no reader depends
         on it: `nested._child_table` sorts a row, `chow.chow_polynomial`
         multiplies over it, `nested._place`, `nested._forest`,
         `_flag_by_factor_table` and the climbs read its length or count

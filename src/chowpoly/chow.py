@@ -727,7 +727,8 @@ def _add_row(pivots, row):
             if row[lead] < 0:
                 div = -div
             if div != 1:
-                row = {k: v // div for k, v in row.items()}
+                for k in row:
+                    row[k] //= div
             pivots[lead] = row
             return lead
         a, b = piv[lead], row[lead]

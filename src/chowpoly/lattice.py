@@ -275,10 +275,42 @@ class GeomLattice:
     # -- direct-sum structure ----------------------------------------------
 
     def factor_table(self):
-        """The direct-sum factors of every flat, indexed like flats
-        (`_g_factor_table`, taken once); an irreducible F has the row (F,)."""
+        """The direct-sum factors of every flat, indexed like flats, taken
+        once: the row of F lists its components, the irreducible flats
+        whose direct sum it is, in no fixed order; the bottom's row is (),
+        and an irreducible F has the row (F,).
+
+        Each row is read off the row of one lower cover j of F, the first
+        flat whose covers_up reaches F, with no `maximal`.  Let F = D_1 ⊕
+        … ⊕ D_k be its components.  The restriction to F is the direct sum
+        of the restrictions to the D_i, so j = ⊕ (j ∩ D_i) with rk j =
+        rk F - 1, and j ∩ D_i drops rank in exactly one D_i0: every other
+        D_i lies in j as a component of j, an entry of j's row.  An entry E
+        of that row separates F when F ∖ E is a flat and rk E + rk(F ∖ E) =
+        rk F (`splits` on the pair); an E that separates F is a union of
+        components of F, and one of them, as it is connected itself.  The
+        entries inside D_i0 never separate F, for D_i0 is connected and
+        none of them is all of it.  So the entries that separate F are the
+        D_i with i ≠ i0, and D_i0 is F less their union; when none does,
+        F is irreducible.  This holds for G_min, the irreducible flats,
+        which is always a building set; for any other set one lower cover
+        does not suffice, and `_g_factor_table` takes all of them."""
         if self._factors is None:
-            self._factors = _g_factor_table(self)
+            flats, ranks, idx = self.flats, self.ranks, self.idx
+            low = [0] * len(flats)  # first lower cover: the last write, in reverse
+            for i in range(len(flats) - 1, -1, -1):
+                for k in self.covers_up[i]:
+                    low[k] = i
+            table = [()]
+            for i in range(1, len(flats)):
+                f, r, seps, rest = flats[i], ranks[i], [], flats[i]
+                for e in table[low[i]]:
+                    k = idx.get(f ^ e)
+                    if k is not None and ranks[idx[e]] + ranks[k] == r:
+                        seps.append(e)
+                        rest ^= e
+                table.append((*seps, rest) if seps else (f,))
+            self._factors = table
         return self._factors
 
     def _factor_row(self, f):
@@ -291,39 +323,35 @@ class GeomLattice:
         return len(self._factor_row(f)) == 1
 
 
-def _g_factor_table(lat, s=None):
-    """The tops of every flat, indexed like lat.flats, in one pass in
-    (rank, mask) order; None when s is given and is not a building set.
+def _g_factor_table(lat, s):
+    """The G-factors of every flat for a set s of nonzero flats, indexed
+    like lat.flats, in one pass in (rank, mask) order; None when s is not a
+    building set.
 
-    The members are the flats of s, or, with s = None, the flats that
-    their tops do not split.  The tops of a member F are (F,), and
-    otherwise the maximal elements among the tops of F's lower covers,
-    that is, the maximal members strictly below F.  They split F
-    (`splits`) when their union is F and their ranks add up to rk F.  Then
-    F is their direct sum, for they are disjoint: two that meet share a
-    flat of rank at least 1, which by semimodularity their join loses, so
-    the ranks of all the tops would add up to more than rk F.
-    - s = None: by induction, the tops of F are the maximal irreducible
-      flats strictly below F.  A reducible F is split by its direct-sum
-      factors, which are these, and an irreducible F by nothing.  So the
-      members are the irreducible flats, the other rows their factors.
-    - s given and accepted: each flat outside s is split, so reducible,
-      and members a, b below it that meet lie under one top m, so it is
-      not their join, a ∨ b <= m.  So s is a building set (Feichtner–Kozlov
-      2004).  A building set is accepted, with the G-factors as rows: the
-      maximal members below a flat outside it are its G-factors, which
-      split it."""
+    The tops of a member F of s are (F,), and otherwise the maximal
+    elements among the tops of F's lower covers, that is, the maximal
+    members strictly below F.  They split F (`splits`) when their union is
+    F and their ranks add up to rk F.  Then F is their direct sum, for they
+    are disjoint: two that meet share a flat of rank at least 1, which by
+    semimodularity their join loses, so the ranks of all the tops would
+    add up to more than rk F.  If s is accepted, each flat outside s is
+    split, so reducible, and members a, b below it that meet lie under one
+    top m, so it is not their join, a ∨ b <= m.  So s is a building set
+    (Feichtner–Kozlov 2004).  A building set is accepted, with the
+    G-factors as rows: the maximal members below a flat outside it are its
+    G-factors, which split it.  Unlike G_min (`GeomLattice.factor_table`),
+    a building set in general needs the tops of every lower cover: on B3
+    with s the atoms and {0,1}, both entries of the row ({0},{2}) of the
+    lower cover {0,2} separate {0,1,2}, whose G-factors are {0,1} and {2}."""
     below = [[] for _ in lat.flats]
     table = []
     for i, f in enumerate(lat.flats):
-        if s is not None and f in s:
+        if f in s:
             tops = (f,)
         else:
             tops = tuple(maximal(set(below[i])))
             if not splits(lat, i, tops):
-                if s is not None:
-                    return None
-                tops = (f,)
+                return None
         table.append(tops)
         below[i] = None
         for j in lat.covers_up[i]:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import filtration_sets, mask_of, set_of, sets_of
+from helpers import UNIVERSE_HOSTS, filtration_sets, mask_of, set_of, sets_of
 
 from chowpoly.errors import (
     InvalidMatroid,
@@ -383,8 +383,8 @@ def test_g_factor_pass_matches_popcount_reference():
     (`oracles.g_factor_table_ref`): the same rows, or None on both, on
     every subset of B4's nonzero flats and every superset of G_min on
     U(3,5).  A G_min built matroid takes the lattice's factor table as its
-    G-factor table, equal tuple for tuple to the pass on its set, on every
-    corpus host and Π7."""
+    G-factor table, equal row by row to the pass on its set once each row
+    is sorted by (rank, mask), on every corpus host and Π7."""
     from chowpoly.corpus import corpus
     from chowpoly.lattice import _g_factor_table, bits
 
@@ -405,7 +405,54 @@ def test_g_factor_pass_matches_popcount_reference():
     for lat in lats:
         bm = BuiltMatroid(lat, g_min(lat))
         assert bm.factor_table() is lat.factor_table()
-        assert bm.factor_table() == _g_factor_table(lat, bm.bset)
+        assert _sorted_rows(lat, bm.factor_table()) == _sorted_rows(
+            lat, _g_factor_table(lat, bm.bset)
+        )
+
+
+def _sorted_rows(lat, table):
+    """Each row of a factor table sorted by (rank, mask)."""
+    return [sorted(row, key=lambda g: (lat.rank_of(g), g)) for row in table]
+
+
+def test_factor_table_rows_match_the_g_min_pass():
+    """The lattice's factor table, read off one lower cover per flat, has
+    the rows of the validating pass on G_min, as sorted rows, on every
+    corpus lattice, Π2–Π8, B6, U(4,7), U(5,11) and the universe hosts."""
+    from chowpoly.corpus import corpus
+    from chowpoly.lattice import _g_factor_table
+
+    lats = [inst.built.lat for inst in corpus()]
+    lats += [lattice_of_flats(make_partition(n)) for n in range(2, 9)]
+    lats += [
+        lattice_of_flats(m)
+        for m in (make_boolean(6), make_uniform(4, 7), make_uniform(5, 11))
+    ]
+    lats += [lattice_of_flats(m) for m in UNIVERSE_HOSTS.values()]
+    for lat in lats:
+        want = _g_factor_table(lat, g_min(lat))
+        assert _sorted_rows(lat, lat.factor_table()) == _sorted_rows(lat, want)
+    assert len(lats) == 242
+
+
+def test_factor_table_takes_no_maximal(monkeypatch):
+    """Building Π7's factor table calls no `lattice.maximal`: each row comes
+    from the row of one lower cover, not from the tops of all of them."""
+    import chowpoly.lattice as lattice
+
+    calls = 0
+    maximal = lattice.maximal
+
+    def counting_maximal(family):
+        nonlocal calls
+        calls += 1
+        return maximal(family)
+
+    monkeypatch.setattr(lattice, "maximal", counting_maximal)
+    lat = lattice_of_flats(make_partition(7))
+    table = lat.factor_table()
+    assert calls == 0
+    assert sum(len(row) == 1 for row in table) == len(g_min(lat)) == 120
 
 
 def test_lattice_of_flats_takes_fewer_rank_calls():
